@@ -12,7 +12,6 @@ byte for byte.
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 
@@ -20,7 +19,7 @@ import numpy as np
 
 from .errors import EstimationError
 from .experiment import (FIG3_COLUMNS, reproduce_fig3, run_continuum,
-                         run_experiment, sweep, write_fig3_csv,
+                         run_experiment, sweep, write_csv, write_fig3_csv,
                          write_metrics_csv, write_trajectory_csv)
 from .liegroup import so3_log
 from .scenario import bundled_scenario, load_scenario
@@ -43,13 +42,6 @@ def _ensure_dir(path):
     return path
 
 
-def _write_rows(path, header, rows):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def _fmt(values):
     return [f"{v:.12g}" for v in values]
 
@@ -65,19 +57,19 @@ def cmd_simulate(args):
         velocity = truth.input_velocities[i] + truth.biases[i]
         rows.append(_fmt(np.concatenate([[t], pose.translation,
                                          so3_log(pose.rotation), velocity])))
-    _write_rows(os.path.join(out, "truth.csv"),
-                ["time", "x", "y", "z", "rx", "ry", "rz",
-                 "vx", "vy", "vz", "wx", "wy", "wz"], rows)
+    write_csv(os.path.join(out, "truth.csv"),
+              ["time", "x", "y", "z", "rx", "ry", "rz",
+               "vx", "vy", "vz", "wx", "wy", "wz"], rows)
 
     rows = [_fmt(np.concatenate([[t], truth.input_velocities[i]]))
             for i, t in enumerate(truth.times)]
-    _write_rows(os.path.join(out, "input_log.csv"),
-                ["time", "vx", "vy", "vz", "wx", "wy", "wz"], rows)
+    write_csv(os.path.join(out, "input_log.csv"),
+              ["time", "vx", "vy", "vz", "wx", "wy", "wz"], rows)
 
     rows = [[f"{s.time:.12g}", str(s.landmark_index), f"{s.value:.12g}"]
             for s in truth.ranges]
-    _write_rows(os.path.join(out, "range_log.csv"),
-                ["time", "landmark_index", "range"], rows)
+    write_csv(os.path.join(out, "range_log.csv"),
+              ["time", "landmark_index", "range"], rows)
 
     print(f"simulated {scenario.name}: {len(truth.times)} ticks, "
           f"{len(truth.ranges)} range measurements -> {out}")

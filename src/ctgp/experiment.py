@@ -429,7 +429,8 @@ def run_continuum(scenario: ContinuumScenario, *, method="inputs",
     return out
 
 
-def _write_csv(path, header, rows):
+def write_csv(path, header, rows):
+    """One header row, then the rows as given (already formatted)."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -442,14 +443,14 @@ def write_trajectory_csv(path, rows):
     if rows.ndim != 2 or rows.shape[1] != len(TRAJECTORY_COLUMNS):
         raise ScenarioError(f"trajectory rows must have "
                             f"{len(TRAJECTORY_COLUMNS)} columns")
-    _write_csv(path, TRAJECTORY_COLUMNS, [[f"{v:.12g}" for v in r] for r in rows])
+    write_csv(path, TRAJECTORY_COLUMNS, [[f"{v:.12g}" for v in r] for r in rows])
 
 
 def write_fig3_csv(path, rows):
     rows = np.asarray(rows)
     if rows.ndim != 2 or rows.shape[1] != len(FIG3_COLUMNS):
         raise ScenarioError(f"fig3 rows must have {len(FIG3_COLUMNS)} columns")
-    _write_csv(path, FIG3_COLUMNS, [[f"{v:.12g}" for v in r] for r in rows])
+    write_csv(path, FIG3_COLUMNS, [[f"{v:.12g}" for v in r] for r in rows])
 
 
 def write_metrics_csv(path, metrics_list):
@@ -460,4 +461,4 @@ def write_metrics_csv(path, metrics_list):
     rows = []
     for m in metrics_list:
         rows.append([getattr(m, n) for n in names])
-    _write_csv(path, names, rows)
+    write_csv(path, names, rows)

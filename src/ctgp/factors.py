@@ -95,15 +95,15 @@ def prior_factor_error(node_k: StateNode, node_k1: StateNode,
                       blocks.q_full_inv)
 
 
-def prior_factor_batch(nodes, blocks_list, *, exact_bias_jacobian: bool = True,
-                       with_jacobians: bool = True):
+def prior_factor_batch(nodes, blocks_list, *, with_jacobians: bool = True):
     """Evaluate all adjacent-pair prior factors in one vectorized pass.
 
-    Matches prior_factor_error applied to each pair. Returns a dict with
-    stacked arrays: error (K-1, 12), info (K-1, 12, 12), and, when
-    with_jacobians is set, j_k / j_k1 (K-1, 12, 12). The stacked interval
-    quantities (phi, input integral, information) are read from blocks_list,
-    so precompute once and reuse across solver iterations.
+    Matches prior_factor_error applied to each pair, with the exact
+    bias-term Jacobian. Returns a dict with stacked arrays: error (K-1, 12),
+    info (K-1, 12, 12), and, when with_jacobians is set, j_k / j_k1
+    (K-1, 12, 12). The stacked interval quantities (phi, input integral,
+    information) are read from blocks_list, so precompute once and reuse
+    across solver iterations.
     """
     if len(blocks_list) != len(nodes) - 1:
         raise WiringError("need one IntervalBlocks per adjacent node pair")
@@ -130,9 +130,7 @@ def prior_factor_batch(nodes, blocks_list, *, exact_bias_jacobian: bool = True,
     if not with_jacobians:
         return out
 
-    d = (jinv_vec_dx(xi, bias[1:]) if exact_bias_jacobian
-         else 0.5 * curlywedge(bias[1:]))
-    chart = np.concatenate([jinv, d @ jinv], axis=-2)
+    chart = np.concatenate([jinv, jinv_vec_dx(xi, bias[1:]) @ jinv], axis=-2)
     adj = np.zeros((len(xi), 6, 6))
     adj[:, :3, :3] = rel_rot
     adj[:, :3, 3:] = skew(rel_trans) @ rel_rot
@@ -166,15 +164,21 @@ def range_factor_error(node: StateNode, landmark, measured_range: float,
     return FactorEval(error, ((index, jac),), np.array([[1.0 / variance]]))
 
 
+def _pose_residual(node: StateNode, measured: Pose):
+    """Pose error ln(measured pose^-1)^v and its 6x12 Jacobian."""
+    error = log_map(measured @ node.pose.inverse())
+    jac = np.zeros((6, 12))
+    jac[:, :6] = -left_jacobian_inv(-error)
+    return error, jac
+
+
 def pose_factor_error(node: StateNode, measured: Pose, covariance, *,
                       index=0) -> FactorEval:
     """Full pose residual e = ln(measured pose^-1)^v."""
     info = _information_from_covariance(covariance, "pose")
     if info.shape != (6, 6):
         raise HyperparameterError("pose covariance must be 6x6")
-    error = log_map(measured @ node.pose.inverse())
-    jac = np.zeros((6, 12))
-    jac[:, :6] = -left_jacobian_inv(-error)
+    error, jac = _pose_residual(node, measured)
     return FactorEval(error, ((index, jac),), info)
 
 
@@ -284,13 +288,27 @@ class PlanarLockFactor:
 
 @dataclass(frozen=True)
 class AnchorFactor:
-    """Absolute pose-and-bias prior on one node (gauge or initial knowledge)."""
+    """Absolute pose-and-bias prior on one node (gauge or initial knowledge).
+
+    Both covariances are validated and inverted once, at construction.
+    """
 
     index: int
     pose: Pose
     bias: np.ndarray
     pose_covariance: np.ndarray
     bias_covariance: np.ndarray
+    information: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        pose_info = _information_from_covariance(self.pose_covariance, "anchor pose")
+        bias_info = _information_from_covariance(self.bias_covariance, "anchor bias")
+        if pose_info.shape != (6, 6) or bias_info.shape != (6, 6):
+            raise HyperparameterError("anchor covariances must be 6x6")
+        info = np.zeros((12, 12))
+        info[:6, :6] = pose_info
+        info[6:, 6:] = bias_info
+        object.__setattr__(self, "information", info)
 
     @property
     def indices(self):
@@ -298,15 +316,12 @@ class AnchorFactor:
 
     def evaluate(self, nodes) -> FactorEval:
         node = nodes[self.index]
-        pose_eval = pose_factor_error(node, self.pose, self.pose_covariance)
-        error = np.concatenate([pose_eval.error, self.bias - node.bias])
+        pose_error, pose_jac = _pose_residual(node, self.pose)
+        error = np.concatenate([pose_error, self.bias - node.bias])
         jac = np.zeros((12, 12))
-        jac[:6] = pose_eval.jacobians[0][1]
+        jac[:6] = pose_jac
         jac[6:, 6:] = -np.eye(6)
-        info = np.zeros((12, 12))
-        info[:6, :6] = pose_eval.information
-        info[6:, 6:] = _information_from_covariance(self.bias_covariance, "anchor bias")
-        return FactorEval(error, ((self.index, jac),), info)
+        return FactorEval(error, ((self.index, jac),), self.information)
 
 
 @dataclass(frozen=True)
@@ -315,7 +330,6 @@ class PriorFactor:
 
     index: int
     blocks: IntervalBlocks
-    exact_bias_jacobian: bool = True
 
     @property
     def indices(self):
@@ -323,9 +337,7 @@ class PriorFactor:
 
     def evaluate(self, nodes) -> FactorEval:
         return prior_factor_error(nodes[self.index], nodes[self.index + 1],
-                                  self.blocks,
-                                  exact_bias_jacobian=self.exact_bias_jacobian,
-                                  indices=self.indices)
+                                  self.blocks, indices=self.indices)
 
 
 @dataclass(frozen=True)

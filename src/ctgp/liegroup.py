@@ -50,7 +50,12 @@ def wedge(xi):
     """Twist to 4x4 algebra element: [[skew(phi), rho], [0, 0]]."""
     xi = np.asarray(xi, dtype=float)
     out = np.zeros(xi.shape[:-1] + (4, 4))
-    out[..., :3, :3] = skew(xi[..., 3:])
+    out[..., 0, 1] = -xi[..., 5]
+    out[..., 0, 2] = xi[..., 4]
+    out[..., 1, 0] = xi[..., 5]
+    out[..., 1, 2] = -xi[..., 3]
+    out[..., 2, 0] = -xi[..., 4]
+    out[..., 2, 1] = xi[..., 3]
     out[..., :3, 3] = xi[..., :3]
     return out
 

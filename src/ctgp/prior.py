@@ -362,27 +362,6 @@ def precompute_intervals(profiles, hyper: PriorHyper, *, force_general: bool = F
     return blocks
 
 
-def interval_transition(blocks: IntervalBlocks, tau: float | None = None):
-    """Transition from the interval start to tau (default: interval end)."""
-    if tau is None:
-        return blocks.phi.copy()
-    return blocks.at(tau).phi_from_start
-
-
-def input_integral(blocks: IntervalBlocks, tau: float | None = None):
-    """Integral of transition-weighted inputs from the interval start to tau."""
-    if tau is None:
-        return blocks.input_full.copy()
-    return blocks.at(tau).input_tau
-
-
-def accumulated_q(blocks: IntervalBlocks, tau: float | None = None):
-    """Accumulated process-noise covariance from the interval start to tau."""
-    if tau is None:
-        return blocks.q_full.copy()
-    return blocks.at(tau).q_tau
-
-
 def local_state(gamma):
     """Split a 12-vector into (xi, psi)."""
     gamma = np.asarray(gamma, dtype=float)

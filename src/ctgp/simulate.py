@@ -3,14 +3,16 @@
 The mobile simulator integrates the pose kinematics driven by the scripted
 body velocity, optionally perturbed by an initial-state draw and a
 velocity-bias random walk whose intensity matches the estimator's prior.
-Integration runs a fourth-order Runge-Kutta scheme on the homogeneous
-transform at a fine fixed step, batched across input ticks: the per-tick
-transition matrices are independent of each other, so they are computed in
-parallel and chained afterwards.
 
 The continuum simulator integrates the same kinematics over arclength, with
 the strain obtained exactly from the piecewise-linear actuation inputs plus
 any disturbance load withheld from the estimator.
+
+Both simulators share one integrator: a fourth-order Runge-Kutta scheme on
+the homogeneous transform at a fine fixed step, batched across intervals
+(input ticks, or arclength grid steps). The per-interval transition matrices
+are independent of each other, so they are computed in parallel and chained
+afterwards.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .continuum import STRAIGHT_STRAIN, tensions_to_inputs
-from .liegroup import Pose, exp_map
+from .liegroup import Pose, exp_map, wedge
 from .scenario import ContinuumScenario, Disturbance, MobileScenario
 
 # sub-tick resolution of the simulated bias walk; fine enough that the
@@ -59,36 +61,28 @@ class MobileTruth:
         return self.poses[idx]
 
 
-def _wedge_batch(v):
-    """(K, 6) twists to (K, 4, 4) matrix generators."""
-    v = np.asarray(v, dtype=float)
-    out = np.zeros(v.shape[:-1] + (4, 4))
-    out[..., 0, 1] = -v[..., 5]
-    out[..., 0, 2] = v[..., 4]
-    out[..., 1, 0] = v[..., 5]
-    out[..., 1, 2] = -v[..., 3]
-    out[..., 2, 0] = -v[..., 4]
-    out[..., 2, 1] = v[..., 3]
-    out[..., :3, 3] = v[..., :3]
-    return out
-
-
 def _transitions(velocity_fn, t0s, dt, step):
-    """Batched RK4 transition matrices over [t0, t0 + dt] per entry."""
-    n_sub = max(1, int(round(dt / step)))
+    """Batched RK4 transition matrices over [t0, t0 + dt] per entry.
+
+    dt is one shared duration or one per entry; the sub-step count comes
+    from the longest, so no entry steps coarser than step.
+    """
+    dt = np.asarray(dt, dtype=float)
+    n_sub = max(1, int(round(float(np.max(dt)) / step)))
     h = dt / n_sub
+    hm = h[..., None, None]
     t0s = np.asarray(t0s, dtype=float)
     phi = np.broadcast_to(np.eye(4), (len(t0s), 4, 4)).copy()
-    a_start = _wedge_batch(velocity_fn(t0s))
+    a_start = wedge(velocity_fn(t0s))
     for j in range(n_sub):
         ta = t0s + j * h
-        a_mid = _wedge_batch(velocity_fn(ta + 0.5 * h))
-        a_end = _wedge_batch(velocity_fn(ta + h))
+        a_mid = wedge(velocity_fn(ta + 0.5 * h))
+        a_end = wedge(velocity_fn(ta + h))
         k1 = a_start @ phi
-        k2 = a_mid @ (phi + 0.5 * h * k1)
-        k3 = a_mid @ (phi + 0.5 * h * k2)
-        k4 = a_end @ (phi + h * k3)
-        phi = phi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        k2 = a_mid @ (phi + 0.5 * hm * k1)
+        k3 = a_mid @ (phi + 0.5 * hm * k2)
+        k4 = a_end @ (phi + hm * k3)
+        phi = phi + (hm / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         a_start = a_end
     return phi
 
@@ -196,13 +190,13 @@ def _strain_table(rod, profiles, disturbance: Disturbance | None):
         dist_accel = density / rod.stiffness
 
     def strain_at(s):
-        s = float(s)
-        j = int(np.clip(np.searchsorted(knots, s, side="right") - 1,
-                        0, len(widths) - 1))
-        u = s - knots[j]
-        slope = (accel[j + 1] - accel[j]) / widths[j]
+        s = np.asarray(s, dtype=float)
+        j = np.clip(np.searchsorted(knots, s, side="right") - 1,
+                    0, len(widths) - 1)
+        u = (s - knots[j])[..., None]
+        slope = (accel[j + 1] - accel[j]) / widths[j][..., None]
         value = strain[j] + accel[j] * u + 0.5 * slope * u * u
-        return value + dist_accel * np.clip(s - lo, 0.0, hi - lo)
+        return value + dist_accel * np.clip(s - lo, 0.0, hi - lo)[..., None]
 
     return strain_at
 
@@ -223,19 +217,9 @@ def simulate_rod(rod, tendons, node_arclengths, sample_arclengths, *,
     if grid[0] < 0.0 or grid[-1] > rod.length + 1e-12:
         raise ValueError("sample arclengths must lie on the rod")
 
-    pose = Pose.identity()
-    mat = pose.matrix()
-    out = {0.0: pose}
-    for s0, s1 in zip(grid[:-1], grid[1:]):
-        h = s1 - s0
-        a0 = _wedge_batch(strain_at(s0)[None])[0]
-        am = _wedge_batch(strain_at(s0 + 0.5 * h)[None])[0]
-        a1 = _wedge_batch(strain_at(s1)[None])[0]
-        k1 = a0 @ mat
-        k2 = am @ (mat + 0.5 * h * k1)
-        k3 = am @ (mat + 0.5 * h * k2)
-        k4 = a1 @ (mat + h * k3)
-        mat = mat + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out[float(s1)] = Pose.from_matrix(mat).renormalized()
-
-    return [out[float(s)] for s in sample_arclengths]
+    phis = _transitions(strain_at, grid[:-1], np.diff(grid), step)
+    mats = [np.eye(4)]
+    for phi in phis:
+        mats.append(phi @ mats[-1])
+    return [Pose.from_matrix(mats[i]).renormalized()
+            for i in np.searchsorted(grid, sample_arclengths)]

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import factors as _factors
-from .errors import GaugeFreedomError, HyperparameterError, WiringError
+from .errors import (EstimationError, GaugeFreedomError, HyperparameterError,
+                     WiringError)
 from .liegroup import Pose, se3_exp, so3_project
 from .prior import StateNode
 
@@ -76,6 +77,8 @@ class Problem:
         if len(prior_factors) != len(nodes) - 1:
             raise WiringError("need exactly one prior factor per adjacent node pair")
         for k, f in enumerate(prior_factors):
+            if not isinstance(f, _factors.PriorFactor):
+                raise WiringError(f"prior factor {k} is not a PriorFactor")
             if tuple(f.indices) != (k, k + 1):
                 raise WiringError(f"prior factor {k} is not wired to nodes ({k}, {k + 1})")
         measurement_factors = list(measurement_factors)
@@ -114,32 +117,10 @@ class _Linearizer:
         self.k = len(problem.nodes)
         self.measurement_factors = (list(problem.measurement_factors)
                                     + problem.gauge_factors())
-        fast = all(isinstance(f, _factors.PriorFactor) for f in problem.prior_factors)
-        flags = {f.exact_bias_jacobian for f in problem.prior_factors
-                 if isinstance(f, _factors.PriorFactor)}
-        self._batch_blocks = ([f.blocks for f in problem.prior_factors]
-                              if fast and len(flags) == 1 else None)
-        self._exact_bias = flags.pop() if len(flags) == 1 else True
-        self._prior_factors = problem.prior_factors
-
-    def _prior_terms(self, nodes, with_jacobians):
-        if self._batch_blocks is not None:
-            return _factors.prior_factor_batch(
-                nodes, self._batch_blocks,
-                exact_bias_jacobian=self._exact_bias,
-                with_jacobians=with_jacobians)
-        evals = [f.evaluate(nodes) for f in self._prior_factors]
-        out = {
-            "error": np.stack([e.error for e in evals]),
-            "info": np.stack([e.information for e in evals]),
-        }
-        if with_jacobians:
-            out["j_k"] = np.stack([e.jacobians[0][1] for e in evals])
-            out["j_k1"] = np.stack([e.jacobians[1][1] for e in evals])
-        return out
+        self.prior_blocks = [f.blocks for f in problem.prior_factors]
 
     def cost(self, nodes) -> float:
-        p = self._prior_terms(nodes, with_jacobians=False)
+        p = _factors.prior_factor_batch(nodes, self.prior_blocks, with_jacobians=False)
         total = 0.5 * float(np.einsum("ni,nij,nj->", p["error"], p["info"], p["error"]))
         for f in self.measurement_factors:
             total += f.evaluate(nodes).cost()
@@ -152,7 +133,7 @@ class _Linearizer:
         e = np.zeros((k - 1, 12, 12))
         g = np.zeros((k, 12))
 
-        p = self._prior_terms(nodes, with_jacobians=True)
+        p = _factors.prior_factor_batch(nodes, self.prior_blocks)
         err, info, j_k, j_k1 = p["error"], p["info"], p["j_k"], p["j_k1"]
         cost = 0.5 * float(np.einsum("ni,nij,nj->", err, info, err))
         w_k = info @ j_k
@@ -243,8 +224,9 @@ def solve(problem: Problem) -> Solution:
     """Damped Gauss-Newton to convergence, then covariance extraction.
 
     Raises GaugeFreedomError when the undamped normal equations are singular.
-    A run that exhausts max_iterations or cannot decrease the cost at any
-    damping returns the best state found with converged=False.
+    A trial step at which a factor raises is rejected like one that raises
+    the cost. A run that exhausts max_iterations or cannot decrease the cost
+    at any damping returns the best state found with converged=False.
     """
     settings = problem.settings
     lin = _Linearizer(problem)
@@ -270,7 +252,13 @@ def solve(problem: Problem) -> Solution:
                 continue
             delta = _tridiag_solve(s, e, g)
             candidate = _apply_step(nodes, delta)
-            new_cost = lin.cost(candidate)
+            try:
+                new_cost = lin.cost(candidate)
+            except EstimationError:
+                # a factor that cannot be evaluated at the trial state (e.g. a
+                # rotation log near pi); every factor already evaluated at the
+                # current state, so a wiring or setting error cannot land here
+                new_cost = np.inf
             if new_cost <= cost + 1e-12 * max(1.0, cost):
                 accepted = (candidate, new_cost, delta)
                 break

@@ -312,6 +312,13 @@ def test_anchor_factor():
         node = random_node(rng)
         assert_jacobians_match_fd(lambda nodes: anchor.evaluate(nodes), [node])
 
+    # covariances are validated once, at construction
+    not_pd = np.diag([1.0] * 5 + [-1.0])
+    with pytest.raises(HyperparameterError):
+        factors.AnchorFactor(0, anchor_node.pose, anchor_node.bias, np.eye(6), not_pd)
+    with pytest.raises(HyperparameterError):
+        factors.AnchorFactor(0, anchor_node.pose, anchor_node.bias, np.eye(3), np.eye(6))
+
 
 def test_prior_factor_batch_matches_scalar():
     rng = np.random.default_rng(34)

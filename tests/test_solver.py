@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from ctgp import factors, inputs, interpolation, prior, solver
-from ctgp.errors import GaugeFreedomError, HyperparameterError, WiringError
-from ctgp.liegroup import Pose, exp_map, log_map
+from ctgp.errors import (GaugeFreedomError, HyperparameterError,
+                         IllConditionedRotationError, WiringError)
+from ctgp.liegroup import Pose, exp_map, log_map, so3_log
 
 
 def bounded_twist(rng, max_norm):
@@ -235,32 +236,43 @@ def test_large_initial_error_recovers_through_damping():
         assert pose_gap(est.pose, ref.pose) < 1e-5
 
 
-def test_scalar_prior_fallback_matches_batched_path():
-    class OpaquePrior:
-        """Same factor, hidden behind a type the batched path cannot claim."""
+def test_trial_step_that_raises_is_rejected_and_damped():
+    class ChartLimit:
+        """Zero-residual factor whose chart, like a rotation log near pi,
+        cannot be evaluated beyond a set rotation angle."""
 
-        def __init__(self, inner):
-            self.inner = inner
-            self.indices = inner.indices
+        indices = (1,)
+
+        def __init__(self, limit):
+            self.limit = limit
+            self.raised = 0
 
         def evaluate(self, nodes):
-            return self.inner.evaluate(nodes)
+            if np.linalg.norm(so3_log(nodes[1].pose.rotation)) > self.limit:
+                self.raised += 1
+                raise IllConditionedRotationError("outside the chart")
+            return factors.FactorEval(np.zeros(1), ((1, np.zeros((1, 12))),), np.eye(1))
 
-    rng = np.random.default_rng(78)
-    blocks_list = input_chain(rng, 4)
-    truth = propagate_chain(prior.StateNode(0.0, exp_map(bounded_twist(rng, 0.5)),
-                                            bounded_twist(rng, 0.4)), blocks_list)
-    guesses = perturbed(rng, truth, 3e-2, 3e-2)
-    fast = solver.solve(solver.Problem(guesses, prior_factors_for(blocks_list)))
-    slow = solver.solve(solver.Problem(
-        guesses, [OpaquePrior(f) for f in prior_factors_for(blocks_list)]))
-    # the two paths sum identical terms in different orders
-    assert np.allclose(fast.cost_history, slow.cost_history, rtol=1e-9, atol=1e-15)
-    for na, nb in zip(fast.nodes, slow.nodes):
-        assert pose_gap(na.pose, nb.pose) < 1e-12
-        assert np.allclose(na.bias, nb.bias, atol=1e-12)
-    assert np.allclose(fast.node_covariances, slow.node_covariances,
-                       rtol=1e-10, atol=1e-14)
+    rng = np.random.default_rng(76)
+    blocks_list = input_chain(rng, 5, scale=0.5)
+    truth = propagate_chain(prior.StateNode(0.0, exp_map(bounded_twist(rng, 0.4)),
+                                            bounded_twist(rng, 0.3)), blocks_list)
+    meas = [factors.PoseFactor(k, truth[k].pose, 1e-4 * np.eye(6)) for k in (0, 2, 4)]
+    guesses = perturbed(rng, truth, 1.5, 1.5)
+    # node 1 turns 0.12 rad at the guess and 0.13 rad at the solution, but the
+    # undamped first step swings it to 0.21 rad
+    guard = ChartLimit(0.165)
+    sol = solver.solve(solver.Problem(guesses, prior_factors_for(blocks_list),
+                                      meas + [guard]))
+    assert guard.raised >= 1
+    assert sol.converged
+    for est, ref in zip(sol.nodes, truth):
+        assert pose_gap(est.pose, ref.pose) < 1e-5
+
+    # the caller's own initial guess is not a trial step: an error there raises
+    with pytest.raises(IllConditionedRotationError):
+        solver.solve(solver.Problem(guesses, prior_factors_for(blocks_list),
+                                    meas + [ChartLimit(0.1)]))
 
 
 def test_batched_step_matches_per_node_update():
@@ -296,6 +308,19 @@ def test_problem_validation():
         solver.Problem(nodes, good[:1])
     with pytest.raises(WiringError):
         solver.Problem(nodes, [good[1], good[0]])
+
+    class OpaquePrior:
+        """A prior factor hidden behind a type the solver cannot batch."""
+
+        def __init__(self, inner):
+            self.inner = inner
+            self.indices = inner.indices
+
+        def evaluate(self, nodes):
+            return self.inner.evaluate(nodes)
+
+    with pytest.raises(WiringError, match="prior factor 1"):
+        solver.Problem(nodes, [good[0], OpaquePrior(good[1])])
     with pytest.raises(WiringError):
         solver.Problem(nodes, good, [factors.PositionFactor(5, np.zeros(3), np.eye(3))])
 
