@@ -18,8 +18,7 @@ import numpy as np
 from .continuum import estimate_shape
 from .errors import ScenarioError
 from .factors import (AnchorFactor, InterpolatedFactor, PlanarLockFactor,
-                      PositionFactor, PriorFactor, RangeFactor, VelocityFactor,
-                      velocity_factor_error)
+                      PositionFactor, PriorFactor, RangeFactor, VelocityFactor)
 from .inputs import InputProfile, InputSegment, from_samples
 from .interpolation import Trajectory
 from .liegroup import Pose, exp_map, skew, so3_log
@@ -184,17 +183,15 @@ def build_mobile_problem(truth: MobileTruth, *, method="inputs",
     if method == "wnoa":
         odo_cov = np.diag(scenario.odometry_variance)
         for kt, t in enumerate(truth.times):
-            measured = truth.input_velocities[kt]
+            k = kt // stride
+            odometry = VelocityFactor(k, truth.input_velocities[kt], odo_cov,
+                                      ODOMETRY_MASK)
             if kt % stride == 0:
-                meas.append(VelocityFactor(kt // stride, measured, odo_cov,
-                                           ODOMETRY_MASK))
+                meas.append(odometry)
             else:
-                k = kt // stride
-
-                def inner(node, m=measured):
-                    return velocity_factor_error(node, m, odo_cov, ODOMETRY_MASK)
-
-                meas.append(InterpolatedFactor(k, blocks_list[k], float(t), inner))
+                # an off-node tick weighs on the state interpolated at its time
+                meas.append(InterpolatedFactor(k, blocks_list[k], float(t),
+                                               odometry.evaluate_node))
 
     problem = Problem(nodes, prior_factors, meas, settings=settings, gauge="auto")
     return problem, blocks_list, node_times

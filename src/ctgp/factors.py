@@ -4,11 +4,19 @@ Conventions shared with the solver: poses perturb on the left,
 T <- exp_map(delta) T, biases additively. Each per-node Jacobian block has
 12 columns, pose coordinates first. Errors follow the measured-minus-
 predicted sign so information-weighted costs read 0.5 e^T Omega e.
+
+The one-node types (range, position, pose, velocity, planar lock, anchor)
+each have one vectorized kernel over stacked node states. The solver groups
+their instances into FactorBatches and linearizes each group in one call;
+their evaluate and the *_factor_error functions are batch-of-one calls into
+the same kernel. Covariances are validated and inverted once, when a factor
+is built. Prior factors have their own batched pass, prior_factor_batch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -146,53 +154,122 @@ def prior_factor_batch(nodes, blocks_list, *, with_jacobians: bool = True):
     return out
 
 
+class NodeArrays(NamedTuple):
+    """Node states stacked for one vectorized kernel call.
+
+    index (n,) holds the node indices that errors name, time (n,) their
+    times; rot (n, 3, 3), trans (n, 3) and bias (n, 6) the states.
+    """
+
+    index: np.ndarray
+    time: np.ndarray
+    rot: np.ndarray
+    trans: np.ndarray
+    bias: np.ndarray
+
+    @classmethod
+    def stack(cls, nodes):
+        """Stack a sequence of StateNodes, indexed by their positions in it."""
+        return cls(np.arange(len(nodes)),
+                   np.array([n.time for n in nodes]),
+                   np.stack([n.pose.rotation for n in nodes]),
+                   np.stack([n.pose.translation for n in nodes]),
+                   np.stack([n.bias for n in nodes]))
+
+    def take(self, rows):
+        return NodeArrays(*(a[rows] for a in self))
+
+
+# One kernel per batched factor type: (NodeArrays, stacked parameters) ->
+# (error (n, m), Jacobian (n, m, 12)). Every evaluation of these types, one
+# factor or all of them, goes through its kernel.
+
+def _range_kernel(nodes: NodeArrays, landmark, measured):
+    offset = landmark - nodes.trans
+    rng = np.linalg.norm(offset, axis=-1)
+    at = np.flatnonzero(rng < 1e-9)
+    if len(at):
+        k = at[np.argmin(nodes.index[at])]
+        raise SingularGeometryError(
+            f"range factor on node {nodes.index[k]} at t = {nodes.time[k]:.6g} s is "
+            "undefined: the node sits at its landmark")
+    unit = offset / rng[:, None]
+    jac = np.zeros((len(rng), 1, 12))
+    # left perturbation moves the position by [I, -skew(t)] delta
+    jac[:, 0, :3] = unit
+    jac[:, 0, 3:6] = np.einsum("ni,nij->nj", unit, -skew(nodes.trans))
+    return (measured - rng)[:, None], jac
+
+
+def _pose_kernel(nodes: NodeArrays, meas_rot, meas_trans):
+    """Pose error ln(measured pose^-1)^v and its Jacobian."""
+    rel_rot = meas_rot @ np.swapaxes(nodes.rot, -1, -2)
+    rel_trans = meas_trans - np.einsum("nij,nj->ni", rel_rot, nodes.trans)
+    error = se3_log(rel_rot, rel_trans)
+    jac = np.zeros((len(error), 6, 12))
+    jac[:, :, :6] = -left_jacobian_inv(-error)
+    return error, jac
+
+
+def _anchor_kernel(nodes: NodeArrays, meas_rot, meas_trans, meas_bias):
+    pose_error, pose_jac = _pose_kernel(nodes, meas_rot, meas_trans)
+    jac = np.zeros((len(pose_error), 12, 12))
+    jac[:, :6] = pose_jac
+    jac[:, 6:, 6:] = -np.eye(6)
+    return np.concatenate([pose_error, meas_bias - nodes.bias], axis=-1), jac
+
+
+def _position_kernel(nodes: NodeArrays, measured):
+    jac = np.zeros((len(measured), 3, 12))
+    jac[:, :, :3] = -np.eye(3)
+    jac[:, :, 3:6] = skew(nodes.trans)
+    return measured - nodes.trans, jac
+
+
+def _velocity_kernel(nodes: NodeArrays, measured, input_velocity, *, mask):
+    error = (measured - (nodes.bias + input_velocity))[:, mask]
+    jac = np.zeros(error.shape + (12,))
+    jac[:, :, 6:] = -np.eye(6)[mask]
+    return error, jac
+
+
+# out-of-plane selection: z translation, roll/pitch, and the matching bias rows
+_PLANAR_BIAS_ROWS = np.array([1, 2, 3, 4])
+
+
+def _planar_lock_kernel(nodes: NodeArrays, *, bias_only):
+    bias_rows = nodes.bias[:, _PLANAR_BIAS_ROWS]
+    bias_jac = -np.eye(6)[_PLANAR_BIAS_ROWS]
+    if bias_only:
+        jac = np.zeros((len(bias_rows), 4, 12))
+        jac[:, :, 6:] = bias_jac
+        return -bias_rows, jac
+    rotvec = so3_log(nodes.rot)
+    value = np.concatenate([nodes.trans[:, 2:], rotvec[:, :2], bias_rows], axis=-1)
+    jac = np.zeros((len(bias_rows), 7, 12))
+    jac[:, 0, 2] = -1.0
+    jac[:, 0, 3:6] = skew(nodes.trans)[:, 2]
+    jac[:, 1:3, 3:6] = -so3_left_jacobian_inv(rotvec)[:, :2]
+    jac[:, 3:, 6:] = bias_jac
+    return -value, jac
+
+
 def range_factor_error(node: StateNode, landmark, measured_range: float,
                        variance: float, *, index=0) -> FactorEval:
     """Scalar range residual to a known landmark."""
-    if variance <= 0:
-        raise HyperparameterError("range variance must be positive")
-    landmark = np.asarray(landmark, dtype=float)
-    offset = landmark - node.pose.translation
-    rng = float(np.linalg.norm(offset))
-    if rng < 1e-9:
-        raise SingularGeometryError("range factor undefined at the landmark position")
-    error = np.array([measured_range - rng])
-    jac = np.zeros((1, 12))
-    # left perturbation moves the position by [I, -skew(t)] delta
-    jac[0, :3] = offset / rng
-    jac[0, 3:6] = (offset / rng) @ (-skew(node.pose.translation))
-    return FactorEval(error, ((index, jac),), np.array([[1.0 / variance]]))
-
-
-def _pose_residual(node: StateNode, measured: Pose):
-    """Pose error ln(measured pose^-1)^v and its 6x12 Jacobian."""
-    error = log_map(measured @ node.pose.inverse())
-    jac = np.zeros((6, 12))
-    jac[:, :6] = -left_jacobian_inv(-error)
-    return error, jac
+    return RangeFactor(index, landmark, measured_range, variance).evaluate_node(node)
 
 
 def pose_factor_error(node: StateNode, measured: Pose, covariance, *,
                       index=0) -> FactorEval:
     """Full pose residual e = ln(measured pose^-1)^v."""
-    info = _information_from_covariance(covariance, "pose")
-    if info.shape != (6, 6):
-        raise HyperparameterError("pose covariance must be 6x6")
-    error, jac = _pose_residual(node, measured)
-    return FactorEval(error, ((index, jac),), info)
+    return PoseFactor(index, measured, covariance).evaluate_node(node)
 
 
 def position_factor_error(node: StateNode, measured, covariance, *,
                           index=0) -> FactorEval:
     """Translation-only residual."""
-    info = _information_from_covariance(covariance, "position")
-    if info.shape != (3, 3):
-        raise HyperparameterError("position covariance must be 3x3")
-    error = np.asarray(measured, dtype=float) - node.pose.translation
-    jac = np.zeros((3, 12))
-    jac[:, :3] = -np.eye(3)
-    jac[:, 3:6] = skew(node.pose.translation)
-    return FactorEval(error, ((index, jac),), info)
+    return PositionFactor(index, measured, covariance).evaluate_node(node)
 
 
 def velocity_factor_error(node: StateNode, measured, covariance, mask, *,
@@ -202,20 +279,8 @@ def velocity_factor_error(node: StateNode, measured, covariance, mask, *,
     The predicted velocity is bias + input_velocity when inputs drive the
     prior, or the bias alone when they do not (input_velocity None).
     """
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != (6,) or not mask.any():
-        raise DegenerateInputError("velocity mask must select at least one component")
-    cov = np.asarray(covariance, dtype=float)
-    if cov.shape == (6, 6):
-        cov = cov[np.ix_(mask, mask)]
-    info = _information_from_covariance(cov, "velocity")
-    if info.shape != (int(mask.sum()),) * 2:
-        raise HyperparameterError("velocity covariance does not match the mask")
-    predicted = node.bias if input_velocity is None else node.bias + input_velocity
-    error = (np.asarray(measured, dtype=float) - predicted)[mask]
-    jac = np.zeros((int(mask.sum()), 12))
-    jac[:, 6:] = -np.eye(6)[mask]
-    return FactorEval(error, ((index, jac),), info)
+    return VelocityFactor(index, measured, covariance, mask,
+                          input_velocity).evaluate_node(node)
 
 
 def interpolated_factor(node_k: StateNode, node_k1: StateNode,
@@ -239,12 +304,42 @@ def interpolated_factor(node_k: StateNode, node_k1: StateNode,
                       inner_eval.information)
 
 
-# out-of-plane selection: z translation, roll/pitch, and the matching bias rows
-_PLANAR_BIAS_ROWS = np.array([1, 2, 3, 4])
+class _BatchedFactor:
+    """A one-node factor type whose instances the solver linearizes in one batch.
+
+    A subclass names its kernel in _kernel, its per-instance kernel arguments
+    in _params() and the arguments that fix the residual size, shared by a
+    whole batch, in _shared(). Its weight is the stored `information`, which
+    __post_init__ validates once. evaluate is a batch-of-one kernel call.
+    """
+
+    @property
+    def indices(self):
+        return (self.index,)
+
+    def _shared(self):
+        return {}
+
+    def _weight(self):
+        return self.information
+
+    def evaluate_node(self, node: StateNode) -> FactorEval:
+        """Linearize at one state, such as an interpolated one."""
+        # Pose keeps its fields as given, which may be lists
+        rot, trans = (np.asarray(a, dtype=float)[None]
+                      for a in (node.pose.rotation, node.pose.translation))
+        nodes = NodeArrays(np.array([self.index]), np.array([node.time]),
+                           rot, trans, node.bias[None])
+        params = {k: np.asarray(v, dtype=float)[None] for k, v in self._params().items()}
+        error, jac = self._kernel(nodes, **params, **self._shared())
+        return FactorEval(error[0], ((self.index, jac[0]),), self._weight())
+
+    def evaluate(self, nodes) -> FactorEval:
+        return self.evaluate_node(nodes[self.index])
 
 
 @dataclass(frozen=True)
-class PlanarLockFactor:
+class PlanarLockFactor(_BatchedFactor):
     """Soft lock of the out-of-plane freedoms for planar problems.
 
     Penalizes z position, roll/pitch rotation, and the lateral, vertical,
@@ -260,34 +355,20 @@ class PlanarLockFactor:
     information: float = 1e8
     bias_only: bool = False
 
-    @property
-    def indices(self):
-        return (self.index,)
+    _kernel = staticmethod(_planar_lock_kernel)
 
-    def evaluate(self, nodes) -> FactorEval:
-        node = nodes[self.index]
-        bias_jac = np.zeros((4, 12))
-        bias_jac[:, 6:] = -np.eye(6)[_PLANAR_BIAS_ROWS]
-        if self.bias_only:
-            return FactorEval(-node.bias[_PLANAR_BIAS_ROWS],
-                              ((self.index, bias_jac),),
-                              self.information * np.eye(4))
-        rotvec = so3_log(node.pose.rotation)
-        value = np.concatenate([
-            [node.pose.translation[2]], rotvec[:2],
-            node.bias[_PLANAR_BIAS_ROWS],
-        ])
-        jac = np.zeros((7, 12))
-        jac[0, :3] = -np.array([0.0, 0.0, 1.0])
-        jac[0, 3:6] = skew(node.pose.translation)[2]
-        jac[1:3, 3:6] = -so3_left_jacobian_inv(rotvec)[:2]
-        jac[3:] = bias_jac
-        return FactorEval(-value, ((self.index, jac),),
-                          self.information * np.eye(7))
+    def _params(self):
+        return {}
+
+    def _shared(self):
+        return {"bias_only": self.bias_only}
+
+    def _weight(self):
+        return self.information * np.eye(4 if self.bias_only else 7)
 
 
 @dataclass(frozen=True)
-class AnchorFactor:
+class AnchorFactor(_BatchedFactor):
     """Absolute pose-and-bias prior on one node (gauge or initial knowledge).
 
     Both covariances are validated and inverted once, at construction.
@@ -300,6 +381,8 @@ class AnchorFactor:
     bias_covariance: np.ndarray
     information: np.ndarray = field(init=False, repr=False, compare=False)
 
+    _kernel = staticmethod(_anchor_kernel)
+
     def __post_init__(self):
         pose_info = _information_from_covariance(self.pose_covariance, "anchor pose")
         bias_info = _information_from_covariance(self.bias_covariance, "anchor bias")
@@ -310,18 +393,9 @@ class AnchorFactor:
         info[6:, 6:] = bias_info
         object.__setattr__(self, "information", info)
 
-    @property
-    def indices(self):
-        return (self.index,)
-
-    def evaluate(self, nodes) -> FactorEval:
-        node = nodes[self.index]
-        pose_error, pose_jac = _pose_residual(node, self.pose)
-        error = np.concatenate([pose_error, self.bias - node.bias])
-        jac = np.zeros((12, 12))
-        jac[:6] = pose_jac
-        jac[6:, 6:] = -np.eye(6)
-        return FactorEval(error, ((self.index, jac),), self.information)
+    def _params(self):
+        return {"meas_rot": self.pose.rotation, "meas_trans": self.pose.translation,
+                "meas_bias": self.bias}
 
 
 @dataclass(frozen=True)
@@ -341,68 +415,99 @@ class PriorFactor:
 
 
 @dataclass(frozen=True)
-class RangeFactor:
+class RangeFactor(_BatchedFactor):
     index: int
     landmark: np.ndarray
     measured: float
     variance: float
+    information: np.ndarray = field(init=False, repr=False, compare=False)
 
-    @property
-    def indices(self):
-        return (self.index,)
+    _kernel = staticmethod(_range_kernel)
 
-    def evaluate(self, nodes) -> FactorEval:
-        return range_factor_error(nodes[self.index], self.landmark,
-                                  self.measured, self.variance, index=self.index)
+    def __post_init__(self):
+        if not self.variance > 0:
+            raise HyperparameterError("range variance must be positive")
+        object.__setattr__(self, "information", np.array([[1.0 / self.variance]]))
+
+    def _params(self):
+        return {"landmark": self.landmark, "measured": self.measured}
 
 
 @dataclass(frozen=True)
-class PoseFactor:
+class PoseFactor(_BatchedFactor):
     index: int
     measured: Pose
     covariance: np.ndarray
+    information: np.ndarray = field(init=False, repr=False, compare=False)
 
-    @property
-    def indices(self):
-        return (self.index,)
+    _kernel = staticmethod(_pose_kernel)
 
-    def evaluate(self, nodes) -> FactorEval:
-        return pose_factor_error(nodes[self.index], self.measured,
-                                 self.covariance, index=self.index)
+    def __post_init__(self):
+        info = _information_from_covariance(self.covariance, "pose")
+        if info.shape != (6, 6):
+            raise HyperparameterError("pose covariance must be 6x6")
+        object.__setattr__(self, "information", info)
+
+    def _params(self):
+        return {"meas_rot": self.measured.rotation, "meas_trans": self.measured.translation}
 
 
 @dataclass(frozen=True)
-class PositionFactor:
+class PositionFactor(_BatchedFactor):
     index: int
     measured: np.ndarray
     covariance: np.ndarray
+    information: np.ndarray = field(init=False, repr=False, compare=False)
 
-    @property
-    def indices(self):
-        return (self.index,)
+    _kernel = staticmethod(_position_kernel)
 
-    def evaluate(self, nodes) -> FactorEval:
-        return position_factor_error(nodes[self.index], self.measured,
-                                     self.covariance, index=self.index)
+    def __post_init__(self):
+        info = _information_from_covariance(self.covariance, "position")
+        if info.shape != (3, 3):
+            raise HyperparameterError("position covariance must be 3x3")
+        object.__setattr__(self, "information", info)
+
+    def _params(self):
+        return {"measured": self.measured}
 
 
 @dataclass(frozen=True)
-class VelocityFactor:
+class VelocityFactor(_BatchedFactor):
+    """Masked body-velocity measurement; see velocity_factor_error.
+
+    The mask must select at least one component. The covariance is either
+    the full 6x6 one, restricted here to the mask, or the masked one.
+    """
+
     index: int
     measured: np.ndarray
     covariance: np.ndarray
     mask: np.ndarray
     input_velocity: np.ndarray | None = None
+    information: np.ndarray = field(init=False, repr=False, compare=False)
 
-    @property
-    def indices(self):
-        return (self.index,)
+    _kernel = staticmethod(_velocity_kernel)
 
-    def evaluate(self, nodes) -> FactorEval:
-        return velocity_factor_error(nodes[self.index], self.measured,
-                                     self.covariance, self.mask,
-                                     input_velocity=self.input_velocity,
-                                     index=self.index)
+    def __post_init__(self):
+        mask = np.asarray(self.mask, dtype=bool)
+        if mask.shape != (6,) or not mask.any():
+            raise DegenerateInputError("velocity mask must select at least one component")
+        cov = np.asarray(self.covariance, dtype=float)
+        if cov.shape == (6, 6):
+            cov = cov[np.ix_(mask, mask)]
+        info = _information_from_covariance(cov, "velocity")
+        if info.shape != (int(mask.sum()),) * 2:
+            raise HyperparameterError("velocity covariance does not match the mask")
+        object.__setattr__(self, "mask", mask)
+        object.__setattr__(self, "information", info)
+
+    def _params(self):
+        return {"measured": self.measured,
+                "input_velocity": (np.zeros(6) if self.input_velocity is None
+                                   else self.input_velocity)}
+
+    def _shared(self):
+        return {"mask": self.mask}
 
 
 @dataclass
@@ -430,3 +535,45 @@ class InterpolatedFactor:
         return interpolated_factor(nodes[self.index], nodes[self.index + 1],
                                    self.blocks, self.tau, self.inner,
                                    indices=self.indices, kernel=self._kernel)
+
+
+_BATCHED_TYPES = (RangeFactor, PlanarLockFactor, AnchorFactor, PositionFactor,
+                  PoseFactor, VelocityFactor)
+
+
+class FactorBatch:
+    """Instances of one batched type and residual size, stacked once.
+
+    linearize is one kernel call over all of them; index (n,) and
+    information (n, m, m) line up with its rows.
+    """
+
+    def __init__(self, group):
+        first = group[0]
+        self.index = np.array([f.index for f in group])
+        self.information = np.stack([f._weight() for f in group])
+        self._kernel = first._kernel
+        self._shared_args = first._shared()
+        per = [f._params() for f in group]
+        self._args = {k: np.stack([np.asarray(p[k], dtype=float) for p in per])
+                      for k in per[0]}
+
+    def linearize(self, nodes: NodeArrays):
+        """(error (n, m), Jacobian (n, m, 12)) from the stacked states of all nodes."""
+        return self._kernel(nodes.take(self.index), **self._args, **self._shared_args)
+
+
+def batch_factors(factors):
+    """Group the built-in one-node types into FactorBatches.
+
+    Returns (batches, rest); every other factor, such as an
+    InterpolatedFactor, is left in rest to be evaluated on its own.
+    """
+    groups, rest = {}, []
+    for f in factors:
+        if type(f) in _BATCHED_TYPES:
+            key = (type(f),) + tuple(np.asarray(v).tobytes() for v in f._shared().values())
+            groups.setdefault(key, []).append(f)
+        else:
+            rest.append(f)
+    return [FactorBatch(g) for g in groups.values()], rest

@@ -13,8 +13,12 @@ channel only, with power spectral density Qc.
 
 An IntervalBlocks instance caches everything the factors and the
 interpolation need about one node interval: the full transition, the
-input integral, the accumulated noise covariance, and per-knot partial
-products so mid-interval queries stay cheap.
+input integral and the accumulated noise covariance. It also keeps the
+partial products from the interval start to each interior input knot, so a
+mid-interval query integrates only within its own segment. The ends need
+no storage: at t0 the products are the identity and zero, at t1 they are
+the full ones. The transition from a query time to t1 is
+Phi Phi(tau, t0)^-1.
 """
 
 from __future__ import annotations
@@ -247,9 +251,9 @@ class IntervalBlocks:
     """Precomputed prior quantities for one node interval.
 
     Construction walks the interval's input segments once; queries reuse
-    cached per-knot partial products. Identically zero profiles use the
-    closed forms unless force_general is set (the general route is then
-    exercised, which the fallback-equivalence tests rely on).
+    the partial products cached at the interior knots. Identically zero
+    profiles use the closed forms unless force_general is set (the general
+    route is then exercised, which the fallback-equivalence tests rely on).
     """
 
     def __init__(self, profile: InputProfile, hyper: PriorHyper, *, force_general: bool = False):
@@ -268,35 +272,28 @@ class IntervalBlocks:
             return
 
         segs = profile.segments
-        self._coeffs = [system_matrix_coeffs(s) for s in segs]
         self._knots = np.array([s.t0 for s in segs] + [segs[-1].t1])
 
+        # per-knot products from t0, kept at the interior knots only
         n = len(segs)
-        prefix = np.empty((n + 1, 12, 12))
-        i_acc = np.empty((n + 1, 12))
-        q_acc = np.empty((n + 1, 12, 12))
-        prefix[0] = np.eye(12)
-        i_acc[0] = 0.0
-        q_acc[0] = 0.0
-        seg_phi = np.empty((n, 12, 12))
-        for i, co in enumerate(self._coeffs):
+        prefix = np.empty((n - 1, 12, 12))
+        i_acc = np.empty((n - 1, 12))
+        q_acc = np.empty((n - 1, 12, 12))
+        phi, inp, q = np.eye(12), np.zeros(12), np.zeros((12, 12))
+        for i, seg in enumerate(segs):
+            co = system_matrix_coeffs(seg)
             phi_n, j_n, l_n = self._segment_pieces(co, co.duration)
-            seg_phi[i] = phi_n
-            prefix[i + 1] = phi_n @ prefix[i]
-            i_acc[i + 1] = phi_n @ i_acc[i] + j_n
-            q_acc[i + 1] = phi_n @ q_acc[i] @ phi_n.T + l_n
-        suffix = np.empty((n + 1, 12, 12))
-        suffix[n] = np.eye(12)
-        for i in range(n - 1, -1, -1):
-            suffix[i] = suffix[i + 1] @ seg_phi[i]
+            phi = phi_n @ phi
+            inp = phi_n @ inp + j_n
+            q = phi_n @ q @ phi_n.T + l_n
+            if i < n - 1:
+                prefix[i], i_acc[i], q_acc[i] = phi, inp, q
 
-        self._prefix, self._suffix = prefix, suffix
-        self._seg_phi = seg_phi
-        self._i_acc, self._q_acc = i_acc, q_acc
-        self.phi = prefix[n]
-        self.q_full = 0.5 * (q_acc[n] + q_acc[n].T)
+        self._prefix, self._i_acc, self._q_acc = prefix, i_acc, q_acc
+        self.phi = phi
+        self.q_full = 0.5 * (q + q.T)
         self.q_full_inv = np.linalg.inv(self.q_full)
-        self.input_full = i_acc[n]
+        self.input_full = inp
 
     def _segment_pieces(self, co: SegmentCoeffs, upto: float):
         """Transition, input integral, and noise integral over [0, upto] of one segment.
@@ -323,7 +320,15 @@ class IntervalBlocks:
         if not (self.t0 - 1e-9 <= tau <= self.t1 + 1e-9):
             raise DomainError(f"query time {tau} outside interval [{self.t0}, {self.t1}]")
         idx = int(np.searchsorted(self._knots, tau, side="right")) - 1
-        return min(max(idx, 0), len(self._coeffs) - 1)
+        return min(max(idx, 0), len(self._knots) - 2)
+
+    def _knot(self, m: int):
+        """Transition, input integral and noise covariance from t0 to knot m."""
+        if m == 0:
+            return np.eye(12), np.zeros(12), np.zeros((12, 12))
+        if m == len(self._knots) - 1:
+            return self.phi, self.input_full, self.q_full
+        return self._prefix[m - 1], self._i_acc[m - 1], self._q_acc[m - 1]
 
     def at(self, tau: float) -> QueryBlocks:
         """Blocks for a query time in [t0, t1]."""
@@ -334,23 +339,19 @@ class IntervalBlocks:
                                wnoa_q(tau - self.t0, self.hyper.qc), np.zeros(12))
 
         m = self._locate(tau)
-        co = self._coeffs[m]
+        seg = self.profile.segments[m]
         local = tau - self._knots[m]
-        if local <= 1e-12:
-            return QueryBlocks(tau, self._prefix[m].copy(), self._suffix[m].copy(),
-                               0.5 * (self._q_acc[m] + self._q_acc[m].T), self._i_acc[m].copy())
-        if co.duration - local <= 1e-12:
-            return QueryBlocks(tau, self._prefix[m + 1].copy(), self._suffix[m + 1].copy(),
-                               0.5 * (self._q_acc[m + 1] + self._q_acc[m + 1].T),
-                               self._i_acc[m + 1].copy())
-        phi_part, j_part, l_part = self._segment_pieces(co, local)
-        phi_from_start = phi_part @ self._prefix[m]
-        q_tau = phi_part @ self._q_acc[m] @ phi_part.T + l_part
-        input_tau = phi_part @ self._i_acc[m] + j_part
-        phi_rest = self._seg_phi[m] @ np.linalg.inv(phi_part)
-        phi_to_end = self._suffix[m + 1] @ phi_rest
-        return QueryBlocks(tau, phi_from_start, phi_to_end,
-                           0.5 * (q_tau + q_tau.T), input_tau)
+        if local <= 1e-12 or seg.duration - local <= 1e-12:
+            phi_from_start, input_tau, q_tau = self._knot(m if local <= 1e-12 else m + 1)
+        else:
+            phi_part, j_part, l_part = self._segment_pieces(system_matrix_coeffs(seg), local)
+            prefix, i_acc, q_acc = self._knot(m)
+            phi_from_start = phi_part @ prefix
+            input_tau = phi_part @ i_acc + j_part
+            q_tau = phi_part @ q_acc @ phi_part.T + l_part
+        phi_to_end = self.phi @ np.linalg.inv(phi_from_start)
+        return QueryBlocks(tau, phi_from_start.copy(), phi_to_end,
+                           0.5 * (q_tau + q_tau.T), input_tau.copy())
 
 
 def precompute_intervals(profiles, hyper: PriorHyper, *, force_general: bool = False):

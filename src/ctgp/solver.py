@@ -2,10 +2,17 @@
 
 The motion prior chains adjacent nodes and every measurement factor touches
 one node or an adjacent pair, so the Gauss-Newton normal equations stay
-block tridiagonal. Each iteration linearizes, solves by a forward-backward
-block-Cholesky sweep, and applies manifold updates; Levenberg-style diagonal
-damping activates only when a step is rejected. Posterior covariance blocks
-come from the same factorization via the Takahashi recursion.
+block tridiagonal. Each iteration linearizes, solves, and applies manifold
+updates; Levenberg-style diagonal damping activates only when a step is
+rejected.
+
+Linearization is batched by factor type: prior factors in one pass
+(prior_factor_batch), and each built-in one-node type (range, position,
+pose, velocity, planar lock, anchor) in one kernel call whose blocks are
+scattered into D and g. Other factors, such as InterpolatedFactor, are
+evaluated one by one. The block LDL^T sweep stores the inverse pivot blocks
+S_i^-1, one inverse per block, so the forward-backward solve and the
+Takahashi recursion for the posterior covariance blocks are plain products.
 """
 
 from __future__ import annotations
@@ -111,31 +118,33 @@ class Problem:
 
 
 class _Linearizer:
-    """Evaluates cost and assembles the block-tridiagonal normal equations."""
+    """Evaluates cost and assembles the block-tridiagonal normal equations.
+
+    The built-in one-node factor types are grouped into batches once; every
+    other measurement factor is evaluated on its own.
+    """
 
     def __init__(self, problem: Problem):
         self.k = len(problem.nodes)
-        self.measurement_factors = (list(problem.measurement_factors)
-                                    + problem.gauge_factors())
+        self.batches, self.others = _factors.batch_factors(
+            list(problem.measurement_factors) + problem.gauge_factors())
         self.prior_blocks = [f.blocks for f in problem.prior_factors]
 
     def cost(self, nodes) -> float:
         p = _factors.prior_factor_batch(nodes, self.prior_blocks, with_jacobians=False)
         total = 0.5 * float(np.einsum("ni,nij,nj->", p["error"], p["info"], p["error"]))
-        for f in self.measurement_factors:
+        state = _factors.NodeArrays.stack(nodes)
+        for batch in self.batches:
+            err, _ = batch.linearize(state)
+            total += 0.5 * float(np.einsum("ni,nij,nj->", err, batch.information, err))
+        for f in self.others:
             total += f.evaluate(nodes).cost()
         return total
 
-    def assemble(self, nodes):
-        """Returns (cost, D diagonal blocks, E subdiagonal blocks, gradient)."""
-        k = self.k
-        d = np.zeros((k, 12, 12))
-        e = np.zeros((k - 1, 12, 12))
-        g = np.zeros((k, 12))
-
+    def _add_priors(self, nodes, d, e, g) -> float:
+        """Adds the prior factors' blocks in place; returns their cost."""
         p = _factors.prior_factor_batch(nodes, self.prior_blocks)
         err, info, j_k, j_k1 = p["error"], p["info"], p["j_k"], p["j_k1"]
-        cost = 0.5 * float(np.einsum("ni,nij,nj->", err, info, err))
         w_k = info @ j_k
         w_k1 = info @ j_k1
         d[:-1] += np.einsum("nji,njl->nil", j_k, w_k)
@@ -144,8 +153,26 @@ class _Linearizer:
         we = np.einsum("nij,nj->ni", info, err)
         g[:-1] -= np.einsum("nji,nj->ni", j_k, we)
         g[1:] -= np.einsum("nji,nj->ni", j_k1, we)
+        return 0.5 * float(np.einsum("ni,nij,nj->", err, info, err))
 
-        for f in self.measurement_factors:
+    def assemble(self, nodes):
+        """Returns (cost, D diagonal blocks, E subdiagonal blocks, gradient)."""
+        k = self.k
+        d = np.zeros((k, 12, 12))
+        e = np.zeros((k - 1, 12, 12))
+        g = np.zeros((k, 12))
+        cost = self._add_priors(nodes, d, e, g)
+
+        state = _factors.NodeArrays.stack(nodes)
+        for batch in self.batches:
+            err, jac = batch.linearize(state)
+            jac_t = np.swapaxes(jac, -1, -2)
+            we = np.einsum("nij,nj->ni", batch.information, err)
+            cost += 0.5 * float(np.einsum("ni,ni->", err, we))
+            np.add.at(d, batch.index, jac_t @ batch.information @ jac)
+            np.add.at(g, batch.index, -np.einsum("nij,nj->ni", jac_t, we))
+
+        for f in self.others:
             ev = f.evaluate(nodes)
             cost += ev.cost()
             we_f = ev.information @ ev.error
@@ -160,47 +187,55 @@ class _Linearizer:
 
 
 def _tridiag_factor(d, e, damping):
-    """Block LDL^T sweep; returns per-node S blocks. Raises LinAlgError if not PD."""
+    """Block LDL^T sweep; returns the inverse pivot blocks S_i^-1.
+
+    S_0 = D_0 and S_i = D_i - E_{i-1} S_{i-1}^-1 E_{i-1}^T, one inverse per
+    block. Raises LinAlgError unless every S_i is positive definite, checked
+    in one batched Cholesky of the inverses (S is positive definite exactly
+    when S^-1 is).
+    """
     k = len(d)
-    s = np.empty_like(d)
+    s_inv = np.empty_like(d)
     if damping > 0.0:
         # scale-invariant damping; the absolute floor covers zero diagonal entries
         d = d.copy()
         idx = np.arange(12)
         d[:, idx, idx] += damping * d[:, idx, idx] + 1e-12
-    s[0] = d[0]
-    np.linalg.cholesky(s[0])
+    s_inv[0] = np.linalg.inv(d[0])
     for i in range(1, k):
-        gain = np.linalg.solve(s[i - 1], e[i - 1].T).T
-        s[i] = d[i] - gain @ e[i - 1].T
-        np.linalg.cholesky(s[i])
-    return s
+        s_inv[i] = np.linalg.inv(d[i] - e[i - 1] @ s_inv[i - 1] @ e[i - 1].T)
+    # an overflowed sweep can pass the Cholesky check with NaNs, so check first
+    if not np.all(np.isfinite(s_inv)):
+        raise np.linalg.LinAlgError("block sweep overflowed")
+    np.linalg.cholesky(s_inv)
+    return s_inv
 
 
-def _tridiag_solve(s, e, g):
-    k = len(s)
+def _tridiag_solve(s_inv, e, g):
+    """Solve the block-tridiagonal system from its inverse pivot blocks."""
+    k = len(s_inv)
+    gain = e @ s_inv[:-1]  # E_i S_i^-1
     z = np.empty_like(g)
     z[0] = g[0]
     for i in range(1, k):
-        z[i] = g[i] - e[i - 1] @ np.linalg.solve(s[i - 1], z[i - 1])
+        z[i] = g[i] - gain[i - 1] @ z[i - 1]
     delta = np.empty_like(g)
-    delta[k - 1] = np.linalg.solve(s[k - 1], z[k - 1])
+    delta[k - 1] = s_inv[k - 1] @ z[k - 1]
     for i in range(k - 2, -1, -1):
-        delta[i] = np.linalg.solve(s[i], z[i] - e[i].T @ delta[i + 1])
+        delta[i] = s_inv[i] @ (z[i] - e[i].T @ delta[i + 1])
     return delta
 
 
-def _takahashi(s, e):
+def _takahashi(s_inv, e):
     """Marginal covariance blocks and adjacent cross blocks from the factorization."""
-    k = len(s)
-    p = np.empty_like(s)
+    k = len(s_inv)
+    p = np.empty_like(s_inv)
     cross = np.empty_like(e)
-    p[k - 1] = np.linalg.inv(s[k - 1])
+    u = s_inv[:-1] @ np.swapaxes(e, -1, -2)  # S_i^-1 E_i^T
+    p[k - 1] = s_inv[k - 1]
     for i in range(k - 2, -1, -1):
-        s_inv = np.linalg.inv(s[i])
-        u = s_inv @ e[i].T
-        p[i] = s_inv + u @ p[i + 1] @ u.T
-        cross[i] = -u @ p[i + 1]
+        cross[i] = -u[i] @ p[i + 1]
+        p[i] = s_inv[i] - cross[i] @ u[i].T
     p = 0.5 * (p + np.swapaxes(p, -1, -2))
     return p, cross
 

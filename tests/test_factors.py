@@ -140,6 +140,25 @@ def test_range_factor_examples():
         factors.range_factor_error(node, np.zeros(3), 0.0, 0.01)
     with pytest.raises(HyperparameterError):
         factors.range_factor_error(node, np.ones(3), 1.0, 0.0)
+    # the variance is validated once, at construction
+    with pytest.raises(HyperparameterError):
+        factors.RangeFactor(0, np.ones(3), 1.0, -1.0)
+
+
+def test_batched_range_error_names_the_node_and_time():
+    rng = np.random.default_rng(35)
+    landmark = np.array([1.0, -2.0, 0.5])
+    nodes = [random_node(rng, time=0.1 * k) for k in range(5)]
+    for k in (4, 2):  # two nodes at the landmark; the error names the first
+        nodes[k] = prior.StateNode(nodes[k].time, Pose(nodes[k].pose.rotation, landmark),
+                                   nodes[k].bias)
+    group = [factors.RangeFactor(k, landmark, 1.0, 0.01) for k in (4, 0, 2, 3)]
+    (batch,), rest = factors.batch_factors(group)
+    assert rest == []
+    with pytest.raises(SingularGeometryError, match=r"node 2 at t = 0\.2 s"):
+        batch.linearize(factors.NodeArrays.stack(nodes))
+    with pytest.raises(SingularGeometryError, match=r"node 4 at t = 0\.4 s"):
+        group[0].evaluate(nodes)
 
 
 def test_range_factor_jacobian_matches_fd():
@@ -172,6 +191,11 @@ def test_pose_factor_examples_and_fd():
 
     with pytest.raises(HyperparameterError):
         factors.pose_factor_error(node, node.pose, -np.eye(6))
+    # the covariance is validated once, at construction
+    with pytest.raises(HyperparameterError):
+        factors.PoseFactor(0, node.pose, -np.eye(6))
+    with pytest.raises(HyperparameterError):
+        factors.PoseFactor(0, node.pose, np.eye(3))
 
 
 def test_position_factor_examples_and_fd():
@@ -190,6 +214,16 @@ def test_position_factor_examples_and_fd():
         assert_jacobians_match_fd(
             lambda nodes: factors.position_factor_error(nodes[0], measured, cov),
             [node], atol=1e-6)
+
+    # the covariance is validated once, at construction
+    with pytest.raises(HyperparameterError):
+        factors.PositionFactor(0, np.zeros(3), np.diag([1.0, -1.0, 1.0]))
+    with pytest.raises(HyperparameterError):
+        factors.PositionFactor(0, np.zeros(3), np.eye(6))
+    with pytest.raises(HyperparameterError):
+        factors.PositionFactor(0, np.zeros(3), np.array([[1.0, 0.5, 0.0],
+                                                         [0.0, 1.0, 0.0],
+                                                         [0.0, 0.0, 1.0]]))
 
 
 def test_velocity_factor_examples_and_fd():
@@ -217,6 +251,20 @@ def test_velocity_factor_examples_and_fd():
 
     with pytest.raises(DegenerateInputError):
         factors.velocity_factor_error(node, node.bias, cov, np.zeros(6, dtype=bool))
+
+    # the mask and the covariance are validated once, at construction
+    with pytest.raises(DegenerateInputError):
+        factors.VelocityFactor(0, node.bias, cov, np.zeros(6, dtype=bool))
+    with pytest.raises(DegenerateInputError):
+        factors.VelocityFactor(0, node.bias, cov, np.ones(3, dtype=bool))
+    with pytest.raises(HyperparameterError):
+        factors.VelocityFactor(0, node.bias, 0.1 * np.eye(3), mask)
+    with pytest.raises(HyperparameterError):
+        factors.VelocityFactor(0, node.bias, -cov, mask)
+    # a full covariance is restricted to the mask; a masked one is taken as is
+    full = factors.VelocityFactor(0, node.bias, cov, mask)
+    masked = factors.VelocityFactor(0, node.bias, np.diag([5.45e-4, 1.01e-3]), mask)
+    assert np.allclose(full.information, masked.information)
 
 
 def test_interpolated_factor_endpoints():

@@ -176,10 +176,17 @@ def test_interval_transition_is_ordered_segment_product():
 
 def test_interval_transition_semigroup_at_queries():
     rng = np.random.default_rng(5)
-    blocks, _, _ = build_blocks(rng)
-    for tau in (0.13, 0.2, 0.47, 0.61):
+    blocks, profile, _ = build_blocks(rng)
+    knots = [s.t0 for s in profile.segments[1:]]
+    for tau in (blocks.t0, 0.13, 0.2, 0.47, 0.61, *knots, blocks.t1):
         qb = blocks.at(tau)
         assert np.allclose(qb.phi_to_end @ qb.phi_from_start, blocks.phi, atol=1e-10)
+    # the ends are the identity and zero at t0 and the full products at t1
+    start, end = blocks.at(blocks.t0), blocks.at(blocks.t1)
+    assert np.array_equal(start.phi_from_start, np.eye(12))
+    assert np.array_equal(start.q_tau, np.zeros((12, 12)))
+    assert np.array_equal(end.phi_from_start, blocks.phi)
+    assert np.array_equal(end.q_tau, blocks.q_full)
 
 
 def test_input_integral_matches_adaptive_quadrature_oracle():

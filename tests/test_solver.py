@@ -1,10 +1,16 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+
+import ctgp
 
 from ctgp import factors, inputs, interpolation, prior, solver
 from ctgp.errors import (GaugeFreedomError, HyperparameterError,
                          IllConditionedRotationError, WiringError)
-from ctgp.liegroup import Pose, exp_map, log_map, so3_log
+from ctgp.liegroup import Pose, exp_map, log_map, skew, so3_log
 
 
 def bounded_twist(rng, max_norm):
@@ -94,6 +100,149 @@ def assemble_dense(all_factors, nodes):
             for j, jj in ev.jacobians:
                 h[12 * i:12 * i + 12, 12 * j:12 * j + 12] += ji.T @ ev.information @ jj
     return h
+
+
+def reference_normal_equations(all_factors, nodes):
+    """Cost, dense H and gradient summed from each factor's own FactorEval."""
+    k = len(nodes)
+    cost, h, g = 0.0, np.zeros((12 * k, 12 * k)), np.zeros(12 * k)
+    for f in all_factors:
+        ev = f.evaluate(nodes)
+        cost += ev.cost()
+        for i, ji in ev.jacobians:
+            g[12 * i:12 * i + 12] -= ji.T @ ev.information @ ev.error
+            for j, jj in ev.jacobians:
+                h[12 * i:12 * i + 12, 12 * j:12 * j + 12] += ji.T @ ev.information @ jj
+    return cost, h, g
+
+
+def dense_from_blocks(d, e):
+    k = len(d)
+    h = np.zeros((12 * k, 12 * k))
+    for i in range(k):
+        h[12 * i:12 * i + 12, 12 * i:12 * i + 12] = d[i]
+    for i in range(k - 1):
+        h[12 * i + 12:12 * i + 24, 12 * i:12 * i + 12] = e[i]
+        h[12 * i:12 * i + 12, 12 * i + 12:12 * i + 24] = e[i].T
+    return h
+
+
+def test_batched_assembly_matches_per_factor_reference():
+    class RelativeTranslation:
+        """A custom two-node factor, which the solver evaluates on its own."""
+
+        indices = (2, 3)
+
+        def evaluate(self, nodes):
+            a, b = nodes[2].pose.translation, nodes[3].pose.translation
+            ja, jb = np.zeros((3, 12)), np.zeros((3, 12))
+            ja[:, :3], ja[:, 3:6] = np.eye(3), -skew(a)
+            jb[:, :3], jb[:, 3:6] = -np.eye(3), skew(b)
+            return factors.FactorEval(np.array([0.1, -0.2, 0.3]) - (b - a),
+                                      ((2, ja), (3, jb)), 50.0 * np.eye(3))
+
+    rng = np.random.default_rng(78)
+    blocks_list = input_chain(rng, 6, seg_dur=0.3, scale=0.6)
+    truth = propagate_chain(prior.StateNode(0.0, exp_map(bounded_twist(rng, 0.6)),
+                                            bounded_twist(rng, 0.4)), blocks_list)
+    tau = blocks_list[3].t0 + 0.11
+    landmark = np.array([1.0, -2.0, 0.5])
+    dist = lambda n: np.linalg.norm(landmark - n.pose.translation)
+    meas = [
+        factors.AnchorFactor(0, truth[0].pose, truth[0].bias, 1e-4 * np.eye(6),
+                             1e-3 * np.eye(6)),
+        factors.RangeFactor(1, landmark, dist(truth[1]) + 0.05, 1e-2),
+        factors.RangeFactor(4, landmark, dist(truth[4]) - 0.03, 2e-2),
+        factors.RangeFactor(1, 2.0 * landmark, dist(truth[1]), 1e-2),
+        factors.PositionFactor(5, truth[5].pose.translation + 0.01,
+                               np.diag([1e-3, 2e-3, 3e-3])),
+        factors.PoseFactor(2, truth[2].pose, 1e-3 * np.eye(6)),
+        factors.VelocityFactor(3, truth[3].bias + 0.02, 1e-2 * np.eye(6),
+                               np.array([1, 0, 0, 0, 0, 1], dtype=bool)),
+        factors.VelocityFactor(4, truth[4].bias, 1e-2 * np.eye(6), np.ones(6, dtype=bool),
+                               input_velocity=0.1 * np.ones(6)),
+        factors.VelocityFactor(5, truth[5].bias, np.diag([1e-2, 2e-2]),
+                               np.array([1, 0, 0, 0, 0, 1], dtype=bool),
+                               input_velocity=-0.1 * np.ones(6)),
+        factors.PlanarLockFactor(1, 1e4),
+        factors.PlanarLockFactor(2, 1e3, bias_only=True),
+        factors.PlanarLockFactor(3, 1e4),
+        factors.InterpolatedFactor(
+            3, blocks_list[3], tau,
+            lambda node: factors.range_factor_error(node, landmark, 2.0, 0.05)),
+        RelativeTranslation(),
+    ]
+    problem = solver.Problem(truth, prior_factors_for(blocks_list), meas)
+    lin = solver._Linearizer(problem)
+    assert len(lin.batches) == 8 and len(lin.others) == 2
+    nodes = perturbed(rng, truth, 5e-2, 5e-2)
+
+    cost, d, e, g = lin.assemble(nodes)
+    want_cost, want_h, want_g = reference_normal_equations(
+        prior_factors_for(blocks_list) + meas + problem.gauge_factors(), nodes)
+    h = dense_from_blocks(d, e)
+    assert abs(cost - want_cost) <= 1e-12 * want_cost
+    assert abs(lin.cost(nodes) - want_cost) <= 1e-12 * want_cost
+    assert np.linalg.norm(h - want_h) <= 1e-12 * np.linalg.norm(want_h)
+    assert np.linalg.norm(g.ravel() - want_g) <= 1e-12 * np.linalg.norm(want_g)
+
+
+def random_block_tridiagonal(rng, k):
+    """Diagonal blocks dominate their off-diagonal neighbours, so the matrix is SPD."""
+    e = rng.normal(size=(k - 1, 12, 12))
+    norms = np.concatenate([[0.0], np.linalg.norm(e, 2, axis=(1, 2)), [0.0]])
+    a = rng.normal(size=(k, 12, 12))
+    d = a @ np.swapaxes(a, -1, -2) / 12.0
+    d += (norms[:-1] + norms[1:] + 1.0)[:, None, None] * np.eye(12)
+    return d, e, rng.normal(size=(k, 12))
+
+
+def test_sweep_on_inverse_pivots_matches_dense_solve():
+    rng = np.random.default_rng(81)
+    d, e, g = random_block_tridiagonal(rng, 7)
+    idx = np.arange(12)
+    for lam in (0.0, 1e-3, 10.0):
+        damped = d.copy()
+        if lam > 0.0:
+            damped[:, idx, idx] += lam * damped[:, idx, idx] + 1e-12
+        want = np.linalg.solve(dense_from_blocks(damped, e), g.ravel())
+        got = solver._tridiag_solve(solver._tridiag_factor(d, e, lam), e, g)
+        assert np.linalg.norm(got.ravel() - want) <= 1e-12 * np.linalg.norm(want)
+
+    # an indefinite block, early or last, fails the factorization
+    for k in (2, 6):
+        bad = d.copy()
+        bad[k] -= 2.0 * np.linalg.eigvalsh(bad[k])[-1] * np.eye(12)
+        with pytest.raises(np.linalg.LinAlgError):
+            solver._tridiag_factor(bad, e, 0.0)
+
+
+def test_package_runs_without_scipy():
+    """ctgp imports, solves and queries with SciPy never loaded."""
+    code = """
+import sys
+import numpy as np
+import ctgp
+from ctgp import factors, inputs, interpolation, prior, solver
+seg = inputs.InputSegment(0.0, 0.3, 0.1 * np.ones(6), 0.2 * np.ones(6),
+                          np.zeros(6), np.zeros(6))
+blocks = prior.IntervalBlocks(inputs.InputProfile((seg,)), prior.PriorHyper(np.ones(6)))
+nodes = [prior.StateNode(t, ctgp.Pose.identity(), np.zeros(6)) for t in (0.0, 0.3)]
+sol = solver.solve(solver.Problem(nodes, [factors.PriorFactor(0, blocks)],
+                                  [factors.PositionFactor(1, np.ones(3), np.eye(3))],
+                                  gauge="fix-first"))
+traj = interpolation.Trajectory(list(sol.nodes), [blocks], sol.node_covariances,
+                                sol.cross_covariances)
+traj.query(0.1, with_covariance=True)
+assert sol.converged
+print("scipy loaded" if "scipy" in sys.modules else "scipy absent")
+"""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ctgp.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["scipy", "absent"]
 
 
 def test_covariance_blocks_match_dense_inverse():
