@@ -10,7 +10,18 @@ each have one vectorized kernel over stacked node states. The solver groups
 their instances into FactorBatches and linearizes each group in one call;
 their evaluate and the *_factor_error functions are batch-of-one calls into
 the same kernel. Covariances are validated and inverted once, when a factor
-is built. Prior factors have their own batched pass, prior_factor_batch.
+is built.
+
+An InterpolatedFactor whose inner is one of those types' bound
+evaluate_node joins an InterpolatedBatch of up to CHUNK_ROWS rows: one
+batched interpolation chain gives the states at all its query times, the
+inner kernel runs on them, and its Jacobian is chained onto both bracketing
+nodes. Any other inner is evaluated on its own, through the same chain as a
+batch of one.
+
+Prior factors read the interval charts (prior.interval_chart) that the
+interpolated queries also read; prior_factor_batch evaluates all of them in
+one pass and prior_factor_error is its batch of one.
 """
 
 from __future__ import annotations
@@ -26,21 +37,11 @@ from .errors import (
     SingularGeometryError,
     WiringError,
 )
-from .interpolation import interpolate_with_jacobian, query_kernel
-from .liegroup import (
-    Pose,
-    curlywedge,
-    jinv_vec_dx,
-    left_jacobian_inv,
-    log_map,
-    se3_log,
-    skew,
-    so3_left_jacobian_inv,
-    so3_log,
-)
-from .prior import IntervalBlocks, StateNode
-
-_TIME_TOL = 1e-9
+from .interpolation import (CHUNK_ROWS, QueryRows, chain, interpolate_with_jacobian,
+                            query_kernel)
+from .liegroup import Pose, left_jacobian_inv, se3_log, skew, so3_left_jacobian_inv, so3_log
+from .prior import (IntervalBlocks, IntervalChart, NodeArrays, StateNode,
+                    check_interval_times, interval_chart)
 
 
 @dataclass(frozen=True)
@@ -66,118 +67,74 @@ def _information_from_covariance(covariance, label):
     return np.linalg.inv(cov)
 
 
-def prior_factor_error(node_k: StateNode, node_k1: StateNode,
-                       blocks: IntervalBlocks, *,
-                       exact_bias_jacobian: bool = True,
-                       indices=(0, 1)) -> FactorEval:
-    """Motion-prior error between adjacent nodes, weighted by Q_k^-1.
+class PriorConstants(NamedTuple):
+    """The state-independent prior quantities of K-1 intervals, stacked once.
 
-    error = [ln(T_k1 T_k^-1)^v; Jinv(xi) b_k1] - Phi [0; b_k] - input integral.
-    The bias-term Jacobian d(Jinv(xi) b_k1)/dxi defaults to the exact series
-    derivative; exact_bias_jacobian=False selects the first-order
-    0.5 curlywedge(b_k1) form instead.
+    phi_bias (K-1, 12, 6) holds Phi's bias columns, input_full (K-1, 12) the
+    input integrals, info (K-1, 12, 12) the weights Q^-1, and t0, t1 (K-1,)
+    the interval ends.
     """
-    if (abs(node_k.time - blocks.t0) > _TIME_TOL
-            or abs(node_k1.time - blocks.t1) > _TIME_TOL):
-        raise WiringError("node times do not match the interval the blocks were built for")
 
-    rel = node_k1.pose @ node_k.pose.inverse()
-    xi = log_map(rel)
-    jinv = left_jacobian_inv(xi)
-    gamma_k1 = np.concatenate([xi, jinv @ node_k1.bias])
-    gamma_prop = blocks.phi @ np.concatenate([np.zeros(6), node_k.bias])
-    error = gamma_k1 - gamma_prop - blocks.input_full
+    phi_bias: np.ndarray
+    input_full: np.ndarray
+    info: np.ndarray
+    t0: np.ndarray
+    t1: np.ndarray
 
-    d = (jinv_vec_dx(xi, node_k1.bias) if exact_bias_jacobian
-         else 0.5 * curlywedge(node_k1.bias))
-    chart = np.vstack([jinv, d @ jinv])  # d gamma_k1 / d xi, chained to charts
-    j_pose_k1 = chart
-    j_pose_k = -chart @ rel.adjoint()
-    j_k = np.zeros((12, 12))
-    j_k[:, :6] = j_pose_k
-    j_k[:, 6:] = -blocks.phi[:, 6:]
-    j_k1 = np.zeros((12, 12))
-    j_k1[:, :6] = j_pose_k1
-    j_k1[6:, 6:] = jinv
-    return FactorEval(error, ((indices[0], j_k), (indices[1], j_k1)),
-                      blocks.q_full_inv)
+    @classmethod
+    def stack(cls, blocks_list):
+        return cls(np.stack([b.phi[:, 6:] for b in blocks_list]),
+                   np.stack([b.input_full for b in blocks_list]),
+                   np.stack([b.q_full_inv for b in blocks_list]),
+                   np.array([b.t0 for b in blocks_list]),
+                   np.array([b.t1 for b in blocks_list]))
 
 
-def prior_factor_batch(nodes, blocks_list, *, with_jacobians: bool = True):
+def prior_factor_batch(nodes, blocks, *, with_jacobians: bool = True, chart=None):
     """Evaluate all adjacent-pair prior factors in one vectorized pass.
 
-    Matches prior_factor_error applied to each pair, with the exact
-    bias-term Jacobian. Returns a dict with stacked arrays: error (K-1, 12),
-    info (K-1, 12, 12), and, when with_jacobians is set, j_k / j_k1
-    (K-1, 12, 12). The stacked interval quantities (phi, input integral,
-    information) are read from blocks_list, so precompute once and reuse
-    across solver iterations.
+    error = [ln(T_k1 T_k^-1)^v; Jinv(xi) b_k1] - Phi [0; b_k] - input
+    integral, weighted by Q_k^-1, with the exact series derivative of the
+    bias term. Returns a dict with stacked arrays: error (K-1, 12), info
+    (K-1, 12, 12), and, when with_jacobians is set, j_k / j_k1
+    (K-1, 12, 12).
+
+    nodes is a sequence of K StateNodes or their NodeArrays. blocks is the
+    K-1 IntervalBlocks, checked here against the node times, or their
+    PriorConstants, stacked and checked once by the caller; the solver
+    passes those, and the interval charts (interval_chart, with Jacobians
+    when with_jacobians is set) that its interpolated factors also read.
     """
-    if len(blocks_list) != len(nodes) - 1:
-        raise WiringError("need one IntervalBlocks per adjacent node pair")
-    for node, blocks, node1 in zip(nodes, blocks_list, nodes[1:]):
-        if (abs(node.time - blocks.t0) > _TIME_TOL
-                or abs(node1.time - blocks.t1) > _TIME_TOL):
-            raise WiringError("node times do not match the interval the blocks were built for")
-
-    rot = np.stack([n.pose.rotation for n in nodes])
-    trans = np.stack([n.pose.translation for n in nodes])
-    bias = np.stack([n.bias for n in nodes])
-    rel_rot = rot[1:] @ np.swapaxes(rot[:-1], -1, -2)
-    rel_trans = trans[1:] - np.einsum("nij,nj->ni", rel_rot, trans[:-1])
-    xi = se3_log(rel_rot, rel_trans)
-    jinv = left_jacobian_inv(xi)
-    psi1 = np.einsum("nij,nj->ni", jinv, bias[1:])
-
-    phi_bias = np.stack([b.phi[:, 6:] for b in blocks_list])
-    input_full = np.stack([b.input_full for b in blocks_list])
-    info = np.stack([b.q_full_inv for b in blocks_list])
-    error = (np.concatenate([xi, psi1], axis=-1)
-             - np.einsum("nij,nj->ni", phi_bias, bias[:-1]) - input_full)
-    out = {"error": error, "info": info}
+    if not isinstance(nodes, NodeArrays):
+        nodes = NodeArrays.stack(nodes)
+    if not isinstance(blocks, PriorConstants):
+        if len(blocks) != len(nodes.time) - 1:
+            raise WiringError("need one IntervalBlocks per adjacent node pair")
+        blocks = PriorConstants.stack(blocks)
+        check_interval_times(nodes.time, blocks.t0, blocks.t1)
+    if chart is None:
+        chart = interval_chart(nodes, with_jacobians=with_jacobians)
+    error = (chart.gamma - np.einsum("nij,nj->ni", blocks.phi_bias, nodes.bias[:-1])
+             - blocks.input_full)
+    out = {"error": error, "info": blocks.info}
     if not with_jacobians:
         return out
-
-    chart = np.concatenate([jinv, jinv_vec_dx(xi, bias[1:]) @ jinv], axis=-2)
-    adj = np.zeros((len(xi), 6, 6))
-    adj[:, :3, :3] = rel_rot
-    adj[:, :3, 3:] = skew(rel_trans) @ rel_rot
-    adj[:, 3:, 3:] = rel_rot
-
-    j_k = np.zeros((len(xi), 12, 12))
-    j_k[:, :, :6] = -chart @ adj
-    j_k[:, :, 6:] = -phi_bias
-    j_k1 = np.zeros((len(xi), 12, 12))
-    j_k1[:, :, :6] = chart
-    j_k1[:, 6:, 6:] = jinv
-    out["j_k"], out["j_k1"] = j_k, j_k1
+    j_k = np.empty((len(error), 12, 12))
+    j_k[:, :, :6] = chart.jac_k
+    j_k[:, :, 6:] = -blocks.phi_bias
+    out["j_k"], out["j_k1"] = j_k, chart.jac_k1
     return out
 
 
-class NodeArrays(NamedTuple):
-    """Node states stacked for one vectorized kernel call.
+def prior_factor_error(node_k: StateNode, node_k1: StateNode,
+                       blocks: IntervalBlocks, *, indices=(0, 1)) -> FactorEval:
+    """Motion-prior error between adjacent nodes, weighted by Q_k^-1.
 
-    index (n,) holds the node indices that errors name, time (n,) their
-    times; rot (n, 3, 3), trans (n, 3) and bias (n, 6) the states.
+    A batch of one through prior_factor_batch.
     """
-
-    index: np.ndarray
-    time: np.ndarray
-    rot: np.ndarray
-    trans: np.ndarray
-    bias: np.ndarray
-
-    @classmethod
-    def stack(cls, nodes):
-        """Stack a sequence of StateNodes, indexed by their positions in it."""
-        return cls(np.arange(len(nodes)),
-                   np.array([n.time for n in nodes]),
-                   np.stack([n.pose.rotation for n in nodes]),
-                   np.stack([n.pose.translation for n in nodes]),
-                   np.stack([n.bias for n in nodes]))
-
-    def take(self, rows):
-        return NodeArrays(*(a[rows] for a in self))
+    p = prior_factor_batch([node_k, node_k1], [blocks])
+    return FactorEval(p["error"][0], ((indices[0], p["j_k"][0]), (indices[1], p["j_k1"][0])),
+                      p["info"][0])
 
 
 # One kernel per batched factor type: (NodeArrays, stacked parameters) ->
@@ -514,8 +471,10 @@ class VelocityFactor(_BatchedFactor):
 class InterpolatedFactor:
     """Measurement factor at a query time between nodes index and index+1.
 
-    The state-independent query kernel is built once at construction and
-    reused across solver iterations.
+    With inner a batched type's bound evaluate_node, the solver linearizes
+    it in an InterpolatedBatch, which stacks its query kernel. evaluate is
+    the per-factor path; it builds the state-independent query kernel at
+    its first call and reuses it across solver iterations.
     """
 
     index: int
@@ -524,14 +483,13 @@ class InterpolatedFactor:
     inner: object  # StateNode -> FactorEval
     _kernel: object = field(default=None, repr=False)
 
-    def __post_init__(self):
-        self._kernel = query_kernel(self.blocks, self.tau)
-
     @property
     def indices(self):
         return (self.index, self.index + 1)
 
     def evaluate(self, nodes) -> FactorEval:
+        if self._kernel is None:
+            self._kernel = query_kernel(self.blocks, self.tau)
         return interpolated_factor(nodes[self.index], nodes[self.index + 1],
                                    self.blocks, self.tau, self.inner,
                                    indices=self.indices, kernel=self._kernel)
@@ -558,22 +516,75 @@ class FactorBatch:
         self._args = {k: np.stack([np.asarray(p[k], dtype=float) for p in per])
                       for k in per[0]}
 
-    def linearize(self, nodes: NodeArrays):
+    def evaluate(self, states: NodeArrays):
+        """The kernel on one given state per instance."""
+        return self._kernel(states, **self._args, **self._shared_args)
+
+    def linearize(self, nodes: NodeArrays, chart=None, *, with_jacobians=True):
         """(error (n, m), Jacobian (n, m, 12)) from the stacked states of all nodes."""
-        return self._kernel(nodes.take(self.index), **self._args, **self._shared_args)
+        return self.evaluate(nodes.take(self.index))
+
+
+class InterpolatedBatch:
+    """InterpolatedFactors whose inners are one batched type's evaluate_node.
+
+    The stacked query rows interpolate every state in one chain, the inner
+    kernel runs on those states, and its Jacobian is chained onto both
+    bracketing nodes. index (n,) is each row's interval, node k of the pair.
+    """
+
+    def __init__(self, group):
+        self.index = np.array([f.index for f in group])
+        self.inner = FactorBatch([f.inner.__self__ for f in group])
+        self.information = self.inner.information
+        # kernels built here, not kept on the factors, are stored only stacked
+        self.rows = QueryRows.stack([query_kernel(f.blocks, f.tau) for f in group],
+                                    self.index)
+
+    def linearize(self, nodes: NodeArrays, chart: IntervalChart, *, with_jacobians=True):
+        """(error (n, m), Jacobian (n, m, 24) or None) over (node k, node k+1).
+
+        chart is interval_chart of all nodes, with its Jacobians when
+        with_jacobians is set.
+        """
+        ch = chain(self.rows, nodes, chart, jacobians=with_jacobians)
+        error, jac = self.inner.evaluate(
+            NodeArrays(self.inner.index, self.rows.tau, ch.rot, ch.trans, ch.bias))
+        return error, (jac @ ch.node_jacobian if with_jacobians else None)
+
+
+def _batched_inner(f):
+    """The batched factor whose evaluate_node an InterpolatedFactor wraps, or None."""
+    owner = getattr(f.inner, "__self__", None)
+    if (type(owner) in _BATCHED_TYPES
+            and getattr(f.inner, "__func__", None) is _BatchedFactor.evaluate_node):
+        return owner
+    return None
 
 
 def batch_factors(factors):
-    """Group the built-in one-node types into FactorBatches.
+    """Group the batched types into FactorBatches and InterpolatedBatches.
 
-    Returns (batches, rest); every other factor, such as an
-    InterpolatedFactor, is left in rest to be evaluated on its own.
+    An InterpolatedFactor joins a batch when its inner is a batched type's
+    bound evaluate_node; a group longer than CHUNK_ROWS is split. Returns (batches, rest); every other factor, such
+    as an InterpolatedFactor with a plain-callable inner, is left in rest
+    to be evaluated on its own.
     """
     groups, rest = {}, []
     for f in factors:
-        if type(f) in _BATCHED_TYPES:
-            key = (type(f),) + tuple(np.asarray(v).tobytes() for v in f._shared().values())
+        owner = _batched_inner(f) if type(f) is InterpolatedFactor else f
+        if type(owner) in _BATCHED_TYPES:
+            key = ((type(f), type(owner))
+                   + tuple(np.asarray(v).tobytes() for v in owner._shared().values()))
             groups.setdefault(key, []).append(f)
         else:
             rest.append(f)
-    return [FactorBatch(g) for g in groups.values()], rest
+    batches = []
+    for key, g in groups.items():
+        if key[0] is InterpolatedFactor:
+            # a chain's intermediates take some 10 KB a row
+            batches += [InterpolatedBatch(g[lo:lo + CHUNK_ROWS])
+                        for lo in range(0, len(g), CHUNK_ROWS)]
+        else:
+            batches.append(FactorBatch(g))
+    return batches, rest

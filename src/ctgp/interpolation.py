@@ -4,29 +4,32 @@ The motion prior is Markovian in the local state gamma = (xi, psi), so the
 posterior at an interior time depends only on the two bracketing nodes, the
 interval's precomputed transition/integral blocks, and a conditional noise
 term. The query-time gain matrices are state independent, which lets
-repeated queries at a fixed time reuse one kernel.
+repeated queries at a fixed time reuse one kernel (QueryKernel).
+
+There is one evaluation path, chain: kernels stacked as QueryRows,
+interpolated from the stacked node states and each interval's chart
+(prior.interval_chart), with the node Jacobian and covariance on request.
+Trajectory.query_many runs it over its off-node rows, a fixed-size chunk
+at a time, and the solver's interpolated factor batches over theirs;
+Trajectory.query, interpolate_mean, interpolate_with_jacobian and
+interpolate_covariance are batches of one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from functools import cached_property
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import HyperparameterError, IntervalTooLongError, WiringError
-from .liegroup import (
-    Pose,
-    exp_map,
-    j_vec_dx,
-    jinv_vec_dx,
-    left_jacobian,
-    left_jacobian_inv,
-    log_map,
-)
-from .prior import IntervalBlocks, StateNode, local_state
+from .liegroup import Pose, j_vec_dx, left_jacobian, se3_adjoint, so3_exp
+from .prior import (TIME_TOL, IntervalBlocks, IntervalChart, NodeArrays, StateNode,
+                    check_interval_times, interval_chart)
 
-_TIME_TOL = 1e-9
+# off-node rows per batched chain in Trajectory.query_many; callers that
+# query long runs may consume their times in chunks of this size too
+CHUNK_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -50,7 +53,10 @@ class QueryResult:
 
 @dataclass(frozen=True)
 class QueryKernel:
-    """State-independent pieces of one query time inside one interval."""
+    """State-independent pieces of one query time inside one interval.
+
+    input_velocity is the input twist at tau, zero without inputs.
+    """
 
     blocks: IntervalBlocks
     tau: float
@@ -58,6 +64,7 @@ class QueryKernel:
     psi_gain: np.ndarray
     q_cond: np.ndarray
     input_tau: np.ndarray
+    input_velocity: np.ndarray
 
 
 def query_kernel(blocks: IntervalBlocks, tau: float) -> QueryKernel:
@@ -66,8 +73,10 @@ def query_kernel(blocks: IntervalBlocks, tau: float) -> QueryKernel:
     psi_gain = qb.q_tau @ qb.phi_to_end.T @ blocks.q_full_inv
     lam = qb.phi_from_start - psi_gain @ blocks.phi
     q_cond = qb.q_tau - psi_gain @ qb.phi_to_end @ qb.q_tau
+    v_in = (np.zeros(6) if blocks.profile.is_zero()
+            else blocks.profile.evaluate(tau)[0])
     return QueryKernel(blocks, tau, lam, psi_gain,
-                       0.5 * (q_cond + q_cond.T), qb.input_tau)
+                       0.5 * (q_cond + q_cond.T), qb.input_tau, v_in)
 
 
 def lambda_psi(blocks: IntervalBlocks, tau: float):
@@ -76,102 +85,153 @@ def lambda_psi(blocks: IntervalBlocks, tau: float):
     return kernel.lam, kernel.psi_gain
 
 
-def _guard_chart(xi):
-    ang = float(np.linalg.norm(xi[3:]))
-    if ang >= np.pi:
-        raise IntervalTooLongError(
-            f"local chart left its valid range (|xi_ang| = {ang:.3f} >= pi); shorten the interval"
-        )
+class QueryRows(NamedTuple):
+    """Query kernels stacked over n rows, each tied to one node interval.
 
-
-class _Chain:
-    """One query evaluation: mean state plus the node-perturbation Jacobian.
-
-    Perturbation conventions match the factors and solver: pose updates
-    multiply on the left, T <- exp(delta) T, and biases update additively.
+    interval (n,) indexes the interval, so row i reads nodes interval[i]
+    and interval[i] + 1; t0 and t1 (n,) are that interval's ends and
+    input_full (n, 12) its full input integral.
     """
 
-    def __init__(self, node_k: StateNode, node_k1: StateNode, kernel: QueryKernel):
-        blocks = kernel.blocks
-        if (abs(node_k.time - blocks.t0) > _TIME_TOL
-                or abs(node_k1.time - blocks.t1) > _TIME_TOL):
-            raise WiringError("node times do not match the interval the blocks were built for")
+    interval: np.ndarray
+    tau: np.ndarray
+    t0: np.ndarray
+    t1: np.ndarray
+    lam: np.ndarray
+    psi_gain: np.ndarray
+    q_cond: np.ndarray
+    input_tau: np.ndarray
+    input_full: np.ndarray
+    input_velocity: np.ndarray
 
-        rel = node_k1.pose @ node_k.pose.inverse()
-        xi1 = log_map(rel)
-        _guard_chart(xi1)
-        jinv1 = left_jacobian_inv(xi1)
-        psi1 = jinv1 @ node_k1.bias
+    @classmethod
+    def stack(cls, kernels, intervals):
+        """Stack one kernel per row, each in the interval given for its row."""
+        return cls(np.asarray(intervals, dtype=int),
+                   np.array([q.tau for q in kernels], dtype=float),
+                   np.array([q.blocks.t0 for q in kernels]),
+                   np.array([q.blocks.t1 for q in kernels]),
+                   *(np.stack([getattr(q, name) for q in kernels])
+                     for name in ("lam", "psi_gain", "q_cond", "input_tau")),
+                   np.stack([q.blocks.input_full for q in kernels]),
+                   np.stack([q.input_velocity for q in kernels]))
 
-        gamma_k = np.concatenate([np.zeros(6), node_k.bias])
-        gamma_k1 = np.concatenate([xi1, psi1])
-        gamma_tau = (kernel.input_tau + kernel.lam @ gamma_k
-                     + kernel.psi_gain @ (gamma_k1 - blocks.input_full))
-        xi_tau, psi_tau = local_state(gamma_tau)
-        _guard_chart(xi_tau)
 
-        self.kernel = kernel
-        self.node_k, self.node_k1 = node_k, node_k1
-        self.xi_tau, self.psi_tau = xi_tau, psi_tau
-        self.exp_tau = exp_map(xi_tau)
-        self.pose = self.exp_tau @ node_k.pose
-        self.j_tau = left_jacobian(xi_tau)
-        self.bias = self.j_tau @ psi_tau
-        self._rel_adjoint = rel.adjoint()
-        self._jinv1 = jinv1
-        self._xi1 = xi1
+class Chain(NamedTuple):
+    """Interpolated states of stacked query rows.
 
-    def mean(self) -> QueryResult:
-        return QueryResult(self.kernel.tau, self.pose, self.bias, self.velocity())
+    rot (n, 3, 3), trans (n, 3) and bias (n, 6) are the mean states. With
+    jacobians, node_jacobian (n, 12, 24) maps the perturbations of both
+    bracketing nodes, columns (pose_k, bias_k, pose_k1, bias_k1), to the
+    query's, and output_map (n, 12, 12) maps d(xi_tau, psi_tau) to it.
+    """
 
-    def velocity(self):
-        if self.kernel.blocks.profile.is_zero():
-            return self.bias.copy()
-        v_in, _ = self.kernel.blocks.profile.evaluate(self.kernel.tau)
-        return self.bias + v_in
+    rot: np.ndarray
+    trans: np.ndarray
+    bias: np.ndarray
+    node_jacobian: np.ndarray | None = None
+    output_map: np.ndarray | None = None
 
-    @cached_property
-    def output_map(self):
-        """Map d(xi_tau, psi_tau) to the pose/bias perturbation at tau."""
-        h = np.zeros((12, 12))
-        h[:6, :6] = self.j_tau
-        h[6:, :6] = j_vec_dx(self.xi_tau, self.psi_tau)
-        h[6:, 6:] = self.j_tau
-        return h
 
-    def node_jacobian(self):
-        """12x24 Jacobian of the query perturbation w.r.t. both nodes.
+def _guard_chart(rows: QueryRows, xi):
+    """Raise for the lowest interval, then earliest time, whose chart left its range."""
+    ang = np.linalg.norm(xi[:, 3:], axis=-1)
+    bad = np.flatnonzero(ang >= np.pi)
+    if len(bad):
+        i = bad[np.lexsort((rows.tau[bad], rows.interval[bad]))[0]]
+        raise IntervalTooLongError(
+            f"local chart left its valid range on interval {rows.interval[i]} "
+            f"[{rows.t0[i]:.6g}, {rows.t1[i]:.6g}] s at t = {rows.tau[i]:.6g} s "
+            f"(|xi_ang| = {ang[i]:.3f} >= pi); shorten the interval")
 
-        Column order: (pose_k, bias_k, pose_k1, bias_k1) local coordinates.
-        """
-        kernel = self.kernel
-        a1 = self._jinv1
-        a0 = -a1 @ self._rel_adjoint
-        d1 = jinv_vec_dx(self._xi1, self.node_k1.bias)
-        # columns of dgamma_tau through the far-node chart value (xi1, psi1)
-        via_xi1 = kernel.psi_gain[:, :6] + kernel.psi_gain[:, 6:] @ d1
-        dgamma = np.zeros((12, 24))
-        dgamma[:, 0:6] = via_xi1 @ a0
-        dgamma[:, 6:12] = kernel.lam[:, 6:]
-        dgamma[:, 12:18] = via_xi1 @ a1
-        dgamma[:, 18:24] = kernel.psi_gain[:, 6:] @ self._jinv1
-        g = self.output_map @ dgamma
-        # the query chart is anchored at node k, so its motion enters directly
-        g[:6, 0:6] += self.exp_tau.adjoint()
-        return g
+
+def chain(rows: QueryRows, nodes: NodeArrays, chart: IntervalChart, *,
+          jacobians: bool = False) -> Chain:
+    """Interpolate every row from its two bracketing nodes.
+
+    nodes holds all K node states and chart the K-1 interval charts from
+    interval_chart, with its Jacobians when jacobians is set. The caller has
+    checked the node times against the rows' intervals (check_interval_times),
+    once: Trajectory and the solver at construction, _pair per call. Perturbation
+    conventions match the factors and solver: pose updates multiply on the
+    left, T <- exp(delta) T, and biases update additively.
+    """
+    k = rows.interval
+    lam_bias = rows.lam[:, :, 6:]
+    gamma = (rows.input_tau + np.einsum("nij,nj->ni", lam_bias, nodes.bias[k])
+             + np.einsum("nij,nj->ni", rows.psi_gain, chart.gamma[k] - rows.input_full))
+    xi, psi = gamma[:, :6], gamma[:, 6:]
+    _guard_chart(rows, xi)
+    j_tau = left_jacobian(xi)
+    # exp(xi) is (so3_exp(phi), J(phi) rho), with J(phi) a block of j_tau
+    exp_rot = so3_exp(xi[:, 3:])
+    exp_trans = np.einsum("nij,nj->ni", j_tau[:, :3, :3], xi[:, :3])
+    rot = exp_rot @ nodes.rot[k]
+    trans = np.einsum("nij,nj->ni", exp_rot, nodes.trans[k]) + exp_trans
+    bias = np.einsum("nij,nj->ni", j_tau, psi)
+    if not jacobians:
+        return Chain(rot, trans, bias)
+
+    h = np.zeros((len(k), 12, 12))
+    h[:, :6, :6] = j_tau
+    h[:, 6:, :6] = j_vec_dx(xi, psi)
+    h[:, 6:, 6:] = j_tau
+    # gamma_tau depends on node k through its bias and on the far node
+    # through the interval chart
+    dgamma = np.empty((len(k), 12, 24))
+    dgamma[:, :, :6] = rows.psi_gain @ chart.jac_k[k]
+    dgamma[:, :, 6:12] = lam_bias
+    dgamma[:, :, 12:] = rows.psi_gain @ chart.jac_k1[k]
+    g = h @ dgamma
+    # the query chart is anchored at node k, so its motion enters directly
+    g[:, :6, :6] += se3_adjoint(exp_rot, exp_trans)
+    return Chain(rot, trans, bias, g, h)
+
+
+def chain_covariance(rows: QueryRows, ch: Chain, covariances, cross_covariances=None):
+    """Posterior covariances (n, 12, 12) of the rows from validated node covariances.
+
+    cross_covariances (K-1, 12, 12) holds cov(node_k, node_k+1) in local
+    coordinates; without it the joint is treated as block diagonal.
+    """
+    k = rows.interval
+    joint = np.zeros((len(k), 24, 24))
+    joint[:, :12, :12] = covariances[k]
+    joint[:, 12:, 12:] = covariances[k + 1]
+    if cross_covariances is not None:
+        cross = cross_covariances[k]
+        joint[:, :12, 12:] = cross
+        joint[:, 12:, :12] = np.swapaxes(cross, -1, -2)
+    g, h = ch.node_jacobian, ch.output_map
+    cov = (g @ joint @ np.swapaxes(g, -1, -2)
+           + h @ rows.q_cond @ np.swapaxes(h, -1, -2))
+    return 0.5 * (cov + np.swapaxes(cov, -1, -2))
+
+
+def _pair(node_k: StateNode, node_k1: StateNode, kernel: QueryKernel, jacobians):
+    """Batch-of-one chain over one bracketing pair."""
+    nodes = NodeArrays.stack([node_k, node_k1])
+    rows = QueryRows.stack([kernel], [0])
+    check_interval_times(nodes.time, rows.t0, rows.t1)
+    ch = chain(rows, nodes, interval_chart(nodes, with_jacobians=jacobians),
+               jacobians=jacobians)
+    return rows, ch
 
 
 def interpolate_mean(node_k: StateNode, node_k1: StateNode,
                      blocks: IntervalBlocks, tau: float) -> QueryResult:
     """Posterior mean state at tau conditioned on the bracketing nodes."""
-    return _Chain(node_k, node_k1, query_kernel(blocks, tau)).mean()
+    rows, ch = _pair(node_k, node_k1, query_kernel(blocks, tau), False)
+    return QueryResult(tau, Pose(ch.rot[0], ch.trans[0]), ch.bias[0],
+                       ch.bias[0] + rows.input_velocity[0])
 
 
 def interpolate_with_jacobian(node_k: StateNode, node_k1: StateNode,
                               kernel: QueryKernel):
     """Mean state at the kernel's query time plus the 12x24 node Jacobian."""
-    chain = _Chain(node_k, node_k1, kernel)
-    return chain.pose, chain.bias, chain.velocity(), chain.node_jacobian()
+    rows, ch = _pair(node_k, node_k1, kernel, True)
+    return (Pose(ch.rot[0], ch.trans[0]), ch.bias[0],
+            ch.bias[0] + rows.input_velocity[0], ch.node_jacobian[0])
 
 
 def _check_covariance(cov, label):
@@ -199,26 +259,12 @@ def interpolate_covariance(node_k: StateNode, node_k1: StateNode,
     treated as block diagonal, which is exact only when one node is pinned
     or the two nodes are uncorrelated, so the result is flagged.
     """
-    cov_k = _check_covariance(cov_k, "node_k")
-    cov_k1 = _check_covariance(cov_k1, "node_k1")
-    chain = _Chain(node_k, node_k1, query_kernel(blocks, tau))
-    return _chain_covariance(chain, cov_k, cov_k1, cross_covariance)
-
-
-def _chain_covariance(chain: _Chain, cov_k, cov_k1, cross_covariance):
-    """(covariance, is_approximate) of one query from validated node covariances."""
-    joint = np.zeros((24, 24))
-    joint[:12, :12] = cov_k
-    joint[12:, 12:] = cov_k1
-    if cross_covariance is not None:
-        cross = np.asarray(cross_covariance, dtype=float)
-        joint[:12, 12:] = cross
-        joint[12:, :12] = cross.T
-
-    g = chain.node_jacobian()
-    h = chain.output_map
-    cov = g @ joint @ g.T + h @ chain.kernel.q_cond @ h.T
-    return 0.5 * (cov + cov.T), cross_covariance is None
+    covs = np.stack([_check_covariance(cov_k, "node_k"),
+                     _check_covariance(cov_k1, "node_k1")])
+    cross = (None if cross_covariance is None
+             else np.asarray(cross_covariance, dtype=float)[None])
+    rows, ch = _pair(node_k, node_k1, query_kernel(blocks, tau), True)
+    return chain_covariance(rows, ch, covs, cross)[0], cross is None
 
 
 class Trajectory:
@@ -228,67 +274,81 @@ class Trajectory:
     nodes interpolate the posterior, queries at node times return the node
     values. Covariances are attached when the solver marginals (and
     optionally the adjacent-node cross-covariances) are supplied; the
-    marginals are validated once, here, rather than on every query.
+    marginals are validated once, here, rather than on every query. Each
+    interval's chart is computed once, at the first query that falls
+    between nodes, and kept: the trajectory never changes.
     """
 
     def __init__(self, nodes, blocks_list, covariances=None, cross_covariances=None):
         if len(nodes) < 2 or len(blocks_list) != len(nodes) - 1:
             raise WiringError("need K nodes and K-1 interval blocks")
-        for node, blocks, node1 in zip(nodes, blocks_list, nodes[1:]):
-            if (abs(node.time - blocks.t0) > _TIME_TOL
-                    or abs(node1.time - blocks.t1) > _TIME_TOL):
-                raise WiringError("interval blocks do not line up with node times")
+        check_interval_times([n.time for n in nodes], [b.t0 for b in blocks_list],
+                             [b.t1 for b in blocks_list])
         if covariances is not None:
             if len(covariances) != len(nodes):
                 raise WiringError("need one covariance per node")
             covariances = _check_covariance(covariances, "node")
-        if cross_covariances is not None and len(cross_covariances) != len(nodes) - 1:
-            raise WiringError("need one cross-covariance per interval")
+        if cross_covariances is not None:
+            if len(cross_covariances) != len(nodes) - 1:
+                raise WiringError("need one cross-covariance per interval")
+            cross_covariances = np.asarray(cross_covariances, dtype=float)
         self.nodes = list(nodes)
         self.blocks = list(blocks_list)
         self.covariances = covariances
-        self.cross_covariances = (None if cross_covariances is None
-                                  else list(cross_covariances))
-        self._times = np.array([n.time for n in nodes])
+        self.cross_covariances = cross_covariances
+        self._state = NodeArrays.stack(self.nodes)
+        self._chart = None
 
     @property
     def start(self):
-        return float(self._times[0])
+        return float(self._state.time[0])
 
     @property
     def end(self):
-        return float(self._times[-1])
-
-    def _locate(self, tau):
-        idx = int(np.searchsorted(self._times, tau, side="right")) - 1
-        return min(max(idx, 0), len(self.blocks) - 1)
+        return float(self._state.time[-1])
 
     def query(self, tau: float, *, with_covariance: bool = False) -> QueryResult:
-        tau = float(tau)
-        k = self._locate(tau)
-        hit = int(np.argmin(np.abs(self._times - tau)))
-        if abs(self._times[hit] - tau) <= _TIME_TOL:
-            node = self.nodes[hit]
-            blocks = self.blocks[k]
-            v_in = (np.zeros(6) if blocks.profile.is_zero()
-                    else blocks.profile.evaluate(node.time)[0])
-            cov = None
-            if with_covariance and self.covariances is not None:
-                cov = self.covariances[hit].copy()
-            return QueryResult(node.time, node.pose, node.bias.copy(),
-                               node.bias + v_in, cov, False)
-        node_k, node_k1 = self.nodes[k], self.nodes[k + 1]
-        blocks = self.blocks[k]
-        if not with_covariance or self.covariances is None:
-            return interpolate_mean(node_k, node_k1, blocks, tau)
-        cross = (None if self.cross_covariances is None
-                 else self.cross_covariances[k])
-        # one kernel and one chain serve both the mean and the covariance
-        chain = _Chain(node_k, node_k1, query_kernel(blocks, tau))
-        cov, approx = _chain_covariance(chain, self.covariances[k],
-                                        self.covariances[k + 1], cross)
-        return replace(chain.mean(), covariance=cov,
-                       covariance_is_approximate=approx)
+        return self.query_many([tau], with_covariance=with_covariance)[0]
 
     def query_many(self, times, *, with_covariance: bool = False):
-        return [self.query(t, with_covariance=with_covariance) for t in times]
+        """QueryResults at each time, the off-node ones in batched chains.
+
+        The off-node rows run CHUNK_ROWS at a time, which bounds the
+        arrays a chain holds however many times are asked for.
+        """
+        taus = np.asarray(times, dtype=float).reshape(-1)
+        node_times = self._state.time
+        # interval k holds [t_k, t_k+1); the last one also holds its end
+        k = np.clip(np.searchsorted(node_times, taus, side="right") - 1,
+                    0, len(self.blocks) - 1)
+        nearest = np.where(np.abs(taus - node_times[k]) <= np.abs(node_times[k + 1] - taus),
+                           k, k + 1)
+        hit = np.abs(node_times[nearest] - taus) <= TIME_TOL
+        with_cov = with_covariance and self.covariances is not None
+
+        out = [None] * len(taus)
+        for i in np.flatnonzero(hit):
+            node = self.nodes[nearest[i]]
+            blocks = self.blocks[k[i]]
+            v_in = (np.zeros(6) if blocks.profile.is_zero()
+                    else blocks.profile.evaluate(node.time)[0])
+            out[i] = QueryResult(node.time, node.pose, node.bias.copy(), node.bias + v_in,
+                                 self.covariances[nearest[i]].copy() if with_cov else None,
+                                 False)
+        off = np.flatnonzero(~hit)
+        if len(off) and self._chart is None:
+            self._chart = interval_chart(self._state)
+        for lo in range(0, len(off), CHUNK_ROWS):
+            part = off[lo:lo + CHUNK_ROWS]
+            rows = QueryRows.stack([query_kernel(self.blocks[k[i]], float(taus[i]))
+                                    for i in part], k[part])
+            ch = chain(rows, self._state, self._chart, jacobians=with_cov)
+            cov = (chain_covariance(rows, ch, self.covariances, self.cross_covariances)
+                   if with_cov else None)
+            velocity = ch.bias + rows.input_velocity
+            for row, i in enumerate(part):
+                out[i] = QueryResult(
+                    float(taus[i]), Pose(ch.rot[row], ch.trans[row]), ch.bias[row],
+                    velocity[row], None if cov is None else cov[row],
+                    with_cov and self.cross_covariances is None)
+        return out

@@ -199,6 +199,16 @@ def _q_matrix(xi):
             + c4 * (PRP @ P + P @ PRP))
 
 
+def se3_adjoint(R, t):
+    """Batched 6x6 adjoint [[R, skew(t) R], [0, R]] matching the twist ordering."""
+    R = np.asarray(R, dtype=float)
+    out = np.zeros(R.shape[:-2] + (6, 6))
+    out[..., :3, :3] = R
+    out[..., :3, 3:] = skew(t) @ R
+    out[..., 3:, 3:] = R
+    return out
+
+
 def left_jacobian(xi):
     """SE(3) left Jacobian, 6x6: [[J, Q], [0, J]]."""
     xi = np.asarray(xi, dtype=float)
@@ -294,11 +304,7 @@ class Pose:
 
     def adjoint(self):
         """6x6 adjoint [[R, skew(t) R], [0, R]] matching the twist ordering."""
-        out = np.zeros((6, 6))
-        out[:3, :3] = self.rotation
-        out[:3, 3:] = skew(self.translation) @ self.rotation
-        out[3:, 3:] = self.rotation
-        return out
+        return se3_adjoint(self.rotation, self.translation)
 
     def apply(self, points):
         points = np.asarray(points, dtype=float)

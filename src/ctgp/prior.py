@@ -24,13 +24,15 @@ Phi Phi(tau, t0)^-1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import (DegenerateInputError, DomainError, HyperparameterError,
                      IntervalTooLongError, WiringError)
 from .inputs import InputProfile, InputSegment
-from .liegroup import Pose, curlywedge, exp_map, left_jacobian
+from .liegroup import (Pose, curlywedge, exp_map, jinv_vec_dx, left_jacobian,
+                       left_jacobian_inv, se3_adjoint, se3_log)
 
 _PADE13_THETA = 5.371920351148152
 _PADE13_B = np.array([
@@ -114,6 +116,32 @@ class StateNode:
         if bias.shape != (6,):
             raise WiringError("node bias must be a 6-vector")
         object.__setattr__(self, "bias", bias)
+
+
+class NodeArrays(NamedTuple):
+    """Node states stacked for one vectorized call.
+
+    index (n,) holds the node indices that errors name, time (n,) their
+    times; rot (n, 3, 3), trans (n, 3) and bias (n, 6) the states.
+    """
+
+    index: np.ndarray
+    time: np.ndarray
+    rot: np.ndarray
+    trans: np.ndarray
+    bias: np.ndarray
+
+    @classmethod
+    def stack(cls, nodes):
+        """Stack a sequence of StateNodes, indexed by their positions in it."""
+        return cls(np.arange(len(nodes)),
+                   np.array([n.time for n in nodes]),
+                   np.stack([n.pose.rotation for n in nodes]),
+                   np.stack([n.pose.translation for n in nodes]),
+                   np.stack([n.bias for n in nodes]))
+
+    def take(self, rows):
+        return NodeArrays(*(a[rows] for a in self))
 
 
 @dataclass(frozen=True)
@@ -363,10 +391,57 @@ def precompute_intervals(profiles, hyper: PriorHyper, *, force_general: bool = F
     return blocks
 
 
-def local_state(gamma):
-    """Split a 12-vector into (xi, psi)."""
-    gamma = np.asarray(gamma, dtype=float)
-    return gamma[:6], gamma[6:]
+# two times closer than this are the same node time
+TIME_TOL = 1e-9
+
+
+def check_interval_times(times, t0, t1, intervals=None):
+    """Raise WiringError unless each interval's nodes sit at its ends.
+
+    times holds the K node times; interval k spans nodes k and k+1. Pair i
+    of (t0, t1) belongs to interval intervals[i], by default interval i.
+    """
+    times = np.asarray(times, dtype=float)
+    k = np.arange(len(times) - 1) if intervals is None else np.asarray(intervals)
+    if (np.any(np.abs(times[k] - t0) > TIME_TOL)
+            or np.any(np.abs(times[k + 1] - t1) > TIME_TOL)):
+        raise WiringError("node times do not match the interval the blocks were built for")
+
+
+class IntervalChart(NamedTuple):
+    """Each node interval's far node in the local chart of its near node.
+
+    gamma (n, 12) is [xi, psi] of node k+1 in node k's chart. jac_k
+    (n, 12, 6) is d gamma / d pose_k and jac_k1 (n, 12, 12) is
+    d gamma / d node_k+1; both are None when not requested. The prior
+    factor and every interpolated query in the interval read these.
+    """
+
+    gamma: np.ndarray
+    jac_k: np.ndarray | None = None
+    jac_k1: np.ndarray | None = None
+
+
+def interval_chart(nodes: NodeArrays, *, with_jacobians: bool = True) -> IntervalChart:
+    """Charts of the K-1 intervals between consecutive stacked nodes.
+
+    xi = ln(T_k1 T_k^-1)^v and psi = Jinv(xi) b_k1; the bias term's
+    Jacobian d(Jinv(xi) b_k1)/dxi is the exact series derivative.
+    """
+    rot, trans, bias = nodes.rot, nodes.trans, nodes.bias
+    rel_rot = rot[1:] @ np.swapaxes(rot[:-1], -1, -2)
+    rel_trans = trans[1:] - np.einsum("nij,nj->ni", rel_rot, trans[:-1])
+    xi = se3_log(rel_rot, rel_trans)
+    jinv = left_jacobian_inv(xi)
+    gamma = np.concatenate([xi, np.einsum("nij,nj->ni", jinv, bias[1:])], axis=-1)
+    if not with_jacobians:
+        return IntervalChart(gamma)
+    # d gamma / d xi, chained to the left perturbation of node k+1's pose
+    chart = np.concatenate([jinv, jinv_vec_dx(xi, bias[1:]) @ jinv], axis=-2)
+    jac_k1 = np.zeros((len(xi), 12, 12))
+    jac_k1[:, :, :6] = chart
+    jac_k1[:, 6:, 6:] = jinv
+    return IntervalChart(gamma, -chart @ se3_adjoint(rel_rot, rel_trans), jac_k1)
 
 
 def prior_mean_propagate(node: StateNode, blocks: IntervalBlocks, tau: float) -> StateNode:
@@ -375,17 +450,18 @@ def prior_mean_propagate(node: StateNode, blocks: IntervalBlocks, tau: float) ->
     Raises IntervalTooLongError when the local chart leaves its valid range
     (angular norm of xi reaching pi).
     """
-    if abs(node.time - blocks.t0) > 1e-9:
+    if abs(node.time - blocks.t0) > TIME_TOL:
         raise WiringError("node time does not match the interval start")
     qb = blocks.at(tau)
     gamma0 = np.concatenate([np.zeros(6), node.bias])
     gamma = qb.phi_from_start @ gamma0 + qb.input_tau
-    xi, psi = local_state(gamma)
+    xi, psi = gamma[:6], gamma[6:]
     ang = float(np.linalg.norm(xi[3:]))
     if ang >= np.pi:
         raise IntervalTooLongError(
-            f"local chart left its valid range (|xi_ang| = {ang:.3f} >= pi); shorten the interval"
-        )
+            f"local chart left its valid range on the interval [{blocks.t0:.6g}, "
+            f"{blocks.t1:.6g}] s at t = {tau:.6g} s (|xi_ang| = {ang:.3f} >= pi); "
+            "shorten the interval")
     pose = exp_map(xi) @ node.pose
     bias = left_jacobian(xi) @ psi
     return StateNode(tau, pose, bias)

@@ -6,13 +6,19 @@ block tridiagonal. Each iteration linearizes, solves, and applies manifold
 updates; Levenberg-style diagonal damping activates only when a step is
 rejected.
 
-Linearization is batched by factor type: prior factors in one pass
-(prior_factor_batch), and each built-in one-node type (range, position,
-pose, velocity, planar lock, anchor) in one kernel call whose blocks are
-scattered into D and g. Other factors, such as InterpolatedFactor, are
-evaluated one by one. The block LDL^T sweep stores the inverse pivot blocks
-S_i^-1, one inverse per block, so the forward-backward solve and the
-Takahashi recursion for the posterior covariance blocks are plain products.
+Linearization is batched by factor type. Each pass computes the chart of
+every node interval once; the prior factors of all intervals come from it
+in one prior_factor_batch call, with their constant blocks stacked once per
+solve. Each built-in one-node type (range, position, pose, velocity, planar
+lock, anchor) is one kernel call whose blocks are scattered into D and g.
+Interpolated factors whose inner is such a type are grouped the same way:
+one batched interpolation chain, reading the same interval charts, feeds the
+inner kernel, and its two-node blocks are scattered into D, E and g. Only
+other factors, such as an interpolated factor with a plain-callable inner
+or a custom two-node factor, are evaluated one by one. The block LDL^T
+sweep stores the inverse pivot blocks S_i^-1, one inverse per block, so the
+forward-backward solve and the Takahashi recursion for the posterior
+covariance blocks are plain products.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from . import factors as _factors
 from .errors import (EstimationError, GaugeFreedomError, HyperparameterError,
                      WiringError)
 from .liegroup import Pose, se3_exp, so3_project
-from .prior import StateNode
+from .prior import NodeArrays, StateNode, check_interval_times, interval_chart
 
 _ABSOLUTE_FACTORS = (_factors.RangeFactor, _factors.PoseFactor,
                      _factors.PositionFactor, _factors.AnchorFactor,
@@ -120,30 +126,40 @@ class Problem:
 class _Linearizer:
     """Evaluates cost and assembles the block-tridiagonal normal equations.
 
-    The built-in one-node factor types are grouped into batches once; every
-    other measurement factor is evaluated on its own.
+    The prior's interval constants are stacked, and the node times checked
+    against the prior's and the interpolated factors' intervals, once: a
+    step never changes a time. The batched factor types, including
+    interpolated factors with a batched inner, are grouped once; every other
+    measurement factor is evaluated on its own. Each pass computes every
+    interval's chart once, for the prior and the interpolated batches alike.
     """
 
     def __init__(self, problem: Problem):
         self.k = len(problem.nodes)
         self.batches, self.others = _factors.batch_factors(
             list(problem.measurement_factors) + problem.gauge_factors())
-        self.prior_blocks = [f.blocks for f in problem.prior_factors]
+        self.prior = _factors.PriorConstants.stack([f.blocks for f in problem.prior_factors])
+        times = [n.time for n in problem.nodes]
+        check_interval_times(times, self.prior.t0, self.prior.t1)
+        for batch in self.batches:
+            if isinstance(batch, _factors.InterpolatedBatch):
+                check_interval_times(times, batch.rows.t0, batch.rows.t1, batch.index)
 
     def cost(self, nodes) -> float:
-        p = _factors.prior_factor_batch(nodes, self.prior_blocks, with_jacobians=False)
+        state = NodeArrays.stack(nodes)
+        chart = interval_chart(state, with_jacobians=False)
+        p = _factors.prior_factor_batch(state, self.prior, with_jacobians=False, chart=chart)
         total = 0.5 * float(np.einsum("ni,nij,nj->", p["error"], p["info"], p["error"]))
-        state = _factors.NodeArrays.stack(nodes)
         for batch in self.batches:
-            err, _ = batch.linearize(state)
+            err, _ = batch.linearize(state, chart, with_jacobians=False)
             total += 0.5 * float(np.einsum("ni,nij,nj->", err, batch.information, err))
         for f in self.others:
             total += f.evaluate(nodes).cost()
         return total
 
-    def _add_priors(self, nodes, d, e, g) -> float:
+    def _add_priors(self, state, chart, d, e, g) -> float:
         """Adds the prior factors' blocks in place; returns their cost."""
-        p = _factors.prior_factor_batch(nodes, self.prior_blocks)
+        p = _factors.prior_factor_batch(state, self.prior, chart=chart)
         err, info, j_k, j_k1 = p["error"], p["info"], p["j_k"], p["j_k1"]
         w_k = info @ j_k
         w_k1 = info @ j_k1
@@ -161,16 +177,24 @@ class _Linearizer:
         d = np.zeros((k, 12, 12))
         e = np.zeros((k - 1, 12, 12))
         g = np.zeros((k, 12))
-        cost = self._add_priors(nodes, d, e, g)
+        state = NodeArrays.stack(nodes)
+        chart = interval_chart(state)
+        cost = self._add_priors(state, chart, d, e, g)
 
-        state = _factors.NodeArrays.stack(nodes)
         for batch in self.batches:
-            err, jac = batch.linearize(state)
+            err, jac = batch.linearize(state, chart)
             jac_t = np.swapaxes(jac, -1, -2)
             we = np.einsum("nij,nj->ni", batch.information, err)
             cost += 0.5 * float(np.einsum("ni,ni->", err, we))
-            np.add.at(d, batch.index, jac_t @ batch.information @ jac)
-            np.add.at(g, batch.index, -np.einsum("nij,nj->ni", jac_t, we))
+            hess = jac_t @ batch.information @ jac
+            grad = -np.einsum("nij,nj->ni", jac_t, we)
+            # a batch's Jacobian spans node index, or nodes (index, index + 1)
+            for j in range(jac.shape[-1] // 12):
+                cols = slice(12 * j, 12 * j + 12)
+                np.add.at(d, batch.index + j, hess[:, cols, cols])
+                np.add.at(g, batch.index + j, grad[:, cols])
+            if jac.shape[-1] == 24:
+                np.add.at(e, batch.index, hess[:, 12:, :12])
 
         for f in self.others:
             ev = f.evaluate(nodes)

@@ -10,8 +10,10 @@ from ctgp.experiment import (FIG3_COLUMNS, TRAJECTORY_COLUMNS, Metrics,
                              run_continuum, run_experiment, sweep,
                              write_fig3_csv, write_metrics_csv,
                              write_trajectory_csv, xy_nees)
+from ctgp.factors import InterpolatedBatch
 from ctgp.scenario import RangeSchedule, parse_scenario
 from ctgp.simulate import simulate_mobile
+from ctgp.solver import _Linearizer
 
 MOBILE_DOC = """
 schema_version: 1
@@ -106,6 +108,24 @@ class TestRunExperiment:
         assert m.interpolated_fraction == pytest.approx(90 / 101)
         assert m.converged
         assert m.position_rmse < 0.1
+
+    def test_wnoa_interpolated_odometry_takes_the_batched_path(self, mobile, monkeypatch):
+        truth = simulate_mobile(dataclasses.replace(mobile, duration=2.0))
+        problem, _, _ = build_mobile_problem(truth, method="wnoa",
+                                             node_policy="meas-only", dt_landmark=1.0)
+
+        def interpolated_rows(lin):
+            return [len(b.index) for b in lin.batches if isinstance(b, InterpolatedBatch)]
+
+        lin = _Linearizer(problem)
+        assert lin.others == []
+        assert interpolated_rows(lin) == [18]
+        # a long group runs in chunks, to the same normal equations
+        monkeypatch.setattr("ctgp.factors.CHUNK_ROWS", 8)
+        chunked = _Linearizer(problem)
+        assert interpolated_rows(chunked) == [8, 8, 2]
+        for want, got in zip(lin.assemble(problem.nodes), chunked.assemble(problem.nodes)):
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_rows_match_the_declared_layout(self, noisy_result):
         rows = noisy_result.rows

@@ -96,30 +96,6 @@ def test_prior_factor_jacobians_match_fd():
             [node_k, node_k1])
 
 
-def test_prior_factor_bias_jacobian_flag():
-    rng = np.random.default_rng(23)
-    blocks, _ = build_blocks(rng)
-    node_k = random_node(rng)
-    node_k1 = prior.prior_mean_propagate(node_k, blocks, blocks.t1)
-    exact = factors.prior_factor_error(node_k, node_k1, blocks)
-    approx = factors.prior_factor_error(node_k, node_k1, blocks,
-                                        exact_bias_jacobian=False)
-    # same error, materially different bias-row pose Jacobian at finite xi
-    assert np.allclose(exact.error, approx.error)
-    diff = exact.jacobians[1][1] - approx.jacobians[1][1]
-    assert np.linalg.norm(diff) > 1e-4
-
-    # the forms agree to first order for nearly coincident nodes
-    nearly = prior.StateNode(0.1, exp_map(1e-4 * np.ones(6)) @ node_k.pose,
-                             node_k.bias + 1e-4)
-    tiny_blocks = prior.IntervalBlocks(inputs.InputProfile.zero(0.0, 0.1),
-                                       prior.PriorHyper(np.ones(6)))
-    e1 = factors.prior_factor_error(node_k, nearly, tiny_blocks)
-    e2 = factors.prior_factor_error(node_k, nearly, tiny_blocks,
-                                    exact_bias_jacobian=False)
-    assert np.allclose(e1.jacobians[1][1], e2.jacobians[1][1], atol=1e-4)
-
-
 def test_prior_factor_wiring_error():
     rng = np.random.default_rng(24)
     blocks, _ = build_blocks(rng)

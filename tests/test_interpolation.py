@@ -247,6 +247,72 @@ def test_interpolation_chart_guard():
         interpolation.interpolate_mean(node_k, node_k1, blocks, 0.5)
 
 
+def test_chart_guard_names_the_lowest_interval():
+    hyper = prior.PriorHyper(np.ones(6))
+    blocks = [prior.IntervalBlocks(inputs.InputProfile.zero(float(k), k + 1.0), hyper)
+              for k in range(3)]
+    spin = np.array([0, 0, 0, 0, 0, 20.0])
+    turn = exp_map(np.array([0, 0, 0, 0, 0, 3.0]))
+    nodes = [prior.StateNode(0.0, Pose.identity(), np.zeros(6)),
+             prior.StateNode(1.0, Pose.identity(), spin),
+             prior.StateNode(2.0, turn, -spin),
+             prior.StateNode(3.0, Pose.identity(), np.zeros(6))]
+    traj = interpolation.Trajectory(nodes, blocks)
+    # intervals 1 and 2 both leave the chart; the error names interval 1
+    with pytest.raises(IntervalTooLongError,
+                       match=r"interval 1 \[1, 2\] s at t = 1\.5 s"):
+        traj.query_many([2.5, 1.5, 1.7])
+    with pytest.raises(IntervalTooLongError, match=r"interval 2 \[2, 3\] s at t = 2\.5 s"):
+        traj.query(2.5)
+
+
+def test_query_many_matches_per_time_queries(monkeypatch):
+    # chunks of 4 rows: the 11 off-node times span three chains
+    monkeypatch.setattr(interpolation, "CHUNK_ROWS", 4)
+    rng = np.random.default_rng(20)
+    hyper = prior.PriorHyper(rng.uniform(0.2, 2.0, size=6))
+    blocks_list, t = [], 0.0
+    for _ in range(3):
+        blocks, _, _ = build_blocks(rng, n_segments=3, seg_dur=0.2, t0=t)
+        blocks_list.append(prior.IntervalBlocks(blocks.profile, hyper))
+        t = blocks.t1
+    nodes = [random_node(rng)]
+    for blocks in blocks_list:
+        base = prior.prior_mean_propagate(nodes[-1], blocks, blocks.t1)
+        nodes.append(prior.StateNode(base.time,
+                                     exp_map(bounded_twist(rng, 0.2)) @ base.pose,
+                                     base.bias + bounded_twist(rng, 0.2)))
+
+    def spd():
+        m = rng.normal(size=(12, 12)) * 0.1
+        return m @ m.T + 0.05 * np.eye(12)
+
+    covs = np.stack([spd() for _ in nodes])
+    cross = [0.1 * c for c in covs[:-1]]
+    knots = [0.2, 0.4, 0.8, 1.4, 1.6]
+    times = np.array([0.0, 0.6, 1.2, 1.8] + knots + [0.05, 0.33, 0.71, 1.05, 1.77, 0.13])
+    for kw in ({}, {"covariances": covs}, {"covariances": covs, "cross_covariances": cross}):
+        traj = interpolation.Trajectory(nodes, blocks_list, **kw)
+        many = traj.query_many(times, with_covariance=True)
+        for tau, got in zip(times, many):
+            want = traj.query(tau, with_covariance=True)
+            assert got.time == want.time
+            assert np.allclose(got.pose.rotation, want.pose.rotation, rtol=0, atol=1e-12)
+            assert np.allclose(got.pose.translation, want.pose.translation, rtol=0, atol=1e-12)
+            assert np.allclose(got.bias, want.bias, rtol=0, atol=1e-12)
+            assert np.allclose(got.velocity, want.velocity, rtol=0, atol=1e-12)
+            assert got.covariance_is_approximate == want.covariance_is_approximate
+            if "covariances" not in kw:
+                assert got.covariance is None and want.covariance is None
+            else:
+                scale = np.linalg.norm(want.covariance)
+                assert np.linalg.norm(got.covariance - want.covariance) <= 1e-12 * scale
+        approx = [q.covariance_is_approximate for q in many]
+        off_node = [not np.any(np.isclose(tau, [0.0, 0.6, 1.2, 1.8])) for tau in times]
+        want_flag = "covariances" in kw and "cross_covariances" not in kw
+        assert approx == [want_flag and off for off in off_node]
+
+
 def test_trajectory_queries_and_wiring():
     rng = np.random.default_rng(18)
     blocks_a, _, hyper = build_blocks(rng, n_segments=2)

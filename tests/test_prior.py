@@ -304,7 +304,7 @@ def test_prior_mean_propagate_guards_chart():
     profile = inputs.from_samples([0.0, 3.0], np.stack([v, v]))
     blocks = prior.IntervalBlocks(profile, hyper)
     node = prior.StateNode(0.0, Pose.identity(), np.zeros(6))
-    with pytest.raises(IntervalTooLongError):
+    with pytest.raises(IntervalTooLongError, match=r"interval \[0, 3\] s at t = 3 s"):
         prior.prior_mean_propagate(node, blocks, 3.0)
 
 

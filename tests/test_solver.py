@@ -148,6 +148,9 @@ def test_batched_assembly_matches_per_factor_reference():
     tau = blocks_list[3].t0 + 0.11
     landmark = np.array([1.0, -2.0, 0.5])
     dist = lambda n: np.linalg.norm(landmark - n.pose.translation)
+    odometry_mask = np.array([1, 0, 0, 0, 0, 1], dtype=bool)
+    odometry = lambda k, v_in: factors.VelocityFactor(
+        k, truth[k].bias + 0.03, np.diag([1e-2, 2e-2]), odometry_mask, input_velocity=v_in)
     meas = [
         factors.AnchorFactor(0, truth[0].pose, truth[0].bias, 1e-4 * np.eye(6),
                              1e-3 * np.eye(6)),
@@ -170,11 +173,21 @@ def test_batched_assembly_matches_per_factor_reference():
         factors.InterpolatedFactor(
             3, blocks_list[3], tau,
             lambda node: factors.range_factor_error(node, landmark, 2.0, 0.05)),
+        # batched interpolated groups: odometry in intervals 1 and 3, and a
+        # range in interval 3
+        factors.InterpolatedFactor(1, blocks_list[1], blocks_list[1].t0 + 0.07,
+                                   odometry(1, 0.1 * np.ones(6)).evaluate_node),
+        factors.InterpolatedFactor(3, blocks_list[3], tau + 0.1,
+                                   odometry(3, np.zeros(6)).evaluate_node),
+        factors.InterpolatedFactor(
+            3, blocks_list[3], tau - 0.05,
+            factors.RangeFactor(3, landmark, dist(truth[3]) + 0.02, 1e-2).evaluate_node),
         RelativeTranslation(),
     ]
     problem = solver.Problem(truth, prior_factors_for(blocks_list), meas)
     lin = solver._Linearizer(problem)
-    assert len(lin.batches) == 8 and len(lin.others) == 2
+    assert len(lin.batches) == 10 and len(lin.others) == 2
+    assert sum(isinstance(b, factors.InterpolatedBatch) for b in lin.batches) == 2
     nodes = perturbed(rng, truth, 5e-2, 5e-2)
 
     cost, d, e, g = lin.assemble(nodes)
@@ -481,6 +494,12 @@ def test_problem_validation():
 
     with pytest.raises(WiringError):
         solver.Problem(nodes, good, [WideFactor()])
+    # an interpolated factor on interval 0 built from interval 1's blocks
+    odometry = factors.VelocityFactor(0, np.zeros(6), np.eye(6), np.ones(6, dtype=bool))
+    misplaced = factors.InterpolatedFactor(0, blocks_list[1], blocks_list[1].t0 + 0.05,
+                                           odometry.evaluate_node)
+    with pytest.raises(WiringError, match="node times do not match"):
+        solver.solve(solver.Problem(nodes, good, [misplaced]))
     with pytest.raises(HyperparameterError):
         solver.Problem(nodes, good, gauge="fixed")
     with pytest.raises(HyperparameterError):
