@@ -21,7 +21,7 @@ from .errors import CoverageError, DomainError, HyperparameterError
 from .inputs import InputProfile, from_samples
 from .interpolation import Trajectory
 from .liegroup import Pose, exp_map
-from .prior import IntervalBlocks, PriorHyper, StateNode
+from .prior import PriorHyper, StateNode, precompute_intervals
 
 # strain of an undeformed backbone: unit tangent along the body z axis
 STRAIGHT_STRAIN = np.array([0.0, 0.0, 1.0, 0.0, 0.0, 0.0])
@@ -173,7 +173,7 @@ def estimate_shape(rod: RodModel, tendons, measurement_factors,
         raise HyperparameterError("need at least two shape nodes")
     s_nodes = np.linspace(0.0, rod.length, node_count)
     profiles = tensions_to_inputs(rod, tendons, s_nodes)
-    blocks_list = [IntervalBlocks(p, hyper) for p in profiles]
+    blocks_list = precompute_intervals(profiles, hyper)
     nodes = straight_nodes(rod, s_nodes)
 
     if base_strain_covariance is None:

@@ -22,7 +22,8 @@ from .factors import (AnchorFactor, InterpolatedFactor, PlanarLockFactor,
 from .inputs import InputProfile, InputSegment, from_samples
 from .interpolation import CHUNK_ROWS, Trajectory
 from .liegroup import Pose, exp_map, skew, so3_log
-from .prior import IntervalBlocks, PriorHyper, StateNode, prior_mean_propagate
+from .prior import (TIME_TOL, PriorHyper, StateNode, precompute_intervals,
+                    prior_mean_propagate)
 from .scenario import ContinuumScenario, MobileScenario
 from .simulate import MobileTruth, filter_ranges, simulate_mobile, simulate_rod
 from .solver import Problem, SolverSettings, solve
@@ -149,11 +150,9 @@ def build_mobile_problem(truth: MobileTruth, *, method="inputs",
     qc = scenario.qc_inputs if method == "inputs" else scenario.qc_baseline
     hyper = PriorHyper(qc)
     full_profile = from_samples(truth.times, truth.input_velocities)
-    blocks_list = []
-    for t0, t1 in zip(node_times[:-1], node_times[1:]):
-        profile = (full_profile.slice(t0, t1) if method == "inputs"
-                   else InputProfile.zero(t0, t1))
-        blocks_list.append(IntervalBlocks(profile, hyper))
+    blocks_list = precompute_intervals(
+        [full_profile.slice(t0, t1) if method == "inputs" else InputProfile.zero(t0, t1)
+         for t0, t1 in zip(node_times[:-1], node_times[1:])], hyper)
 
     reckoned = _dead_reckon(truth)
     nodes = []
@@ -225,7 +224,7 @@ def run_experiment(scenario: MobileScenario, *, method="inputs", node_policy=Non
             gt = truth.poses[i]
             pos_err[i] = float(np.linalg.norm(gt.translation - q.pose.translation))
             rot_err[i] = _rotation_angle(gt.rotation, q.pose.rotation)
-            if np.min(np.abs(node_times - t)) > 1e-9:
+            if np.min(np.abs(node_times - t)) > TIME_TOL:
                 interpolated += 1
             rows[i] = np.concatenate([[t], _pose_to_columns(gt),
                                       _pose_to_columns(q.pose), q.velocity,
@@ -328,11 +327,11 @@ def reproduce_fig3(variant="velocity", *, query_rate=100.0):
     hyper = PriorHyper(_FIG3_QC)
     node_times = np.round(np.arange(0.0, _FIG3_DURATION + 1e-9,
                                     _FIG3_NODE_SPACING), 12)
+    blocks_list = precompute_intervals(
+        [profile.slice(float(t0), float(t1)) for t0, t1 in zip(node_times[:-1], node_times[1:])],
+        hyper)
     nodes = [StateNode(0.0, Pose.identity(), bias0)]
-    blocks_list = []
-    for t0, t1 in zip(node_times[:-1], node_times[1:]):
-        blocks = IntervalBlocks(profile.slice(float(t0), float(t1)), hyper)
-        blocks_list.append(blocks)
+    for blocks, t1 in zip(blocks_list, node_times[1:]):
         nodes.append(prior_mean_propagate(nodes[-1], blocks, float(t1)))
     priors = [PriorFactor(k, b) for k, b in enumerate(blocks_list)]
     anchor = AnchorFactor(0, Pose.identity(), bias0.copy(),

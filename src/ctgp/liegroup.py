@@ -26,6 +26,10 @@ _BERNOULLI = np.array(
      5.0 / 66, 0.0, -691.0 / 2730, 0.0, 7.0 / 6, 0.0, -3617.0 / 510, 0.0,
      43867.0 / 798, 0.0, -174611.0 / 330]
 )
+# terms of the series for Jinv(xi) v and J(xi) v that _series_dx differentiates
+SERIES_TERMS = len(_BERNOULLI)
+_JINV_SERIES = [_BERNOULLI[n] / float(math.factorial(n)) for n in range(SERIES_TERMS)]
+_J_SERIES = [1.0 / float(math.factorial(n + 1)) for n in range(SERIES_TERMS)]
 
 
 def skew(v):
@@ -257,16 +261,14 @@ def _series_dx(xi, vec, coeffs):
     return out
 
 
-def jinv_vec_dx(xi, vec, n_terms=21):
+def jinv_vec_dx(xi, vec):
     """Exact derivative of left_jacobian_inv(xi) @ vec with respect to xi."""
-    coeffs = [_BERNOULLI[n] / float(math.factorial(n)) for n in range(min(n_terms, len(_BERNOULLI)))]
-    return _series_dx(xi, vec, coeffs)
+    return _series_dx(xi, vec, _JINV_SERIES)
 
 
-def j_vec_dx(xi, vec, n_terms=21):
+def j_vec_dx(xi, vec):
     """Exact derivative of left_jacobian(xi) @ vec with respect to xi."""
-    coeffs = [1.0 / float(math.factorial(n + 1)) for n in range(n_terms)]
-    return _series_dx(xi, vec, coeffs)
+    return _series_dx(xi, vec, _J_SERIES)
 
 
 @dataclass(frozen=True)

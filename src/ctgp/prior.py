@@ -3,13 +3,15 @@
 Between two estimation nodes the state is expressed in local coordinates
 gamma(t) = [xi(t), psi(t)] anchored at the earlier node: xi is the pose's
 local twist and psi the velocity bias mapped through the inverse left
-Jacobian. With piecewise-linear inputs the linearized system matrix is
-linear in time on each segment, A(s) = B + C s. The transition over any
-window of a segment is a product of three uniform steps of the
-sixth-order Blanes-Casas-Ros Magnus scheme, so its error scales as the
-window length to the seventh power and stays below 1e-6 relative on
-0.5 s segments with twist norms up to 2. Process noise enters the bias
-channel only, with power spectral density Qc.
+Jacobian. Process noise enters the bias channel only, with power spectral
+density Qc. With piecewise-linear inputs u(s) = [v(s), a(s)] the
+linearized system matrix is linear in time on each segment, A(s) = B + C s,
+and so is Van Loan's (1978) augmented generator, whose transition has
+the transition Phi, the input integral int Phi(t, s) u(s) ds and the noise
+integral Q as blocks. A transition over any window of a segment is a product of
+three uniform steps of the sixth-order Blanes-Casas-Ros Magnus scheme, so
+its error scales as the window length to the seventh power and stays below
+1e-6 relative on 0.5 s segments with twist norms up to 2.
 
 An IntervalBlocks instance caches everything the factors and the
 interpolation need about one node interval: the full transition, the
@@ -23,7 +25,7 @@ Phi Phi(tau, t0)^-1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -40,14 +42,14 @@ _PADE13_B = np.array([
     1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
     33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
 ])
-# 5-point Gauss-Legendre on [-1, 1]; exact for polynomial integrands to degree 9.
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(5)
 # Uniform sixth-order Magnus steps per transition window. A fixed count keeps
 # the error scaling as the seventh power of the window length. On 0.5 s
 # segments with twist norms up to 2 the worst error against dense RK4 is
 # 5.7e-5 with one step, 8.9e-7 with two and 7.8e-8 with three, against a
 # 1e-6 contract.
 _MAGNUS_SUBSTEPS = 3
+# two times closer than this are the same node time
+TIME_TOL = 1e-9
 
 
 def expm_ss(A):
@@ -83,6 +85,7 @@ class PriorHyper:
     """Power spectral density of the bias-channel white noise, 6x6 SPD."""
 
     qc: np.ndarray
+    qc_inv: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         qc = np.atleast_1d(np.asarray(self.qc, dtype=float))
@@ -97,10 +100,7 @@ class PriorHyper:
         except np.linalg.LinAlgError:
             raise HyperparameterError("Qc must be positive definite") from None
         object.__setattr__(self, "qc", qc)
-
-    @property
-    def qc_inv(self):
-        return np.linalg.inv(self.qc)
+        object.__setattr__(self, "qc_inv", np.linalg.inv(qc))
 
 
 @dataclass(frozen=True)
@@ -146,15 +146,11 @@ class NodeArrays(NamedTuple):
 
 @dataclass(frozen=True)
 class SegmentCoeffs:
-    """A(s) = b + c s on one input segment, s local in [0, duration]."""
+    """Generator linear on one input segment, b + c s with s local in [0, duration]."""
 
     b: np.ndarray
     c: np.ndarray
     duration: float
-    v0: np.ndarray
-    dv: np.ndarray
-    a0: np.ndarray
-    da: np.ndarray
 
 
 def system_matrix_coeffs(segment: InputSegment) -> SegmentCoeffs:
@@ -174,7 +170,7 @@ def system_matrix_coeffs(segment: InputSegment) -> SegmentCoeffs:
     b = _assemble(segment.v0, segment.a0)
     c = _assemble(dv, da)
     c[:6, 6:] = 0.0
-    return SegmentCoeffs(b, c, dt, segment.v0.copy(), dv, segment.a0.copy(), da)
+    return SegmentCoeffs(b, c, dt)
 
 
 def _magnus_argument(coeffs: SegmentCoeffs, ta, tb):
@@ -275,13 +271,21 @@ class QueryBlocks:
     input_tau: np.ndarray
 
 
+def _compose(earlier, later):
+    """(Phi, input integral, Q) over two consecutive windows, from each window's triple."""
+    phi_1, inp_1, q_1 = earlier
+    phi_2, inp_2, q_2 = later
+    return phi_2 @ phi_1, phi_2 @ inp_1 + inp_2, phi_2 @ q_1 @ phi_2.T + q_2
+
+
 class IntervalBlocks:
     """Precomputed prior quantities for one node interval.
 
-    Construction walks the interval's input segments once; queries reuse
-    the partial products cached at the interior knots. Identically zero
-    profiles use the closed forms unless force_general is set (the general
-    route is then exercised, which the fallback-equivalence tests rely on).
+    Construction composes the (transition, input integral, noise integral)
+    triples of the interval's segments once; queries reuse the partial
+    products cached at the interior knots. Identically zero profiles use the
+    closed forms unless force_general is set (the general route is then
+    exercised, which the fallback-equivalence tests rely on).
     """
 
     def __init__(self, profile: InputProfile, hyper: PriorHyper, *, force_general: bool = False):
@@ -307,46 +311,38 @@ class IntervalBlocks:
         prefix = np.empty((n - 1, 12, 12))
         i_acc = np.empty((n - 1, 12))
         q_acc = np.empty((n - 1, 12, 12))
-        phi, inp, q = np.eye(12), np.zeros(12), np.zeros((12, 12))
+        acc = np.eye(12), np.zeros(12), np.zeros((12, 12))
         for i, seg in enumerate(segs):
-            co = system_matrix_coeffs(seg)
-            phi_n, j_n, l_n = self._segment_pieces(co, co.duration)
-            phi = phi_n @ phi
-            inp = phi_n @ inp + j_n
-            q = phi_n @ q @ phi_n.T + l_n
+            acc = _compose(acc, self._segment_pieces(seg, seg.duration))
             if i < n - 1:
-                prefix[i], i_acc[i], q_acc[i] = phi, inp, q
+                prefix[i], i_acc[i], q_acc[i] = acc
 
         self._prefix, self._i_acc, self._q_acc = prefix, i_acc, q_acc
-        self.phi = phi
+        self.phi, self.input_full, q = acc
         self.q_full = 0.5 * (q + q.T)
         self.q_full_inv = np.linalg.inv(self.q_full)
-        self.input_full = inp
 
-    def _segment_pieces(self, co: SegmentCoeffs, upto: float):
+    def _segment_pieces(self, seg: InputSegment, upto: float):
         """Transition, input integral, and noise integral over [0, upto] of one segment.
 
-        Quadrature windows are composed from knot-anchored transitions,
-        phi(upto, s) = phi(upto, 0) phi(s, 0)^-1, so that splitting an
-        integral at any interior time stays exact rather than accumulating
-        independent truncation residuals per window.
+        All three are blocks of the transition X(upto, 0) of Van Loan's 25x25
+        generator M(s) = [[A(s), L Qc L^T, u(s)], [0, -A(s)^T, 0], [0, 0, 0]],
+        L picking the bias rows: Phi = X11, the input integral is X13 and
+        Q = X12 X11^T. M(s) is linear in s, so _transitions integrates it.
         """
-        half = upto / 2.0
-        s_nodes = half * (_GL_X + 1.0)
-        mats = _transitions(co, 0.0, np.concatenate([s_nodes, [upto]]))
-        phi = mats[5]
-        phi_s = phi @ np.linalg.inv(mats[:5])
-        u = np.concatenate(
-            [co.v0 + np.outer(s_nodes, co.dv), co.a0 + np.outer(s_nodes, co.da)], axis=1
-        )
-        j = half * np.einsum("k,kij,kj->i", _GL_W, phi_s, u)
-        g = phi_s[:, :, 6:]
-        l = half * np.einsum("k,kij,jl,kml->im", _GL_W, g, self.hyper.qc, g)
-        return phi, j, l
+        co = system_matrix_coeffs(seg)
+        b = np.zeros((25, 25))
+        c = np.zeros((25, 25))
+        b[:12, :12], c[:12, :12] = co.b, co.c
+        b[12:24, 12:24], c[12:24, 12:24] = -co.b.T, -co.c.T
+        b[6:12, 18:24] = self.hyper.qc
+        b[:12, 24] = np.concatenate([seg.v0, seg.a0])
+        c[:12, 24] = np.concatenate([seg.v1 - seg.v0, seg.a1 - seg.a0]) / seg.duration
+        x = _transitions(SegmentCoeffs(b, c, seg.duration), 0.0, upto)
+        phi = x[:12, :12]
+        return phi, x[:12, 24], x[:12, 12:24] @ phi.T
 
     def _locate(self, tau: float) -> int:
-        if not (self.t0 - 1e-9 <= tau <= self.t1 + 1e-9):
-            raise DomainError(f"query time {tau} outside interval [{self.t0}, {self.t1}]")
         idx = int(np.searchsorted(self._knots, tau, side="right")) - 1
         return min(max(idx, 0), len(self._knots) - 2)
 
@@ -360,9 +356,9 @@ class IntervalBlocks:
 
     def at(self, tau: float) -> QueryBlocks:
         """Blocks for a query time in [t0, t1]."""
+        if not (self.t0 - TIME_TOL <= tau <= self.t1 + TIME_TOL):
+            raise DomainError(f"query time {tau} outside interval [{self.t0}, {self.t1}]")
         if self.closed_form:
-            if not (self.t0 - 1e-9 <= tau <= self.t1 + 1e-9):
-                raise DomainError(f"query time {tau} outside interval [{self.t0}, {self.t1}]")
             return QueryBlocks(tau, wnoa_phi(tau - self.t0), wnoa_phi(self.t1 - tau),
                                wnoa_q(tau - self.t0, self.hyper.qc), np.zeros(12))
 
@@ -372,27 +368,20 @@ class IntervalBlocks:
         if local <= 1e-12 or seg.duration - local <= 1e-12:
             phi_from_start, input_tau, q_tau = self._knot(m if local <= 1e-12 else m + 1)
         else:
-            phi_part, j_part, l_part = self._segment_pieces(system_matrix_coeffs(seg), local)
-            prefix, i_acc, q_acc = self._knot(m)
-            phi_from_start = phi_part @ prefix
-            input_tau = phi_part @ i_acc + j_part
-            q_tau = phi_part @ q_acc @ phi_part.T + l_part
+            phi_from_start, input_tau, q_tau = _compose(self._knot(m),
+                                                        self._segment_pieces(seg, local))
         phi_to_end = self.phi @ np.linalg.inv(phi_from_start)
         return QueryBlocks(tau, phi_from_start.copy(), phi_to_end,
                            0.5 * (q_tau + q_tau.T), input_tau.copy())
 
 
-def precompute_intervals(profiles, hyper: PriorHyper, *, force_general: bool = False):
+def precompute_intervals(profiles, hyper: PriorHyper):
     """IntervalBlocks for each per-interval profile, in order."""
-    blocks = [IntervalBlocks(p, hyper, force_general=force_general) for p in profiles]
+    blocks = [IntervalBlocks(p, hyper) for p in profiles]
     for prev, nxt in zip(blocks, blocks[1:]):
-        if abs(prev.t1 - nxt.t0) > 1e-9:
+        if abs(prev.t1 - nxt.t0) > TIME_TOL:
             raise DegenerateInputError("interval profiles must be contiguous")
     return blocks
-
-
-# two times closer than this are the same node time
-TIME_TOL = 1e-9
 
 
 def check_interval_times(times, t0, t1, intervals=None):

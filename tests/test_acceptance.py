@@ -170,7 +170,7 @@ def test_03_zero_input_blocks_match_constant_velocity_forms():
         start, dt = rng.uniform(0, 2), rng.uniform(0.2, 1.5)
         qc = np.diag(rng.uniform(0.2, 2.0, size=6))
         hyper = prior.PriorHyper(np.diag(qc))
-        # both the closed-form route and the general quadrature route
+        # both the closed-form route and the general route
         for force in (False, True):
             blocks = prior.IntervalBlocks(InputProfile.zero(start, start + dt),
                                           hyper, force_general=force)

@@ -239,6 +239,56 @@ def test_accumulated_q_matches_adaptive_quadrature_oracle():
     assert np.allclose(blocks.q_full_inv @ ours, np.eye(12), atol=1e-8)
 
 
+def rk4_augmented(segs, qc):
+    """Dense RK4 of X' = M(s) X for each segment's 25x25 augmented generator,
+    vectorized over the segments: all take the same step count, so each its
+    own step h <= 1e-4.
+    """
+    n = len(segs)
+    m_b = np.zeros((n, 25, 25))
+    m_c = np.zeros((n, 25, 25))
+    for k, seg in enumerate(segs):
+        co = prior.system_matrix_coeffs(seg)
+        m_b[k, :12, :12], m_c[k, :12, :12] = co.b, co.c
+        m_b[k, 12:24, 12:24], m_c[k, 12:24, 12:24] = -co.b.T, -co.c.T
+        m_b[k, 6:12, 18:24] = qc
+        m_b[k, :12, 24] = np.concatenate([seg.v0, seg.a0])
+        m_c[k, :12, 24] = np.concatenate([seg.v1 - seg.v0, seg.a1 - seg.a0]) / seg.duration
+    durations = np.array([seg.duration for seg in segs])
+    n_steps = int(np.ceil(durations.max() / 1e-4))
+    h = (durations / n_steps)[:, None, None]
+    x = np.broadcast_to(np.eye(25), (n, 25, 25)).copy()
+    for i in range(n_steps):
+        m0 = m_b + m_c * (i * h)
+        mh = m_b + m_c * ((i + 0.5) * h)
+        m1 = m_b + m_c * ((i + 1) * h)
+        k1 = m0 @ x
+        k2 = mh @ (x + h / 2 * k1)
+        k3 = mh @ (x + h / 2 * k2)
+        k4 = m1 @ (x + h * k3)
+        x = x + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    return x
+
+
+def test_segment_integrals_match_augmented_rk4_at_segment_cap():
+    # the 1e-6 RK4 contract for the input and noise integrals up to the 0.5 s
+    # segment cap, where the quadrature-oracle tests above do not reach
+    rng = np.random.default_rng(10)
+    segs = [random_segment(rng, scale=2.0) for _ in range(8)]
+    root = rng.normal(scale=0.6, size=(6, 6))
+    hyper = prior.PriorHyper(root @ root.T + 0.2 * np.eye(6))
+    oracle = rk4_augmented(segs, hyper.qc)
+
+    def rel(ours, ref):
+        return np.linalg.norm(ours - ref) / np.linalg.norm(ref)
+
+    for seg, x in zip(segs, oracle):
+        blocks = prior.IntervalBlocks(inputs.InputProfile((seg,)), hyper)
+        assert rel(blocks.phi, x[:12, :12]) < 1e-6
+        assert rel(blocks.input_full, x[:12, 24]) < 1e-6
+        assert rel(blocks.q_full, x[:12, 12:24] @ x[:12, :12].T) < 1e-6
+
+
 def test_zero_input_general_route_reproduces_closed_forms():
     hyper = prior.PriorHyper(np.array([0.3, 0.3, 0.3, 0.1, 0.1, 0.1]))
     profile = inputs.from_samples([0.0, 0.5, 1.0], np.zeros((3, 6)))
