@@ -85,10 +85,12 @@ def cmd_estimate(args):
     write_trajectory_csv(os.path.join(out, "trajectory.csv"), result.rows)
     write_metrics_csv(os.path.join(out, "metrics.csv"), [result.metrics])
     m = result.metrics
+    sol = result.solution
     print(f"{m.scenario} method={m.method} nodes={m.node_policy} "
           f"dt_landmark={m.dt_landmark:g}: position rmse {m.position_rmse:.4f} m, "
           f"rotation rmse {m.rotation_rmse:.4f} rad, "
           f"{m.node_count} states, solve {m.solve_time:.2f} s, "
+          f"start={sol.start} ({sol.coarse_iterations} + {sol.iterations} iterations), "
           f"converged={m.converged}")
     return 0 if m.converged else 1
 

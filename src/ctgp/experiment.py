@@ -5,6 +5,15 @@ stream drives the motion prior as piecewise-linear velocity inputs; with
 method="wnoa" the prior carries no inputs and the stream is attached as
 masked velocity measurements instead, interpolated into the bracketing
 nodes when a reading falls between estimation times.
+
+Dead reckoning ignores the anchor and the ranges, so a dense inputs problem
+started from it can take dozens of iterations. With inputs, nodes 5 s apart
+already give a few-centimetre estimate, and GP interpolation recovers the
+state at any time from its two bracketing nodes. So build_mobile_problem
+attaches to a dense inputs problem the meas-only problem at a coarse
+spacing (see there for the rule), with intervals composed from the dense
+ones, and solve starts the dense nodes from its interpolated solution,
+falling back to dead reckoning when the coarse solve fails.
 """
 
 from __future__ import annotations
@@ -22,8 +31,8 @@ from .factors import (AnchorFactor, InterpolatedFactor, PlanarLockFactor,
 from .inputs import InputProfile, InputSegment, from_samples
 from .interpolation import CHUNK_ROWS, Trajectory
 from .liegroup import Pose, exp_map, skew, so3_log
-from .prior import (TIME_TOL, PriorHyper, StateNode, precompute_intervals,
-                    prior_mean_propagate)
+from .prior import (TIME_TOL, IntervalBlocks, PriorHyper, StateNode,
+                    precompute_intervals, prior_mean_propagate)
 from .scenario import ContinuumScenario, MobileScenario
 from .simulate import MobileTruth, filter_ranges, simulate_mobile, simulate_rod
 from .solver import Problem, SolverSettings, solve
@@ -32,6 +41,14 @@ from .solver import Problem, SolverSettings, solve
 ODOMETRY_MASK = np.array([True, False, False, False, False, True])
 
 _TIME_TOL = 1e-6
+# the source paper's node spacing; the coarse start's spacing is at most this
+COARSE_SPACING_MAX = 5.0
+# Largest rotation of a coarse interval's input integral: half the local
+# chart's range, since the bias the inputs do not know of also turns the
+# robot. On a 30 s run with 5 s intervals of up to 3.08 rad, 4 of 20 coarse
+# solves settled in a wrong minimum; 2 s intervals (up to 1.4 rad) gave the
+# dense optimum in all 20.
+COARSE_ROTATION_MAX = 0.5 * np.pi
 _SIGMA_FLOOR = 1e-6
 
 TRAJECTORY_COLUMNS = (
@@ -118,10 +135,81 @@ def _anchor(scenario: MobileScenario, bias_measured):
                         pose_cov, bias_cov)
 
 
+def _fixed_factors(truth: MobileTruth, node_times, dt_landmark, measured_bias):
+    """The anchor, the ranges kept at dt_landmark, and the planar locks of one node grid."""
+    scenario = truth.scenario
+    node_dt = node_times[1] - node_times[0]
+    meas = [_anchor(scenario, measured_bias)]
+    for s in filter_ranges(truth.ranges, dt_landmark):
+        idx = int(round(s.time / node_dt))
+        if abs(node_times[idx] - s.time) > _TIME_TOL:
+            raise ScenarioError(f"range sample at {s.time} s is off the node grid")
+        meas.append(RangeFactor(idx, scenario.landmarks[s.landmark_index],
+                                s.value, scenario.range_schedule.variance))
+    if scenario.planar and scenario.planar_lock_mode != "none":
+        bias_only = scenario.planar_lock_mode == "bias"
+        meas.extend(PlanarLockFactor(k, scenario.planar_lock_information, bias_only=bias_only)
+                    for k in range(len(node_times)))
+    return meas
+
+
+def _coarse_problem(truth: MobileTruth, blocks_list, stride, dt_landmark, reckoned,
+                    settings):
+    """The meas-only inputs problem at the coarse spacing, or None.
+
+    The spacing is the largest multiple of dt_landmark up to
+    COARSE_SPACING_MAX that divides the run, is a coarser multiple of the
+    node grid, and keeps the rotation part of every composed interval's
+    input integral below COARSE_ROTATION_MAX. The coarse intervals are
+    composed from the dense ones.
+    """
+    tick = truth.scenario.tick
+    ticks = len(truth.times) - 1
+    for m in range(int(COARSE_SPACING_MAX / dt_landmark + 1e-9), 0, -1):
+        spacing = m * dt_landmark
+        coarse_stride = int(round(spacing / tick))
+        if coarse_stride <= stride:
+            return None
+        if coarse_stride % stride or ticks % coarse_stride:
+            continue
+        blocks = _composed(blocks_list, coarse_stride // stride)
+        if blocks is None:
+            continue
+        node_times = truth.times[::coarse_stride]
+        nodes = [StateNode(float(t), reckoned[k * coarse_stride], np.zeros(6))
+                 for k, t in enumerate(node_times)]
+        return Problem(nodes, [PriorFactor(k, b) for k, b in enumerate(blocks)],
+                       _fixed_factors(truth, node_times, spacing, np.zeros(6)),
+                       settings=settings, gauge="auto")
+    return None
+
+
+def _composed(blocks_list, ratio):
+    """The intervals composed ratio at a time, or None once one turns too far."""
+    out = []
+    for i in range(0, len(blocks_list), ratio):
+        out.append(IntervalBlocks.compose(blocks_list[i:i + ratio]))
+        if np.linalg.norm(out[-1].input_full[3:6]) >= COARSE_ROTATION_MAX:
+            return None
+    return out
+
+
 def build_mobile_problem(truth: MobileTruth, *, method="inputs",
                          node_policy=None, dt_landmark=None,
                          settings: SolverSettings | None = None):
-    """Factor graph for one run. Returns (problem, blocks list, node times)."""
+    """Factor graph for one run. Returns (problem, blocks list, node times).
+
+    The nodes start at dead reckoning. With method="inputs" and a node grid
+    finer than the coarse spacing, the problem also carries a coarse problem
+    (Problem.coarse) whose solution solve uses as the start instead. It is
+    the meas-only problem (anchor, ranges and planar locks) at the largest
+    multiple of dt_landmark up to COARSE_SPACING_MAX (5 s) that divides the
+    run, is a coarser multiple of the node grid, and keeps the rotation of
+    every coarse interval's input integral below COARSE_ROTATION_MAX (pi/2).
+    Its intervals are composed from this problem's (IntervalBlocks.compose),
+    not built again. When no spacing qualifies there is no coarse problem;
+    when the coarse solve fails, solve falls back to dead reckoning.
+    """
     scenario = truth.scenario
     if method not in ("inputs", "wnoa"):
         raise ScenarioError(f"method: expected 'inputs' or 'wnoa', got {method!r}")
@@ -145,7 +233,6 @@ def build_mobile_problem(truth: MobileTruth, *, method="inputs",
         if (len(truth.times) - 1) % stride != 0:
             raise ScenarioError("dt_landmark: must divide the scenario duration")
     node_times = truth.times[::stride]
-    node_dt = node_times[1] - node_times[0]
 
     qc = scenario.qc_inputs if method == "inputs" else scenario.qc_baseline
     hyper = PriorHyper(qc)
@@ -164,20 +251,7 @@ def build_mobile_problem(truth: MobileTruth, *, method="inputs",
 
     measured_bias = (np.zeros(6) if method == "inputs"
                      else truth.input_velocities[0] * ODOMETRY_MASK)
-    meas = [_anchor(scenario, measured_bias)]
-
-    for s in filter_ranges(truth.ranges, dt_landmark):
-        idx = int(round(s.time / node_dt))
-        if abs(node_times[idx] - s.time) > _TIME_TOL:
-            raise ScenarioError(f"range sample at {s.time} s is off the node grid")
-        meas.append(RangeFactor(idx, scenario.landmarks[s.landmark_index],
-                                s.value, scenario.range_schedule.variance))
-
-    if scenario.planar and scenario.planar_lock_mode != "none":
-        bias_only = scenario.planar_lock_mode == "bias"
-        for k in range(len(nodes)):
-            meas.append(PlanarLockFactor(k, scenario.planar_lock_information,
-                                         bias_only=bias_only))
+    meas = _fixed_factors(truth, node_times, dt_landmark, measured_bias)
 
     if method == "wnoa":
         odo_cov = np.diag(scenario.odometry_variance)
@@ -192,7 +266,10 @@ def build_mobile_problem(truth: MobileTruth, *, method="inputs",
                 meas.append(InterpolatedFactor(k, blocks_list[k], float(t),
                                                odometry.evaluate_node))
 
-    problem = Problem(nodes, prior_factors, meas, settings=settings, gauge="auto")
+    coarse = (_coarse_problem(truth, blocks_list, stride, dt_landmark, reckoned, settings)
+              if method == "inputs" else None)
+    problem = Problem(nodes, prior_factors, meas, settings=settings, gauge="auto",
+                      coarse=coarse)
     return problem, blocks_list, node_times
 
 

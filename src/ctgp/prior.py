@@ -20,7 +20,9 @@ partial products from the interval start to each interior input knot, so a
 mid-interval query integrates only within its own segment. The ends need
 no storage: at t0 the products are the identity and zero, at t1 they are
 the full ones. The transition from a query time to t1 is
-Phi Phi(tau, t0)^-1.
+Phi Phi(tau, t0)^-1. IntervalBlocks.compose joins consecutive intervals
+into one from these stored products, so a coarser node grid over the same
+inputs needs no second integration.
 """
 
 from __future__ import annotations
@@ -36,6 +38,17 @@ from .inputs import InputProfile, InputSegment
 from .liegroup import (Pose, curlywedge, exp_map, jinv_vec_dx, left_jacobian,
                        left_jacobian_inv, se3_adjoint, se3_log)
 
+# Higham (2005): the largest 1-norm at which the [m/m] Pade approximant,
+# unscaled, has a backward error below double-precision unit roundoff
+_PADE_THETA = ((3, 1.495585217958292e-2), (5, 2.539398330063230e-1),
+               (7, 9.504178996162932e-1), (9, 2.097847961257068e0))
+_PADE_B = {
+    3: (120.0, 60.0, 12.0, 1.0),
+    5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
+    7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
+    9: (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
+        2162160.0, 110880.0, 3960.0, 90.0, 1.0),
+}
 _PADE13_THETA = 5.371920351148152
 _PADE13_B = np.array([
     64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
@@ -53,27 +66,39 @@ TIME_TOL = 1e-9
 
 
 def expm_ss(A):
-    """Matrix exponential by scaling-and-squaring with a [13/13] Pade kernel.
+    """Matrix exponential by Higham's (2005) scaling and squaring.
 
-    Accepts a single (n, n) matrix or a stacked (..., n, n) batch; the batch
-    shares one scaling power chosen from its largest 1-norm.
+    Accepts a single (n, n) matrix or a stacked (..., n, n) batch. The batch
+    shares one Pade degree, the lowest of 3, 5, 7, 9 and 13 whose theta
+    bounds its largest 1-norm, and is scaled by a power of two only above
+    theta_13.
     """
     A = np.asarray(A, dtype=float)
     single = A.ndim == 2
     if single:
         A = A[None]
     norm = np.max(np.sum(np.abs(A), axis=-2))
-    s = max(0, int(np.ceil(np.log2(norm / _PADE13_THETA)))) if norm > _PADE13_THETA else 0
-    As = A / (2.0 ** s)
     eye = np.broadcast_to(np.eye(A.shape[-1]), A.shape)
-    b = _PADE13_B
-    A2 = As @ As
-    A4 = A2 @ A2
-    A6 = A2 @ A4
-    U = As @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
-              + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * eye)
-    V = (A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
-         + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * eye)
+    degree = next((m for m, theta in _PADE_THETA if norm <= theta), 13)
+    s = 0
+    if degree < 13:
+        b = _PADE_B[degree]
+        even = [eye, A @ A]  # I, A^2, A^4, ...
+        while len(even) <= degree // 2:
+            even.append(even[-1] @ even[1])
+        U = A @ sum(b[2 * i + 1] * p for i, p in enumerate(even))
+        V = sum(b[2 * i] * p for i, p in enumerate(even))
+    else:
+        s = max(0, int(np.ceil(np.log2(norm / _PADE13_THETA))))
+        As = A / (2.0 ** s)
+        b = _PADE13_B
+        A2 = As @ As
+        A4 = A2 @ A2
+        A6 = A2 @ A4
+        U = As @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
+                  + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * eye)
+        V = (A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
+             + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * eye)
     F = np.linalg.solve(V - U, V + U)
     for _ in range(s):
         F = F @ F
@@ -278,6 +303,27 @@ def _compose(earlier, later):
     return phi_2 @ phi_1, phi_2 @ inp_1 + inp_2, phi_2 @ q_1 @ phi_2.T + q_2
 
 
+def _segment_pieces(seg: InputSegment, upto: float, hyper: PriorHyper):
+    """Transition, input integral, and noise integral over [0, upto] of one segment.
+
+    All three are blocks of the transition X(upto, 0) of Van Loan's 25x25
+    generator M(s) = [[A(s), L Qc L^T, u(s)], [0, -A(s)^T, 0], [0, 0, 0]],
+    L picking the bias rows: Phi = X11, the input integral is X13 and
+    Q = X12 X11^T. M(s) is linear in s, so _transitions integrates it.
+    """
+    co = system_matrix_coeffs(seg)
+    b = np.zeros((25, 25))
+    c = np.zeros((25, 25))
+    b[:12, :12], c[:12, :12] = co.b, co.c
+    b[12:24, 12:24], c[12:24, 12:24] = -co.b.T, -co.c.T
+    b[6:12, 18:24] = hyper.qc
+    b[:12, 24] = np.concatenate([seg.v0, seg.a0])
+    c[:12, 24] = np.concatenate([seg.v1 - seg.v0, seg.a1 - seg.a0]) / seg.duration
+    x = _transitions(SegmentCoeffs(b, c, seg.duration), 0.0, upto)
+    phi = x[:12, :12]
+    return phi, x[:12, 24], x[:12, 12:24] @ phi.T
+
+
 class IntervalBlocks:
     """Precomputed prior quantities for one node interval.
 
@@ -285,16 +331,61 @@ class IntervalBlocks:
     triples of the interval's segments once; queries reuse the partial
     products cached at the interior knots. Identically zero profiles use the
     closed forms unless force_general is set (the general route is then
-    exercised, which the fallback-equivalence tests rely on).
+    exercised, which the fallback-equivalence tests rely on). compose builds
+    one interval from consecutive ones without integrating again.
     """
 
     def __init__(self, profile: InputProfile, hyper: PriorHyper, *, force_general: bool = False):
+        if profile.is_zero() and not force_general:
+            self._store(profile, hyper, None)
+            return
+        triples = []
+        acc = np.eye(12), np.zeros(12), np.zeros((12, 12))
+        for seg in profile.segments:
+            acc = _compose(acc, _segment_pieces(seg, seg.duration, hyper))
+            triples.append(acc)
+        self._store(profile, hyper, triples)
+
+    @classmethod
+    def compose(cls, fine_blocks) -> "IntervalBlocks":
+        """One interval over consecutive fine ones, from their stored triples.
+
+        The coarse triple is the fine ones composed in time order with
+        _compose. Every fine knot, the fine intervals' ends included, stays a
+        knot of the result, so at() at any of them is a lookup. Zero-input
+        intervals compose to the closed form over the whole span.
+        """
+        fine = list(fine_blocks)
+        if not fine:
+            raise WiringError("compose needs at least one interval")
+        hyper = fine[0].hyper
+        if any(not np.array_equal(b.hyper.qc, hyper.qc) for b in fine):
+            raise HyperparameterError("composed intervals must share one Qc")
+        for prev, nxt in zip(fine, fine[1:]):
+            if abs(prev.t1 - nxt.t0) > TIME_TOL:
+                raise DegenerateInputError("interval profiles must be contiguous")
+        # each segment was checked against its limit when its interval was built
+        profile = InputProfile(tuple(s for b in fine for s in b.profile.segments),
+                               max_segment_duration=None)
+        out = cls.__new__(cls)
+        if all(b.closed_form for b in fine):
+            out._store(profile, hyper, None)
+            return out
+        triples = []
+        acc = np.eye(12), np.zeros(12), np.zeros((12, 12))
+        for b in fine:
+            triples.extend([_compose(acc, t) for t in b._knot_triples()])
+            acc = triples[-1]
+        out._store(profile, hyper, triples)
+        return out
+
+    def _store(self, profile: InputProfile, hyper: PriorHyper, triples):
+        """Keep the triples from t0 to each segment end; None keeps the closed form."""
         self.profile = profile
         self.hyper = hyper
         self.t0 = profile.start
         self.t1 = profile.end
-        self.closed_form = profile.is_zero() and not force_general
-
+        self.closed_form = triples is None
         if self.closed_form:
             dt = self.t1 - self.t0
             self.phi = wnoa_phi(dt)
@@ -302,45 +393,25 @@ class IntervalBlocks:
             self.q_full_inv = wnoa_q_inv(dt, hyper.qc_inv)
             self.input_full = np.zeros(12)
             return
-
         segs = profile.segments
         self._knots = np.array([s.t0 for s in segs] + [segs[-1].t1])
-
         # per-knot products from t0, kept at the interior knots only
         n = len(segs)
-        prefix = np.empty((n - 1, 12, 12))
-        i_acc = np.empty((n - 1, 12))
-        q_acc = np.empty((n - 1, 12, 12))
-        acc = np.eye(12), np.zeros(12), np.zeros((12, 12))
-        for i, seg in enumerate(segs):
-            acc = _compose(acc, self._segment_pieces(seg, seg.duration))
-            if i < n - 1:
-                prefix[i], i_acc[i], q_acc[i] = acc
-
-        self._prefix, self._i_acc, self._q_acc = prefix, i_acc, q_acc
-        self.phi, self.input_full, q = acc
+        self._prefix = np.empty((n - 1, 12, 12))
+        self._i_acc = np.empty((n - 1, 12))
+        self._q_acc = np.empty((n - 1, 12, 12))
+        for i, (phi, inp, q) in enumerate(triples[:-1]):
+            self._prefix[i], self._i_acc[i], self._q_acc[i] = phi, inp, q
+        self.phi, self.input_full, q = triples[-1]
         self.q_full = 0.5 * (q + q.T)
         self.q_full_inv = np.linalg.inv(self.q_full)
 
-    def _segment_pieces(self, seg: InputSegment, upto: float):
-        """Transition, input integral, and noise integral over [0, upto] of one segment.
-
-        All three are blocks of the transition X(upto, 0) of Van Loan's 25x25
-        generator M(s) = [[A(s), L Qc L^T, u(s)], [0, -A(s)^T, 0], [0, 0, 0]],
-        L picking the bias rows: Phi = X11, the input integral is X13 and
-        Q = X12 X11^T. M(s) is linear in s, so _transitions integrates it.
-        """
-        co = system_matrix_coeffs(seg)
-        b = np.zeros((25, 25))
-        c = np.zeros((25, 25))
-        b[:12, :12], c[:12, :12] = co.b, co.c
-        b[12:24, 12:24], c[12:24, 12:24] = -co.b.T, -co.c.T
-        b[6:12, 18:24] = self.hyper.qc
-        b[:12, 24] = np.concatenate([seg.v0, seg.a0])
-        c[:12, 24] = np.concatenate([seg.v1 - seg.v0, seg.a1 - seg.a0]) / seg.duration
-        x = _transitions(SegmentCoeffs(b, c, seg.duration), 0.0, upto)
-        phi = x[:12, :12]
-        return phi, x[:12, 24], x[:12, 12:24] @ phi.T
+    def _knot_triples(self):
+        """The triples from t0 to each segment end, in order."""
+        if self.closed_form:
+            return [(wnoa_phi(s.t1 - self.t0), np.zeros(12), wnoa_q(s.t1 - self.t0, self.hyper.qc))
+                    for s in self.profile.segments]
+        return [self._knot(m) for m in range(1, len(self._knots))]
 
     def _locate(self, tau: float) -> int:
         idx = int(np.searchsorted(self._knots, tau, side="right")) - 1
@@ -369,7 +440,7 @@ class IntervalBlocks:
             phi_from_start, input_tau, q_tau = self._knot(m if local <= 1e-12 else m + 1)
         else:
             phi_from_start, input_tau, q_tau = _compose(self._knot(m),
-                                                        self._segment_pieces(seg, local))
+                                                        _segment_pieces(seg, local, self.hyper))
         phi_to_end = self.phi @ np.linalg.inv(phi_from_start)
         return QueryBlocks(tau, phi_from_start.copy(), phi_to_end,
                            0.5 * (q_tau + q_tau.T), input_tau.copy())

@@ -19,6 +19,14 @@ or a custom two-node factor, are evaluated one by one. The block LDL^T
 sweep stores the inverse pivot blocks S_i^-1, one inverse per block, so the
 forward-backward solve and the Takahashi recursion for the posterior
 covariance blocks are plain products.
+
+Coarse-to-fine start: a problem may carry a coarse problem over the same
+span with fewer nodes (Problem.coarse). solve runs it first through the
+same iterations, without the final factorization and covariances, and
+queries its trajectory at the dense node times for the dense start. When
+the coarse solve raises, does not converge, or a query leaves the local
+chart, the dense solve starts from the given nodes instead, exactly as
+without a coarse problem. Solution.start records which start was used.
 """
 
 from __future__ import annotations
@@ -30,8 +38,9 @@ import numpy as np
 from . import factors as _factors
 from .errors import (EstimationError, GaugeFreedomError, HyperparameterError,
                      WiringError)
+from .interpolation import Trajectory
 from .liegroup import Pose, se3_exp, so3_project
-from .prior import NodeArrays, StateNode, check_interval_times, interval_chart
+from .prior import TIME_TOL, NodeArrays, StateNode, check_interval_times, interval_chart
 
 _ABSOLUTE_FACTORS = (_factors.RangeFactor, _factors.PoseFactor,
                      _factors.PositionFactor, _factors.AnchorFactor,
@@ -59,7 +68,13 @@ class SolverSettings:
 
 @dataclass(frozen=True)
 class Solution:
-    """Posterior means, covariance blocks, and solve diagnostics."""
+    """Posterior means, covariance blocks, and solve diagnostics.
+
+    iterations and cost_history belong to the solve of the given problem.
+    start is "coarse" when its nodes were seeded from the coarse problem's
+    solution, "given" when the solve began at problem.nodes;
+    coarse_iterations counts the coarse solve's iterations, 0 without one.
+    """
 
     nodes: tuple
     node_covariances: np.ndarray  # (K, 12, 12)
@@ -67,6 +82,8 @@ class Solution:
     cost_history: tuple
     converged: bool
     iterations: int
+    start: str = "given"
+    coarse_iterations: int = 0
 
 
 class Problem:
@@ -75,11 +92,13 @@ class Problem:
     gauge: "auto" adds a tight anchor on the first node when no factor
     carries absolute information, "fix-first" always adds it, "none" trusts
     the given factors (a genuinely gauge-deficient graph then fails with
-    GaugeFreedomError).
+    GaugeFreedomError). coarse, when given, is a problem over the same time
+    span with fewer nodes whose solution seeds this one's start (see solve).
     """
 
     def __init__(self, nodes, prior_factors, measurement_factors=(),
-                 settings: SolverSettings | None = None, gauge: str = "auto"):
+                 settings: SolverSettings | None = None, gauge: str = "auto",
+                 coarse: "Problem | None" = None):
         nodes = list(nodes)
         if len(nodes) < 2:
             raise WiringError("need at least two nodes")
@@ -105,11 +124,16 @@ class Problem:
                 raise WiringError("factors coupling more than two nodes break the band structure")
         if gauge not in ("auto", "fix-first", "none"):
             raise HyperparameterError("gauge must be auto, fix-first, or none")
+        if coarse is not None and (
+                abs(coarse.nodes[0].time - times[0]) > TIME_TOL
+                or abs(coarse.nodes[-1].time - times[-1]) > TIME_TOL):
+            raise WiringError("the coarse problem must span the same times")
         self.nodes = nodes
         self.prior_factors = prior_factors
         self.measurement_factors = measurement_factors
         self.settings = settings or SolverSettings()
         self.gauge = gauge
+        self.coarse = coarse
 
     def gauge_factors(self):
         """Extra anchoring factors implied by the gauge policy."""
@@ -210,13 +234,33 @@ class _Linearizer:
         return cost, d, e, g
 
 
+class _PivotError(np.linalg.LinAlgError):
+    """A pivot block of the sweep that is not positive definite."""
+
+    def __init__(self, block):
+        super().__init__(f"pivot block {block} is not positive definite")
+        self.block = block
+
+
+def _first_indefinite(s_inv) -> int:
+    """Index of the first inverse pivot block that is not finite and positive definite."""
+    for i, s in enumerate(s_inv):
+        if not np.all(np.isfinite(s)):
+            return i
+        try:
+            np.linalg.cholesky(s)
+        except np.linalg.LinAlgError:
+            return i
+    return len(s_inv) - 1
+
+
 def _tridiag_factor(d, e, damping):
     """Block LDL^T sweep; returns the inverse pivot blocks S_i^-1.
 
     S_0 = D_0 and S_i = D_i - E_{i-1} S_{i-1}^-1 E_{i-1}^T, one inverse per
-    block. Raises LinAlgError unless every S_i is positive definite, checked
-    in one batched Cholesky of the inverses (S is positive definite exactly
-    when S^-1 is).
+    block. Raises _PivotError, naming the first block, unless every S_i is
+    positive definite, checked in one batched Cholesky of the inverses (S is
+    positive definite exactly when S^-1 is).
     """
     k = len(d)
     s_inv = np.empty_like(d)
@@ -225,14 +269,20 @@ def _tridiag_factor(d, e, damping):
         d = d.copy()
         idx = np.arange(12)
         d[:, idx, idx] += damping * d[:, idx, idx] + 1e-12
-    s_inv[0] = np.linalg.inv(d[0])
-    for i in range(1, k):
-        s_inv[i] = np.linalg.inv(d[i] - e[i - 1] @ s_inv[i - 1] @ e[i - 1].T)
+    for i in range(k):
+        s = d[i] if i == 0 else d[i] - e[i - 1] @ s_inv[i - 1] @ e[i - 1].T
+        try:
+            s_inv[i] = np.linalg.inv(s)
+        except np.linalg.LinAlgError:
+            raise _PivotError(i) from None
     # an overflowed sweep can pass the Cholesky check with NaNs, so check first
-    if not np.all(np.isfinite(s_inv)):
-        raise np.linalg.LinAlgError("block sweep overflowed")
-    np.linalg.cholesky(s_inv)
-    return s_inv
+    if np.all(np.isfinite(s_inv)):
+        try:
+            np.linalg.cholesky(s_inv)
+            return s_inv
+        except np.linalg.LinAlgError:
+            pass
+    raise _PivotError(_first_indefinite(s_inv))
 
 
 def _tridiag_solve(s_inv, e, g):
@@ -279,17 +329,13 @@ def _apply_step(nodes, delta):
             for n, r, t, d in zip(nodes, rot, trans, delta)]
 
 
-def solve(problem: Problem) -> Solution:
-    """Damped Gauss-Newton to convergence, then covariance extraction.
+def _iterate(settings: SolverSettings, lin: _Linearizer, nodes):
+    """Damped Gauss-Newton from nodes; returns (nodes, cost history, converged, iterations).
 
-    Raises GaugeFreedomError when the undamped normal equations are singular.
     A trial step at which a factor raises is rejected like one that raises
     the cost. A run that exhausts max_iterations or cannot decrease the cost
-    at any damping returns the best state found with converged=False.
+    at any damping returns the best state found with converged False.
     """
-    settings = problem.settings
-    lin = _Linearizer(problem)
-    nodes = list(problem.nodes)
     lam = settings.initial_damping
     history = []
     converged = False
@@ -336,15 +382,60 @@ def solve(problem: Problem) -> Solution:
             converged = True
             break
         _, d, e, g = lin.assemble(nodes)
+    return nodes, history, converged, iterations
+
+
+def _coarse_start(problem: Problem):
+    """(seeded nodes or None, coarse iterations) from problem.coarse.
+
+    The coarse problem runs through the same iterations, without
+    covariances; its posterior mean, queried at this problem's node times,
+    is the seed. None when the coarse solve raises, does not converge, or
+    a query leaves the local chart.
+    """
+    coarse = problem.coarse
+    iterations = 0
+    try:
+        nodes, _, converged, iterations = _iterate(coarse.settings, _Linearizer(coarse),
+                                                   list(coarse.nodes))
+        if not converged:
+            return None, iterations
+        trajectory = Trajectory(nodes, [f.blocks for f in coarse.prior_factors])
+        queried = trajectory.query_many([n.time for n in problem.nodes])
+    except EstimationError:
+        return None, iterations
+    return [StateNode(n.time, q.pose, q.bias) for n, q in zip(problem.nodes, queried)], iterations
+
+
+def solve(problem: Problem) -> Solution:
+    """Damped Gauss-Newton to convergence, then covariance extraction.
+
+    With problem.coarse set, the coarse problem is solved first and its
+    trajectory, queried at the node times, is the start (start "coarse");
+    when that solve raises, does not converge, or its queries leave the
+    local chart, the solve starts from problem.nodes (start "given"), just
+    as without a coarse problem. Raises GaugeFreedomError, naming the first
+    node whose pivot block is not positive definite, when the undamped
+    normal equations at the solution are singular. A run that exhausts
+    max_iterations or cannot decrease the cost at any damping returns the
+    best state found with converged=False.
+    """
+    lin = _Linearizer(problem)
+    nodes, start, coarse_iterations = list(problem.nodes), "given", 0
+    if problem.coarse is not None:
+        seeded, coarse_iterations = _coarse_start(problem)
+        if seeded is not None:
+            nodes, start = seeded, "coarse"
+    nodes, history, converged, iterations = _iterate(problem.settings, lin, nodes)
 
     _, d, e, _ = lin.assemble(nodes)
     try:
         s = _tridiag_factor(d, e, 0.0)
-    except np.linalg.LinAlgError:
+    except _PivotError as err:
         raise GaugeFreedomError(
-            "normal equations are singular or numerically indefinite at the "
-            "solution; covariance undefined (set gauge='fix-first' or add "
-            "measurements)")
+            f"normal equations are singular or numerically indefinite at node "
+            f"{err.block} (t = {nodes[err.block].time:.6g} s) at the solution; "
+            "covariance undefined (set gauge='fix-first' or add measurements)") from None
     covariances, cross = _takahashi(s, e)
     return Solution(tuple(nodes), covariances, cross, tuple(history),
-                    converged, iterations)
+                    converged, iterations, start, coarse_iterations)

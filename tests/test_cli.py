@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -111,7 +113,10 @@ class TestEstimateCommand:
         metrics = (out / "metrics.csv").read_text().splitlines()
         assert len(metrics) == 2
         assert "meas-only" in metrics[1]
-        assert "converged=True" in capsys.readouterr().out
+        summary = capsys.readouterr().out
+        assert "converged=True" in summary
+        # 1 s nodes over 8 s: the coarse start solves 4 s nodes first
+        assert re.search(r"start=coarse \(\d+ \+ \d+ iterations\)", summary)
 
     def test_repeat_runs_are_byte_identical(self, config, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -4,7 +4,8 @@ import scipy.linalg
 from scipy.integrate import quad_vec
 
 from ctgp import inputs, prior
-from ctgp.errors import DomainError, HyperparameterError, IntervalTooLongError
+from ctgp.errors import (DegenerateInputError, DomainError, HyperparameterError,
+                         IntervalTooLongError, WiringError)
 from ctgp.liegroup import Pose, curlywedge, exp_map
 
 
@@ -58,6 +59,25 @@ def test_expm_matches_scipy():
         assert np.allclose(ours[i], scipy.linalg.expm(mats[i]), atol=1e-12)
     single = rng.normal(scale=3.0, size=(8, 8))
     assert np.allclose(prior.expm_ss(single), scipy.linalg.expm(single), atol=1e-11)
+
+
+@pytest.mark.parametrize("degree,theta", list(prior._PADE_THETA)
+                         + [(13, prior._PADE13_THETA)])
+def test_expm_pade_degree_is_exact_on_both_sides_of_theta(degree, theta):
+    # the oracle is a 30-digit exponential: on one 6x6 draw just above
+    # theta_13, scipy.linalg.expm itself is 1.1e-13 off while expm_ss is 9e-16
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 30
+    rng = np.random.default_rng(degree)
+    for n, draws in ((6, 3), (12, 3), (25, 1)):
+        for factor in (0.97, 1.03):
+            for _ in range(draws):
+                a = rng.normal(size=(n, n))
+                a *= factor * theta / np.max(np.sum(np.abs(a), axis=0))
+                exact = np.array(mpmath.expm(mpmath.matrix(a.tolist())).tolist(), dtype=float)
+                scale = np.max(np.abs(exact))
+                assert np.max(np.abs(prior.expm_ss(a) - exact)) / scale < 1e-13
+                assert np.max(np.abs(scipy.linalg.expm(a) - exact)) / scale < 1e-12
 
 
 def test_system_matrix_coeffs_structure():
@@ -380,3 +400,93 @@ def test_precompute_intervals_contiguity():
     assert len(out) == 2
     with pytest.raises(Exception):
         prior.precompute_intervals([p1, p_gap], hyper)
+
+
+@pytest.fixture(scope="module")
+def twisty_blocks():
+    """The 50 dense mobile_twisty blocks in [0, 5] s and the direct 5 s block."""
+    from ctgp import scenario, simulate
+    sc = scenario.bundled_scenario("mobile_twisty")
+    truth = simulate.simulate_mobile(sc)
+    profile = inputs.from_samples(truth.times, truth.input_velocities)
+    hyper = prior.PriorHyper(sc.qc_inputs)
+    t = truth.times
+    fine = prior.precompute_intervals(
+        [profile.slice(a, b) for a, b in zip(t[:50], t[1:51])], hyper)
+    return fine, prior.IntervalBlocks(profile.slice(t[0], t[50]), hyper)
+
+
+def test_compose_matches_the_directly_built_interval(twisty_blocks):
+    fine, direct = twisty_blocks
+    coarse = prior.IntervalBlocks.compose(fine)
+
+    def rel(a, b):
+        return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+    assert (coarse.t0, coarse.t1) == (direct.t0, direct.t1)
+    assert rel(coarse.phi, direct.phi) < 1e-10
+    assert rel(coarse.input_full, direct.input_full) < 1e-10
+    assert rel(coarse.q_full, direct.q_full) < 1e-10
+    for tau in [b.t1 for b in fine[:-1]] + [2.345]:
+        got, ref = coarse.at(tau), direct.at(tau)
+        for name in ("phi_from_start", "phi_to_end", "q_tau", "input_tau"):
+            assert rel(getattr(got, name), getattr(ref, name)) < 1e-10, (tau, name)
+
+
+def test_compose_at_a_fine_node_time_integrates_nothing(twisty_blocks, monkeypatch):
+    fine, _ = twisty_blocks
+    coarse = prior.IntervalBlocks.compose(fine)
+    calls = []
+    monkeypatch.setattr(prior, "_transitions", lambda *a: calls.append(a))
+    for b in fine:
+        coarse.at(b.t0)
+    assert not calls
+
+
+def test_compose_zero_input_blocks_gives_the_closed_form():
+    hyper = prior.PriorHyper(np.array([0.3, 0.3, 0.3, 0.1, 0.1, 0.1]))
+    fine = prior.precompute_intervals(
+        [inputs.InputProfile.zero(0.4 * k, 0.4 * (k + 1)) for k in range(5)], hyper)
+    coarse = prior.IntervalBlocks.compose(fine)
+    assert coarse.closed_form
+    assert (coarse.t0, coarse.t1) == (0.0, 2.0)
+    assert np.allclose(coarse.phi, prior.wnoa_phi(2.0), rtol=1e-14, atol=0)
+    assert np.allclose(coarse.q_full, prior.wnoa_q(2.0, hyper.qc), rtol=1e-14, atol=0)
+    assert np.allclose(coarse.q_full_inv, prior.wnoa_q_inv(2.0, hyper.qc_inv),
+                       rtol=1e-12, atol=0)
+    assert not np.any(coarse.input_full)
+
+
+def test_compose_mixes_zero_and_input_blocks():
+    rng = np.random.default_rng(10)
+    hyper = random_hyper(rng)
+    seg = random_segment(rng, duration=0.3)
+    z0, z1 = np.zeros(6), np.zeros(6)
+    profile = inputs.InputProfile((
+        inputs.InputSegment(0.0, 0.3, z0, z1, z0, z1),
+        inputs.InputSegment(0.3, 0.6, seg.v0, seg.v1, seg.a0, seg.a1)))
+    fine = prior.precompute_intervals([profile.slice(0.0, 0.3), profile.slice(0.3, 0.6)], hyper)
+    assert fine[0].closed_form and not fine[1].closed_form
+    coarse = prior.IntervalBlocks.compose(fine)
+    direct = prior.IntervalBlocks(profile, hyper)
+    assert np.allclose(coarse.phi, direct.phi, rtol=1e-12, atol=1e-14)
+    assert np.allclose(coarse.input_full, direct.input_full, rtol=1e-12, atol=1e-14)
+    assert np.allclose(coarse.q_full, direct.q_full, rtol=1e-12, atol=1e-14)
+    for tau in (0.1, 0.3, 0.45):
+        got, ref = coarse.at(tau), direct.at(tau)
+        assert np.allclose(got.phi_from_start, ref.phi_from_start, rtol=1e-12, atol=1e-14)
+        assert np.allclose(got.q_tau, ref.q_tau, rtol=1e-12, atol=1e-14)
+
+
+def test_compose_rejects_gaps_and_mixed_hyperparameters():
+    h1 = prior.PriorHyper(np.ones(6))
+    h2 = prior.PriorHyper(2.0 * np.ones(6))
+    a = prior.IntervalBlocks(inputs.InputProfile.zero(0.0, 1.0), h1)
+    with pytest.raises(DegenerateInputError):
+        prior.IntervalBlocks.compose(
+            [a, prior.IntervalBlocks(inputs.InputProfile.zero(1.5, 2.0), h1)])
+    with pytest.raises(HyperparameterError):
+        prior.IntervalBlocks.compose(
+            [a, prior.IntervalBlocks(inputs.InputProfile.zero(1.0, 2.0), h2)])
+    with pytest.raises(WiringError):
+        prior.IntervalBlocks.compose([])

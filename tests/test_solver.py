@@ -9,7 +9,8 @@ import ctgp
 
 from ctgp import factors, inputs, interpolation, prior, solver
 from ctgp.errors import (GaugeFreedomError, HyperparameterError,
-                         IllConditionedRotationError, WiringError)
+                         IllConditionedRotationError, IntervalTooLongError,
+                         WiringError)
 from ctgp.liegroup import Pose, exp_map, log_map, skew, so3_log
 
 
@@ -347,7 +348,9 @@ def test_gauge_policies():
                             bounded_twist(rng, 0.4))
     nodes = propagate_chain(start, blocks_list)
 
-    with pytest.raises(GaugeFreedomError):
+    # the sweep meets the free gauge at the last pivot block
+    with pytest.raises(GaugeFreedomError,
+                       match=r"at node 3 \(t = 0\.9 s\).*gauge='fix-first'"):
         solver.solve(solver.Problem(nodes, prior_factors_for(blocks_list), gauge="none"))
 
     sol = solver.solve(solver.Problem(nodes, prior_factors_for(blocks_list),
@@ -367,6 +370,102 @@ def test_gauge_policies():
     assert sol_auto.cost_history[-1] < 1e-12
     for est, ref in zip(sol_auto.nodes, shifted):
         assert pose_gap(est.pose, ref.pose) < 1e-6
+
+
+def test_first_indefinite_pivot_block_is_reported():
+    d = np.stack([np.eye(12)] * 5)
+    d[2, 4, 4] = -1.0
+    with pytest.raises(np.linalg.LinAlgError) as info:
+        solver._tridiag_factor(d, np.zeros((4, 12, 12)), 0.0)
+    assert info.value.block == 2
+    d[1] = 0.0
+    with pytest.raises(np.linalg.LinAlgError) as info:
+        solver._tridiag_factor(d, np.zeros((4, 12, 12)), 0.0)
+    assert info.value.block == 1
+
+
+class _RaisingFactor:
+    """A one-node factor whose evaluation always fails."""
+
+    indices = (0,)
+
+    def evaluate(self, nodes):
+        raise IllConditionedRotationError("cannot evaluate")
+
+
+def coarse_and_fine(rng):
+    """A 9-node input chain with pose measurements, and its 3-node coarse problem."""
+    blocks_list = input_chain(rng, 9, scale=0.5)
+    truth = propagate_chain(prior.StateNode(0.0, exp_map(bounded_twist(rng, 0.4)),
+                                            bounded_twist(rng, 0.3)), blocks_list)
+    meas = [factors.PoseFactor(k, truth[k].pose, 1e-4 * np.eye(6)) for k in (0, 4, 8)]
+    guesses = perturbed(rng, truth, 0.3, 0.3)
+    coarse_blocks = [prior.IntervalBlocks.compose(blocks_list[i:i + 4]) for i in (0, 4)]
+    coarse_meas = [factors.PoseFactor(j, truth[k].pose, 1e-4 * np.eye(6))
+                   for j, k in enumerate((0, 4, 8))]
+    coarse = solver.Problem(guesses[::4], prior_factors_for(coarse_blocks), coarse_meas)
+    return guesses, blocks_list, meas, coarse
+
+
+def test_coarse_start_seeds_the_dense_solve():
+    rng = np.random.default_rng(78)
+    guesses, blocks_list, meas, coarse = coarse_and_fine(rng)
+    given = solver.solve(solver.Problem(guesses, prior_factors_for(blocks_list), meas))
+    seeded = solver.solve(solver.Problem(guesses, prior_factors_for(blocks_list), meas,
+                                         coarse=coarse))
+    assert (given.start, given.coarse_iterations) == ("given", 0)
+    assert seeded.start == "coarse" and seeded.coarse_iterations > 0
+    assert seeded.converged and seeded.iterations < given.iterations
+    assert seeded.cost_history[0] < given.cost_history[0]
+    assert seeded.cost_history[-1] == pytest.approx(given.cost_history[-1], rel=1e-9, abs=1e-12)
+    for a, b in zip(seeded.nodes, given.nodes):
+        assert pose_gap(a.pose, b.pose) < 1e-6
+
+
+@pytest.mark.parametrize("break_coarse", ["raises", "no_convergence", "chart"])
+def test_failed_coarse_start_falls_back_to_the_given_nodes(break_coarse):
+    rng = np.random.default_rng(79)
+    guesses, blocks_list, meas, coarse = coarse_and_fine(rng)
+    if break_coarse == "raises":
+        coarse = solver.Problem(coarse.nodes, coarse.prior_factors,
+                                coarse.measurement_factors + [_RaisingFactor()])
+    elif break_coarse == "no_convergence":
+        coarse = solver.Problem(coarse.nodes, coarse.prior_factors,
+                                coarse.measurement_factors,
+                                settings=solver.SolverSettings(max_iterations=1))
+    else:
+        # coarse nodes pinned at one pose with opposite yaw rates of 15 rad/s:
+        # 1 s apart, the interpolated rotation overshoots pi at a dense node
+        pose = coarse.nodes[0].pose
+        pinned = [factors.AnchorFactor(k, pose, np.array([0, 0, 0, 0, 0, 15.0 * (-1) ** k]),
+                                       1e-12 * np.eye(6), 1e-12 * np.eye(6))
+                  for k in range(len(coarse.nodes))]
+        coarse = solver.Problem(coarse.nodes, coarse.prior_factors, pinned)
+        alone = solver.solve(coarse)
+        assert alone.converged
+        trajectory = interpolation.Trajectory(list(alone.nodes),
+                                              [f.blocks for f in coarse.prior_factors])
+        with pytest.raises(IntervalTooLongError):
+            trajectory.query_many([n.time for n in guesses])
+    plain = solver.solve(solver.Problem(guesses, prior_factors_for(blocks_list), meas))
+    fallback = solver.solve(solver.Problem(guesses, prior_factors_for(blocks_list), meas,
+                                           coarse=coarse))
+    assert fallback.start == "given"
+    assert fallback.cost_history == plain.cost_history
+    assert fallback.iterations == plain.iterations
+    assert np.array_equal(fallback.node_covariances, plain.node_covariances)
+    assert np.array_equal(fallback.cross_covariances, plain.cross_covariances)
+    for a, b in zip(fallback.nodes, plain.nodes):
+        assert np.array_equal(a.pose.matrix(), b.pose.matrix())
+        assert np.array_equal(a.bias, b.bias)
+
+
+def test_coarse_problem_must_span_the_same_times():
+    rng = np.random.default_rng(80)
+    guesses, blocks_list, meas, coarse = coarse_and_fine(rng)
+    short = solver.Problem(coarse.nodes[:2], coarse.prior_factors[:1])
+    with pytest.raises(WiringError, match="same times"):
+        solver.Problem(guesses, prior_factors_for(blocks_list), meas, coarse=short)
 
 
 def test_nonconvergence_is_reported():
