@@ -156,12 +156,11 @@ def straight_nodes(rod: RodModel, node_arclengths):
 
 # loose base-strain prior on the same scale as the shape prior's diffusion;
 # it removes the gauge deficiency of tip-position-only sensing
-DEFAULT_BASE_STRAIN_COVARIANCE = np.diag([1e-2] * 3 + [1e3] * 3)
+BASE_STRAIN_COVARIANCE = np.diag([1e-2] * 3 + [1e3] * 3)
 
 
 def estimate_shape(rod: RodModel, tendons, measurement_factors,
-                   hyper: PriorHyper, node_count: int, *,
-                   settings=None, base_strain_covariance=None):
+                   hyper: PriorHyper, node_count: int):
     """MAP shape estimate from tendon tensions plus the given measurements.
 
     Nodes sit at uniform arclengths with the base pose anchored at the
@@ -176,14 +175,11 @@ def estimate_shape(rod: RodModel, tendons, measurement_factors,
     blocks_list = precompute_intervals(profiles, hyper)
     nodes = straight_nodes(rod, s_nodes)
 
-    if base_strain_covariance is None:
-        base_strain_covariance = DEFAULT_BASE_STRAIN_COVARIANCE
     anchor = _factors.AnchorFactor(0, Pose.identity(), STRAIGHT_STRAIN.copy(),
-                                   1e-12 * np.eye(6), base_strain_covariance)
+                                   1e-12 * np.eye(6), BASE_STRAIN_COVARIANCE)
     prior_factors = [_factors.PriorFactor(k, b) for k, b in enumerate(blocks_list)]
     problem = _solver.Problem(nodes, prior_factors,
-                              [anchor] + list(measurement_factors),
-                              settings=settings, gauge="none")
+                              [anchor] + list(measurement_factors), gauge="none")
     solution = _solver.solve(problem)
     trajectory = Trajectory(list(solution.nodes), blocks_list,
                             covariances=solution.node_covariances,

@@ -35,7 +35,7 @@ from .prior import (TIME_TOL, IntervalBlocks, PriorHyper, StateNode,
                     precompute_intervals, prior_mean_propagate)
 from .scenario import ContinuumScenario, MobileScenario
 from .simulate import MobileTruth, filter_ranges, simulate_mobile, simulate_rod
-from .solver import Problem, SolverSettings, solve
+from .solver import Problem, solve
 
 # wheel odometry observes the forward and yaw components only
 ODOMETRY_MASK = np.array([True, False, False, False, False, True])
@@ -153,8 +153,7 @@ def _fixed_factors(truth: MobileTruth, node_times, dt_landmark, measured_bias):
     return meas
 
 
-def _coarse_problem(truth: MobileTruth, blocks_list, stride, dt_landmark, reckoned,
-                    settings):
+def _coarse_problem(truth: MobileTruth, blocks_list, stride, dt_landmark, reckoned):
     """The meas-only inputs problem at the coarse spacing, or None.
 
     The spacing is the largest multiple of dt_landmark up to
@@ -180,7 +179,7 @@ def _coarse_problem(truth: MobileTruth, blocks_list, stride, dt_landmark, reckon
                  for k, t in enumerate(node_times)]
         return Problem(nodes, [PriorFactor(k, b) for k, b in enumerate(blocks)],
                        _fixed_factors(truth, node_times, spacing, np.zeros(6)),
-                       settings=settings, gauge="auto")
+                       gauge="auto")
     return None
 
 
@@ -195,8 +194,7 @@ def _composed(blocks_list, ratio):
 
 
 def build_mobile_problem(truth: MobileTruth, *, method="inputs",
-                         node_policy=None, dt_landmark=None,
-                         settings: SolverSettings | None = None):
+                         node_policy=None, dt_landmark=None):
     """Factor graph for one run. Returns (problem, blocks list, node times).
 
     The nodes start at dead reckoning. With method="inputs" and a node grid
@@ -266,22 +264,19 @@ def build_mobile_problem(truth: MobileTruth, *, method="inputs",
                 meas.append(InterpolatedFactor(k, blocks_list[k], float(t),
                                                odometry.evaluate_node))
 
-    coarse = (_coarse_problem(truth, blocks_list, stride, dt_landmark, reckoned, settings)
+    coarse = (_coarse_problem(truth, blocks_list, stride, dt_landmark, reckoned)
               if method == "inputs" else None)
-    problem = Problem(nodes, prior_factors, meas, settings=settings, gauge="auto",
-                      coarse=coarse)
+    problem = Problem(nodes, prior_factors, meas, gauge="auto", coarse=coarse)
     return problem, blocks_list, node_times
 
 
 def run_experiment(scenario: MobileScenario, *, method="inputs", node_policy=None,
-                   dt_landmark=None, seed=None, truth=None,
-                   settings: SolverSettings | None = None) -> ExperimentResult:
+                   dt_landmark=None, seed=None, truth=None) -> ExperimentResult:
     """Simulate (or reuse) a run, solve it, and score it against the truth."""
     if truth is None:
         truth = simulate_mobile(scenario, seed=seed)
     problem, blocks_list, node_times = build_mobile_problem(
-        truth, method=method, node_policy=node_policy, dt_landmark=dt_landmark,
-        settings=settings)
+        truth, method=method, node_policy=node_policy, dt_landmark=dt_landmark)
     t0 = time.perf_counter()
     solution = solve(problem)
     solve_time = time.perf_counter() - t0
@@ -327,8 +322,7 @@ def run_experiment(scenario: MobileScenario, *, method="inputs", node_policy=Non
 
 
 def sweep(scenario: MobileScenario, dt_values=(0.5, 1.0, 2.0, 3.0, 4.0, 5.0),
-          methods=("inputs", "wnoa"), *, node_policy="meas-only", seed=None,
-          settings: SolverSettings | None = None):
+          methods=("inputs", "wnoa"), *, node_policy="meas-only", seed=None):
     """Metrics over measurement sparsities, both methods on one simulated run."""
     truth = simulate_mobile(scenario, seed=seed)
     out = []
@@ -336,7 +330,7 @@ def sweep(scenario: MobileScenario, dt_values=(0.5, 1.0, 2.0, 3.0, 4.0, 5.0),
         for method in methods:
             out.append(run_experiment(
                 scenario, method=method, node_policy=node_policy,
-                dt_landmark=dt_landmark, truth=truth, settings=settings).metrics)
+                dt_landmark=dt_landmark, truth=truth).metrics)
     return out
 
 
@@ -447,8 +441,7 @@ def reproduce_fig3(variant="velocity", *, query_rate=100.0):
     }
 
 
-def run_continuum(scenario: ContinuumScenario, *, method="inputs",
-                  settings: SolverSettings | None = None):
+def run_continuum(scenario: ContinuumScenario, *, method="inputs"):
     """Benchmark every (tension set, disturbance) pair of the scenario.
 
     Truth comes from integrating the rod with the disturbance load applied;
@@ -475,9 +468,7 @@ def run_continuum(scenario: ContinuumScenario, *, method="inputs",
                                scenario.tip_variance * np.eye(3))]
         used = tendons if method == "inputs" else ()
         t0 = time.perf_counter()
-        solution, trajectory = estimate_shape(rod, used, meas, hyper,
-                                              scenario.node_count,
-                                              settings=settings)
+        solution, trajectory = estimate_shape(rod, used, meas, hyper, scenario.node_count)
         solve_time = time.perf_counter() - t0
 
         pos_err, rot_err = [], []

@@ -90,20 +90,19 @@ class PriorConstants(NamedTuple):
                    np.array([b.t1 for b in blocks_list]))
 
 
-def prior_factor_batch(nodes, blocks, *, with_jacobians: bool = True, chart=None):
+def prior_factor_batch(nodes, blocks, *, chart=None):
     """Evaluate all adjacent-pair prior factors in one vectorized pass.
 
     error = [ln(T_k1 T_k^-1)^v; Jinv(xi) b_k1] - Phi [0; b_k] - input
     integral, weighted by Q_k^-1, with the exact series derivative of the
     bias term. Returns a dict with stacked arrays: error (K-1, 12), info
-    (K-1, 12, 12), and, when with_jacobians is set, j_k / j_k1
-    (K-1, 12, 12).
+    (K-1, 12, 12), and j_k / j_k1 (K-1, 12, 12).
 
     nodes is a sequence of K StateNodes or their NodeArrays. blocks is the
     K-1 IntervalBlocks, checked here against the node times, or their
     PriorConstants, stacked and checked once by the caller; the solver
-    passes those, and the interval charts (interval_chart, with Jacobians
-    when with_jacobians is set) that its interpolated factors also read.
+    passes those, and the interval charts (interval_chart) that its
+    interpolated factors also read.
     """
     if not isinstance(nodes, NodeArrays):
         nodes = NodeArrays.stack(nodes)
@@ -113,17 +112,13 @@ def prior_factor_batch(nodes, blocks, *, with_jacobians: bool = True, chart=None
         blocks = PriorConstants.stack(blocks)
         check_interval_times(nodes.time, blocks.t0, blocks.t1)
     if chart is None:
-        chart = interval_chart(nodes, with_jacobians=with_jacobians)
+        chart = interval_chart(nodes)
     error = (chart.gamma - np.einsum("nij,nj->ni", blocks.phi_bias, nodes.bias[:-1])
              - blocks.input_full)
-    out = {"error": error, "info": blocks.info}
-    if not with_jacobians:
-        return out
     j_k = np.empty((len(error), 12, 12))
     j_k[:, :, :6] = chart.jac_k
     j_k[:, :, 6:] = -blocks.phi_bias
-    out["j_k"], out["j_k1"] = j_k, chart.jac_k1
-    return out
+    return {"error": error, "info": blocks.info, "j_k": j_k, "j_k1": chart.jac_k1}
 
 
 def prior_factor_error(node_k: StateNode, node_k1: StateNode,
@@ -481,7 +476,7 @@ class InterpolatedFactor:
     blocks: IntervalBlocks
     tau: float
     inner: object  # StateNode -> FactorEval
-    _kernel: object = field(default=None, repr=False)
+    _kernel: object = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def indices(self):
@@ -520,7 +515,7 @@ class FactorBatch:
         """The kernel on one given state per instance."""
         return self._kernel(states, **self._args, **self._shared_args)
 
-    def linearize(self, nodes: NodeArrays, chart=None, *, with_jacobians=True):
+    def linearize(self, nodes: NodeArrays, chart=None):
         """(error (n, m), Jacobian (n, m, 12)) from the stacked states of all nodes."""
         return self.evaluate(nodes.take(self.index))
 
@@ -541,16 +536,15 @@ class InterpolatedBatch:
         self.rows = QueryRows.stack([query_kernel(f.blocks, f.tau) for f in group],
                                     self.index)
 
-    def linearize(self, nodes: NodeArrays, chart: IntervalChart, *, with_jacobians=True):
-        """(error (n, m), Jacobian (n, m, 24) or None) over (node k, node k+1).
+    def linearize(self, nodes: NodeArrays, chart: IntervalChart):
+        """(error (n, m), Jacobian (n, m, 24)) over (node k, node k+1).
 
-        chart is interval_chart of all nodes, with its Jacobians when
-        with_jacobians is set.
+        chart is interval_chart of all nodes, with its Jacobians.
         """
-        ch = chain(self.rows, nodes, chart, jacobians=with_jacobians)
+        ch = chain(self.rows, nodes, chart, jacobians=True)
         error, jac = self.inner.evaluate(
             NodeArrays(self.inner.index, self.rows.tau, ch.rot, ch.trans, ch.bias))
-        return error, (jac @ ch.node_jacobian if with_jacobians else None)
+        return error, jac @ ch.node_jacobian
 
 
 def _batched_inner(f):
@@ -566,9 +560,9 @@ def batch_factors(factors):
     """Group the batched types into FactorBatches and InterpolatedBatches.
 
     An InterpolatedFactor joins a batch when its inner is a batched type's
-    bound evaluate_node; a group longer than CHUNK_ROWS is split. Returns (batches, rest); every other factor, such
-    as an InterpolatedFactor with a plain-callable inner, is left in rest
-    to be evaluated on its own.
+    bound evaluate_node. A group longer than CHUNK_ROWS is split. Returns
+    (batches, rest). Every other factor, such as an InterpolatedFactor with
+    a plain-callable inner, is left in rest to be evaluated on its own.
     """
     groups, rest = {}, []
     for f in factors:

@@ -150,11 +150,11 @@ def chain(rows: QueryRows, nodes: NodeArrays, chart: IntervalChart, *,
     """Interpolate every row from its two bracketing nodes.
 
     nodes holds all K node states and chart the K-1 interval charts from
-    interval_chart, with its Jacobians when jacobians is set. The caller has
-    checked the node times against the rows' intervals (check_interval_times),
-    once: Trajectory and the solver at construction, _pair per call. Perturbation
-    conventions match the factors and solver: pose updates multiply on the
-    left, T <- exp(delta) T, and biases update additively.
+    interval_chart. The caller has checked the node times against the rows'
+    intervals (check_interval_times), once: Trajectory and the solver at
+    construction, _pair per call. Perturbation conventions match the factors
+    and solver: pose updates multiply on the left, T <- exp(delta) T, and
+    biases update additively.
     """
     k = rows.interval
     lam_bias = rows.lam[:, :, 6:]
@@ -213,8 +213,7 @@ def _pair(node_k: StateNode, node_k1: StateNode, kernel: QueryKernel, jacobians)
     nodes = NodeArrays.stack([node_k, node_k1])
     rows = QueryRows.stack([kernel], [0])
     check_interval_times(nodes.time, rows.t0, rows.t1)
-    ch = chain(rows, nodes, interval_chart(nodes, with_jacobians=jacobians),
-               jacobians=jacobians)
+    ch = chain(rows, nodes, interval_chart(nodes), jacobians=jacobians)
     return rows, ch
 
 
@@ -270,33 +269,35 @@ def interpolate_covariance(node_k: StateNode, node_k1: StateNode,
 class Trajectory:
     """Continuous read-only view of a solved trajectory.
 
-    Wraps the node estimates and the per-interval blocks; queries between
-    nodes interpolate the posterior, queries at node times return the node
-    values. Covariances are attached when the solver marginals (and
-    optionally the adjacent-node cross-covariances) are supplied; the
-    marginals are validated once, here, rather than on every query. Each
-    interval's chart is computed once, at the first query that falls
-    between nodes, and kept: the trajectory never changes.
+    Wraps the node estimates, StateNodes or their NodeArrays, and the
+    per-interval blocks; queries between nodes interpolate the posterior,
+    queries at node times return the node values. Covariances are attached
+    when the solver marginals (and optionally the adjacent-node
+    cross-covariances) are supplied; the marginals are validated once,
+    here, rather than on every query. Each interval's chart is computed
+    once, at the first query that falls between nodes, and kept: the
+    trajectory never changes.
     """
 
     def __init__(self, nodes, blocks_list, covariances=None, cross_covariances=None):
-        if len(nodes) < 2 or len(blocks_list) != len(nodes) - 1:
+        k = len(nodes.time) if isinstance(nodes, NodeArrays) else len(nodes)
+        if k < 2 or len(blocks_list) != k - 1:
             raise WiringError("need K nodes and K-1 interval blocks")
-        check_interval_times([n.time for n in nodes], [b.t0 for b in blocks_list],
+        state = nodes if isinstance(nodes, NodeArrays) else NodeArrays.stack(nodes)
+        check_interval_times(state.time, [b.t0 for b in blocks_list],
                              [b.t1 for b in blocks_list])
         if covariances is not None:
-            if len(covariances) != len(nodes):
+            if len(covariances) != k:
                 raise WiringError("need one covariance per node")
             covariances = _check_covariance(covariances, "node")
         if cross_covariances is not None:
-            if len(cross_covariances) != len(nodes) - 1:
+            if len(cross_covariances) != k - 1:
                 raise WiringError("need one cross-covariance per interval")
             cross_covariances = np.asarray(cross_covariances, dtype=float)
-        self.nodes = list(nodes)
         self.blocks = list(blocks_list)
         self.covariances = covariances
         self.cross_covariances = cross_covariances
-        self._state = NodeArrays.stack(self.nodes)
+        self._state = state
         self._chart = None
 
     @property
@@ -327,14 +328,14 @@ class Trajectory:
         with_cov = with_covariance and self.covariances is not None
 
         out = [None] * len(taus)
+        state = self._state
         for i in np.flatnonzero(hit):
-            node = self.nodes[nearest[i]]
+            j = nearest[i]
+            t, bias = float(state.time[j]), state.bias[j]
             blocks = self.blocks[k[i]]
-            v_in = (np.zeros(6) if blocks.profile.is_zero()
-                    else blocks.profile.evaluate(node.time)[0])
-            out[i] = QueryResult(node.time, node.pose, node.bias.copy(), node.bias + v_in,
-                                 self.covariances[nearest[i]].copy() if with_cov else None,
-                                 False)
+            v_in = np.zeros(6) if blocks.profile.is_zero() else blocks.profile.evaluate(t)[0]
+            out[i] = QueryResult(t, Pose(state.rot[j], state.trans[j]), bias.copy(), bias + v_in,
+                                 self.covariances[j].copy() if with_cov else None, False)
         off = np.flatnonzero(~hit)
         if len(off) and self._chart is None:
             self._chart = interval_chart(self._state)

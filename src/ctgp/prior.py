@@ -165,6 +165,11 @@ class NodeArrays(NamedTuple):
                    np.stack([n.pose.translation for n in nodes]),
                    np.stack([n.bias for n in nodes]))
 
+    def unstack(self):
+        """The StateNodes of the rows, in order: the inverse of stack."""
+        return [StateNode(float(t), Pose(r, p), b)
+                for t, r, p, b in zip(self.time, self.rot, self.trans, self.bias)]
+
     def take(self, rows):
         return NodeArrays(*(a[rows] for a in self))
 
@@ -473,16 +478,16 @@ class IntervalChart(NamedTuple):
 
     gamma (n, 12) is [xi, psi] of node k+1 in node k's chart. jac_k
     (n, 12, 6) is d gamma / d pose_k and jac_k1 (n, 12, 12) is
-    d gamma / d node_k+1; both are None when not requested. The prior
-    factor and every interpolated query in the interval read these.
+    d gamma / d node_k+1. The prior factor and every interpolated query in
+    the interval read these.
     """
 
     gamma: np.ndarray
-    jac_k: np.ndarray | None = None
-    jac_k1: np.ndarray | None = None
+    jac_k: np.ndarray
+    jac_k1: np.ndarray
 
 
-def interval_chart(nodes: NodeArrays, *, with_jacobians: bool = True) -> IntervalChart:
+def interval_chart(nodes: NodeArrays) -> IntervalChart:
     """Charts of the K-1 intervals between consecutive stacked nodes.
 
     xi = ln(T_k1 T_k^-1)^v and psi = Jinv(xi) b_k1; the bias term's
@@ -494,8 +499,6 @@ def interval_chart(nodes: NodeArrays, *, with_jacobians: bool = True) -> Interva
     xi = se3_log(rel_rot, rel_trans)
     jinv = left_jacobian_inv(xi)
     gamma = np.concatenate([xi, np.einsum("nij,nj->ni", jinv, bias[1:])], axis=-1)
-    if not with_jacobians:
-        return IntervalChart(gamma)
     # d gamma / d xi, chained to the left perturbation of node k+1's pose
     chart = np.concatenate([jinv, jinv_vec_dx(xi, bias[1:]) @ jinv], axis=-2)
     jac_k1 = np.zeros((len(xi), 12, 12))

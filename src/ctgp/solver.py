@@ -2,9 +2,12 @@
 
 The motion prior chains adjacent nodes and every measurement factor touches
 one node or an adjacent pair, so the Gauss-Newton normal equations stay
-block tridiagonal. Each iteration linearizes, solves, and applies manifold
-updates; Levenberg-style diagonal damping activates only when a step is
-rejected.
+block tridiagonal. The solver carries the node states as one NodeArrays
+across iterations. Each step solves the current system, updates every node
+at once, and linearizes the trial state in one pass, whose cost decides
+acceptance and whose system, when accepted, is the next step's. The final
+state's system, kept from that pass, gives the covariances. Levenberg-style
+diagonal damping activates only when a step is rejected.
 
 Linearization is batched by factor type. Each pass computes the chart of
 every node interval once; the prior factors of all intervals come from it
@@ -15,10 +18,10 @@ Interpolated factors whose inner is such a type are grouped the same way:
 one batched interpolation chain, reading the same interval charts, feeds the
 inner kernel, and its two-node blocks are scattered into D, E and g. Only
 other factors, such as an interpolated factor with a plain-callable inner
-or a custom two-node factor, are evaluated one by one. The block LDL^T
-sweep stores the inverse pivot blocks S_i^-1, one inverse per block, so the
-forward-backward solve and the Takahashi recursion for the posterior
-covariance blocks are plain products.
+or a custom two-node factor, are evaluated one by one, on StateNodes
+unstacked from the state. The block LDL^T sweep stores the inverse pivot
+blocks S_i^-1, one inverse per block, so the forward-backward solve and the
+Takahashi recursion for the posterior covariance blocks are plain products.
 
 Coarse-to-fine start: a problem may carry a coarse problem over the same
 span with fewer nodes (Problem.coarse). solve runs it first through the
@@ -31,7 +34,8 @@ without a coarse problem. Solution.start records which start was used.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,8 +43,8 @@ from . import factors as _factors
 from .errors import (EstimationError, GaugeFreedomError, HyperparameterError,
                      WiringError)
 from .interpolation import Trajectory
-from .liegroup import Pose, se3_exp, so3_project
-from .prior import TIME_TOL, NodeArrays, StateNode, check_interval_times, interval_chart
+from .liegroup import se3_exp, so3_project
+from .prior import TIME_TOL, NodeArrays, check_interval_times, interval_chart
 
 _ABSOLUTE_FACTORS = (_factors.RangeFactor, _factors.PoseFactor,
                      _factors.PositionFactor, _factors.AnchorFactor,
@@ -70,10 +74,13 @@ class SolverSettings:
 class Solution:
     """Posterior means, covariance blocks, and solve diagnostics.
 
-    iterations and cost_history belong to the solve of the given problem.
-    start is "coarse" when its nodes were seeded from the coarse problem's
-    solution, "given" when the solve began at problem.nodes;
-    coarse_iterations counts the coarse solve's iterations, 0 without one.
+    iterations, cost_history and cost_evaluations belong to the solve of
+    the given problem. cost_evaluations counts its trial states, each
+    linearized once: the accepted steps plus the rejected ones that got as
+    far as a trial. start is "coarse" when its nodes were seeded from the
+    coarse problem's solution, "given" when the solve began at
+    problem.nodes; coarse_iterations and coarse_cost_evaluations count the
+    coarse solve's, 0 without one.
     """
 
     nodes: tuple
@@ -84,6 +91,8 @@ class Solution:
     iterations: int
     start: str = "given"
     coarse_iterations: int = 0
+    cost_evaluations: int = 0
+    coarse_cost_evaluations: int = 0
 
 
 class Problem:
@@ -148,14 +157,15 @@ class Problem:
 
 
 class _Linearizer:
-    """Evaluates cost and assembles the block-tridiagonal normal equations.
+    """Linearizes a state: its cost and block-tridiagonal normal equations.
 
     The prior's interval constants are stacked, and the node times checked
     against the prior's and the interpolated factors' intervals, once: a
     step never changes a time. The batched factor types, including
     interpolated factors with a batched inner, are grouped once; every other
-    measurement factor is evaluated on its own. Each pass computes every
-    interval's chart once, for the prior and the interpolated batches alike.
+    measurement factor is evaluated on its own. assemble is the one
+    linearization: each pass computes every interval's chart once, for the
+    prior and the interpolated batches alike.
     """
 
     def __init__(self, problem: Problem):
@@ -168,18 +178,6 @@ class _Linearizer:
         for batch in self.batches:
             if isinstance(batch, _factors.InterpolatedBatch):
                 check_interval_times(times, batch.rows.t0, batch.rows.t1, batch.index)
-
-    def cost(self, nodes) -> float:
-        state = NodeArrays.stack(nodes)
-        chart = interval_chart(state, with_jacobians=False)
-        p = _factors.prior_factor_batch(state, self.prior, with_jacobians=False, chart=chart)
-        total = 0.5 * float(np.einsum("ni,nij,nj->", p["error"], p["info"], p["error"]))
-        for batch in self.batches:
-            err, _ = batch.linearize(state, chart, with_jacobians=False)
-            total += 0.5 * float(np.einsum("ni,nij,nj->", err, batch.information, err))
-        for f in self.others:
-            total += f.evaluate(nodes).cost()
-        return total
 
     def _add_priors(self, state, chart, d, e, g) -> float:
         """Adds the prior factors' blocks in place; returns their cost."""
@@ -195,13 +193,12 @@ class _Linearizer:
         g[1:] -= np.einsum("nji,nj->ni", j_k1, we)
         return 0.5 * float(np.einsum("ni,nij,nj->", err, info, err))
 
-    def assemble(self, nodes):
+    def assemble(self, state: NodeArrays):
         """Returns (cost, D diagonal blocks, E subdiagonal blocks, gradient)."""
         k = self.k
         d = np.zeros((k, 12, 12))
         e = np.zeros((k - 1, 12, 12))
         g = np.zeros((k, 12))
-        state = NodeArrays.stack(nodes)
         chart = interval_chart(state)
         cost = self._add_priors(state, chart, d, e, g)
 
@@ -220,6 +217,7 @@ class _Linearizer:
             if jac.shape[-1] == 24:
                 np.add.at(e, batch.index, hess[:, 12:, :12])
 
+        nodes = state.unstack() if self.others else None
         for f in self.others:
             ev = f.evaluate(nodes)
             cost += ev.cost()
@@ -314,38 +312,48 @@ def _takahashi(s_inv, e):
     return p, cross
 
 
-def _apply_step(nodes, delta):
+def _apply_step(state: NodeArrays, delta) -> NodeArrays:
     """Manifold update of every node in one batch.
 
     Poses update on the left, T <- exp(delta) T, with the rotations
     projected back onto SO(3); biases add.
     """
-    rot = np.stack([n.pose.rotation for n in nodes])
-    trans = np.stack([n.pose.translation for n in nodes])
     d_rot, d_trans = se3_exp(delta[:, :6])
-    trans = np.einsum("kij,kj->ki", d_rot, trans) + d_trans
-    rot = so3_project(d_rot @ rot)
-    return [StateNode(n.time, Pose(r, t), n.bias + d[6:])
-            for n, r, t, d in zip(nodes, rot, trans, delta)]
+    return state._replace(rot=so3_project(d_rot @ state.rot),
+                          trans=np.einsum("kij,kj->ki", d_rot, state.trans) + d_trans,
+                          bias=state.bias + delta[:, 6:])
 
 
-def _iterate(settings: SolverSettings, lin: _Linearizer, nodes):
-    """Damped Gauss-Newton from nodes; returns (nodes, cost history, converged, iterations).
+class _Run(NamedTuple):
+    """A Gauss-Newton run: its final state, with that state's D and E blocks."""
 
-    A trial step at which a factor raises is rejected like one that raises
-    the cost. A run that exhausts max_iterations or cannot decrease the cost
-    at any damping returns the best state found with converged False.
+    state: NodeArrays
+    history: list
+    converged: bool
+    iterations: int
+    evaluations: int
+    d: np.ndarray
+    e: np.ndarray
+
+
+def _iterate(settings: SolverSettings, lin: _Linearizer, state: NodeArrays) -> _Run:
+    """Damped Gauss-Newton from state.
+
+    lin.assemble linearizes the start and each trial state once: the
+    trial's cost decides acceptance, and an accepted trial's system is the
+    next step's. evaluations counts the trials. A trial step at which a
+    factor raises is rejected like one that raises the cost. A run that
+    exhausts max_iterations or cannot decrease the cost at any damping
+    returns the best state found with converged False.
     """
     lam = settings.initial_damping
-    history = []
     converged = False
-    iterations = 0
+    iterations = evaluations = 0
 
-    cost, d, e, g = lin.assemble(nodes)
-    history.append(cost)
+    cost, d, e, g = lin.assemble(state)
+    history = [cost]
     for _ in range(settings.max_iterations):
         rejected = 0
-        accepted = None
         while rejected <= _REJECT_LIMIT:
             try:
                 s = _tridiag_factor(d, e, lam)
@@ -356,22 +364,24 @@ def _iterate(settings: SolverSettings, lin: _Linearizer, nodes):
                 rejected += 1
                 continue
             delta = _tridiag_solve(s, e, g)
-            candidate = _apply_step(nodes, delta)
+            candidate = _apply_step(state, delta)
+            evaluations += 1
             try:
-                new_cost = lin.cost(candidate)
+                trial = lin.assemble(candidate)
             except EstimationError:
                 # a factor that cannot be evaluated at the trial state (e.g. a
                 # rotation log near pi); every factor already evaluated at the
                 # current state, so a wiring or setting error cannot land here
-                new_cost = np.inf
-            if new_cost <= cost + 1e-12 * max(1.0, cost):
-                accepted = (candidate, new_cost, delta)
+                trial = (np.inf,)
+            if trial[0] <= cost + 1e-12 * max(1.0, cost):
                 break
             lam = 1e-6 if lam == 0.0 else lam * settings.damping_growth
             rejected += 1
-        if accepted is None:
+        else:
+            # no damping gave an acceptable step
             break
-        nodes, new_cost, delta = accepted
+        new_cost, d, e, g = trial
+        state = candidate
         history.append(new_cost)
         iterations += 1
         lam = 0.0 if lam < 1e-12 else lam / settings.damping_growth
@@ -381,30 +391,30 @@ def _iterate(settings: SolverSettings, lin: _Linearizer, nodes):
         if small_change or small_step:
             converged = True
             break
-        _, d, e, g = lin.assemble(nodes)
-    return nodes, history, converged, iterations
+    return _Run(state, history, converged, iterations, evaluations, d, e)
 
 
-def _coarse_start(problem: Problem):
-    """(seeded nodes or None, coarse iterations) from problem.coarse.
+def _coarse_start(coarse: Problem, state: NodeArrays):
+    """(seed or None, (coarse iterations, coarse trial linearizations)).
 
     The coarse problem runs through the same iterations, without
-    covariances; its posterior mean, queried at this problem's node times,
-    is the seed. None when the coarse solve raises, does not converge, or
-    a query leaves the local chart.
+    covariances; its posterior mean, queried at the times of state, the
+    given dense nodes, is the seed. None when the coarse solve raises, does
+    not converge, or a query leaves the local chart.
     """
-    coarse = problem.coarse
-    iterations = 0
+    counts = (0, 0)
     try:
-        nodes, _, converged, iterations = _iterate(coarse.settings, _Linearizer(coarse),
-                                                   list(coarse.nodes))
-        if not converged:
-            return None, iterations
-        trajectory = Trajectory(nodes, [f.blocks for f in coarse.prior_factors])
-        queried = trajectory.query_many([n.time for n in problem.nodes])
+        run = _iterate(coarse.settings, _Linearizer(coarse), NodeArrays.stack(coarse.nodes))
+        counts = (run.iterations, run.evaluations)
+        if not run.converged:
+            return None, counts
+        trajectory = Trajectory(run.state, [f.blocks for f in coarse.prior_factors])
+        queried = trajectory.query_many(state.time)
     except EstimationError:
-        return None, iterations
-    return [StateNode(n.time, q.pose, q.bias) for n, q in zip(problem.nodes, queried)], iterations
+        return None, counts
+    return state._replace(rot=np.stack([q.pose.rotation for q in queried]),
+                          trans=np.stack([q.pose.translation for q in queried]),
+                          bias=np.stack([q.bias for q in queried])), counts
 
 
 def solve(problem: Problem) -> Solution:
@@ -414,28 +424,29 @@ def solve(problem: Problem) -> Solution:
     trajectory, queried at the node times, is the start (start "coarse");
     when that solve raises, does not converge, or its queries leave the
     local chart, the solve starts from problem.nodes (start "given"), just
-    as without a coarse problem. Raises GaugeFreedomError, naming the first
-    node whose pivot block is not positive definite, when the undamped
-    normal equations at the solution are singular. A run that exhausts
-    max_iterations or cannot decrease the cost at any damping returns the
-    best state found with converged=False.
+    as without a coarse problem. The covariances come from the system
+    assembled at the final state during the iterations. Raises
+    GaugeFreedomError, naming the first node whose pivot block is not
+    positive definite, when the undamped normal equations at the solution
+    are singular. A run that exhausts max_iterations or cannot decrease the
+    cost at any damping returns the best state found with converged=False.
     """
     lin = _Linearizer(problem)
-    nodes, start, coarse_iterations = list(problem.nodes), "given", 0
+    state, start, coarse = NodeArrays.stack(problem.nodes), "given", (0, 0)
     if problem.coarse is not None:
-        seeded, coarse_iterations = _coarse_start(problem)
-        if seeded is not None:
-            nodes, start = seeded, "coarse"
-    nodes, history, converged, iterations = _iterate(problem.settings, lin, nodes)
+        seed, coarse = _coarse_start(problem.coarse, state)
+        if seed is not None:
+            state, start = seed, "coarse"
+    run = _iterate(problem.settings, lin, state)
 
-    _, d, e, _ = lin.assemble(nodes)
     try:
-        s = _tridiag_factor(d, e, 0.0)
+        s = _tridiag_factor(run.d, run.e, 0.0)
     except _PivotError as err:
         raise GaugeFreedomError(
             f"normal equations are singular or numerically indefinite at node "
-            f"{err.block} (t = {nodes[err.block].time:.6g} s) at the solution; "
+            f"{err.block} (t = {run.state.time[err.block]:.6g} s) at the solution; "
             "covariance undefined (set gauge='fix-first' or add measurements)") from None
-    covariances, cross = _takahashi(s, e)
-    return Solution(tuple(nodes), covariances, cross, tuple(history),
-                    converged, iterations, start, coarse_iterations)
+    covariances, cross = _takahashi(s, run.e)
+    return Solution(tuple(run.state.unstack()), covariances, cross, tuple(run.history),
+                    run.converged, run.iterations, start, coarse[0],
+                    run.evaluations, coarse[1])

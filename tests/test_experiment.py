@@ -126,7 +126,8 @@ class TestRunExperiment:
         monkeypatch.setattr("ctgp.factors.CHUNK_ROWS", 8)
         chunked = _Linearizer(problem)
         assert interpolated_rows(chunked) == [8, 8, 2]
-        for want, got in zip(lin.assemble(problem.nodes), chunked.assemble(problem.nodes)):
+        state = prior.NodeArrays.stack(problem.nodes)
+        for want, got in zip(lin.assemble(state), chunked.assemble(state)):
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_rows_match_the_declared_layout(self, noisy_result):

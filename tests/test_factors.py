@@ -371,10 +371,6 @@ def test_prior_factor_batch_matches_scalar():
         assert np.allclose(batch["j_k"][k], ev.jacobians[0][1], atol=1e-12)
         assert np.allclose(batch["j_k1"][k], ev.jacobians[1][1], atol=1e-12)
 
-    lean = factors.prior_factor_batch(nodes, blocks_list, with_jacobians=False)
-    assert np.allclose(lean["error"], batch["error"])
-    assert "j_k" not in lean
-
     with pytest.raises(WiringError):
         factors.prior_factor_batch(nodes[:-1], blocks_list)
 
@@ -401,3 +397,19 @@ def test_bound_factor_classes_match_functions():
     got = itf.evaluate(nodes)
     assert np.allclose(got.error, want.error)
     assert np.allclose(got.jacobians[0][1], want.jacobians[0][1])
+
+
+def test_interpolated_factor_equality_ignores_its_cached_kernel():
+    rng = np.random.default_rng(34)
+    blocks, _ = build_blocks(rng)
+    n0 = random_node(rng)
+    nodes = [n0, prior.prior_mean_propagate(n0, blocks, blocks.t1)]
+    inner = factors.RangeFactor(0, np.array([1.0, 2.0, 0.3]), 2.0, 0.05).evaluate_node
+    a = factors.InterpolatedFactor(0, blocks, 0.31, inner)
+    b = factors.InterpolatedFactor(0, blocks, 0.31, inner)
+    assert a == b
+    a.evaluate(nodes)
+    assert a == b
+    b.evaluate(nodes)
+    assert a == b
+    assert a != factors.InterpolatedFactor(0, blocks, 0.32, inner)

@@ -334,7 +334,7 @@ def test_trajectory_queries_and_wiring():
     traj = interpolation.Trajectory([n0, n1, n2], [blocks_a, blocks_b])
 
     hit = traj.query(n1.time)
-    assert hit.pose is n1.pose
+    assert np.array_equal(hit.pose.matrix(), n1.pose.matrix())
     assert np.allclose(hit.bias, n1.bias)
 
     for tau in (0.05, 0.37, 0.62):

@@ -191,12 +191,11 @@ def test_batched_assembly_matches_per_factor_reference():
     assert sum(isinstance(b, factors.InterpolatedBatch) for b in lin.batches) == 2
     nodes = perturbed(rng, truth, 5e-2, 5e-2)
 
-    cost, d, e, g = lin.assemble(nodes)
+    cost, d, e, g = lin.assemble(prior.NodeArrays.stack(nodes))
     want_cost, want_h, want_g = reference_normal_equations(
         prior_factors_for(blocks_list) + meas + problem.gauge_factors(), nodes)
     h = dense_from_blocks(d, e)
     assert abs(cost - want_cost) <= 1e-12 * want_cost
-    assert abs(lin.cost(nodes) - want_cost) <= 1e-12 * want_cost
     assert np.linalg.norm(h - want_h) <= 1e-12 * np.linalg.norm(want_h)
     assert np.linalg.norm(g.ravel() - want_g) <= 1e-12 * np.linalg.norm(want_g)
 
@@ -407,14 +406,27 @@ def coarse_and_fine(rng):
     return guesses, blocks_list, meas, coarse
 
 
-def test_coarse_start_seeds_the_dense_solve():
+def test_coarse_start_seeds_the_dense_solve(monkeypatch):
     rng = np.random.default_rng(78)
     guesses, blocks_list, meas, coarse = coarse_and_fine(rng)
     given = solver.solve(solver.Problem(guesses, prior_factors_for(blocks_list), meas))
+    trials = {3: 0, 9: 0}
+    apply_step = solver._apply_step
+
+    def counted_step(state, delta):
+        trials[len(state.time)] += 1
+        return apply_step(state, delta)
+
+    monkeypatch.setattr(solver, "_apply_step", counted_step)
     seeded = solver.solve(solver.Problem(guesses, prior_factors_for(blocks_list), meas,
                                          coarse=coarse))
     assert (given.start, given.coarse_iterations) == ("given", 0)
+    assert given.coarse_cost_evaluations == 0
+    assert given.cost_evaluations >= given.iterations
     assert seeded.start == "coarse" and seeded.coarse_iterations > 0
+    # the coarse solve's 3-node trials and the dense solve's 9-node ones apart
+    assert seeded.coarse_cost_evaluations == trials[3] >= seeded.coarse_iterations
+    assert seeded.cost_evaluations == trials[9] >= seeded.iterations
     assert seeded.converged and seeded.iterations < given.iterations
     assert seeded.cost_history[0] < given.cost_history[0]
     assert seeded.cost_history[-1] == pytest.approx(given.cost_history[-1], rel=1e-9, abs=1e-12)
@@ -453,6 +465,7 @@ def test_failed_coarse_start_falls_back_to_the_given_nodes(break_coarse):
     assert fallback.start == "given"
     assert fallback.cost_history == plain.cost_history
     assert fallback.iterations == plain.iterations
+    assert fallback.cost_evaluations == plain.cost_evaluations
     assert np.array_equal(fallback.node_covariances, plain.node_covariances)
     assert np.array_equal(fallback.cross_covariances, plain.cross_covariances)
     for a, b in zip(fallback.nodes, plain.nodes):
@@ -497,36 +510,44 @@ def test_large_initial_error_recovers_through_damping():
         assert pose_gap(est.pose, ref.pose) < 1e-5
 
 
-def test_trial_step_that_raises_is_rejected_and_damped():
-    class ChartLimit:
-        """Zero-residual factor whose chart, like a rotation log near pi,
-        cannot be evaluated beyond a set rotation angle."""
+class ChartLimit:
+    """Zero-residual factor whose chart, like a rotation log near pi, cannot be
+    evaluated beyond a set rotation angle."""
 
-        indices = (1,)
+    indices = (1,)
 
-        def __init__(self, limit):
-            self.limit = limit
-            self.raised = 0
+    def __init__(self, limit):
+        self.limit = limit
+        self.raised = 0
 
-        def evaluate(self, nodes):
-            if np.linalg.norm(so3_log(nodes[1].pose.rotation)) > self.limit:
-                self.raised += 1
-                raise IllConditionedRotationError("outside the chart")
-            return factors.FactorEval(np.zeros(1), ((1, np.zeros((1, 12))),), np.eye(1))
+    def evaluate(self, nodes):
+        if np.linalg.norm(so3_log(nodes[1].pose.rotation)) > self.limit:
+            self.raised += 1
+            raise IllConditionedRotationError("outside the chart")
+        return factors.FactorEval(np.zeros(1), ((1, np.zeros((1, 12))),), np.eye(1))
 
+
+def chart_limited_chain():
+    """A 5-node pose-measured chain whose undamped first step swings node 1
+    to 0.21 rad; it turns 0.12 rad at the guess and 0.13 rad at the solution."""
     rng = np.random.default_rng(76)
     blocks_list = input_chain(rng, 5, scale=0.5)
     truth = propagate_chain(prior.StateNode(0.0, exp_map(bounded_twist(rng, 0.4)),
                                             bounded_twist(rng, 0.3)), blocks_list)
     meas = [factors.PoseFactor(k, truth[k].pose, 1e-4 * np.eye(6)) for k in (0, 2, 4)]
-    guesses = perturbed(rng, truth, 1.5, 1.5)
-    # node 1 turns 0.12 rad at the guess and 0.13 rad at the solution, but the
-    # undamped first step swings it to 0.21 rad
+    return perturbed(rng, truth, 1.5, 1.5), blocks_list, meas, truth
+
+
+def test_trial_step_that_raises_is_rejected_and_damped():
+    guesses, blocks_list, meas, truth = chart_limited_chain()
     guard = ChartLimit(0.165)
     sol = solver.solve(solver.Problem(guesses, prior_factors_for(blocks_list),
                                       meas + [guard]))
     assert guard.raised >= 1
     assert sol.converged
+    # every rejection here is a trial that raised; each trial counts once
+    assert sol.cost_evaluations == sol.iterations + guard.raised
+    assert sol.coarse_cost_evaluations == 0
     for est, ref in zip(sol.nodes, truth):
         assert pose_gap(est.pose, ref.pose) < 1e-5
 
@@ -534,6 +555,42 @@ def test_trial_step_that_raises_is_rejected_and_damped():
     with pytest.raises(IllConditionedRotationError):
         solver.solve(solver.Problem(guesses, prior_factors_for(blocks_list),
                                     meas + [ChartLimit(0.1)]))
+
+
+def test_each_trial_state_is_linearized_once(monkeypatch):
+    guesses, blocks_list, meas, _ = chart_limited_chain()
+    problem = solver.Problem(guesses, prior_factors_for(blocks_list),
+                             meas + [ChartLimit(0.165)])
+    calls = {"assemble": 0, "trials": 0}
+    assemble, apply_step, iterate = (solver._Linearizer.assemble, solver._apply_step,
+                                     solver._iterate)
+
+    def counted_assemble(self, state):
+        calls["assemble"] += 1
+        return assemble(self, state)
+
+    def counted_step(state, delta):
+        calls["trials"] += 1
+        return apply_step(state, delta)
+
+    def recorded_iterate(*args):
+        run = iterate(*args)
+        calls["after_iterate"] = calls["assemble"]
+        return run
+
+    monkeypatch.setattr(solver._Linearizer, "assemble", counted_assemble)
+    monkeypatch.setattr(solver, "_apply_step", counted_step)
+    monkeypatch.setattr(solver, "_iterate", recorded_iterate)
+    sol = solver.solve(problem)
+    monkeypatch.undo()
+    # the start and each trial state once; the covariances need no further pass
+    assert sol.iterations < calls["trials"] == sol.cost_evaluations
+    assert calls["assemble"] == calls["after_iterate"] == 1 + calls["trials"]
+
+    _, d, e, _ = solver._Linearizer(problem).assemble(prior.NodeArrays.stack(sol.nodes))
+    p, cross = solver._takahashi(solver._tridiag_factor(d, e, 0.0), e)
+    assert np.array_equal(sol.node_covariances, p)
+    assert np.array_equal(sol.cross_covariances, cross)
 
 
 def test_batched_step_matches_per_node_update():
@@ -547,13 +604,14 @@ def test_batched_step_matches_per_node_update():
                                     nodes[2].pose.translation),
                                nodes[2].bias)
     delta = 0.3 * rng.normal(size=(6, 12))
-    got = solver._apply_step(nodes, delta)
-    for n, d, g in zip(nodes, delta, got):
+    got = solver._apply_step(prior.NodeArrays.stack(nodes), delta)
+    assert np.array_equal(got.index, np.arange(6))
+    for k, (n, d) in enumerate(zip(nodes, delta)):
         want = (exp_map(d[:6]) @ n.pose).renormalized()
-        assert np.allclose(g.pose.rotation, want.rotation, atol=1e-13)
-        assert np.allclose(g.pose.translation, want.translation, atol=1e-13)
-        assert np.array_equal(g.bias, n.bias + d[6:])
-        assert g.time == n.time
+        assert np.allclose(got.rot[k], want.rotation, atol=1e-13)
+        assert np.allclose(got.trans[k], want.translation, atol=1e-13)
+        assert np.array_equal(got.bias[k], n.bias + d[6:])
+        assert got.time[k] == n.time
 
 
 def test_problem_validation():
