@@ -42,34 +42,25 @@ def _ensure_dir(path):
     return path
 
 
-def _fmt(values):
-    return [f"{v:.12g}" for v in values]
-
-
 def cmd_simulate(args):
     scenario = _load(args.config, _DEFAULT_MOBILE)
     truth = simulate_mobile(scenario, seed=args.seed)
     out = _ensure_dir(args.out)
 
-    rows = []
-    for i, t in enumerate(truth.times):
-        pose = truth.poses[i]
-        velocity = truth.input_velocities[i] + truth.biases[i]
-        rows.append(_fmt(np.concatenate([[t], pose.translation,
-                                         so3_log(pose.rotation), velocity])))
+    rows = [np.concatenate([[t], truth.poses[i].translation, so3_log(truth.poses[i].rotation),
+                            truth.input_velocities[i] + truth.biases[i]])
+            for i, t in enumerate(truth.times)]
     write_csv(os.path.join(out, "truth.csv"),
               ["time", "x", "y", "z", "rx", "ry", "rz",
                "vx", "vy", "vz", "wx", "wy", "wz"], rows)
 
-    rows = [_fmt(np.concatenate([[t], truth.input_velocities[i]]))
+    rows = [np.concatenate([[t], truth.input_velocities[i]])
             for i, t in enumerate(truth.times)]
     write_csv(os.path.join(out, "input_log.csv"),
               ["time", "vx", "vy", "vz", "wx", "wy", "wz"], rows)
 
-    rows = [[f"{s.time:.12g}", str(s.landmark_index), f"{s.value:.12g}"]
-            for s in truth.ranges]
-    write_csv(os.path.join(out, "range_log.csv"),
-              ["time", "landmark_index", "range"], rows)
+    write_csv(os.path.join(out, "range_log.csv"), ["time", "landmark_index", "range"],
+              [[s.time, s.landmark_index, s.value] for s in truth.ranges])
 
     print(f"simulated {scenario.name}: {len(truth.times)} ticks, "
           f"{len(truth.ranges)} range measurements -> {out}")

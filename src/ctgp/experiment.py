@@ -495,28 +495,32 @@ def run_continuum(scenario: ContinuumScenario, *, method="inputs"):
     return out
 
 
-def write_csv(path, header, rows):
-    """One header row, then the rows as given (already formatted)."""
+def _write_rows(path, header, rows):
+    """One header row, then the rows as given."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
 
 
+def write_csv(path, columns, rows, *, what="csv"):
+    """One header row, then every value of the rows formatted with .12g.
+
+    Raises ScenarioError, naming the rows as what, unless each row holds one
+    number per column.
+    """
+    if any(np.shape(r) != (len(columns),) for r in rows):
+        raise ScenarioError(f"{what} rows must have {len(columns)} columns")
+    _write_rows(path, columns, ([f"{v:.12g}" for v in r] for r in rows))
+
+
 def write_trajectory_csv(path, rows):
     """One row per evaluation time; see TRAJECTORY_COLUMNS for the layout."""
-    rows = np.asarray(rows)
-    if rows.ndim != 2 or rows.shape[1] != len(TRAJECTORY_COLUMNS):
-        raise ScenarioError(f"trajectory rows must have "
-                            f"{len(TRAJECTORY_COLUMNS)} columns")
-    write_csv(path, TRAJECTORY_COLUMNS, [[f"{v:.12g}" for v in r] for r in rows])
+    write_csv(path, TRAJECTORY_COLUMNS, rows, what="trajectory")
 
 
 def write_fig3_csv(path, rows):
-    rows = np.asarray(rows)
-    if rows.ndim != 2 or rows.shape[1] != len(FIG3_COLUMNS):
-        raise ScenarioError(f"fig3 rows must have {len(FIG3_COLUMNS)} columns")
-    write_csv(path, FIG3_COLUMNS, [[f"{v:.12g}" for v in r] for r in rows])
+    write_csv(path, FIG3_COLUMNS, rows, what="fig3")
 
 
 def write_metrics_csv(path, metrics_list):
@@ -524,7 +528,4 @@ def write_metrics_csv(path, metrics_list):
     if not metrics_list:
         raise ScenarioError("no metrics to write")
     names = [f.name for f in fields(metrics_list[0])]
-    rows = []
-    for m in metrics_list:
-        rows.append([getattr(m, n) for n in names])
-    write_csv(path, names, rows)
+    _write_rows(path, names, ([getattr(m, n) for n in names] for m in metrics_list))

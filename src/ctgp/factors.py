@@ -13,10 +13,12 @@ the same kernel. Covariances are validated and inverted once, when a factor
 is built.
 
 An InterpolatedFactor whose inner is one of those types' bound
-evaluate_node joins an InterpolatedBatch of up to CHUNK_ROWS rows: one
-batched interpolation chain gives the states at all its query times, the
-inner kernel runs on them, and its Jacobian is chained onto both bracketing
-nodes. Any other inner is evaluated on its own, through the same chain as a
+evaluate_node joins an InterpolatedBatch of up to CHUNK_ROWS rows. The
+batch builds the state-independent rows of its query times once
+(interpolation.query_rows); at each linearization one batched
+interpolation chain gives the states at all of them, the inner kernel runs
+on those, and its Jacobian is chained onto both bracketing nodes. Any other
+inner is evaluated on its own, through the same builder and chain as a
 batch of one.
 
 Prior factors read the interval charts (prior.interval_chart) that the
@@ -37,8 +39,7 @@ from .errors import (
     SingularGeometryError,
     WiringError,
 )
-from .interpolation import (CHUNK_ROWS, QueryRows, chain, interpolate_with_jacobian,
-                            query_kernel)
+from .interpolation import CHUNK_ROWS, chain, interpolate_with_jacobian, query_rows
 from .liegroup import Pose, left_jacobian_inv, se3_log, skew, so3_left_jacobian_inv, so3_log
 from .prior import (IntervalBlocks, IntervalChart, NodeArrays, StateNode,
                     check_interval_times, interval_chart)
@@ -237,17 +238,13 @@ def velocity_factor_error(node: StateNode, measured, covariance, mask, *,
 
 def interpolated_factor(node_k: StateNode, node_k1: StateNode,
                         blocks: IntervalBlocks, tau: float, inner, *,
-                        indices=(0, 1), kernel=None) -> FactorEval:
+                        indices=(0, 1)) -> FactorEval:
     """Measurement factor evaluated at an interpolated state.
 
     inner maps the interpolated StateNode to a FactorEval with a single
     12-column Jacobian; that Jacobian is chained onto both bracketing nodes.
-    A prebuilt query kernel may be passed to amortize repeated evaluations
-    at the same time.
     """
-    if kernel is None:
-        kernel = query_kernel(blocks, tau)
-    pose, bias, _, g = interpolate_with_jacobian(node_k, node_k1, kernel)
+    pose, bias, _, g = interpolate_with_jacobian(node_k, node_k1, blocks, tau)
     inner_eval = inner(StateNode(tau, pose, bias))
     (_, j_inner), = inner_eval.jacobians
     return FactorEval(inner_eval.error,
@@ -462,32 +459,28 @@ class VelocityFactor(_BatchedFactor):
         return {"mask": self.mask}
 
 
-@dataclass
+@dataclass(frozen=True)
 class InterpolatedFactor:
     """Measurement factor at a query time between nodes index and index+1.
 
     With inner a batched type's bound evaluate_node, the solver linearizes
-    it in an InterpolatedBatch, which stacks its query kernel. evaluate is
-    the per-factor path; it builds the state-independent query kernel at
-    its first call and reuses it across solver iterations.
+    it in an InterpolatedBatch, which builds its query row once. evaluate
+    is the per-factor path, a batch of one through interpolated_factor.
     """
 
     index: int
     blocks: IntervalBlocks
     tau: float
     inner: object  # StateNode -> FactorEval
-    _kernel: object = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def indices(self):
         return (self.index, self.index + 1)
 
     def evaluate(self, nodes) -> FactorEval:
-        if self._kernel is None:
-            self._kernel = query_kernel(self.blocks, self.tau)
         return interpolated_factor(nodes[self.index], nodes[self.index + 1],
                                    self.blocks, self.tau, self.inner,
-                                   indices=self.indices, kernel=self._kernel)
+                                   indices=self.indices)
 
 
 _BATCHED_TYPES = (RangeFactor, PlanarLockFactor, AnchorFactor, PositionFactor,
@@ -523,18 +516,18 @@ class FactorBatch:
 class InterpolatedBatch:
     """InterpolatedFactors whose inners are one batched type's evaluate_node.
 
-    The stacked query rows interpolate every state in one chain, the inner
-    kernel runs on those states, and its Jacobian is chained onto both
-    bracketing nodes. index (n,) is each row's interval, node k of the pair.
+    The query rows, built once here, interpolate every state in one chain,
+    the inner kernel runs on those states, and its Jacobian is chained onto
+    both bracketing nodes. index (n,) is each row's interval, node k of the
+    pair.
     """
 
     def __init__(self, group):
         self.index = np.array([f.index for f in group])
         self.inner = FactorBatch([f.inner.__self__ for f in group])
         self.information = self.inner.information
-        # kernels built here, not kept on the factors, are stored only stacked
-        self.rows = QueryRows.stack([query_kernel(f.blocks, f.tau) for f in group],
-                                    self.index)
+        self.rows = query_rows([f.blocks for f in group], [f.tau for f in group],
+                               self.index)
 
     def linearize(self, nodes: NodeArrays, chart: IntervalChart):
         """(error (n, m), Jacobian (n, m, 24)) over (node k, node k+1).

@@ -3,16 +3,17 @@
 The motion prior is Markovian in the local state gamma = (xi, psi), so the
 posterior at an interior time depends only on the two bracketing nodes, the
 interval's precomputed transition/integral blocks, and a conditional noise
-term. The query-time gain matrices are state independent, which lets
-repeated queries at a fixed time reuse one kernel (QueryKernel).
+term. The query-time gain matrices are state independent.
 
-There is one evaluation path, chain: kernels stacked as QueryRows,
-interpolated from the stacked node states and each interval's chart
-(prior.interval_chart), with the node Jacobian and covariance on request.
-Trajectory.query_many runs it over its off-node rows, a fixed-size chunk
-at a time, and the solver's interpolated factor batches over theirs;
-Trajectory.query, interpolate_mean, interpolate_with_jacobian and
-interpolate_covariance are batches of one.
+query_rows is the one builder of those gains: it turns each time's
+IntervalBlocks.at pieces into stacked QueryRows. There is one evaluation
+path, chain: the rows interpolated from the stacked node states and each
+interval's chart (prior.interval_chart), with the node Jacobian and
+covariance on request. Trajectory.query_many runs it over its off-node
+rows, a fixed-size chunk at a time, and the solver's interpolated factor
+batches build their rows once and run it over them at every
+linearization; Trajectory.query, lambda_psi, interpolate_mean,
+interpolate_with_jacobian and interpolate_covariance are batches of one.
 """
 
 from __future__ import annotations
@@ -51,46 +52,13 @@ class QueryResult:
     covariance_is_approximate: bool = False
 
 
-@dataclass(frozen=True)
-class QueryKernel:
-    """State-independent pieces of one query time inside one interval.
-
-    input_velocity is the input twist at tau, zero without inputs.
-    """
-
-    blocks: IntervalBlocks
-    tau: float
-    lam: np.ndarray
-    psi_gain: np.ndarray
-    q_cond: np.ndarray
-    input_tau: np.ndarray
-    input_velocity: np.ndarray
-
-
-def query_kernel(blocks: IntervalBlocks, tau: float) -> QueryKernel:
-    """Build the reusable query kernel for one time inside the interval."""
-    qb = blocks.at(tau)
-    psi_gain = qb.q_tau @ qb.phi_to_end.T @ blocks.q_full_inv
-    lam = qb.phi_from_start - psi_gain @ blocks.phi
-    q_cond = qb.q_tau - psi_gain @ qb.phi_to_end @ qb.q_tau
-    v_in = (np.zeros(6) if blocks.profile.is_zero()
-            else blocks.profile.evaluate(tau)[0])
-    return QueryKernel(blocks, tau, lam, psi_gain,
-                       0.5 * (q_cond + q_cond.T), qb.input_tau, v_in)
-
-
-def lambda_psi(blocks: IntervalBlocks, tau: float):
-    """Interpolation gain matrices (lam, psi) for a query time."""
-    kernel = query_kernel(blocks, tau)
-    return kernel.lam, kernel.psi_gain
-
-
 class QueryRows(NamedTuple):
-    """Query kernels stacked over n rows, each tied to one node interval.
+    """Interpolation rows of n query times, each tied to one node interval.
 
     interval (n,) indexes the interval, so row i reads nodes interval[i]
     and interval[i] + 1; t0 and t1 (n,) are that interval's ends and
-    input_full (n, 12) its full input integral.
+    input_full (n, 12) its full input integral. input_velocity (n, 6) is
+    the input twist at tau, zero without inputs.
     """
 
     interval: np.ndarray
@@ -104,17 +72,41 @@ class QueryRows(NamedTuple):
     input_full: np.ndarray
     input_velocity: np.ndarray
 
-    @classmethod
-    def stack(cls, kernels, intervals):
-        """Stack one kernel per row, each in the interval given for its row."""
-        return cls(np.asarray(intervals, dtype=int),
-                   np.array([q.tau for q in kernels], dtype=float),
-                   np.array([q.blocks.t0 for q in kernels]),
-                   np.array([q.blocks.t1 for q in kernels]),
-                   *(np.stack([getattr(q, name) for q in kernels])
-                     for name in ("lam", "psi_gain", "q_cond", "input_tau")),
-                   np.stack([q.blocks.input_full for q in kernels]),
-                   np.stack([q.input_velocity for q in kernels]))
+
+def query_rows(blocks_seq, taus, intervals) -> QueryRows:
+    """The state-independent rows of query times taus, one per row.
+
+    Row i is the time taus[i] inside blocks_seq[i], the blocks of interval
+    intervals[i]. The gains condition the prior on both bracketing nodes:
+    psi_gain = Q(tau) Phi(t1, tau)^T Q^-1, lam = Phi(tau, t0) - psi_gain Phi
+    and q_cond = Q(tau) - psi_gain Phi(t1, tau) Q(tau).
+    """
+    taus = np.asarray(taus, dtype=float)
+    n = len(taus)
+    lam, psi_gain, q_cond = (np.empty((n, 12, 12)) for _ in range(3))
+    input_tau, input_full = np.empty((n, 12)), np.empty((n, 12))
+    input_velocity = np.zeros((n, 6))
+    t0, t1 = np.empty(n), np.empty(n)
+    for i, (blocks, tau) in enumerate(zip(blocks_seq, taus)):
+        qb = blocks.at(tau)
+        psi = qb.q_tau @ qb.phi_to_end.T @ blocks.q_full_inv
+        psi_gain[i] = psi
+        lam[i] = qb.phi_from_start - psi @ blocks.phi
+        q = qb.q_tau - psi @ qb.phi_to_end @ qb.q_tau
+        q_cond[i] = 0.5 * (q + q.T)
+        input_tau[i] = qb.input_tau
+        input_full[i] = blocks.input_full
+        if not blocks.profile.is_zero():
+            input_velocity[i] = blocks.profile.evaluate(tau)[0]
+        t0[i], t1[i] = blocks.t0, blocks.t1
+    return QueryRows(np.asarray(intervals, dtype=int), taus, t0, t1, lam, psi_gain,
+                     q_cond, input_tau, input_full, input_velocity)
+
+
+def lambda_psi(blocks: IntervalBlocks, tau: float):
+    """Interpolation gain matrices (lam, psi) for a query time."""
+    rows = query_rows([blocks], [tau], [0])
+    return rows.lam[0], rows.psi_gain[0]
 
 
 class Chain(NamedTuple):
@@ -208,10 +200,11 @@ def chain_covariance(rows: QueryRows, ch: Chain, covariances, cross_covariances=
     return 0.5 * (cov + np.swapaxes(cov, -1, -2))
 
 
-def _pair(node_k: StateNode, node_k1: StateNode, kernel: QueryKernel, jacobians):
+def _pair(node_k: StateNode, node_k1: StateNode, blocks: IntervalBlocks, tau: float,
+          jacobians):
     """Batch-of-one chain over one bracketing pair."""
     nodes = NodeArrays.stack([node_k, node_k1])
-    rows = QueryRows.stack([kernel], [0])
+    rows = query_rows([blocks], [tau], [0])
     check_interval_times(nodes.time, rows.t0, rows.t1)
     ch = chain(rows, nodes, interval_chart(nodes), jacobians=jacobians)
     return rows, ch
@@ -220,15 +213,15 @@ def _pair(node_k: StateNode, node_k1: StateNode, kernel: QueryKernel, jacobians)
 def interpolate_mean(node_k: StateNode, node_k1: StateNode,
                      blocks: IntervalBlocks, tau: float) -> QueryResult:
     """Posterior mean state at tau conditioned on the bracketing nodes."""
-    rows, ch = _pair(node_k, node_k1, query_kernel(blocks, tau), False)
+    rows, ch = _pair(node_k, node_k1, blocks, tau, False)
     return QueryResult(tau, Pose(ch.rot[0], ch.trans[0]), ch.bias[0],
                        ch.bias[0] + rows.input_velocity[0])
 
 
 def interpolate_with_jacobian(node_k: StateNode, node_k1: StateNode,
-                              kernel: QueryKernel):
-    """Mean state at the kernel's query time plus the 12x24 node Jacobian."""
-    rows, ch = _pair(node_k, node_k1, kernel, True)
+                              blocks: IntervalBlocks, tau: float):
+    """Mean state at tau plus the 12x24 node Jacobian."""
+    rows, ch = _pair(node_k, node_k1, blocks, tau, True)
     return (Pose(ch.rot[0], ch.trans[0]), ch.bias[0],
             ch.bias[0] + rows.input_velocity[0], ch.node_jacobian[0])
 
@@ -262,7 +255,7 @@ def interpolate_covariance(node_k: StateNode, node_k1: StateNode,
                      _check_covariance(cov_k1, "node_k1")])
     cross = (None if cross_covariance is None
              else np.asarray(cross_covariance, dtype=float)[None])
-    rows, ch = _pair(node_k, node_k1, query_kernel(blocks, tau), True)
+    rows, ch = _pair(node_k, node_k1, blocks, tau, True)
     return chain_covariance(rows, ch, covs, cross)[0], cross is None
 
 
@@ -332,7 +325,9 @@ class Trajectory:
         for i in np.flatnonzero(hit):
             j = nearest[i]
             t, bias = float(state.time[j]), state.bias[j]
-            blocks = self.blocks[k[i]]
+            # the input twist is right-continuous: read it from the interval
+            # that starts at the node, or the last one for the last node
+            blocks = self.blocks[min(j, len(self.blocks) - 1)]
             v_in = np.zeros(6) if blocks.profile.is_zero() else blocks.profile.evaluate(t)[0]
             out[i] = QueryResult(t, Pose(state.rot[j], state.trans[j]), bias.copy(), bias + v_in,
                                  self.covariances[j].copy() if with_cov else None, False)
@@ -341,8 +336,7 @@ class Trajectory:
             self._chart = interval_chart(self._state)
         for lo in range(0, len(off), CHUNK_ROWS):
             part = off[lo:lo + CHUNK_ROWS]
-            rows = QueryRows.stack([query_kernel(self.blocks[k[i]], float(taus[i]))
-                                    for i in part], k[part])
+            rows = query_rows([self.blocks[k[i]] for i in part], taus[part], k[part])
             ch = chain(rows, self._state, self._chart, jacobians=with_cov)
             cov = (chain_covariance(rows, ch, self.covariances, self.cross_covariances)
                    if with_cov else None)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .continuum import STRAIGHT_STRAIN, tensions_to_inputs
 from .liegroup import Pose, exp_map, wedge
-from .scenario import ContinuumScenario, Disturbance, MobileScenario
+from .scenario import Disturbance, MobileScenario
 
 # sub-tick resolution of the simulated bias walk; fine enough that the
 # discrete walk is indistinguishable from the continuous process at the

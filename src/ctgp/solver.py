@@ -15,8 +15,9 @@ in one prior_factor_batch call, with their constant blocks stacked once per
 solve. Each built-in one-node type (range, position, pose, velocity, planar
 lock, anchor) is one kernel call whose blocks are scattered into D and g.
 Interpolated factors whose inner is such a type are grouped the same way:
-one batched interpolation chain, reading the same interval charts, feeds the
-inner kernel, and its two-node blocks are scattered into D, E and g. Only
+their query rows are built once per solve, one batched interpolation chain
+over them, reading the same interval charts, feeds the inner kernel, and
+its two-node blocks are scattered into D, E and g. Only
 other factors, such as an interpolated factor with a plain-callable inner
 or a custom two-node factor, are evaluated one by one, on StateNodes
 unstacked from the state. The block LDL^T sweep stores the inverse pivot
@@ -51,23 +52,19 @@ _ABSOLUTE_FACTORS = (_factors.RangeFactor, _factors.PoseFactor,
                      _factors.InterpolatedFactor)
 
 _REJECT_LIMIT = 50
+_INITIAL_DAMPING = 0.0
+_DAMPING_GROWTH = 10.0
+_RELATIVE_COST_TOLERANCE = 1e-8
+_STEP_NORM_TOLERANCE = 1e-10
 
 
 @dataclass
 class SolverSettings:
     max_iterations: int = 100
-    relative_cost_tolerance: float = 1e-8
-    step_norm_tolerance: float = 1e-10
-    initial_damping: float = 0.0
-    damping_growth: float = 10.0
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise HyperparameterError("max_iterations must be at least 1")
-        if self.relative_cost_tolerance <= 0 or self.step_norm_tolerance <= 0:
-            raise HyperparameterError("convergence tolerances must be positive")
-        if self.initial_damping < 0 or self.damping_growth <= 1:
-            raise HyperparameterError("damping settings out of range")
 
 
 @dataclass(frozen=True)
@@ -346,7 +343,7 @@ def _iterate(settings: SolverSettings, lin: _Linearizer, state: NodeArrays) -> _
     exhausts max_iterations or cannot decrease the cost at any damping
     returns the best state found with converged False.
     """
-    lam = settings.initial_damping
+    lam = _INITIAL_DAMPING
     converged = False
     iterations = evaluations = 0
 
@@ -360,7 +357,7 @@ def _iterate(settings: SolverSettings, lin: _Linearizer, state: NodeArrays) -> _
             except np.linalg.LinAlgError:
                 # indefinite at this damping; a singular problem surfaces at the
                 # final undamped factorization instead
-                lam = 1e-6 if lam == 0.0 else lam * settings.damping_growth
+                lam = 1e-6 if lam == 0.0 else lam * _DAMPING_GROWTH
                 rejected += 1
                 continue
             delta = _tridiag_solve(s, e, g)
@@ -375,7 +372,7 @@ def _iterate(settings: SolverSettings, lin: _Linearizer, state: NodeArrays) -> _
                 trial = (np.inf,)
             if trial[0] <= cost + 1e-12 * max(1.0, cost):
                 break
-            lam = 1e-6 if lam == 0.0 else lam * settings.damping_growth
+            lam = 1e-6 if lam == 0.0 else lam * _DAMPING_GROWTH
             rejected += 1
         else:
             # no damping gave an acceptable step
@@ -384,9 +381,9 @@ def _iterate(settings: SolverSettings, lin: _Linearizer, state: NodeArrays) -> _
         state = candidate
         history.append(new_cost)
         iterations += 1
-        lam = 0.0 if lam < 1e-12 else lam / settings.damping_growth
-        small_change = abs(cost - new_cost) <= settings.relative_cost_tolerance * max(cost, 1e-300)
-        small_step = float(np.linalg.norm(delta)) <= settings.step_norm_tolerance
+        lam = 0.0 if lam < 1e-12 else lam / _DAMPING_GROWTH
+        small_change = abs(cost - new_cost) <= _RELATIVE_COST_TOLERANCE * max(cost, 1e-300)
+        small_step = float(np.linalg.norm(delta)) <= _STEP_NORM_TOLERANCE
         cost = new_cost
         if small_change or small_step:
             converged = True

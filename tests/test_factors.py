@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -413,3 +415,6 @@ def test_interpolated_factor_equality_ignores_its_cached_kernel():
     b.evaluate(nodes)
     assert a == b
     assert a != factors.InterpolatedFactor(0, blocks, 0.32, inner)
+    # frozen, like every other factor type: nothing is cached on it
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.tau = 0.32

@@ -145,6 +145,28 @@ def test_velocity_jumps_preserved():
     assert np.allclose(after.bias - before.bias, 0.0, atol=1e-6)
 
 
+def test_node_hit_velocity_does_not_depend_on_the_side():
+    # the yaw rate steps from 0.5 to -0.5 at the middle node, t = 0.5 s
+    hyper = prior.PriorHyper(np.full(6, 0.5))
+    zero = np.zeros(6)
+    w_a, w_b = np.array([0, 0, 0, 0, 0, 0.5]), np.array([0, 0, 0, 0, 0, -0.5])
+    blocks_list = [prior.IntervalBlocks(inputs.InputProfile((
+        inputs.InputSegment(t0, t0 + 0.5, w, w, zero, zero),)), hyper)
+        for t0, w in ((0.0, w_a), (0.5, w_b))]
+    nodes = [random_node(np.random.default_rng(15))]
+    for blocks in blocks_list:
+        nodes.append(prior.prior_mean_propagate(nodes[-1], blocks, blocks.t1))
+    traj = interpolation.Trajectory(nodes, blocks_list)
+
+    # within TIME_TOL of the node, below it and on it, and the last node
+    below, on, last = traj.query_many([0.5 - 5e-10, 0.5, 1.0])
+    assert below.time == on.time == 0.5
+    # the input is right-continuous: at the node it reads the later interval
+    assert np.array_equal(below.velocity, on.velocity)
+    assert np.array_equal(on.velocity, nodes[1].bias + w_b)
+    assert np.array_equal(last.velocity, nodes[2].bias + w_b)
+
+
 def test_interpolated_covariance_matches_prior_propagation():
     # pinned start (zero covariance) and far node drawn from the prior:
     # conditioning must reproduce the propagated prior covariance at tau
@@ -219,9 +241,8 @@ def test_query_jacobian_matches_finite_differences():
         blocks, _, _ = build_blocks(rng, n_segments=3)
         node_k, node_k1 = perturbed_pair(rng, blocks)
         for tau in (0.13, 0.41):
-            kernel = interpolation.query_kernel(blocks, tau)
             pose0, bias0, _, g = interpolation.interpolate_with_jacobian(
-                node_k, node_k1, kernel)
+                node_k, node_k1, blocks, tau)
             num = np.zeros_like(g)
             for col in range(24):
                 readings = []
