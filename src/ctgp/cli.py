@@ -135,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "acceleration inputs on SE(3).")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, method_default="inputs", method_optional=False):
+    def common(p, *, method_optional=False):
         p.add_argument("--config", help="scenario file or bundled scenario name")
         p.add_argument("--seed", type=int, default=None,
                        help="override the scenario seed")
@@ -144,8 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--method", choices=("inputs", "wnoa"), default=None,
                            help="estimate with one method only (default: both)")
         else:
-            p.add_argument("--method", choices=("inputs", "wnoa"),
-                           default=method_default,
+            p.add_argument("--method", choices=("inputs", "wnoa"), default="inputs",
                            help="use odometry as prior inputs or as "
                                 "velocity measurements")
 

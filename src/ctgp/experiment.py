@@ -30,7 +30,7 @@ from .factors import (AnchorFactor, InterpolatedFactor, PlanarLockFactor,
                       PositionFactor, PriorFactor, RangeFactor, VelocityFactor)
 from .inputs import InputProfile, InputSegment, from_samples
 from .interpolation import CHUNK_ROWS, Trajectory
-from .liegroup import Pose, exp_map, skew, so3_log
+from .liegroup import Pose, position_jacobian, se3_exp, so3_log, so3_project
 from .prior import (TIME_TOL, IntervalBlocks, PriorHyper, StateNode,
                     precompute_intervals, prior_mean_propagate)
 from .scenario import ContinuumScenario, MobileScenario
@@ -119,12 +119,12 @@ def _pose_to_columns(pose: Pose):
 
 def _dead_reckon(truth: MobileTruth):
     """Odometry-only pose chain at the tick times, used as the initial guess."""
-    dt = truth.scenario.tick
     cmd = truth.input_velocities
+    steps = zip(*se3_exp(truth.scenario.tick * (0.5 * (cmd[:-1] + cmd[1:]))))
     poses = [truth.scenario.start]
-    for k in range(len(truth.times) - 1):
-        mid = 0.5 * (cmd[k] + cmd[k + 1])
-        poses.append((exp_map(dt * mid) @ poses[-1]).renormalized())
+    for rot, trans in steps:
+        last = poses[-1]
+        poses.append(Pose(so3_project(rot @ last.rotation), rot @ last.translation + trans))
     return poses
 
 
@@ -261,8 +261,7 @@ def build_mobile_problem(truth: MobileTruth, *, method="inputs",
                 meas.append(odometry)
             else:
                 # an off-node tick weighs on the state interpolated at its time
-                meas.append(InterpolatedFactor(k, blocks_list[k], float(t),
-                                               odometry.evaluate_node))
+                meas.append(InterpolatedFactor(k, blocks_list[k], float(t), odometry))
 
     coarse = (_coarse_problem(truth, blocks_list, stride, dt_landmark, reckoned)
               if method == "inputs" else None)
@@ -321,13 +320,13 @@ def run_experiment(scenario: MobileScenario, *, method="inputs", node_policy=Non
     return ExperimentResult(metrics, truth, trajectory, solution, rows)
 
 
-def sweep(scenario: MobileScenario, dt_values=(0.5, 1.0, 2.0, 3.0, 4.0, 5.0),
-          methods=("inputs", "wnoa"), *, node_policy="meas-only", seed=None):
+def sweep(scenario: MobileScenario, dt_values=(0.5, 1.0, 2.0, 3.0, 4.0, 5.0), *,
+          node_policy="meas-only", seed=None):
     """Metrics over measurement sparsities, both methods on one simulated run."""
     truth = simulate_mobile(scenario, seed=seed)
     out = []
     for dt_landmark in dt_values:
-        for method in methods:
+        for method in ("inputs", "wnoa"):
             out.append(run_experiment(
                 scenario, method=method, node_policy=node_policy,
                 dt_landmark=dt_landmark, truth=truth).metrics)
@@ -338,9 +337,7 @@ def xy_nees(truth_pose: Pose, query) -> float:
     """Planar-position NEES of one query against its 2x2 marginal."""
     if query.covariance is None:
         raise ScenarioError("query carries no covariance; solve marginals first")
-    a = np.zeros((3, 6))
-    a[:, :3] = np.eye(3)
-    a[:, 3:] = -skew(query.pose.translation)
+    a = position_jacobian(query.pose.translation)
     cov_xy = (a @ query.covariance[:6, :6] @ a.T)[:2, :2]
     err = (truth_pose.translation - query.pose.translation)[:2]
     return float(err @ np.linalg.solve(cov_xy, err))
@@ -355,6 +352,7 @@ _FIG3_SIN_AMPLITUDE = 1.2
 _FIG3_SIN_PERIOD = 6.0
 _FIG3_MEAS_OFFSET = np.array([0.05, -0.04, 0.0])
 _FIG3_MEAS_VARIANCE = 1e-4
+_FIG3_QUERY_RATE = 100.0
 
 
 def _fig3_profile(variant):
@@ -386,7 +384,7 @@ def _fig3_rows(trajectory, times):
     return rows
 
 
-def reproduce_fig3(variant="velocity", *, query_rate=100.0):
+def reproduce_fig3(variant="velocity"):
     """Prior and posterior curves for one illustration variant.
 
     A 3 s trajectory from a known start at 1 m/s forward, nodes every 0.5 s,
@@ -424,7 +422,7 @@ def reproduce_fig3(variant="velocity", *, query_rate=100.0):
                            covariances=post_solution.node_covariances,
                            cross_covariances=post_solution.cross_covariances)
 
-    times = np.arange(0.0, _FIG3_DURATION + 1e-9, 1.0 / query_rate)
+    times = np.arange(0.0, _FIG3_DURATION + 1e-9, 1.0 / _FIG3_QUERY_RATE)
     return {
         "variant": variant,
         "times": times,

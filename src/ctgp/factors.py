@@ -12,14 +12,13 @@ their evaluate and the *_factor_error functions are batch-of-one calls into
 the same kernel. Covariances are validated and inverted once, when a factor
 is built.
 
-An InterpolatedFactor whose inner is one of those types' bound
-evaluate_node joins an InterpolatedBatch of up to CHUNK_ROWS rows. The
-batch builds the state-independent rows of its query times once
-(interpolation.query_rows); at each linearization one batched
-interpolation chain gives the states at all of them, the inner kernel runs
-on those, and its Jacobian is chained onto both bracketing nodes. Any other
-inner is evaluated on its own, through the same builder and chain as a
-batch of one.
+An InterpolatedFactor wraps one of those one-node factors, its inner, and
+joins an InterpolatedBatch of up to CHUNK_ROWS rows. The batch builds the
+state-independent rows of its query times once (interpolation.query_rows);
+at each linearization one batched interpolation chain gives the states at
+all of them, the inner kernel runs on those, and its Jacobian is chained
+onto both bracketing nodes. A measurement of another kind is a custom
+two-node factor whose evaluate calls interpolated_factor.
 
 Prior factors read the interval charts (prior.interval_chart) that the
 interpolated queries also read; prior_factor_batch evaluates all of them in
@@ -40,7 +39,8 @@ from .errors import (
     WiringError,
 )
 from .interpolation import CHUNK_ROWS, chain, interpolate_with_jacobian, query_rows
-from .liegroup import Pose, left_jacobian_inv, se3_log, skew, so3_left_jacobian_inv, so3_log
+from .liegroup import (Pose, left_jacobian_inv, position_jacobian, se3_log,
+                       so3_left_jacobian_inv, so3_log)
 from .prior import (IntervalBlocks, IntervalChart, NodeArrays, StateNode,
                     check_interval_times, interval_chart)
 
@@ -148,9 +148,7 @@ def _range_kernel(nodes: NodeArrays, landmark, measured):
             "undefined: the node sits at its landmark")
     unit = offset / rng[:, None]
     jac = np.zeros((len(rng), 1, 12))
-    # left perturbation moves the position by [I, -skew(t)] delta
-    jac[:, 0, :3] = unit
-    jac[:, 0, 3:6] = np.einsum("ni,nij->nj", unit, -skew(nodes.trans))
+    jac[:, 0, :6] = np.einsum("ni,nij->nj", unit, position_jacobian(nodes.trans))
     return (measured - rng)[:, None], jac
 
 
@@ -174,8 +172,7 @@ def _anchor_kernel(nodes: NodeArrays, meas_rot, meas_trans, meas_bias):
 
 def _position_kernel(nodes: NodeArrays, measured):
     jac = np.zeros((len(measured), 3, 12))
-    jac[:, :, :3] = -np.eye(3)
-    jac[:, :, 3:6] = skew(nodes.trans)
+    jac[:, :, :6] = -position_jacobian(nodes.trans)
     return measured - nodes.trans, jac
 
 
@@ -200,39 +197,36 @@ def _planar_lock_kernel(nodes: NodeArrays, *, bias_only):
     rotvec = so3_log(nodes.rot)
     value = np.concatenate([nodes.trans[:, 2:], rotvec[:, :2], bias_rows], axis=-1)
     jac = np.zeros((len(bias_rows), 7, 12))
-    jac[:, 0, 2] = -1.0
-    jac[:, 0, 3:6] = skew(nodes.trans)[:, 2]
+    jac[:, 0, :6] = -position_jacobian(nodes.trans)[:, 2]
     jac[:, 1:3, 3:6] = -so3_left_jacobian_inv(rotvec)[:, :2]
     jac[:, 3:, 6:] = bias_jac
     return -value, jac
 
 
 def range_factor_error(node: StateNode, landmark, measured_range: float,
-                       variance: float, *, index=0) -> FactorEval:
+                       variance: float) -> FactorEval:
     """Scalar range residual to a known landmark."""
-    return RangeFactor(index, landmark, measured_range, variance).evaluate_node(node)
+    return RangeFactor(0, landmark, measured_range, variance).evaluate_node(node)
 
 
-def pose_factor_error(node: StateNode, measured: Pose, covariance, *,
-                      index=0) -> FactorEval:
+def pose_factor_error(node: StateNode, measured: Pose, covariance) -> FactorEval:
     """Full pose residual e = ln(measured pose^-1)^v."""
-    return PoseFactor(index, measured, covariance).evaluate_node(node)
+    return PoseFactor(0, measured, covariance).evaluate_node(node)
 
 
-def position_factor_error(node: StateNode, measured, covariance, *,
-                          index=0) -> FactorEval:
+def position_factor_error(node: StateNode, measured, covariance) -> FactorEval:
     """Translation-only residual."""
-    return PositionFactor(index, measured, covariance).evaluate_node(node)
+    return PositionFactor(0, measured, covariance).evaluate_node(node)
 
 
 def velocity_factor_error(node: StateNode, measured, covariance, mask, *,
-                          input_velocity=None, index=0) -> FactorEval:
+                          input_velocity=None) -> FactorEval:
     """Masked body-velocity residual.
 
     The predicted velocity is bias + input_velocity when inputs drive the
     prior, or the bias alone when they do not (input_velocity None).
     """
-    return VelocityFactor(index, measured, covariance, mask,
+    return VelocityFactor(0, measured, covariance, mask,
                           input_velocity).evaluate_node(node)
 
 
@@ -243,6 +237,7 @@ def interpolated_factor(node_k: StateNode, node_k1: StateNode,
 
     inner maps the interpolated StateNode to a FactorEval with a single
     12-column Jacobian; that Jacobian is chained onto both bracketing nodes.
+    A custom two-node factor for a measurement of a new kind calls this.
     """
     pose, bias, _, g = interpolate_with_jacobian(node_k, node_k1, blocks, tau)
     inner_eval = inner(StateNode(tau, pose, bias))
@@ -459,19 +454,29 @@ class VelocityFactor(_BatchedFactor):
         return {"mask": self.mask}
 
 
+_BATCHED_TYPES = (RangeFactor, PlanarLockFactor, AnchorFactor, PositionFactor,
+                  PoseFactor, VelocityFactor)
+
+
 @dataclass(frozen=True)
 class InterpolatedFactor:
-    """Measurement factor at a query time between nodes index and index+1.
+    """A one-node factor, inner, at a query time between nodes index and index+1.
 
-    With inner a batched type's bound evaluate_node, the solver linearizes
-    it in an InterpolatedBatch, which builds its query row once. evaluate
-    is the per-factor path, a batch of one through interpolated_factor.
+    inner is a RangeFactor, PositionFactor, PoseFactor, VelocityFactor,
+    PlanarLockFactor or AnchorFactor; its own index is not read. The solver
+    linearizes the factor in an InterpolatedBatch, which builds its query
+    row once. evaluate is a batch of one through interpolated_factor.
     """
 
     index: int
     blocks: IntervalBlocks
     tau: float
-    inner: object  # StateNode -> FactorEval
+    inner: _BatchedFactor
+
+    def __post_init__(self):
+        if type(self.inner) not in _BATCHED_TYPES:
+            raise WiringError("an interpolated factor's inner must be one of "
+                              f"{[t.__name__ for t in _BATCHED_TYPES]}, not {self.inner!r}")
 
     @property
     def indices(self):
@@ -479,12 +484,8 @@ class InterpolatedFactor:
 
     def evaluate(self, nodes) -> FactorEval:
         return interpolated_factor(nodes[self.index], nodes[self.index + 1],
-                                   self.blocks, self.tau, self.inner,
+                                   self.blocks, self.tau, self.inner.evaluate_node,
                                    indices=self.indices)
-
-
-_BATCHED_TYPES = (RangeFactor, PlanarLockFactor, AnchorFactor, PositionFactor,
-                  PoseFactor, VelocityFactor)
 
 
 class FactorBatch:
@@ -514,7 +515,7 @@ class FactorBatch:
 
 
 class InterpolatedBatch:
-    """InterpolatedFactors whose inners are one batched type's evaluate_node.
+    """InterpolatedFactors whose inners are of one batched type.
 
     The query rows, built once here, interpolate every state in one chain,
     the inner kernel runs on those states, and its Jacobian is chained onto
@@ -524,7 +525,7 @@ class InterpolatedBatch:
 
     def __init__(self, group):
         self.index = np.array([f.index for f in group])
-        self.inner = FactorBatch([f.inner.__self__ for f in group])
+        self.inner = FactorBatch([f.inner for f in group])
         self.information = self.inner.information
         self.rows = query_rows([f.blocks for f in group], [f.tau for f in group],
                                self.index)
@@ -540,26 +541,16 @@ class InterpolatedBatch:
         return error, jac @ ch.node_jacobian
 
 
-def _batched_inner(f):
-    """The batched factor whose evaluate_node an InterpolatedFactor wraps, or None."""
-    owner = getattr(f.inner, "__self__", None)
-    if (type(owner) in _BATCHED_TYPES
-            and getattr(f.inner, "__func__", None) is _BatchedFactor.evaluate_node):
-        return owner
-    return None
-
-
 def batch_factors(factors):
     """Group the batched types into FactorBatches and InterpolatedBatches.
 
-    An InterpolatedFactor joins a batch when its inner is a batched type's
-    bound evaluate_node. A group longer than CHUNK_ROWS is split. Returns
-    (batches, rest). Every other factor, such as an InterpolatedFactor with
-    a plain-callable inner, is left in rest to be evaluated on its own.
+    InterpolatedFactors are grouped by the type of their inner. A group
+    longer than CHUNK_ROWS is split. Returns (batches, rest). Every other
+    factor, a custom one, is left in rest to be evaluated on its own.
     """
     groups, rest = {}, []
     for f in factors:
-        owner = _batched_inner(f) if type(f) is InterpolatedFactor else f
+        owner = f.inner if type(f) is InterpolatedFactor else f
         if type(owner) in _BATCHED_TYPES:
             key = ((type(f), type(owner))
                    + tuple(np.asarray(v).tobytes() for v in owner._shared().values()))

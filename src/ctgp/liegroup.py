@@ -213,6 +213,15 @@ def se3_adjoint(R, t):
     return out
 
 
+def position_jacobian(t):
+    """Batched 3x6 [I, -skew(t)]: d translation(s) t / d delta under T <- exp(delta) T."""
+    t = np.asarray(t, dtype=float)
+    out = np.zeros(t.shape[:-1] + (3, 6))
+    out[..., :3] = np.eye(3)
+    out[..., 3:] = -skew(t)
+    return out
+
+
 def left_jacobian(xi):
     """SE(3) left Jacobian, 6x6: [[J, Q], [0, J]]."""
     xi = np.asarray(xi, dtype=float)

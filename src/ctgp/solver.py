@@ -13,14 +13,13 @@ Linearization is batched by factor type. Each pass computes the chart of
 every node interval once; the prior factors of all intervals come from it
 in one prior_factor_batch call, with their constant blocks stacked once per
 solve. Each built-in one-node type (range, position, pose, velocity, planar
-lock, anchor) is one kernel call whose blocks are scattered into D and g.
-Interpolated factors whose inner is such a type are grouped the same way:
-their query rows are built once per solve, one batched interpolation chain
-over them, reading the same interval charts, feeds the inner kernel, and
-its two-node blocks are scattered into D, E and g. Only
-other factors, such as an interpolated factor with a plain-callable inner
-or a custom two-node factor, are evaluated one by one, on StateNodes
-unstacked from the state. The block LDL^T sweep stores the inverse pivot
+lock, anchor) is one kernel call. Interpolated factors, which wrap such a
+type, are grouped the same way: their query rows are built once per solve,
+and one batched interpolation chain over them, reading the same interval
+charts, feeds the inner kernel. Custom factors are evaluated one by one, on
+StateNodes unstacked from the state. Every batch and every custom factor
+gives stacked rows (index, error, Jacobian, information), and one scatter
+adds them into D, E and g. The block LDL^T sweep stores the inverse pivot
 blocks S_i^-1, one inverse per block, so the forward-backward solve and the
 Takahashi recursion for the posterior covariance blocks are plain products.
 
@@ -158,11 +157,11 @@ class _Linearizer:
 
     The prior's interval constants are stacked, and the node times checked
     against the prior's and the interpolated factors' intervals, once: a
-    step never changes a time. The batched factor types, including
-    interpolated factors with a batched inner, are grouped once; every other
-    measurement factor is evaluated on its own. assemble is the one
-    linearization: each pass computes every interval's chart once, for the
-    prior and the interpolated batches alike.
+    step never changes a time. The batched factor types, interpolated ones
+    included, are grouped once; a custom measurement factor, in others, is
+    evaluated on its own. assemble is the one linearization: each pass
+    computes every interval's chart once, for the prior and the interpolated
+    batches alike.
     """
 
     def __init__(self, problem: Problem):
@@ -190,6 +189,21 @@ class _Linearizer:
         g[1:] -= np.einsum("nji,nj->ni", j_k1, we)
         return 0.5 * float(np.einsum("ni,nij,nj->", err, info, err))
 
+    def _rows(self, state, chart):
+        """Stacked (index, error, Jacobian, information) of each batch and custom factor.
+
+        A Jacobian spans node index, or nodes (index, index + 1).
+        """
+        for batch in self.batches:
+            yield (batch.index, *batch.linearize(state, chart), batch.information)
+        nodes = state.unstack() if self.others else None
+        for f in self.others:
+            ev = f.evaluate(nodes)
+            blocks = sorted(ev.jacobians, key=lambda ij: ij[0])
+            yield (np.array([blocks[0][0]]), ev.error[None],
+                   np.concatenate([jac for _, jac in blocks], axis=-1)[None],
+                   ev.information[None])
+
     def assemble(self, state: NodeArrays):
         """Returns (cost, D diagonal blocks, E subdiagonal blocks, gradient)."""
         k = self.k
@@ -199,33 +213,18 @@ class _Linearizer:
         chart = interval_chart(state)
         cost = self._add_priors(state, chart, d, e, g)
 
-        for batch in self.batches:
-            err, jac = batch.linearize(state, chart)
+        for index, err, jac, info in self._rows(state, chart):
             jac_t = np.swapaxes(jac, -1, -2)
-            we = np.einsum("nij,nj->ni", batch.information, err)
+            we = np.einsum("nij,nj->ni", info, err)
             cost += 0.5 * float(np.einsum("ni,ni->", err, we))
-            hess = jac_t @ batch.information @ jac
+            hess = jac_t @ info @ jac
             grad = -np.einsum("nij,nj->ni", jac_t, we)
-            # a batch's Jacobian spans node index, or nodes (index, index + 1)
             for j in range(jac.shape[-1] // 12):
                 cols = slice(12 * j, 12 * j + 12)
-                np.add.at(d, batch.index + j, hess[:, cols, cols])
-                np.add.at(g, batch.index + j, grad[:, cols])
+                np.add.at(d, index + j, hess[:, cols, cols])
+                np.add.at(g, index + j, grad[:, cols])
             if jac.shape[-1] == 24:
-                np.add.at(e, batch.index, hess[:, 12:, :12])
-
-        nodes = state.unstack() if self.others else None
-        for f in self.others:
-            ev = f.evaluate(nodes)
-            cost += ev.cost()
-            we_f = ev.information @ ev.error
-            blocks = sorted(ev.jacobians, key=lambda ij: ij[0])
-            for i, jac in blocks:
-                d[i] += jac.T @ ev.information @ jac
-                g[i] -= jac.T @ we_f
-            if len(blocks) == 2:
-                (i, ja), (_, jb) = blocks
-                e[i] += jb.T @ ev.information @ ja
+                np.add.at(e, index, hess[:, 12:, :12])
         return cost, d, e, g
 
 

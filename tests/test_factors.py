@@ -392,10 +392,9 @@ def test_bound_factor_classes_match_functions():
     assert got.jacobians[0][0] == 0 and got.jacobians[1][0] == 1
 
     tau = 0.31
-    inner = lambda n: factors.range_factor_error(n, np.array([1.0, 2.0, 0.3]),
-                                                 2.0, 0.05)
+    inner = factors.RangeFactor(0, np.array([1.0, 2.0, 0.3]), 2.0, 0.05)
     itf = factors.InterpolatedFactor(0, blocks, tau, inner)
-    want = factors.interpolated_factor(n0, n1, blocks, tau, inner)
+    want = factors.interpolated_factor(n0, n1, blocks, tau, inner.evaluate_node)
     got = itf.evaluate(nodes)
     assert np.allclose(got.error, want.error)
     assert np.allclose(got.jacobians[0][1], want.jacobians[0][1])
@@ -406,7 +405,7 @@ def test_interpolated_factor_equality_ignores_its_cached_kernel():
     blocks, _ = build_blocks(rng)
     n0 = random_node(rng)
     nodes = [n0, prior.prior_mean_propagate(n0, blocks, blocks.t1)]
-    inner = factors.RangeFactor(0, np.array([1.0, 2.0, 0.3]), 2.0, 0.05).evaluate_node
+    inner = factors.RangeFactor(0, np.array([1.0, 2.0, 0.3]), 2.0, 0.05)
     a = factors.InterpolatedFactor(0, blocks, 0.31, inner)
     b = factors.InterpolatedFactor(0, blocks, 0.31, inner)
     assert a == b
@@ -418,3 +417,14 @@ def test_interpolated_factor_equality_ignores_its_cached_kernel():
     # frozen, like every other factor type: nothing is cached on it
     with pytest.raises(dataclasses.FrozenInstanceError):
         a.tau = 0.32
+
+
+def test_interpolated_factor_rejects_a_callable_inner():
+    rng = np.random.default_rng(35)
+    blocks, _ = build_blocks(rng)
+    inner = factors.RangeFactor(0, np.array([1.0, 2.0, 0.3]), 2.0, 0.05)
+    for bad in (inner.evaluate_node,
+                lambda n: factors.range_factor_error(n, inner.landmark, 2.0, 0.05),
+                factors.PriorFactor(0, blocks)):
+        with pytest.raises(WiringError, match="inner must be one of"):
+            factors.InterpolatedFactor(0, blocks, 0.31, bad)

@@ -171,24 +171,36 @@ def test_batched_assembly_matches_per_factor_reference():
         factors.PlanarLockFactor(1, 1e4),
         factors.PlanarLockFactor(2, 1e3, bias_only=True),
         factors.PlanarLockFactor(3, 1e4),
-        factors.InterpolatedFactor(
-            3, blocks_list[3], tau,
-            lambda node: factors.range_factor_error(node, landmark, 2.0, 0.05)),
-        # batched interpolated groups: odometry in intervals 1 and 3, and a
-        # range in interval 3
+        # batched interpolated groups, one per inner type: ranges in interval
+        # 3, odometry in intervals 1 and 3, and each other one-node type
+        factors.InterpolatedFactor(3, blocks_list[3], tau,
+                                   factors.RangeFactor(3, landmark, 2.0, 0.05)),
         factors.InterpolatedFactor(1, blocks_list[1], blocks_list[1].t0 + 0.07,
-                                   odometry(1, 0.1 * np.ones(6)).evaluate_node),
-        factors.InterpolatedFactor(3, blocks_list[3], tau + 0.1,
-                                   odometry(3, np.zeros(6)).evaluate_node),
+                                   odometry(1, 0.1 * np.ones(6))),
+        factors.InterpolatedFactor(3, blocks_list[3], tau + 0.1, odometry(3, np.zeros(6))),
         factors.InterpolatedFactor(
             3, blocks_list[3], tau - 0.05,
-            factors.RangeFactor(3, landmark, dist(truth[3]) + 0.02, 1e-2).evaluate_node),
+            factors.RangeFactor(3, landmark, dist(truth[3]) + 0.02, 1e-2)),
+        factors.InterpolatedFactor(
+            2, blocks_list[2], blocks_list[2].t0 + 0.13,
+            factors.PositionFactor(2, truth[2].pose.translation - 0.01,
+                                   np.diag([2e-3, 1e-3, 3e-3]))),
+        factors.InterpolatedFactor(0, blocks_list[0], blocks_list[0].t0 + 0.2,
+                                   factors.PoseFactor(0, truth[1].pose, 1e-3 * np.eye(6))),
+        factors.InterpolatedFactor(
+            4, blocks_list[4], blocks_list[4].t0 + 0.09,
+            factors.AnchorFactor(4, truth[4].pose, truth[4].bias, 2e-4 * np.eye(6),
+                                 1e-3 * np.eye(6))),
+        factors.InterpolatedFactor(1, blocks_list[1], blocks_list[1].t0 + 0.21,
+                                   factors.PlanarLockFactor(1, 1e4)),
+        factors.InterpolatedFactor(2, blocks_list[2], blocks_list[2].t0 + 0.04,
+                                   factors.PlanarLockFactor(2, 1e3, bias_only=True)),
         RelativeTranslation(),
     ]
     problem = solver.Problem(truth, prior_factors_for(blocks_list), meas)
     lin = solver._Linearizer(problem)
-    assert len(lin.batches) == 10 and len(lin.others) == 2
-    assert sum(isinstance(b, factors.InterpolatedBatch) for b in lin.batches) == 2
+    assert len(lin.batches) == 15 and len(lin.others) == 1
+    assert sum(isinstance(b, factors.InterpolatedBatch) for b in lin.batches) == 7
     nodes = perturbed(rng, truth, 5e-2, 5e-2)
 
     cost, d, e, g = lin.assemble(prior.NodeArrays.stack(nodes))
@@ -279,9 +291,8 @@ def test_covariance_blocks_match_dense_inverse():
         factors.PositionFactor(3, truth[3].pose.translation.copy(), 1e-3 * np.eye(3)),
         factors.InterpolatedFactor(
             1, blocks_list[1], tau,
-            lambda node: factors.velocity_factor_error(
-                node, q_tau.velocity, vel_cov, mask,
-                input_velocity=blocks_list[1].profile.evaluate(tau)[0])),
+            factors.VelocityFactor(1, q_tau.velocity, vel_cov, mask,
+                                   input_velocity=blocks_list[1].profile.evaluate(tau)[0])),
     ]
     guesses = perturbed(rng, truth, 2e-2, 2e-2)
     problem = solver.Problem(guesses, prior_factors_for(blocks_list), meas)
@@ -654,7 +665,7 @@ def test_problem_validation():
     # an interpolated factor on interval 0 built from interval 1's blocks
     odometry = factors.VelocityFactor(0, np.zeros(6), np.eye(6), np.ones(6, dtype=bool))
     misplaced = factors.InterpolatedFactor(0, blocks_list[1], blocks_list[1].t0 + 0.05,
-                                           odometry.evaluate_node)
+                                           odometry)
     with pytest.raises(WiringError, match="node times do not match"):
         solver.solve(solver.Problem(nodes, good, [misplaced]))
     with pytest.raises(HyperparameterError):
