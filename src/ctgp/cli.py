@@ -12,6 +12,7 @@ byte for byte.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -116,6 +117,8 @@ def cmd_fig3(args):
 
 def cmd_continuum(args):
     scenario = _load(args.config, _DEFAULT_CONTINUUM)
+    if args.seed is not None:
+        scenario = dataclasses.replace(scenario, seed=args.seed)
     metrics = []
     methods = ("inputs", "wnoa") if args.method is None else (args.method,)
     for method in methods:

@@ -96,7 +96,7 @@ def query_rows(blocks_seq, taus, intervals) -> QueryRows:
         q_cond[i] = 0.5 * (q + q.T)
         input_tau[i] = qb.input_tau
         input_full[i] = blocks.input_full
-        if not blocks.profile.is_zero():
+        if not blocks.closed_form:
             input_velocity[i] = blocks.profile.evaluate(tau)[0]
         t0[i], t1[i] = blocks.t0, blocks.t1
     return QueryRows(np.asarray(intervals, dtype=int), taus, t0, t1, lam, psi_gain,
@@ -328,7 +328,7 @@ class Trajectory:
             # the input twist is right-continuous: read it from the interval
             # that starts at the node, or the last one for the last node
             blocks = self.blocks[min(j, len(self.blocks) - 1)]
-            v_in = np.zeros(6) if blocks.profile.is_zero() else blocks.profile.evaluate(t)[0]
+            v_in = np.zeros(6) if blocks.closed_form else blocks.profile.evaluate(t)[0]
             out[i] = QueryResult(t, Pose(state.rot[j], state.trans[j]), bias.copy(), bias + v_in,
                                  self.covariances[j].copy() if with_cov else None, False)
         off = np.flatnonzero(~hit)

@@ -14,15 +14,16 @@ its error scales as the window length to the seventh power and stays below
 1e-6 relative on 0.5 s segments with twist norms up to 2.
 
 An IntervalBlocks instance caches everything the factors and the
-interpolation need about one node interval: the full transition, the
-input integral and the accumulated noise covariance. It also keeps the
-partial products from the interval start to each interior input knot, so a
-mid-interval query integrates only within its own segment. The ends need
-no storage: at t0 the products are the identity and zero, at t1 they are
-the full ones. The transition from a query time to t1 is
-Phi Phi(tau, t0)^-1. IntervalBlocks.compose joins consecutive intervals
-into one from these stored products, so a coarser node grid over the same
-inputs needs no second integration.
+interpolation need about one node interval: the (transition, input
+integral, noise covariance) triples from the interval start to every input
+knot, both ends included, stacked in one array each. The last row holds
+the full products, and a mid-interval query integrates only within its own
+segment, after the triple at the segment's start. With zero inputs the
+segment pieces are the constant-velocity closed forms of Barfoot, Tong and
+Sarkka (2014), and so are the transition from a query time to t1 and the
+inverse noise covariance. IntervalBlocks.compose joins consecutive
+intervals into one from their stacked triples, so a coarser node grid over
+the same inputs needs no second integration.
 """
 
 from __future__ import annotations
@@ -294,7 +295,6 @@ def wnoa_q_inv(dt: float, qc_inv):
 class QueryBlocks:
     """Transition/integral pieces for one query time inside an interval."""
 
-    tau: float
     phi_from_start: np.ndarray
     phi_to_end: np.ndarray
     q_tau: np.ndarray
@@ -329,36 +329,46 @@ def _segment_pieces(seg: InputSegment, upto: float, hyper: PriorHyper):
     return phi, x[:12, 24], x[:12, 12:24] @ phi.T
 
 
+def _zero_pieces(seg: InputSegment, upto: float, hyper: PriorHyper):
+    """_segment_pieces of a segment with zero inputs, in closed form."""
+    return wnoa_phi(upto), np.zeros(12), wnoa_q(upto, hyper.qc)
+
+
+def _check_contiguous(blocks):
+    for prev, nxt in zip(blocks, blocks[1:]):
+        if abs(prev.t1 - nxt.t0) > TIME_TOL:
+            raise DegenerateInputError("interval profiles must be contiguous")
+
+
 class IntervalBlocks:
     """Precomputed prior quantities for one node interval.
 
-    Construction composes the (transition, input integral, noise integral)
-    triples of the interval's segments once; queries reuse the partial
-    products cached at the interior knots. Identically zero profiles use the
-    closed forms unless force_general is set (the general route is then
-    exercised, which the fallback-equivalence tests rely on). compose builds
-    one interval from consecutive ones without integrating again.
+    The (transition, input integral, noise integral) triples from t0 to
+    every knot of the profile, both ends included, are stacked in (n+1, ...)
+    arrays; phi, input_full and q_full are the last row. A query integrates
+    only within its own segment and composes the result after the triple at
+    the segment's start. Identically zero profiles are closed_form unless
+    force_general is set (the general route is then exercised, which the
+    fallback-equivalence tests rely on): their segment pieces, the
+    transition from a query time to t1 and Q^-1 are the constant-velocity
+    closed forms. compose builds one interval from consecutive ones without
+    integrating again.
     """
 
     def __init__(self, profile: InputProfile, hyper: PriorHyper, *, force_general: bool = False):
-        if profile.is_zero() and not force_general:
-            self._store(profile, hyper, None)
-            return
-        triples = []
-        acc = np.eye(12), np.zeros(12), np.zeros((12, 12))
-        for seg in profile.segments:
-            acc = _compose(acc, _segment_pieces(seg, seg.duration, hyper))
-            triples.append(acc)
-        self._store(profile, hyper, triples)
+        closed_form = profile.is_zero() and not force_general
+        piece = _zero_pieces if closed_form else _segment_pieces
+        self._store(profile, hyper, closed_form,
+                    [[piece(seg, seg.duration, hyper)] for seg in profile.segments])
 
     @classmethod
     def compose(cls, fine_blocks) -> "IntervalBlocks":
         """One interval over consecutive fine ones, from their stored triples.
 
-        The coarse triple is the fine ones composed in time order with
+        The coarse triples are the fine ones composed in time order with
         _compose. Every fine knot, the fine intervals' ends included, stays a
-        knot of the result, so at() at any of them is a lookup. Zero-input
-        intervals compose to the closed form over the whole span.
+        knot of the result, so at() at any of them is a lookup. The result is
+        closed_form when every fine interval is.
         """
         fine = list(fine_blocks)
         if not fine:
@@ -366,97 +376,71 @@ class IntervalBlocks:
         hyper = fine[0].hyper
         if any(not np.array_equal(b.hyper.qc, hyper.qc) for b in fine):
             raise HyperparameterError("composed intervals must share one Qc")
-        for prev, nxt in zip(fine, fine[1:]):
-            if abs(prev.t1 - nxt.t0) > TIME_TOL:
-                raise DegenerateInputError("interval profiles must be contiguous")
+        _check_contiguous(fine)
         # each segment was checked against its limit when its interval was built
         profile = InputProfile(tuple(s for b in fine for s in b.profile.segments),
                                max_segment_duration=None)
         out = cls.__new__(cls)
-        if all(b.closed_form for b in fine):
-            out._store(profile, hyper, None)
-            return out
-        triples = []
-        acc = np.eye(12), np.zeros(12), np.zeros((12, 12))
-        for b in fine:
-            triples.extend([_compose(acc, t) for t in b._knot_triples()])
-            acc = triples[-1]
-        out._store(profile, hyper, triples)
+        out._store(profile, hyper, all(b.closed_form for b in fine),
+                   [list(zip(b._phi[1:], b._input[1:], b._q[1:])) for b in fine])
         return out
 
-    def _store(self, profile: InputProfile, hyper: PriorHyper, triples):
-        """Keep the triples from t0 to each segment end; None keeps the closed form."""
+    def _store(self, profile: InputProfile, hyper: PriorHyper, closed_form: bool, runs):
+        """Stack the triples from t0 to every knot of profile.
+
+        runs holds, for each stretch of the profile in time order, the
+        triples from the stretch's start to each of its knots. The first run
+        is copied; each later one is composed after the triple at its start.
+        """
         self.profile = profile
         self.hyper = hyper
         self.t0 = profile.start
         self.t1 = profile.end
-        self.closed_form = triples is None
-        if self.closed_form:
-            dt = self.t1 - self.t0
-            self.phi = wnoa_phi(dt)
-            self.q_full = wnoa_q(dt, hyper.qc)
-            self.q_full_inv = wnoa_q_inv(dt, hyper.qc_inv)
-            self.input_full = np.zeros(12)
-            return
+        self.closed_form = closed_form
         segs = profile.segments
         self._knots = np.array([s.t0 for s in segs] + [segs[-1].t1])
-        # per-knot products from t0, kept at the interior knots only
-        n = len(segs)
-        self._prefix = np.empty((n - 1, 12, 12))
-        self._i_acc = np.empty((n - 1, 12))
-        self._q_acc = np.empty((n - 1, 12, 12))
-        for i, (phi, inp, q) in enumerate(triples[:-1]):
-            self._prefix[i], self._i_acc[i], self._q_acc[i] = phi, inp, q
-        self.phi, self.input_full, q = triples[-1]
-        self.q_full = 0.5 * (q + q.T)
-        self.q_full_inv = np.linalg.inv(self.q_full)
-
-    def _knot_triples(self):
-        """The triples from t0 to each segment end, in order."""
-        if self.closed_form:
-            return [(wnoa_phi(s.t1 - self.t0), np.zeros(12), wnoa_q(s.t1 - self.t0, self.hyper.qc))
-                    for s in self.profile.segments]
-        return [self._knot(m) for m in range(1, len(self._knots))]
+        triples = list(runs[0])
+        for run in runs[1:]:
+            start = triples[-1]
+            triples.extend(_compose(start, t) for t in run)
+        phis, inps, qs = zip(*triples)
+        self._phi = np.array((np.eye(12),) + phis)
+        self._input = np.array((np.zeros(12),) + inps)
+        self._q = np.array((np.zeros((12, 12)),) + qs)
+        self._q[-1] = 0.5 * (self._q[-1] + self._q[-1].T)
+        self.phi, self.input_full, self.q_full = self._phi[-1], self._input[-1], self._q[-1]
+        self.q_full_inv = (wnoa_q_inv(self.t1 - self.t0, hyper.qc_inv) if closed_form
+                           else np.linalg.inv(self.q_full))
 
     def _locate(self, tau: float) -> int:
         idx = int(np.searchsorted(self._knots, tau, side="right")) - 1
         return min(max(idx, 0), len(self._knots) - 2)
 
-    def _knot(self, m: int):
-        """Transition, input integral and noise covariance from t0 to knot m."""
-        if m == 0:
-            return np.eye(12), np.zeros(12), np.zeros((12, 12))
-        if m == len(self._knots) - 1:
-            return self.phi, self.input_full, self.q_full
-        return self._prefix[m - 1], self._i_acc[m - 1], self._q_acc[m - 1]
-
     def at(self, tau: float) -> QueryBlocks:
         """Blocks for a query time in [t0, t1]."""
         if not (self.t0 - TIME_TOL <= tau <= self.t1 + TIME_TOL):
             raise DomainError(f"query time {tau} outside interval [{self.t0}, {self.t1}]")
-        if self.closed_form:
-            return QueryBlocks(tau, wnoa_phi(tau - self.t0), wnoa_phi(self.t1 - tau),
-                               wnoa_q(tau - self.t0, self.hyper.qc), np.zeros(12))
-
         m = self._locate(tau)
         seg = self.profile.segments[m]
         local = tau - self._knots[m]
-        if local <= 1e-12 or seg.duration - local <= 1e-12:
-            phi_from_start, input_tau, q_tau = self._knot(m if local <= 1e-12 else m + 1)
+        if local > 1e-12 and seg.duration - local <= 1e-12:
+            m, local = m + 1, 0.0
+        knot = self._phi[m], self._input[m], self._q[m]
+        if local <= 1e-12:
+            phi_from_start, input_tau, q_tau = knot
         else:
-            phi_from_start, input_tau, q_tau = _compose(self._knot(m),
-                                                        _segment_pieces(seg, local, self.hyper))
-        phi_to_end = self.phi @ np.linalg.inv(phi_from_start)
-        return QueryBlocks(tau, phi_from_start.copy(), phi_to_end,
+            piece = (_zero_pieces if self.closed_form else _segment_pieces)(seg, local, self.hyper)
+            phi_from_start, input_tau, q_tau = piece if m == 0 else _compose(knot, piece)
+        phi_to_end = (wnoa_phi(self.t1 - tau) if self.closed_form
+                      else self.phi @ np.linalg.inv(phi_from_start))
+        return QueryBlocks(phi_from_start.copy(), phi_to_end,
                            0.5 * (q_tau + q_tau.T), input_tau.copy())
 
 
 def precompute_intervals(profiles, hyper: PriorHyper):
     """IntervalBlocks for each per-interval profile, in order."""
     blocks = [IntervalBlocks(p, hyper) for p in profiles]
-    for prev, nxt in zip(blocks, blocks[1:]):
-        if abs(prev.t1 - nxt.t0) > TIME_TOL:
-            raise DegenerateInputError("interval profiles must be contiguous")
+    _check_contiguous(blocks)
     return blocks
 
 

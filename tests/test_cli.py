@@ -1,3 +1,4 @@
+import csv
 import re
 
 import numpy as np
@@ -175,6 +176,19 @@ class TestContinuumCommand:
               "--method", "inputs"])
         lines = (out / "metrics.csv").read_text().splitlines()
         assert len(lines) == 2
+
+    def test_seed_flag_changes_the_tip_draws(self, rod_config, tmp_path):
+        def rows(seed, run):
+            out = tmp_path / f"{seed}-{run}"
+            main(["continuum", "--config", rod_config, "--out", str(out),
+                  "--method", "inputs", "--seed", str(seed)])
+            with open(out / "metrics.csv", encoding="utf-8") as fh:
+                return [{k: v for k, v in row.items() if k != "solve_time"}
+                        for row in csv.DictReader(fh)]
+
+        first = rows(5, 0)
+        assert rows(5, 1) == first
+        assert [r["position_rmse"] for r in rows(6, 0)] != [r["position_rmse"] for r in first]
 
 
 class TestErrors:

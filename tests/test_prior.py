@@ -433,13 +433,30 @@ def test_compose_matches_the_directly_built_interval(twisty_blocks):
             assert rel(getattr(got, name), getattr(ref, name)) < 1e-10, (tau, name)
 
 
-def test_compose_at_a_fine_node_time_integrates_nothing(twisty_blocks, monkeypatch):
-    fine, _ = twisty_blocks
-    coarse = prior.IntervalBlocks.compose(fine)
+@pytest.mark.parametrize("kind", ["composed", "plain"])
+def test_at_a_knot_integrates_nothing_and_returns_the_stored_triple(kind, twisty_blocks,
+                                                                   monkeypatch):
+    # the triple at knot m is the last one of the interval over the first m pieces
+    if kind == "composed":
+        fine, _ = twisty_blocks
+        blocks = prior.IntervalBlocks.compose(fine)
+        knots = [fine[0].t0] + [b.t1 for b in fine]
+        upto = [prior.IntervalBlocks.compose(fine[:m]) for m in range(1, len(fine) + 1)]
+    else:
+        blocks, profile, hyper = build_blocks(np.random.default_rng(11), n_segments=3)
+        segs = profile.segments
+        knots = [segs[0].t0] + [s.t1 for s in segs]
+        upto = [prior.IntervalBlocks(inputs.InputProfile(segs[:m]), hyper) for m in (1, 2, 3)]
     calls = []
     monkeypatch.setattr(prior, "_transitions", lambda *a: calls.append(a))
-    for b in fine:
-        coarse.at(b.t0)
+    start = blocks.at(knots[0])
+    assert np.array_equal(start.phi_from_start, np.eye(12))
+    assert not np.any(start.input_tau) and not np.any(start.q_tau)
+    for tau, ref in zip(knots[1:], upto):
+        qb = blocks.at(tau)
+        assert np.array_equal(qb.phi_from_start, ref.phi)
+        assert np.array_equal(qb.input_tau, ref.input_full)
+        assert np.array_equal(qb.q_tau, ref.q_full)
     assert not calls
 
 
@@ -455,6 +472,12 @@ def test_compose_zero_input_blocks_gives_the_closed_form():
     assert np.allclose(coarse.q_full_inv, prior.wnoa_q_inv(2.0, hyper.qc_inv),
                        rtol=1e-12, atol=0)
     assert not np.any(coarse.input_full)
+    for tau in (0.13, 0.9, 1.77):
+        qb = coarse.at(tau)
+        assert np.allclose(qb.phi_from_start, prior.wnoa_phi(tau), rtol=1e-14, atol=0)
+        assert np.allclose(qb.phi_to_end, prior.wnoa_phi(2.0 - tau), rtol=1e-14, atol=0)
+        assert np.allclose(qb.q_tau, prior.wnoa_q(tau, hyper.qc), rtol=1e-14, atol=0)
+        assert not np.any(qb.input_tau)
 
 
 def test_compose_mixes_zero_and_input_blocks():

@@ -102,3 +102,94 @@ def test_unset_options_finder_sees_names_attributes_and_double_star(tmp_path):
 def test_package_options_are_all_set_somewhere():
     calling = [p for d in ("src", "tests", "benchmark") for p in sorted((ROOT / d).rglob("*.py"))]
     assert unset_options(sorted(SRC.glob("*.py")), calling) == []
+
+
+def _targets(node):
+    """The names and attributes an assignment statement binds, tuples unpacked."""
+    out = []
+    stack = (node.targets if isinstance(node, ast.Assign)
+             else [node.target] if isinstance(node, ast.AnnAssign) else [])
+    while stack:
+        t = stack.pop()
+        if isinstance(t, (ast.Tuple, ast.List)):
+            stack.extend(t.elts)
+        else:
+            out.append(t)
+    return out
+
+
+def _definitions(tree):
+    """Names a module binds at module level, in class bodies and on self in methods."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        names += [t.id for t in _targets(node) if isinstance(t, ast.Name)]
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for member in node.body:
+            if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names.append(member.name)
+            names += [t.id for t in _targets(member) if isinstance(t, ast.Name)]
+            if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names += [t.attr for stmt in ast.walk(member) for t in _targets(stmt)
+                          if isinstance(t, ast.Attribute)
+                          and isinstance(t.value, ast.Name) and t.value.id == "self"]
+    return names
+
+
+def dead_private_names(paths):
+    """(file, name) of each private definition that nothing in paths reads.
+
+    A private name has a leading underscore and is not a dunder. Its
+    definitions are the module-level functions, classes and assignments,
+    the methods and assignments of class bodies, and the attributes that
+    methods assign on self. A name is read where any file loads it, as a
+    bare name or as an attribute, or updates it in place.
+    """
+    defined, read = [], set()
+    for path in paths:
+        tree = _parse(path)
+        defined += [(path.name, name) for name in _definitions(tree)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.AugAssign):
+                node = node.target
+            elif not isinstance(getattr(node, "ctx", None), ast.Load):
+                continue
+            read.add(getattr(node, "id", None) or getattr(node, "attr", None))
+    return sorted({(f, name) for f, name in defined
+                   if name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+                   and name not in read})
+
+
+def test_dead_private_names_finder_sees_modules_classes_and_self(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("_LIMIT = 1\n"
+                      "_UNUSED, _SHARED = 2, 3\n"
+                      "__version__ = '1'\n"
+                      "def _dead():\n"
+                      "    return _LIMIT\n"
+                      "class _Ghost:\n"
+                      "    pass\n"
+                      "class C:\n"
+                      "    _slot = 0\n"
+                      "    def __init__(self):\n"
+                      "        self._kept, self._lost = 1, 2\n"
+                      "        self._count = 0\n"
+                      "    def run(self):\n"
+                      "        self._count += self._kept\n"
+                      "        return self._helper()\n"
+                      "    def _helper(self):\n"
+                      "        return 0\n"
+                      "    def _orphan(self):\n"
+                      "        return 0\n")
+    other = tmp_path / "n.py"
+    other.write_text("from m import _SHARED\n"
+                     "print(_SHARED)\n")
+    assert dead_private_names([module, other]) == [
+        ("m.py", "_Ghost"), ("m.py", "_UNUSED"), ("m.py", "_dead"), ("m.py", "_lost"),
+        ("m.py", "_orphan"), ("m.py", "_slot")]
+
+
+def test_package_has_no_dead_private_names():
+    assert dead_private_names(sorted(SRC.glob("*.py"))) == []
