@@ -24,8 +24,7 @@ from .experiment import (ContinuumMetrics, ExperimentResult, Metrics,
                          reproduce_fig3, run_continuum, run_experiment,
                          sweep, write_metrics_csv, write_trajectory_csv)
 from .factors import (AnchorFactor, InterpolatedFactor, PlanarLockFactor,
-                      PoseFactor, PositionFactor, PriorFactor, RangeFactor,
-                      VelocityFactor)
+                      PoseFactor, PositionFactor, RangeFactor, VelocityFactor)
 from .inputs import InputProfile, InputSegment, from_samples
 from .interpolation import QueryResult, Trajectory
 from .liegroup import Pose, exp_map, log_map
@@ -33,7 +32,7 @@ from .prior import IntervalBlocks, PriorHyper, StateNode
 from .scenario import (ContinuumScenario, MobileScenario, bundled_scenario,
                        load_scenario, parse_scenario)
 from .simulate import MobileTruth, filter_ranges, simulate_mobile, simulate_rod
-from .solver import Problem, Solution, SolverSettings, solve
+from .solver import Problem, Solution, solve
 
 __version__ = "0.1.0"
 
@@ -44,9 +43,9 @@ __all__ = [
     "IllConditionedRotationError", "InputProfile", "InputSegment",
     "InterpolatedFactor", "IntervalBlocks", "IntervalTooLongError",
     "Metrics", "MobileScenario", "MobileTruth", "PlanarLockFactor", "Pose",
-    "PoseFactor", "PositionFactor", "PriorFactor", "PriorHyper", "Problem",
+    "PoseFactor", "PositionFactor", "PriorHyper", "Problem",
     "QueryResult", "RangeFactor", "RodModel", "ScenarioError",
-    "SingularGeometryError", "Solution", "SolverSettings", "StateNode",
+    "SingularGeometryError", "Solution", "StateNode",
     "TendonRoute", "Trajectory", "VelocityFactor", "WiringError",
     "bundled_scenario", "estimate_shape", "exp_map", "filter_ranges",
     "from_samples", "load_scenario", "log_map", "parse_scenario",

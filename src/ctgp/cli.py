@@ -19,10 +19,9 @@ import sys
 import numpy as np
 
 from .errors import EstimationError
-from .experiment import (FIG3_COLUMNS, reproduce_fig3, run_continuum,
-                         run_experiment, sweep, write_csv, write_fig3_csv,
-                         write_metrics_csv, write_trajectory_csv)
-from .liegroup import so3_log
+from .experiment import (FIG3_COLUMNS, _pose_columns, _stacked, reproduce_fig3,
+                         run_continuum, run_experiment, sweep, write_csv,
+                         write_fig3_csv, write_metrics_csv, write_trajectory_csv)
 from .scenario import bundled_scenario, load_scenario
 from .simulate import simulate_mobile
 
@@ -48,17 +47,15 @@ def cmd_simulate(args):
     truth = simulate_mobile(scenario, seed=args.seed)
     out = _ensure_dir(args.out)
 
-    rows = [np.concatenate([[t], truth.poses[i].translation, so3_log(truth.poses[i].rotation),
-                            truth.input_velocities[i] + truth.biases[i]])
-            for i, t in enumerate(truth.times)]
+    rows = np.column_stack([truth.times, _pose_columns(*_stacked(truth.poses)),
+                            truth.input_velocities + truth.biases])
     write_csv(os.path.join(out, "truth.csv"),
               ["time", "x", "y", "z", "rx", "ry", "rz",
                "vx", "vy", "vz", "wx", "wy", "wz"], rows)
 
-    rows = [np.concatenate([[t], truth.input_velocities[i]])
-            for i, t in enumerate(truth.times)]
     write_csv(os.path.join(out, "input_log.csv"),
-              ["time", "vx", "vy", "vz", "wx", "wy", "wz"], rows)
+              ["time", "vx", "vy", "vz", "wx", "wy", "wz"],
+              np.column_stack([truth.times, truth.input_velocities]))
 
     write_csv(os.path.join(out, "range_log.csv"), ["time", "landmark_index", "range"],
               [[s.time, s.landmark_index, s.value] for s in truth.ranges])
@@ -138,27 +135,20 @@ def build_parser() -> argparse.ArgumentParser:
                     "acceleration inputs on SE(3).")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, method_optional=False):
+    def common(p):
         p.add_argument("--config", help="scenario file or bundled scenario name")
         p.add_argument("--seed", type=int, default=None,
                        help="override the scenario seed")
         p.add_argument("--out", default=".", help="output directory")
-        if method_optional:
-            p.add_argument("--method", choices=("inputs", "wnoa"), default=None,
-                           help="estimate with one method only (default: both)")
-        else:
-            p.add_argument("--method", choices=("inputs", "wnoa"), default="inputs",
-                           help="use odometry as prior inputs or as "
-                                "velocity measurements")
 
     p = sub.add_parser("simulate", help="write truth and sensor logs")
-    p.add_argument("--config", help="scenario file or bundled scenario name")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", default=".")
+    common(p)
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("estimate", help="solve one run and write the trajectory")
     common(p)
+    p.add_argument("--method", choices=("inputs", "wnoa"), default="inputs",
+                   help="use odometry as prior inputs or as velocity measurements")
     p.add_argument("--nodes", choices=("all", "meas-only"), default=None,
                    help="estimation times: every input tick or only "
                         "measurement times")
@@ -167,9 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_estimate)
 
     p = sub.add_parser("sweep", help="score both methods across sparsities")
-    p.add_argument("--config", help="scenario file or bundled scenario name")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", default=".")
+    common(p)
     p.add_argument("--nodes", choices=("all", "meas-only"), default="meas-only")
     p.add_argument("--dt-landmark", default=None, dest="dt_landmark",
                    help="comma-separated spacings, e.g. 0.5,1,2,5")
@@ -181,7 +169,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_fig3)
 
     p = sub.add_parser("continuum", help="run the rod shape benchmark")
-    common(p, method_optional=True)
+    common(p)
+    p.add_argument("--method", choices=("inputs", "wnoa"), default=None,
+                   help="estimate with one method only (default: both)")
     p.set_defaults(fn=cmd_continuum)
     return parser
 

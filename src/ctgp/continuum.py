@@ -177,8 +177,7 @@ def estimate_shape(rod: RodModel, tendons, measurement_factors,
 
     anchor = _factors.AnchorFactor(0, Pose.identity(), STRAIGHT_STRAIN.copy(),
                                    1e-12 * np.eye(6), BASE_STRAIN_COVARIANCE)
-    prior_factors = [_factors.PriorFactor(k, b) for k, b in enumerate(blocks_list)]
-    problem = _solver.Problem(nodes, prior_factors,
+    problem = _solver.Problem(nodes, blocks_list,
                               [anchor] + list(measurement_factors), gauge="none")
     solution = _solver.solve(problem)
     trajectory = Trajectory(list(solution.nodes), blocks_list,

@@ -27,7 +27,7 @@ import numpy as np
 from .continuum import estimate_shape
 from .errors import ScenarioError
 from .factors import (AnchorFactor, InterpolatedFactor, PlanarLockFactor,
-                      PositionFactor, PriorFactor, RangeFactor, VelocityFactor)
+                      PositionFactor, RangeFactor, VelocityFactor)
 from .inputs import InputProfile, InputSegment, from_samples
 from .interpolation import CHUNK_ROWS, Trajectory
 from .liegroup import Pose, position_jacobian, se3_exp, so3_log, so3_project
@@ -109,12 +109,25 @@ class ExperimentResult:
     rows: np.ndarray
 
 
-def _rotation_angle(r_truth, r_est) -> float:
-    return float(np.linalg.norm(so3_log(r_truth @ r_est.T)))
+def _errors(truth_rot, truth_trans, est_rot, est_trans):
+    """The RMSE and max of the position and rotation-angle errors of stacked poses."""
+    pos = np.linalg.norm(truth_trans - est_trans, axis=-1)
+    rot = np.linalg.norm(so3_log(truth_rot @ np.swapaxes(est_rot, -1, -2)), axis=-1)
+    return {"position_rmse": float(np.sqrt(np.mean(pos ** 2))),
+            "position_max": float(np.max(pos)),
+            "rotation_rmse": float(np.sqrt(np.mean(rot ** 2))),
+            "rotation_max": float(np.max(rot))}
 
 
-def _pose_to_columns(pose: Pose):
-    return np.concatenate([pose.translation, so3_log(pose.rotation)])
+def _pose_columns(rot, trans):
+    """The (n, 6) CSV pose columns [translation, rotation vector] of stacked poses."""
+    return np.concatenate([trans, so3_log(rot)], axis=-1)
+
+
+def _stacked(poses):
+    """(rotations (n, 3, 3), translations (n, 3)) of a sequence of Poses."""
+    return (np.stack([p.rotation for p in poses]),
+            np.stack([p.translation for p in poses]))
 
 
 def _dead_reckon(truth: MobileTruth):
@@ -177,7 +190,7 @@ def _coarse_problem(truth: MobileTruth, blocks_list, stride, dt_landmark, reckon
         node_times = truth.times[::coarse_stride]
         nodes = [StateNode(float(t), reckoned[k * coarse_stride], np.zeros(6))
                  for k, t in enumerate(node_times)]
-        return Problem(nodes, [PriorFactor(k, b) for k, b in enumerate(blocks)],
+        return Problem(nodes, blocks,
                        _fixed_factors(truth, node_times, spacing, np.zeros(6)),
                        gauge="auto")
     return None
@@ -196,6 +209,9 @@ def _composed(blocks_list, ratio):
 def build_mobile_problem(truth: MobileTruth, *, method="inputs",
                          node_policy=None, dt_landmark=None):
     """Factor graph for one run. Returns (problem, blocks list, node times).
+
+    The blocks list is the problem's own prior intervals (problem.blocks),
+    returned for building the Trajectory of the solution.
 
     The nodes start at dead reckoning. With method="inputs" and a node grid
     finer than the coarse spacing, the problem also carries a coarse problem
@@ -245,7 +261,6 @@ def build_mobile_problem(truth: MobileTruth, *, method="inputs",
         bias = (np.zeros(6) if method == "inputs"
                 else truth.input_velocities[k * stride].copy())
         nodes.append(StateNode(float(t), reckoned[k * stride], bias))
-    prior_factors = [PriorFactor(k, b) for k, b in enumerate(blocks_list)]
 
     measured_bias = (np.zeros(6) if method == "inputs"
                      else truth.input_velocities[0] * ODOMETRY_MASK)
@@ -265,7 +280,7 @@ def build_mobile_problem(truth: MobileTruth, *, method="inputs",
 
     coarse = (_coarse_problem(truth, blocks_list, stride, dt_landmark, reckoned)
               if method == "inputs" else None)
-    problem = Problem(nodes, prior_factors, meas, gauge="auto", coarse=coarse)
+    problem = Problem(nodes, blocks_list, meas, gauge="auto", coarse=coarse)
     return problem, blocks_list, node_times
 
 
@@ -283,23 +298,23 @@ def run_experiment(scenario: MobileScenario, *, method="inputs", node_policy=Non
                             covariances=solution.node_covariances,
                             cross_covariances=solution.cross_covariances)
 
-    rows = np.empty((len(truth.times), len(TRAJECTORY_COLUMNS)))
-    pos_err = np.empty(len(truth.times))
-    rot_err = np.empty(len(truth.times))
-    interpolated = 0
+    times = truth.times
+    est_rot, est_trans = np.empty((len(times), 3, 3)), np.empty((len(times), 3))
+    velocity, variance = np.empty((len(times), 6)), np.empty((len(times), 12))
     # a chunk of ticks at a time keeps the held results small on long runs
-    for lo in range(0, len(truth.times), CHUNK_ROWS):
-        chunk = trajectory.query_many(truth.times[lo:lo + CHUNK_ROWS], with_covariance=True)
-        for i, q in enumerate(chunk, lo):
-            t = truth.times[i]
-            gt = truth.poses[i]
-            pos_err[i] = float(np.linalg.norm(gt.translation - q.pose.translation))
-            rot_err[i] = _rotation_angle(gt.rotation, q.pose.rotation)
-            if np.min(np.abs(node_times - t)) > TIME_TOL:
-                interpolated += 1
-            rows[i] = np.concatenate([[t], _pose_to_columns(gt),
-                                      _pose_to_columns(q.pose), q.velocity,
-                                      np.diag(q.covariance)])
+    for lo in range(0, len(times), CHUNK_ROWS):
+        chunk = trajectory.query_many(times[lo:lo + CHUNK_ROWS], with_covariance=True)
+        hi = lo + len(chunk)
+        est_rot[lo:hi], est_trans[lo:hi] = _stacked([q.pose for q in chunk])
+        velocity[lo:hi] = [q.velocity for q in chunk]
+        variance[lo:hi] = [np.diag(q.covariance) for q in chunk]
+    truth_rot, truth_trans = _stacked(truth.poses)
+    rows = np.column_stack([times, _pose_columns(truth_rot, truth_trans),
+                            _pose_columns(est_rot, est_trans), velocity, variance])
+    # a tick is interpolated unless a node sits at its time
+    after = np.clip(np.searchsorted(node_times, times), 1, len(node_times) - 1)
+    gap = np.minimum(np.abs(node_times[after - 1] - times), np.abs(node_times[after] - times))
+    interpolated = int(np.count_nonzero(gap > TIME_TOL))
 
     metrics = Metrics(
         scenario=scenario.name,
@@ -308,14 +323,11 @@ def run_experiment(scenario: MobileScenario, *, method="inputs", node_policy=Non
         dt_landmark=(scenario.range_schedule.interval if dt_landmark is None
                      else float(dt_landmark)),
         node_count=len(node_times),
-        position_rmse=float(np.sqrt(np.mean(pos_err ** 2))),
-        position_max=float(np.max(pos_err)),
-        rotation_rmse=float(np.sqrt(np.mean(rot_err ** 2))),
-        rotation_max=float(np.max(rot_err)),
+        **_errors(truth_rot, truth_trans, est_rot, est_trans),
         solve_time=solve_time,
         iterations=solution.iterations,
         converged=solution.converged,
-        interpolated_fraction=interpolated / len(truth.times),
+        interpolated_fraction=interpolated / len(times),
     )
     return ExperimentResult(metrics, truth, trajectory, solution, rows)
 
@@ -377,11 +389,10 @@ def _fig3_profile(variant):
 
 
 def _fig3_rows(trajectory, times):
-    rows = np.empty((len(times), len(FIG3_COLUMNS)))
-    for i, (t, q) in enumerate(zip(times, trajectory.query_many(times, with_covariance=True))):
-        rows[i] = np.concatenate([[t], _pose_to_columns(q.pose), q.velocity,
-                                  np.sqrt(np.diag(q.covariance))])
-    return rows
+    queried = trajectory.query_many(times, with_covariance=True)
+    return np.column_stack([times, _pose_columns(*_stacked([q.pose for q in queried])),
+                            [q.velocity for q in queried],
+                            [np.sqrt(np.diag(q.covariance)) for q in queried]])
 
 
 def reproduce_fig3(variant="velocity"):
@@ -402,11 +413,10 @@ def reproduce_fig3(variant="velocity"):
     nodes = [StateNode(0.0, Pose.identity(), bias0)]
     for blocks, t1 in zip(blocks_list, node_times[1:]):
         nodes.append(prior_mean_propagate(nodes[-1], blocks, float(t1)))
-    priors = [PriorFactor(k, b) for k, b in enumerate(blocks_list)]
     anchor = AnchorFactor(0, Pose.identity(), bias0.copy(),
                           1e-12 * np.eye(6), 1e-12 * np.eye(6))
 
-    prior_problem = Problem([n for n in nodes], priors, [anchor], gauge="none")
+    prior_problem = Problem(nodes, blocks_list, [anchor], gauge="none")
     prior_solution = solve(prior_problem)
     prior_traj = Trajectory(list(prior_solution.nodes), blocks_list,
                             covariances=prior_solution.node_covariances,
@@ -415,8 +425,7 @@ def reproduce_fig3(variant="velocity"):
     measured = nodes[-1].pose.translation + _FIG3_MEAS_OFFSET
     tip = PositionFactor(len(nodes) - 1, measured,
                          _FIG3_MEAS_VARIANCE * np.eye(3))
-    post_problem = Problem([n for n in nodes], priors, [anchor, tip],
-                           gauge="none")
+    post_problem = Problem(nodes, blocks_list, [anchor, tip], gauge="none")
     post_solution = solve(post_problem)
     post_traj = Trajectory(list(post_solution.nodes), blocks_list,
                            covariances=post_solution.node_covariances,
@@ -469,23 +478,13 @@ def run_continuum(scenario: ContinuumScenario, *, method="inputs"):
         solution, trajectory = estimate_shape(rod, used, meas, hyper, scenario.node_count)
         solve_time = time.perf_counter() - t0
 
-        pos_err, rot_err = [], []
-        for s in rod.disk_arclengths:
-            q = trajectory.query(float(s))
-            ref = truth[float(s)]
-            pos_err.append(float(np.linalg.norm(ref.translation
-                                                - q.pose.translation)))
-            rot_err.append(_rotation_angle(ref.rotation, q.pose.rotation))
-        pos_err = np.asarray(pos_err)
-        rot_err = np.asarray(rot_err)
+        queried = trajectory.query_many(rod.disk_arclengths)
         out.append(ContinuumMetrics(
             scenario=scenario.name,
             config=f"tensions{i}-load{j}",
             method=method,
-            position_rmse=float(np.sqrt(np.mean(pos_err ** 2))),
-            position_max=float(np.max(pos_err)),
-            rotation_rmse=float(np.sqrt(np.mean(rot_err ** 2))),
-            rotation_max=float(np.max(rot_err)),
+            **_errors(*_stacked([truth[float(s)] for s in rod.disk_arclengths]),
+                      *_stacked([q.pose for q in queried])),
             solve_time=solve_time,
             iterations=solution.iterations,
             converged=solution.converged,

@@ -20,9 +20,13 @@ all of them, the inner kernel runs on those, and its Jacobian is chained
 onto both bracketing nodes. A measurement of another kind is a custom
 two-node factor whose evaluate calls interpolated_factor.
 
-Prior factors read the interval charts (prior.interval_chart) that the
-interpolated queries also read; prior_factor_batch evaluates all of them in
-one pass and prior_factor_error is its batch of one.
+The motion prior is no factor object: the solver takes its IntervalBlocks
+as they are. prior_factor_batch evaluates the prior error of every interval
+in one pass, from the interval charts (prior.interval_chart) that the
+interpolated queries also read, and prior_factor_error is its batch of one.
+
+Every factor dataclass is frozen and compares by identity (eq=False), so
+factors are hashable and comparing two never touches their array fields.
 """
 
 from __future__ import annotations
@@ -101,9 +105,9 @@ def prior_factor_batch(nodes, blocks, *, chart=None):
 
     nodes is a sequence of K StateNodes or their NodeArrays. blocks is the
     K-1 IntervalBlocks, checked here against the node times, or their
-    PriorConstants, stacked and checked once by the caller; the solver
-    passes those, and the interval charts (interval_chart) that its
-    interpolated factors also read.
+    PriorConstants, stacked and checked once by the caller. The solver
+    passes those, checked when its Problem was built, and the interval
+    charts (interval_chart) that its interpolated factors also read.
     """
     if not isinstance(nodes, NodeArrays):
         nodes = NodeArrays.stack(nodes)
@@ -282,7 +286,7 @@ class _BatchedFactor:
         return self.evaluate_node(nodes[self.index])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PlanarLockFactor(_BatchedFactor):
     """Soft lock of the out-of-plane freedoms for planar problems.
 
@@ -311,7 +315,7 @@ class PlanarLockFactor(_BatchedFactor):
         return self.information * np.eye(4 if self.bias_only else 7)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AnchorFactor(_BatchedFactor):
     """Absolute pose-and-bias prior on one node (gauge or initial knowledge).
 
@@ -323,7 +327,7 @@ class AnchorFactor(_BatchedFactor):
     bias: np.ndarray
     pose_covariance: np.ndarray
     bias_covariance: np.ndarray
-    information: np.ndarray = field(init=False, repr=False, compare=False)
+    information: np.ndarray = field(init=False, repr=False)
 
     _kernel = staticmethod(_anchor_kernel)
 
@@ -342,29 +346,13 @@ class AnchorFactor(_BatchedFactor):
                 "meas_bias": self.bias}
 
 
-@dataclass(frozen=True)
-class PriorFactor:
-    """Motion-prior factor binding adjacent nodes k and k+1."""
-
-    index: int
-    blocks: IntervalBlocks
-
-    @property
-    def indices(self):
-        return (self.index, self.index + 1)
-
-    def evaluate(self, nodes) -> FactorEval:
-        return prior_factor_error(nodes[self.index], nodes[self.index + 1],
-                                  self.blocks, indices=self.indices)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RangeFactor(_BatchedFactor):
     index: int
     landmark: np.ndarray
     measured: float
     variance: float
-    information: np.ndarray = field(init=False, repr=False, compare=False)
+    information: np.ndarray = field(init=False, repr=False)
 
     _kernel = staticmethod(_range_kernel)
 
@@ -377,12 +365,12 @@ class RangeFactor(_BatchedFactor):
         return {"landmark": self.landmark, "measured": self.measured}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PoseFactor(_BatchedFactor):
     index: int
     measured: Pose
     covariance: np.ndarray
-    information: np.ndarray = field(init=False, repr=False, compare=False)
+    information: np.ndarray = field(init=False, repr=False)
 
     _kernel = staticmethod(_pose_kernel)
 
@@ -396,12 +384,12 @@ class PoseFactor(_BatchedFactor):
         return {"meas_rot": self.measured.rotation, "meas_trans": self.measured.translation}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PositionFactor(_BatchedFactor):
     index: int
     measured: np.ndarray
     covariance: np.ndarray
-    information: np.ndarray = field(init=False, repr=False, compare=False)
+    information: np.ndarray = field(init=False, repr=False)
 
     _kernel = staticmethod(_position_kernel)
 
@@ -415,7 +403,7 @@ class PositionFactor(_BatchedFactor):
         return {"measured": self.measured}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VelocityFactor(_BatchedFactor):
     """Masked body-velocity measurement; see velocity_factor_error.
 
@@ -428,7 +416,7 @@ class VelocityFactor(_BatchedFactor):
     covariance: np.ndarray
     mask: np.ndarray
     input_velocity: np.ndarray | None = None
-    information: np.ndarray = field(init=False, repr=False, compare=False)
+    information: np.ndarray = field(init=False, repr=False)
 
     _kernel = staticmethod(_velocity_kernel)
 
@@ -458,7 +446,7 @@ _BATCHED_TYPES = (RangeFactor, PlanarLockFactor, AnchorFactor, PositionFactor,
                   PoseFactor, VelocityFactor)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InterpolatedFactor:
     """A one-node factor, inner, at a query time between nodes index and index+1.
 

@@ -451,7 +451,7 @@ def check_interval_times(times, t0, t1, intervals=None):
     of (t0, t1) belongs to interval intervals[i], by default interval i.
     """
     times = np.asarray(times, dtype=float)
-    k = np.arange(len(times) - 1) if intervals is None else np.asarray(intervals)
+    k = np.arange(len(times) - 1) if intervals is None else np.asarray(intervals, dtype=int)
     if (np.any(np.abs(times[k] - t0) > TIME_TOL)
             or np.any(np.abs(times[k + 1] - t1) > TIME_TOL)):
         raise WiringError("node times do not match the interval the blocks were built for")

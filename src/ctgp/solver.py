@@ -1,8 +1,10 @@
 """MAP batch estimation over the block-tridiagonal factor graph.
 
-The motion prior chains adjacent nodes and every measurement factor touches
-one node or an adjacent pair, so the Gauss-Newton normal equations stay
-block tridiagonal. The solver carries the node states as one NodeArrays
+A Problem holds the nodes, the prior's IntervalBlocks between consecutive
+nodes, and the measurement factors, and checks their wiring when it is
+built. The motion prior chains adjacent nodes and every measurement factor
+touches one node or an adjacent pair, so the Gauss-Newton normal equations
+stay block tridiagonal. The solver carries the node states as one NodeArrays
 across iterations. Each step solves the current system, updates every node
 at once, and linearizes the trial state in one pass, whose cost decides
 acceptance and whose system, when accepted, is the next step's. The final
@@ -10,13 +12,13 @@ state's system, kept from that pass, gives the covariances. Levenberg-style
 diagonal damping activates only when a step is rejected.
 
 Linearization is batched by factor type. Each pass computes the chart of
-every node interval once; the prior factors of all intervals come from it
-in one prior_factor_batch call, with their constant blocks stacked once per
-solve. Each built-in one-node type (range, position, pose, velocity, planar
-lock, anchor) is one kernel call. Interpolated factors, which wrap such a
-type, are grouped the same way: their query rows are built once per solve,
-and one batched interpolation chain over them, reading the same interval
-charts, feeds the inner kernel. Custom factors are evaluated one by one, on
+every node interval once; the prior errors of all intervals come from it
+in one prior_factor_batch call, with the intervals' constant blocks
+stacked once per solve. Each built-in one-node type (range, position,
+pose, velocity, planar lock, anchor) is one kernel call. Interpolated
+factors, which wrap such a type, are grouped the same way: their query
+rows are built once per solve, and one batched interpolation chain over
+them, reading the same interval charts, feeds the inner kernel. Custom factors are evaluated one by one, on
 StateNodes unstacked from the state. Every batch and every custom factor
 gives stacked rows (index, error, Jacobian, information), and one scatter
 adds them into D, E and g. The block LDL^T sweep stores the inverse pivot
@@ -44,7 +46,8 @@ from .errors import (EstimationError, GaugeFreedomError, HyperparameterError,
                      WiringError)
 from .interpolation import Trajectory
 from .liegroup import se3_exp, so3_project
-from .prior import TIME_TOL, NodeArrays, check_interval_times, interval_chart
+from .prior import (TIME_TOL, IntervalBlocks, NodeArrays, check_interval_times,
+                    interval_chart)
 
 _ABSOLUTE_FACTORS = (_factors.RangeFactor, _factors.PoseFactor,
                      _factors.PositionFactor, _factors.AnchorFactor,
@@ -55,15 +58,7 @@ _INITIAL_DAMPING = 0.0
 _DAMPING_GROWTH = 10.0
 _RELATIVE_COST_TOLERANCE = 1e-8
 _STEP_NORM_TOLERANCE = 1e-10
-
-
-@dataclass
-class SolverSettings:
-    max_iterations: int = 100
-
-    def __post_init__(self):
-        if self.max_iterations < 1:
-            raise HyperparameterError("max_iterations must be at least 1")
+_MAX_ITERATIONS = 100
 
 
 @dataclass(frozen=True)
@@ -92,7 +87,13 @@ class Solution:
 
 
 class Problem:
-    """Factor graph for one batch solve.
+    """Factor graph for one batch solve: nodes, prior intervals, measurements.
+
+    blocks holds the K-1 IntervalBlocks of the input-driven prior, interval
+    k between nodes k and k+1. All wiring is checked here, once: the node
+    times increase, each interval's ends and each InterpolatedFactor's
+    interval sit at the node times, and every measurement factor touches
+    one node or an adjacent pair. Each failure raises WiringError.
 
     gauge: "auto" adds a tight anchor on the first node when no factor
     carries absolute information, "fix-first" always adds it, "none" trusts
@@ -101,8 +102,7 @@ class Problem:
     span with fewer nodes whose solution seeds this one's start (see solve).
     """
 
-    def __init__(self, nodes, prior_factors, measurement_factors=(),
-                 settings: SolverSettings | None = None, gauge: str = "auto",
+    def __init__(self, nodes, blocks, measurement_factors=(), gauge: str = "auto",
                  coarse: "Problem | None" = None):
         nodes = list(nodes)
         if len(nodes) < 2:
@@ -110,14 +110,13 @@ class Problem:
         times = [n.time for n in nodes]
         if any(t1 - t0 <= 0 for t0, t1 in zip(times, times[1:])):
             raise WiringError("node times must be strictly increasing")
-        prior_factors = list(prior_factors)
-        if len(prior_factors) != len(nodes) - 1:
-            raise WiringError("need exactly one prior factor per adjacent node pair")
-        for k, f in enumerate(prior_factors):
-            if not isinstance(f, _factors.PriorFactor):
-                raise WiringError(f"prior factor {k} is not a PriorFactor")
-            if tuple(f.indices) != (k, k + 1):
-                raise WiringError(f"prior factor {k} is not wired to nodes ({k}, {k + 1})")
+        blocks = list(blocks)
+        if len(blocks) != len(nodes) - 1:
+            raise WiringError("need exactly one IntervalBlocks per adjacent node pair")
+        for k, b in enumerate(blocks):
+            if not isinstance(b, IntervalBlocks):
+                raise WiringError(f"prior interval {k} is not an IntervalBlocks")
+        check_interval_times(times, [b.t0 for b in blocks], [b.t1 for b in blocks])
         measurement_factors = list(measurement_factors)
         for f in measurement_factors:
             idx = tuple(f.indices)
@@ -127,6 +126,11 @@ class Problem:
                 raise WiringError("measurement factors may couple only adjacent nodes")
             if len(idx) > 2:
                 raise WiringError("factors coupling more than two nodes break the band structure")
+        interpolated = [f for f in measurement_factors
+                        if isinstance(f, _factors.InterpolatedFactor)]
+        check_interval_times(times, [f.blocks.t0 for f in interpolated],
+                             [f.blocks.t1 for f in interpolated],
+                             [f.index for f in interpolated])
         if gauge not in ("auto", "fix-first", "none"):
             raise HyperparameterError("gauge must be auto, fix-first, or none")
         if coarse is not None and (
@@ -134,9 +138,8 @@ class Problem:
                 or abs(coarse.nodes[-1].time - times[-1]) > TIME_TOL):
             raise WiringError("the coarse problem must span the same times")
         self.nodes = nodes
-        self.prior_factors = prior_factors
+        self.blocks = blocks
         self.measurement_factors = measurement_factors
-        self.settings = settings or SolverSettings()
         self.gauge = gauge
         self.coarse = coarse
 
@@ -155,25 +158,19 @@ class Problem:
 class _Linearizer:
     """Linearizes a state: its cost and block-tridiagonal normal equations.
 
-    The prior's interval constants are stacked, and the node times checked
-    against the prior's and the interpolated factors' intervals, once: a
-    step never changes a time. The batched factor types, interpolated ones
-    included, are grouped once; a custom measurement factor, in others, is
-    evaluated on its own. assemble is the one linearization: each pass
-    computes every interval's chart once, for the prior and the interpolated
-    batches alike.
+    The prior's interval constants are stacked once, and the batched factor
+    types, interpolated ones included, grouped once; Problem has checked
+    every time, and a step never changes one. A custom measurement factor,
+    in others, is evaluated on its own. assemble is the one linearization:
+    each pass computes every interval's chart once, for the prior and the
+    interpolated batches alike.
     """
 
     def __init__(self, problem: Problem):
         self.k = len(problem.nodes)
         self.batches, self.others = _factors.batch_factors(
             list(problem.measurement_factors) + problem.gauge_factors())
-        self.prior = _factors.PriorConstants.stack([f.blocks for f in problem.prior_factors])
-        times = [n.time for n in problem.nodes]
-        check_interval_times(times, self.prior.t0, self.prior.t1)
-        for batch in self.batches:
-            if isinstance(batch, _factors.InterpolatedBatch):
-                check_interval_times(times, batch.rows.t0, batch.rows.t1, batch.index)
+        self.prior = _factors.PriorConstants.stack(problem.blocks)
 
     def _add_priors(self, state, chart, d, e, g) -> float:
         """Adds the prior factors' blocks in place; returns their cost."""
@@ -332,14 +329,14 @@ class _Run(NamedTuple):
     e: np.ndarray
 
 
-def _iterate(settings: SolverSettings, lin: _Linearizer, state: NodeArrays) -> _Run:
+def _iterate(lin: _Linearizer, state: NodeArrays) -> _Run:
     """Damped Gauss-Newton from state.
 
     lin.assemble linearizes the start and each trial state once: the
     trial's cost decides acceptance, and an accepted trial's system is the
     next step's. evaluations counts the trials. A trial step at which a
     factor raises is rejected like one that raises the cost. A run that
-    exhausts max_iterations or cannot decrease the cost at any damping
+    exhausts _MAX_ITERATIONS or cannot decrease the cost at any damping
     returns the best state found with converged False.
     """
     lam = _INITIAL_DAMPING
@@ -348,7 +345,7 @@ def _iterate(settings: SolverSettings, lin: _Linearizer, state: NodeArrays) -> _
 
     cost, d, e, g = lin.assemble(state)
     history = [cost]
-    for _ in range(settings.max_iterations):
+    for _ in range(_MAX_ITERATIONS):
         rejected = 0
         while rejected <= _REJECT_LIMIT:
             try:
@@ -400,11 +397,11 @@ def _coarse_start(coarse: Problem, state: NodeArrays):
     """
     counts = (0, 0)
     try:
-        run = _iterate(coarse.settings, _Linearizer(coarse), NodeArrays.stack(coarse.nodes))
+        run = _iterate(_Linearizer(coarse), NodeArrays.stack(coarse.nodes))
         counts = (run.iterations, run.evaluations)
         if not run.converged:
             return None, counts
-        trajectory = Trajectory(run.state, [f.blocks for f in coarse.prior_factors])
+        trajectory = Trajectory(run.state, coarse.blocks)
         queried = trajectory.query_many(state.time)
     except EstimationError:
         return None, counts
@@ -424,7 +421,7 @@ def solve(problem: Problem) -> Solution:
     assembled at the final state during the iterations. Raises
     GaugeFreedomError, naming the first node whose pivot block is not
     positive definite, when the undamped normal equations at the solution
-    are singular. A run that exhausts max_iterations or cannot decrease the
+    are singular. A run that exhausts _MAX_ITERATIONS or cannot decrease the
     cost at any damping returns the best state found with converged=False.
     """
     lin = _Linearizer(problem)
@@ -433,7 +430,7 @@ def solve(problem: Problem) -> Solution:
         seed, coarse = _coarse_start(problem.coarse, state)
         if seed is not None:
             state, start = seed, "coarse"
-    run = _iterate(problem.settings, lin, state)
+    run = _iterate(lin, state)
 
     try:
         s = _tridiag_factor(run.d, run.e, 0.0)

@@ -168,8 +168,8 @@ class TestRunExperiment:
 
 
 def without_coarse(problem):
-    return Problem(problem.nodes, problem.prior_factors, problem.measurement_factors,
-                   settings=problem.settings, gauge=problem.gauge)
+    return Problem(problem.nodes, problem.blocks, problem.measurement_factors,
+                   gauge=problem.gauge)
 
 
 def factor_key(f):
@@ -201,11 +201,11 @@ class TestCoarseStart:
         assert sparse.coarse is None
         coarse = problem.coarse
         assert np.array_equal([n.time for n in coarse.nodes], sparse_times)
-        for f, g in zip(coarse.prior_factors, sparse.prior_factors):
-            scale = np.max(np.abs(g.blocks.q_full))
-            assert np.max(np.abs(f.blocks.q_full - g.blocks.q_full)) < 1e-10 * scale
-            assert np.allclose(f.blocks.phi, g.blocks.phi, rtol=1e-10, atol=1e-12)
-            assert np.allclose(f.blocks.input_full, g.blocks.input_full, rtol=1e-10, atol=1e-12)
+        for f, g in zip(coarse.blocks, sparse.blocks):
+            scale = np.max(np.abs(g.q_full))
+            assert np.max(np.abs(f.q_full - g.q_full)) < 1e-10 * scale
+            assert np.allclose(f.phi, g.phi, rtol=1e-10, atol=1e-12)
+            assert np.allclose(f.input_full, g.input_full, rtol=1e-10, atol=1e-12)
         assert ([factor_key(f) for f in coarse.measurement_factors]
                 == [factor_key(f) for f in sparse.measurement_factors])
         for a, b in zip(coarse.nodes, sparse.nodes):
@@ -222,8 +222,8 @@ class TestCoarseStart:
         problem, _, _ = build_mobile_problem(simulate_mobile(scenario), node_policy="all")
         times = [n.time for n in problem.coarse.nodes]
         assert np.allclose(np.diff(times), 2.0)
-        assert all(np.linalg.norm(f.blocks.input_full[3:6]) < COARSE_ROTATION_MAX
-                   for f in problem.coarse.prior_factors)
+        assert all(np.linalg.norm(f.input_full[3:6]) < COARSE_ROTATION_MAX
+                   for f in problem.coarse.blocks)
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
     def test_dense_solve_from_the_coarse_start(self, twisty, seed):

@@ -384,13 +384,6 @@ def test_bound_factor_classes_match_functions():
     n1 = prior.prior_mean_propagate(n0, blocks, blocks.t1)
     nodes = [n0, n1]
 
-    pf = factors.PriorFactor(0, blocks)
-    assert pf.indices == (0, 1)
-    want = factors.prior_factor_error(n0, n1, blocks)
-    got = pf.evaluate(nodes)
-    assert np.allclose(got.error, want.error)
-    assert got.jacobians[0][0] == 0 and got.jacobians[1][0] == 1
-
     tau = 0.31
     inner = factors.RangeFactor(0, np.array([1.0, 2.0, 0.3]), 2.0, 0.05)
     itf = factors.InterpolatedFactor(0, blocks, tau, inner)
@@ -400,20 +393,16 @@ def test_bound_factor_classes_match_functions():
     assert np.allclose(got.jacobians[0][1], want.jacobians[0][1])
 
 
-def test_interpolated_factor_equality_ignores_its_cached_kernel():
+def test_factors_compare_by_identity_and_hash():
     rng = np.random.default_rng(34)
     blocks, _ = build_blocks(rng)
-    n0 = random_node(rng)
-    nodes = [n0, prior.prior_mean_propagate(n0, blocks, blocks.t1)]
-    inner = factors.RangeFactor(0, np.array([1.0, 2.0, 0.3]), 2.0, 0.05)
-    a = factors.InterpolatedFactor(0, blocks, 0.31, inner)
-    b = factors.InterpolatedFactor(0, blocks, 0.31, inner)
-    assert a == b
-    a.evaluate(nodes)
-    assert a == b
-    b.evaluate(nodes)
-    assert a == b
-    assert a != factors.InterpolatedFactor(0, blocks, 0.32, inner)
+    # equal fields, held in distinct arrays
+    inners = [factors.RangeFactor(0, np.array([1.0, 2.0, 0.3]), 2.0, 0.05) for _ in range(2)]
+    a, b = (factors.InterpolatedFactor(0, blocks, 0.31, inner) for inner in inners)
+    for x, y in (inners, (a, b)):
+        assert x == x and not x != x
+        assert x != y and not x == y
+    assert len({*inners, a, b, a}) == 4
     # frozen, like every other factor type: nothing is cached on it
     with pytest.raises(dataclasses.FrozenInstanceError):
         a.tau = 0.32
@@ -425,6 +414,6 @@ def test_interpolated_factor_rejects_a_callable_inner():
     inner = factors.RangeFactor(0, np.array([1.0, 2.0, 0.3]), 2.0, 0.05)
     for bad in (inner.evaluate_node,
                 lambda n: factors.range_factor_error(n, inner.landmark, 2.0, 0.05),
-                factors.PriorFactor(0, blocks)):
+                blocks):
         with pytest.raises(WiringError, match="inner must be one of"):
             factors.InterpolatedFactor(0, blocks, 0.31, bad)

@@ -47,10 +47,6 @@ def propagate_chain(start, blocks_list):
     return nodes
 
 
-def prior_factors_for(blocks_list):
-    return [factors.PriorFactor(k, b) for k, b in enumerate(blocks_list)]
-
-
 def perturbed(rng, nodes, pose_scale, bias_scale):
     return [prior.StateNode(n.time,
                             exp_map(bounded_twist(rng, pose_scale)) @ n.pose,
@@ -68,7 +64,7 @@ def test_consistent_problem_converges_in_one_iteration():
     start = prior.StateNode(0.0, exp_map(bounded_twist(rng, 1.0)),
                             bounded_twist(rng, 0.5))
     nodes = propagate_chain(start, blocks_list)
-    sol = solver.solve(solver.Problem(nodes, prior_factors_for(blocks_list)))
+    sol = solver.solve(solver.Problem(nodes, blocks_list))
     assert sol.converged and sol.iterations == 1
     assert sol.cost_history[0] < 1e-12
     for before, after in zip(nodes, sol.nodes):
@@ -84,7 +80,7 @@ def test_prior_only_solution_is_propagated_mean():
     truth = propagate_chain(start, blocks_list)
     # keep node 0 at the truth so the auto gauge anchor is consistent
     guesses = [truth[0]] + perturbed(rng, truth[1:], 5e-2, 5e-2)
-    sol = solver.solve(solver.Problem(guesses, prior_factors_for(blocks_list)))
+    sol = solver.solve(solver.Problem(guesses, blocks_list))
     assert sol.converged
     assert sol.cost_history[-1] < 1e-16
     for est, ref in zip(sol.nodes, truth):
@@ -92,23 +88,28 @@ def test_prior_only_solution_is_propagated_mean():
         assert np.allclose(est.bias, ref.bias, atol=1e-8)
 
 
-def assemble_dense(all_factors, nodes):
+def factor_evals(blocks_list, all_factors, nodes):
+    """Each prior interval's FactorEval, then each factor's own."""
+    return ([factors.prior_factor_error(nodes[k], nodes[k + 1], b, indices=(k, k + 1))
+             for k, b in enumerate(blocks_list)]
+            + [f.evaluate(nodes) for f in all_factors])
+
+
+def assemble_dense(blocks_list, all_factors, nodes):
     k = len(nodes)
     h = np.zeros((12 * k, 12 * k))
-    for f in all_factors:
-        ev = f.evaluate(nodes)
+    for ev in factor_evals(blocks_list, all_factors, nodes):
         for i, ji in ev.jacobians:
             for j, jj in ev.jacobians:
                 h[12 * i:12 * i + 12, 12 * j:12 * j + 12] += ji.T @ ev.information @ jj
     return h
 
 
-def reference_normal_equations(all_factors, nodes):
+def reference_normal_equations(blocks_list, all_factors, nodes):
     """Cost, dense H and gradient summed from each factor's own FactorEval."""
     k = len(nodes)
     cost, h, g = 0.0, np.zeros((12 * k, 12 * k)), np.zeros(12 * k)
-    for f in all_factors:
-        ev = f.evaluate(nodes)
+    for ev in factor_evals(blocks_list, all_factors, nodes):
         cost += ev.cost()
         for i, ji in ev.jacobians:
             g[12 * i:12 * i + 12] -= ji.T @ ev.information @ ev.error
@@ -197,7 +198,7 @@ def test_batched_assembly_matches_per_factor_reference():
                                    factors.PlanarLockFactor(2, 1e3, bias_only=True)),
         RelativeTranslation(),
     ]
-    problem = solver.Problem(truth, prior_factors_for(blocks_list), meas)
+    problem = solver.Problem(truth, blocks_list, meas)
     lin = solver._Linearizer(problem)
     assert len(lin.batches) == 15 and len(lin.others) == 1
     assert sum(isinstance(b, factors.InterpolatedBatch) for b in lin.batches) == 7
@@ -205,7 +206,7 @@ def test_batched_assembly_matches_per_factor_reference():
 
     cost, d, e, g = lin.assemble(prior.NodeArrays.stack(nodes))
     want_cost, want_h, want_g = reference_normal_equations(
-        prior_factors_for(blocks_list) + meas + problem.gauge_factors(), nodes)
+        blocks_list, meas + problem.gauge_factors(), nodes)
     h = dense_from_blocks(d, e)
     assert abs(cost - want_cost) <= 1e-12 * want_cost
     assert np.linalg.norm(h - want_h) <= 1e-12 * np.linalg.norm(want_h)
@@ -253,7 +254,7 @@ seg = inputs.InputSegment(0.0, 0.3, 0.1 * np.ones(6), 0.2 * np.ones(6),
                           np.zeros(6), np.zeros(6))
 blocks = prior.IntervalBlocks(inputs.InputProfile((seg,)), prior.PriorHyper(np.ones(6)))
 nodes = [prior.StateNode(t, ctgp.Pose.identity(), np.zeros(6)) for t in (0.0, 0.3)]
-sol = solver.solve(solver.Problem(nodes, [factors.PriorFactor(0, blocks)],
+sol = solver.solve(solver.Problem(nodes, [blocks],
                                   [factors.PositionFactor(1, np.ones(3), np.eye(3))],
                                   gauge="fix-first"))
 traj = interpolation.Trajectory(list(sol.nodes), [blocks], sol.node_covariances,
@@ -295,12 +296,12 @@ def test_covariance_blocks_match_dense_inverse():
                                    input_velocity=blocks_list[1].profile.evaluate(tau)[0])),
     ]
     guesses = perturbed(rng, truth, 2e-2, 2e-2)
-    problem = solver.Problem(guesses, prior_factors_for(blocks_list), meas)
+    problem = solver.Problem(guesses, blocks_list, meas)
     sol = solver.solve(problem)
     assert sol.converged
     assert sol.cost_history[-1] < 1e-18
 
-    dense = assemble_dense(prior_factors_for(blocks_list) + meas, list(sol.nodes))
+    dense = assemble_dense(blocks_list, meas, list(sol.nodes))
     full_cov = np.linalg.inv(dense)
     for k in range(4):
         block = full_cov[12 * k:12 * k + 12, 12 * k:12 * k + 12]
@@ -322,7 +323,7 @@ def test_noise_free_measurements_recover_truth():
         factors.PositionFactor(4, truth[4].pose.translation.copy(), 1e-4 * np.eye(3)),
     ]
     guesses = perturbed(rng, truth, 5e-2, 5e-2)
-    sol = solver.solve(solver.Problem(guesses, prior_factors_for(blocks_list), meas))
+    sol = solver.solve(solver.Problem(guesses, blocks_list, meas))
     assert sol.converged
     assert sol.iterations <= 15
     assert sol.cost_history[-1] < 1e-14
@@ -340,7 +341,7 @@ def test_solver_is_deterministic():
     guesses = perturbed(rng, truth, 3e-2, 3e-2)
 
     def run():
-        return solver.solve(solver.Problem(guesses, prior_factors_for(blocks_list)))
+        return solver.solve(solver.Problem(guesses, blocks_list))
 
     a, b = run(), run()
     assert a.cost_history == b.cost_history
@@ -361,9 +362,9 @@ def test_gauge_policies():
     # the sweep meets the free gauge at the last pivot block
     with pytest.raises(GaugeFreedomError,
                        match=r"at node 3 \(t = 0\.9 s\).*gauge='fix-first'"):
-        solver.solve(solver.Problem(nodes, prior_factors_for(blocks_list), gauge="none"))
+        solver.solve(solver.Problem(nodes, blocks_list, gauge="none"))
 
-    sol = solver.solve(solver.Problem(nodes, prior_factors_for(blocks_list),
+    sol = solver.solve(solver.Problem(nodes, blocks_list,
                                       gauge="fix-first"))
     assert sol.converged
     assert pose_gap(sol.nodes[0].pose, nodes[0].pose) < 1e-6
@@ -374,7 +375,7 @@ def test_gauge_policies():
     shifted = [prior.StateNode(n.time, n.pose @ moved, n.bias) for n in nodes]
     meas = [factors.PoseFactor(0, shifted[0].pose, 1e-6 * np.eye(6)),
             factors.PoseFactor(3, shifted[3].pose, 1e-6 * np.eye(6))]
-    sol_auto = solver.solve(solver.Problem(nodes, prior_factors_for(blocks_list), meas,
+    sol_auto = solver.solve(solver.Problem(nodes, blocks_list, meas,
                                            gauge="auto"))
     assert sol_auto.converged
     assert sol_auto.cost_history[-1] < 1e-12
@@ -413,14 +414,14 @@ def coarse_and_fine(rng):
     coarse_blocks = [prior.IntervalBlocks.compose(blocks_list[i:i + 4]) for i in (0, 4)]
     coarse_meas = [factors.PoseFactor(j, truth[k].pose, 1e-4 * np.eye(6))
                    for j, k in enumerate((0, 4, 8))]
-    coarse = solver.Problem(guesses[::4], prior_factors_for(coarse_blocks), coarse_meas)
+    coarse = solver.Problem(guesses[::4], coarse_blocks, coarse_meas)
     return guesses, blocks_list, meas, coarse
 
 
 def test_coarse_start_seeds_the_dense_solve(monkeypatch):
     rng = np.random.default_rng(78)
     guesses, blocks_list, meas, coarse = coarse_and_fine(rng)
-    given = solver.solve(solver.Problem(guesses, prior_factors_for(blocks_list), meas))
+    given = solver.solve(solver.Problem(guesses, blocks_list, meas))
     trials = {3: 0, 9: 0}
     apply_step = solver._apply_step
 
@@ -429,7 +430,7 @@ def test_coarse_start_seeds_the_dense_solve(monkeypatch):
         return apply_step(state, delta)
 
     monkeypatch.setattr(solver, "_apply_step", counted_step)
-    seeded = solver.solve(solver.Problem(guesses, prior_factors_for(blocks_list), meas,
+    seeded = solver.solve(solver.Problem(guesses, blocks_list, meas,
                                          coarse=coarse))
     assert (given.start, given.coarse_iterations) == ("given", 0)
     assert given.coarse_cost_evaluations == 0
@@ -446,16 +447,14 @@ def test_coarse_start_seeds_the_dense_solve(monkeypatch):
 
 
 @pytest.mark.parametrize("break_coarse", ["raises", "no_convergence", "chart"])
-def test_failed_coarse_start_falls_back_to_the_given_nodes(break_coarse):
+def test_failed_coarse_start_falls_back_to_the_given_nodes(break_coarse, monkeypatch):
     rng = np.random.default_rng(79)
     guesses, blocks_list, meas, coarse = coarse_and_fine(rng)
     if break_coarse == "raises":
-        coarse = solver.Problem(coarse.nodes, coarse.prior_factors,
+        coarse = solver.Problem(coarse.nodes, coarse.blocks,
                                 coarse.measurement_factors + [_RaisingFactor()])
     elif break_coarse == "no_convergence":
-        coarse = solver.Problem(coarse.nodes, coarse.prior_factors,
-                                coarse.measurement_factors,
-                                settings=solver.SolverSettings(max_iterations=1))
+        monkeypatch.setattr(solver, "_MAX_ITERATIONS", 1)
     else:
         # coarse nodes pinned at one pose with opposite yaw rates of 15 rad/s:
         # 1 s apart, the interpolated rotation overshoots pi at a dense node
@@ -463,15 +462,14 @@ def test_failed_coarse_start_falls_back_to_the_given_nodes(break_coarse):
         pinned = [factors.AnchorFactor(k, pose, np.array([0, 0, 0, 0, 0, 15.0 * (-1) ** k]),
                                        1e-12 * np.eye(6), 1e-12 * np.eye(6))
                   for k in range(len(coarse.nodes))]
-        coarse = solver.Problem(coarse.nodes, coarse.prior_factors, pinned)
+        coarse = solver.Problem(coarse.nodes, coarse.blocks, pinned)
         alone = solver.solve(coarse)
         assert alone.converged
-        trajectory = interpolation.Trajectory(list(alone.nodes),
-                                              [f.blocks for f in coarse.prior_factors])
+        trajectory = interpolation.Trajectory(list(alone.nodes), coarse.blocks)
         with pytest.raises(IntervalTooLongError):
             trajectory.query_many([n.time for n in guesses])
-    plain = solver.solve(solver.Problem(guesses, prior_factors_for(blocks_list), meas))
-    fallback = solver.solve(solver.Problem(guesses, prior_factors_for(blocks_list), meas,
+    plain = solver.solve(solver.Problem(guesses, blocks_list, meas))
+    fallback = solver.solve(solver.Problem(guesses, blocks_list, meas,
                                            coarse=coarse))
     assert fallback.start == "given"
     assert fallback.cost_history == plain.cost_history
@@ -487,20 +485,19 @@ def test_failed_coarse_start_falls_back_to_the_given_nodes(break_coarse):
 def test_coarse_problem_must_span_the_same_times():
     rng = np.random.default_rng(80)
     guesses, blocks_list, meas, coarse = coarse_and_fine(rng)
-    short = solver.Problem(coarse.nodes[:2], coarse.prior_factors[:1])
+    short = solver.Problem(coarse.nodes[:2], coarse.blocks[:1])
     with pytest.raises(WiringError, match="same times"):
-        solver.Problem(guesses, prior_factors_for(blocks_list), meas, coarse=short)
+        solver.Problem(guesses, blocks_list, meas, coarse=short)
 
 
-def test_nonconvergence_is_reported():
+def test_nonconvergence_is_reported(monkeypatch):
     rng = np.random.default_rng(76)
     blocks_list = input_chain(rng, 5)
     truth = propagate_chain(prior.StateNode(0.0, exp_map(bounded_twist(rng, 0.5)),
                                             bounded_twist(rng, 0.4)), blocks_list)
     guesses = [truth[0]] + perturbed(rng, truth[1:], 0.3, 0.3)
-    settings = solver.SolverSettings(max_iterations=1)
-    sol = solver.solve(solver.Problem(guesses, prior_factors_for(blocks_list),
-                                      settings=settings))
+    monkeypatch.setattr(solver, "_MAX_ITERATIONS", 1)
+    sol = solver.solve(solver.Problem(guesses, blocks_list))
     assert not sol.converged
     assert sol.iterations == 1
     assert sol.cost_history[1] <= sol.cost_history[0]
@@ -513,7 +510,7 @@ def test_large_initial_error_recovers_through_damping():
                                             bounded_twist(rng, 0.3)), blocks_list)
     meas = [factors.PoseFactor(k, truth[k].pose, 1e-4 * np.eye(6)) for k in (0, 2, 4)]
     guesses = perturbed(rng, truth, 0.8, 0.8)
-    sol = solver.solve(solver.Problem(guesses, prior_factors_for(blocks_list), meas))
+    sol = solver.solve(solver.Problem(guesses, blocks_list, meas))
     assert sol.converged
     history = np.array(sol.cost_history)
     assert np.all(np.diff(history) <= 1e-12 * np.maximum(1.0, history[:-1]))
@@ -552,7 +549,7 @@ def chart_limited_chain():
 def test_trial_step_that_raises_is_rejected_and_damped():
     guesses, blocks_list, meas, truth = chart_limited_chain()
     guard = ChartLimit(0.165)
-    sol = solver.solve(solver.Problem(guesses, prior_factors_for(blocks_list),
+    sol = solver.solve(solver.Problem(guesses, blocks_list,
                                       meas + [guard]))
     assert guard.raised >= 1
     assert sol.converged
@@ -564,13 +561,13 @@ def test_trial_step_that_raises_is_rejected_and_damped():
 
     # the caller's own initial guess is not a trial step: an error there raises
     with pytest.raises(IllConditionedRotationError):
-        solver.solve(solver.Problem(guesses, prior_factors_for(blocks_list),
+        solver.solve(solver.Problem(guesses, blocks_list,
                                     meas + [ChartLimit(0.1)]))
 
 
 def test_each_trial_state_is_linearized_once(monkeypatch):
     guesses, blocks_list, meas, _ = chart_limited_chain()
-    problem = solver.Problem(guesses, prior_factors_for(blocks_list),
+    problem = solver.Problem(guesses, blocks_list,
                              meas + [ChartLimit(0.165)])
     calls = {"assemble": 0, "trials": 0}
     assemble, apply_step, iterate = (solver._Linearizer.assemble, solver._apply_step,
@@ -630,29 +627,19 @@ def test_problem_validation():
     blocks_list = wnoa_chain(3)
     nodes = propagate_chain(prior.StateNode(0.0, exp_map(bounded_twist(rng, 0.3)),
                                             bounded_twist(rng, 0.3)), blocks_list)
-    good = prior_factors_for(blocks_list)
 
     with pytest.raises(WiringError):
         solver.Problem(nodes[:1], [])
     with pytest.raises(WiringError):
-        solver.Problem(nodes, good[:1])
+        solver.Problem(nodes, blocks_list[:1])
     with pytest.raises(WiringError):
-        solver.Problem(nodes, [good[1], good[0]])
-
-    class OpaquePrior:
-        """A prior factor hidden behind a type the solver cannot batch."""
-
-        def __init__(self, inner):
-            self.inner = inner
-            self.indices = inner.indices
-
-        def evaluate(self, nodes):
-            return self.inner.evaluate(nodes)
-
-    with pytest.raises(WiringError, match="prior factor 1"):
-        solver.Problem(nodes, [good[0], OpaquePrior(good[1])])
+        solver.Problem(nodes, [blocks_list[1], blocks_list[0]])
+    # an entry that is not an IntervalBlocks
+    with pytest.raises(WiringError, match="prior interval 1"):
+        solver.Problem(nodes, [blocks_list[0], blocks_list[1].profile])
     with pytest.raises(WiringError):
-        solver.Problem(nodes, good, [factors.PositionFactor(5, np.zeros(3), np.eye(3))])
+        solver.Problem(nodes, blocks_list,
+                       [factors.PositionFactor(5, np.zeros(3), np.eye(3))])
 
     class WideFactor:
         indices = (0, 2)
@@ -661,17 +648,35 @@ def test_problem_validation():
             raise AssertionError("never evaluated")
 
     with pytest.raises(WiringError):
-        solver.Problem(nodes, good, [WideFactor()])
+        solver.Problem(nodes, blocks_list, [WideFactor()])
+    with pytest.raises(HyperparameterError):
+        solver.Problem(nodes, blocks_list, gauge="fixed")
+
+
+def test_wiring_errors_surface_when_the_problem_is_built():
+    """Each time mismatch raises from Problem alone, before any solve."""
+    rng = np.random.default_rng(81)
+    blocks_list = wnoa_chain(4)
+    nodes = propagate_chain(prior.StateNode(0.0, exp_map(bounded_twist(rng, 0.3)),
+                                            bounded_twist(rng, 0.3)), blocks_list)
+    off_times = "node times do not match"
+    # swapped intervals, of equal length, so only their times are wrong
+    with pytest.raises(WiringError, match=off_times):
+        solver.Problem(nodes, [blocks_list[0], blocks_list[2], blocks_list[1]])
+    # intervals built over times shifted from the nodes'
+    hyper = prior.PriorHyper(np.ones(6))
+    shifted = [prior.IntervalBlocks(inputs.InputProfile.zero(b.t0 + 0.05, b.t1 + 0.05), hyper)
+               for b in blocks_list]
+    with pytest.raises(WiringError, match=off_times):
+        solver.Problem(nodes, shifted)
     # an interpolated factor on interval 0 built from interval 1's blocks
     odometry = factors.VelocityFactor(0, np.zeros(6), np.eye(6), np.ones(6, dtype=bool))
+    placed = factors.InterpolatedFactor(0, blocks_list[0], blocks_list[0].t0 + 0.05, odometry)
     misplaced = factors.InterpolatedFactor(0, blocks_list[1], blocks_list[1].t0 + 0.05,
                                            odometry)
-    with pytest.raises(WiringError, match="node times do not match"):
-        solver.solve(solver.Problem(nodes, good, [misplaced]))
-    with pytest.raises(HyperparameterError):
-        solver.Problem(nodes, good, gauge="fixed")
-    with pytest.raises(HyperparameterError):
-        solver.SolverSettings(max_iterations=0)
+    solver.Problem(nodes, blocks_list, [placed])
+    with pytest.raises(WiringError, match=off_times):
+        solver.Problem(nodes, blocks_list, [placed, misplaced])
 
 
 def test_out_of_order_node_times_rejected():
@@ -682,4 +687,4 @@ def test_out_of_order_node_times_rejected():
     swapped = [nodes[0], prior.StateNode(nodes[2].time, nodes[1].pose, nodes[1].bias),
                prior.StateNode(nodes[1].time, nodes[2].pose, nodes[2].bias)]
     with pytest.raises(WiringError):
-        solver.Problem(swapped, prior_factors_for(blocks_list))
+        solver.Problem(swapped, blocks_list)

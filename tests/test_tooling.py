@@ -1,6 +1,7 @@
 """Static checks on the package source, made with the standard library's ast."""
 
 import ast
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -193,3 +194,82 @@ def test_dead_private_names_finder_sees_modules_classes_and_self(tmp_path):
 
 def test_package_has_no_dead_private_names():
     assert dead_private_names(sorted(SRC.glob("*.py"))) == []
+
+
+def foreign_imports(paths, allowed):
+    """(file, top-level module) of each absolute import outside allowed, sorted.
+
+    Relative imports are the package's own and always allowed.
+    """
+    found = set()
+    for path in paths:
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            found.update((path.name, m.split(".")[0]) for m in modules
+                         if m.split(".")[0] not in allowed)
+    return sorted(found)
+
+
+def test_foreign_imports_finder_sees_both_import_forms(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("from __future__ import annotations\n"
+                      "import os.path, numpy as np\n"
+                      "import scipy.linalg\n"
+                      "from mpmath import mp\n"
+                      "from . import sibling\n"
+                      "from .sibling import name\n"
+                      "from ctgp.prior import StateNode\n"
+                      "def f():\n"
+                      "    import yaml, sympy\n")
+    allowed = set(sys.stdlib_module_names) | {"numpy", "yaml", "ctgp"}
+    assert foreign_imports([module], allowed) == [
+        ("m.py", "mpmath"), ("m.py", "scipy"), ("m.py", "sympy")]
+
+
+def test_package_imports_only_its_dependencies():
+    """The standard library, numpy and yaml (pyproject's dependencies), and itself."""
+    allowed = set(sys.stdlib_module_names) | {"numpy", "yaml", "ctgp"}
+    assert foreign_imports(sorted(SRC.glob("*.py")), allowed) == []
+
+
+def export_problems(path):
+    """How a package __init__'s __all__ differs from the names it imports.
+
+    __all__ must list exactly the names bound by the module's import
+    statements (other than from __future__), in sorted order.
+    """
+    tree = _parse(path)
+    imported = {alias.asname or alias.name.split(".")[0]
+                for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"
+                for alias in node.names}
+    listed = next((ast.literal_eval(node.value) for node in tree.body
+                   if isinstance(node, ast.Assign)
+                   and any(isinstance(t, ast.Name) and t.id == "__all__"
+                           for t in node.targets)), [])
+    problems = [f"not in __all__: {n}" for n in sorted(imported - set(listed))]
+    problems += [f"in __all__, not imported: {n}" for n in sorted(set(listed) - imported)]
+    if list(listed) != sorted(listed):
+        problems.append("__all__ is not sorted")
+    return problems
+
+
+def test_export_finder_sees_missing_stale_and_unsorted_names(tmp_path):
+    module = tmp_path / "__init__.py"
+    module.write_text("from __future__ import annotations\n"
+                      "import os\n"
+                      "from .a import Alpha, beta as Beta, gamma\n"
+                      "__version__ = '1'\n"
+                      "__all__ = ['gamma', 'Alpha', 'Stale', 'os']\n")
+    assert export_problems(module) == ["not in __all__: Beta",
+                                       "in __all__, not imported: Stale",
+                                       "__all__ is not sorted"]
+
+
+def test_package_exports_exactly_what_it_imports():
+    assert export_problems(SRC / "__init__.py") == []
