@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import HyperparameterError, IntervalTooLongError, WiringError
-from .liegroup import Pose, j_vec_dx, left_jacobian, se3_adjoint, so3_exp
+from .liegroup import Pose, j_vec_dx, se3_adjoint, se3_exp_jacobian
 from .prior import (TIME_TOL, IntervalBlocks, IntervalChart, NodeArrays, StateNode,
                     check_interval_times, interval_chart)
 
@@ -154,10 +154,7 @@ def chain(rows: QueryRows, nodes: NodeArrays, chart: IntervalChart, *,
              + np.einsum("nij,nj->ni", rows.psi_gain, chart.gamma[k] - rows.input_full))
     xi, psi = gamma[:, :6], gamma[:, 6:]
     _guard_chart(rows, xi)
-    j_tau = left_jacobian(xi)
-    # exp(xi) is (so3_exp(phi), J(phi) rho), with J(phi) a block of j_tau
-    exp_rot = so3_exp(xi[:, 3:])
-    exp_trans = np.einsum("nij,nj->ni", j_tau[:, :3, :3], xi[:, :3])
+    exp_rot, exp_trans, j_tau = se3_exp_jacobian(xi)
     rot = exp_rot @ nodes.rot[k]
     trans = np.einsum("nij,nj->ni", exp_rot, nodes.trans[k]) + exp_trans
     bias = np.einsum("nij,nj->ni", j_tau, psi)

@@ -10,6 +10,7 @@ fallbacks once the angular norm drops below SMALL_ANGLE.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,21 +86,25 @@ def curlywedge(xi):
     return (xi @ _CURLY_BASIS).reshape(xi.shape[:-1] + (6, 6))
 
 
-def _angle(phi):
-    return np.linalg.norm(phi, axis=-1)
+_Coeffs = namedtuple("_Coeffs", "p p2 a b c d c3 c4")
 
 
-def _coeffs(theta):
-    """Rodrigues/Jacobian scalar coefficients with small-angle Taylor fallback.
+def _coeffs(phi, inverse=False) -> _Coeffs:
+    """skew(phi), its square and the six coefficients of the angle t = |phi|.
 
-    Returns (a, b, c, d) where a = sin/t, b = (1-cos)/t^2, c = (t-sin)/t^3 and
-    d is the quadratic coefficient of the inverse SO(3) left Jacobian.
+    a = sin(t)/t, b = (1-cos t)/t^2 and c = (t-sin t)/t^3 build R and J; d
+    builds J^-1; c, c3 and c4 scale the terms of Q. Each is a Taylor series
+    below SMALL_ANGLE and carries two trailing unit axes, so it scales a
+    stack of 3x3 matrices. inverse refuses angles where J^-1 is undefined.
     """
-    theta = np.asarray(theta, dtype=float)
+    phi = np.asarray(phi, dtype=float)
+    theta = np.linalg.norm(phi, axis=-1)
+    if inverse and np.any(theta >= 2.0 * np.pi - 1e-9):
+        raise IllConditionedRotationError("inverse left Jacobian undefined at angle 2*pi")
     small = theta < SMALL_ANGLE
     # Guard the divisions; small entries are overwritten by the series.
     t = np.where(small, 1.0, theta)
-    t2 = t * t
+    t2, t4 = t * t, t**4
     s, co = np.sin(t), np.cos(t)
     a = np.where(small, 1.0 - theta**2 / 6.0, s / t)
     b = np.where(small, 0.5 - theta**2 / 24.0, (1.0 - co) / t2)
@@ -107,15 +112,38 @@ def _coeffs(theta):
     with np.errstate(divide="ignore", invalid="ignore"):
         d_closed = 1.0 / t2 - (1.0 + co) / (2.0 * t * s)
     d = np.where(small, 1.0 / 12.0 + theta**2 / 720.0, d_closed)
-    return a, b, c, d
+    c3 = np.where(small, 1.0 / 24.0 - theta**2 / 720.0, (t2 + 2.0 * co - 2.0) / (2.0 * t4))
+    c4 = np.where(small, 1.0 / 120.0 - theta**2 / 2520.0,
+                  (2.0 * t - 3.0 * s + t * co) / (2.0 * t4 * t))
+    p = skew(phi)
+    return _Coeffs(p, p @ p, *(x[..., None, None] for x in (a, b, c, d, c3, c4)))
+
+
+def _exp_blocks(k: _Coeffs):
+    """The rotation I + a P + b P^2 and the SO(3) left Jacobian I + b P + c P^2."""
+    eye = np.eye(3)
+    return eye + k.a * k.p + k.b * k.p2, eye + k.b * k.p + k.c * k.p2
+
+
+def _jacobian_inv(k: _Coeffs):
+    return np.eye(3) - 0.5 * k.p + k.d * k.p2
+
+
+def _se3_jacobian(J, rho, k: _Coeffs, inverse=False):
+    """[[J, Q], [0, J]] with Q of [rho, phi] in closed form; inverse: J is J^-1, Q is -J Q J."""
+    P, Rh = k.p, skew(rho)
+    PR, RP = P @ Rh, Rh @ P
+    PRP = PR @ P
+    Q = (0.5 * Rh + k.c * (PR + RP + PRP) + k.c3 * (P @ PR + RP @ P - 3.0 * PRP)
+         + k.c4 * (PRP @ P + P @ PRP))
+    out = np.zeros(J.shape[:-2] + (6, 6))
+    out[..., :3, :3] = out[..., 3:, 3:] = J
+    out[..., :3, 3:] = -J @ Q @ J if inverse else Q
+    return out
 
 
 def so3_exp(phi):
-    phi = np.asarray(phi, dtype=float)
-    a, b, _, _ = _coeffs(_angle(phi))
-    p = skew(phi)
-    eye = np.broadcast_to(np.eye(3), p.shape)
-    return eye + a[..., None, None] * p + b[..., None, None] * (p @ p)
+    return _exp_blocks(_coeffs(phi))[0]
 
 
 def so3_log(R):
@@ -142,32 +170,23 @@ def so3_project(R):
     return u @ vt
 
 
-def so3_left_jacobian(phi):
-    phi = np.asarray(phi, dtype=float)
-    _, b, c, _ = _coeffs(_angle(phi))
-    p = skew(phi)
-    eye = np.broadcast_to(np.eye(3), p.shape)
-    return eye + b[..., None, None] * p + c[..., None, None] * (p @ p)
-
-
 def so3_left_jacobian_inv(phi):
-    phi = np.asarray(phi, dtype=float)
-    theta = _angle(phi)
-    if np.any(theta >= 2.0 * np.pi - 1e-9):
-        raise IllConditionedRotationError("inverse left Jacobian undefined at angle 2*pi")
-    _, _, _, d = _coeffs(theta)
-    p = skew(phi)
-    eye = np.broadcast_to(np.eye(3), p.shape)
-    return eye - 0.5 * p + d[..., None, None] * (p @ p)
+    return _jacobian_inv(_coeffs(phi, inverse=True))
 
 
 def se3_exp(xi):
     """Batched exponential: twist(s) to (rotation, translation) arrays."""
     xi = np.asarray(xi, dtype=float)
-    rho, phi = xi[..., :3], xi[..., 3:]
-    R = so3_exp(phi)
-    t = np.einsum("...ij,...j->...i", so3_left_jacobian(phi), rho)
-    return R, t
+    R, J = _exp_blocks(_coeffs(xi[..., 3:]))
+    return R, np.einsum("...ij,...j->...i", J, xi[..., :3])
+
+
+def se3_exp_jacobian(xi):
+    """se3_exp(xi) and left_jacobian(xi) together: (rotation, translation, J)."""
+    xi = np.asarray(xi, dtype=float)
+    rho, k = xi[..., :3], _coeffs(xi[..., 3:])
+    R, J = _exp_blocks(k)
+    return R, np.einsum("...ij,...j->...i", J, rho), _se3_jacobian(J, rho, k)
 
 
 def se3_log(R, t):
@@ -177,30 +196,13 @@ def se3_log(R, t):
     return np.concatenate([rho, phi], axis=-1)
 
 
-def _q_matrix(xi):
-    """Upper-right block of the SE(3) left Jacobian (closed form)."""
-    xi = np.asarray(xi, dtype=float)
-    rho, phi = xi[..., :3], xi[..., 3:]
-    theta = _angle(phi)
-    small = theta < SMALL_ANGLE
-    t = np.where(small, 1.0, theta)
-    t2, t4 = t * t, t**4
-    s, co = np.sin(t), np.cos(t)
-    c2 = np.where(small, 1.0 / 6.0 - theta**2 / 120.0, (t - s) / (t2 * t))
-    c3 = np.where(small, 1.0 / 24.0 - theta**2 / 720.0, (t2 + 2.0 * co - 2.0) / (2.0 * t4))
-    c4 = np.where(small, 1.0 / 120.0 - theta**2 / 2520.0,
-                  (2.0 * t - 3.0 * s + t * co) / (2.0 * t4 * t))
-    P = skew(phi)
-    Rh = skew(rho)
-    PR, RP = P @ Rh, Rh @ P
-    PRP = P @ Rh @ P
-    c2 = c2[..., None, None]
-    c3 = c3[..., None, None]
-    c4 = c4[..., None, None]
-    return (0.5 * Rh
-            + c2 * (PR + RP + PRP)
-            + c3 * (P @ PR + RP @ P - 3.0 * PRP)
-            + c4 * (PRP @ P + P @ PRP))
+def se3_log_jacobian_inv(R, t):
+    """se3_log(R, t) and left_jacobian_inv of it together: (xi, J^-1)."""
+    phi = so3_log(R)
+    k = _coeffs(phi)  # so3_log stays below pi, inside J^-1's domain
+    Ji = _jacobian_inv(k)
+    rho = np.einsum("...ij,...j->...i", Ji, np.asarray(t, dtype=float))
+    return np.concatenate([rho, phi], axis=-1), _se3_jacobian(Ji, rho, k, inverse=True)
 
 
 def se3_adjoint(R, t):
@@ -224,24 +226,14 @@ def position_jacobian(t):
 
 def left_jacobian(xi):
     """SE(3) left Jacobian, 6x6: [[J, Q], [0, J]]."""
-    xi = np.asarray(xi, dtype=float)
-    J = so3_left_jacobian(xi[..., 3:])
-    out = np.zeros(xi.shape[:-1] + (6, 6))
-    out[..., :3, :3] = J
-    out[..., :3, 3:] = _q_matrix(xi)
-    out[..., 3:, 3:] = J
-    return out
+    return se3_exp_jacobian(xi)[2]
 
 
 def left_jacobian_inv(xi):
     """Inverse SE(3) left Jacobian, 6x6. Domain: angular norm below 2*pi."""
     xi = np.asarray(xi, dtype=float)
-    Ji = so3_left_jacobian_inv(xi[..., 3:])
-    out = np.zeros(xi.shape[:-1] + (6, 6))
-    out[..., :3, :3] = Ji
-    out[..., :3, 3:] = -Ji @ _q_matrix(xi) @ Ji
-    out[..., 3:, 3:] = Ji
-    return out
+    k = _coeffs(xi[..., 3:], inverse=True)
+    return _se3_jacobian(_jacobian_inv(k), xi[..., :3], k, inverse=True)
 
 
 def _series_dx(xi, vec, coeffs):

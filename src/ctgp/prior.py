@@ -36,8 +36,8 @@ import numpy as np
 from .errors import (DegenerateInputError, DomainError, HyperparameterError,
                      IntervalTooLongError, WiringError)
 from .inputs import InputProfile, InputSegment
-from .liegroup import (Pose, curlywedge, exp_map, jinv_vec_dx, left_jacobian,
-                       left_jacobian_inv, se3_adjoint, se3_log)
+from .liegroup import (Pose, curlywedge, jinv_vec_dx, se3_adjoint, se3_exp_jacobian,
+                       se3_log_jacobian_inv)
 
 # Higham (2005): the largest 1-norm at which the [m/m] Pade approximant,
 # unscaled, has a backward error below double-precision unit roundoff
@@ -480,8 +480,7 @@ def interval_chart(nodes: NodeArrays) -> IntervalChart:
     rot, trans, bias = nodes.rot, nodes.trans, nodes.bias
     rel_rot = rot[1:] @ np.swapaxes(rot[:-1], -1, -2)
     rel_trans = trans[1:] - np.einsum("nij,nj->ni", rel_rot, trans[:-1])
-    xi = se3_log(rel_rot, rel_trans)
-    jinv = left_jacobian_inv(xi)
+    xi, jinv = se3_log_jacobian_inv(rel_rot, rel_trans)
     gamma = np.concatenate([xi, np.einsum("nij,nj->ni", jinv, bias[1:])], axis=-1)
     # d gamma / d xi, chained to the left perturbation of node k+1's pose
     chart = np.concatenate([jinv, jinv_vec_dx(xi, bias[1:]) @ jinv], axis=-2)
@@ -509,6 +508,5 @@ def prior_mean_propagate(node: StateNode, blocks: IntervalBlocks, tau: float) ->
             f"local chart left its valid range on the interval [{blocks.t0:.6g}, "
             f"{blocks.t1:.6g}] s at t = {tau:.6g} s (|xi_ang| = {ang:.3f} >= pi); "
             "shorten the interval")
-    pose = exp_map(xi) @ node.pose
-    bias = left_jacobian(xi) @ psi
-    return StateNode(tau, pose, bias)
+    rot, trans, jac = se3_exp_jacobian(xi)
+    return StateNode(tau, Pose(rot, trans) @ node.pose, jac @ psi)
