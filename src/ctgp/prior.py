@@ -15,9 +15,9 @@ its error scales as the window length to the seventh power and stays below
 
 An IntervalBlocks instance caches everything the factors and the
 interpolation need about one node interval: the (transition, input
-integral, noise covariance) triples from the interval start to every input
-knot, both ends included, stacked in one array each. The last row holds
-the full products, and a mid-interval query integrates only within its own
+integral, noise covariance) triples from the interval start to every later
+input knot, t1 included, stacked in one array each. The last row holds the
+full products, and a mid-interval query integrates only within its own
 segment, after the triple at the segment's start. With zero inputs the
 segment pieces are the constant-velocity closed forms of Barfoot, Tong and
 Sarkka (2014), and so are the transition from a query time to t1 and the
@@ -334,6 +334,10 @@ def _zero_pieces(seg: InputSegment, upto: float, hyper: PriorHyper):
     return wnoa_phi(upto), np.zeros(12), wnoa_q(upto, hyper.qc)
 
 
+# the triple from an interval's start to itself
+_T0_TRIPLE = (np.eye(12), np.zeros(12), np.zeros((12, 12)))
+
+
 def _check_contiguous(blocks):
     for prev, nxt in zip(blocks, blocks[1:]):
         if abs(prev.t1 - nxt.t0) > TIME_TOL:
@@ -344,10 +348,11 @@ class IntervalBlocks:
     """Precomputed prior quantities for one node interval.
 
     The (transition, input integral, noise integral) triples from t0 to
-    every knot of the profile, both ends included, are stacked in (n+1, ...)
-    arrays; phi, input_full and q_full are the last row. A query integrates
-    only within its own segment and composes the result after the triple at
-    the segment's start. Identically zero profiles are closed_form unless
+    every later knot of the profile, t1 included, are stacked in (n, ...)
+    arrays; phi, input_full and q_full are the last row, and the triple at
+    t0 itself is the identity. A query integrates only within its own
+    segment and composes the result after the triple at the segment's
+    start. Identically zero profiles are closed_form unless
     force_general is set (the general route is then exercised, which the
     fallback-equivalence tests rely on): their segment pieces, the
     transition from a query time to t1 and Q^-1 are the constant-velocity
@@ -382,11 +387,11 @@ class IntervalBlocks:
                                max_segment_duration=None)
         out = cls.__new__(cls)
         out._store(profile, hyper, all(b.closed_form for b in fine),
-                   [list(zip(b._phi[1:], b._input[1:], b._q[1:])) for b in fine])
+                   [list(zip(b._phi, b._input, b._q)) for b in fine])
         return out
 
     def _store(self, profile: InputProfile, hyper: PriorHyper, closed_form: bool, runs):
-        """Stack the triples from t0 to every knot of profile.
+        """Stack the triples from t0 to every knot of profile after t0.
 
         runs holds, for each stretch of the profile in time order, the
         triples from the stretch's start to each of its knots. The first run
@@ -403,10 +408,7 @@ class IntervalBlocks:
         for run in runs[1:]:
             start = triples[-1]
             triples.extend(_compose(start, t) for t in run)
-        phis, inps, qs = zip(*triples)
-        self._phi = np.array((np.eye(12),) + phis)
-        self._input = np.array((np.zeros(12),) + inps)
-        self._q = np.array((np.zeros((12, 12)),) + qs)
+        self._phi, self._input, self._q = (np.array(x) for x in zip(*triples))
         self._q[-1] = 0.5 * (self._q[-1] + self._q[-1].T)
         self.phi, self.input_full, self.q_full = self._phi[-1], self._input[-1], self._q[-1]
         self.q_full_inv = (wnoa_q_inv(self.t1 - self.t0, hyper.qc_inv) if closed_form
@@ -425,7 +427,7 @@ class IntervalBlocks:
         local = tau - self._knots[m]
         if local > 1e-12 and seg.duration - local <= 1e-12:
             m, local = m + 1, 0.0
-        knot = self._phi[m], self._input[m], self._q[m]
+        knot = (self._phi[m - 1], self._input[m - 1], self._q[m - 1]) if m else _T0_TRIPLE
         if local <= 1e-12:
             phi_from_start, input_tau, q_tau = knot
         else:
