@@ -20,7 +20,7 @@ from . import solver as _solver
 from .errors import CoverageError, DomainError, HyperparameterError
 from .inputs import InputProfile, from_samples
 from .interpolation import Trajectory
-from .liegroup import Pose, exp_map
+from .liegroup import Pose
 from .prior import PriorHyper, StateNode, precompute_intervals
 
 # strain of an undeformed backbone: unit tangent along the body z axis
@@ -145,8 +145,8 @@ def tensions_to_inputs(rod: RodModel, tendons, node_arclengths):
 
 
 def straight_pose(s: float) -> Pose:
-    """Pose at arclength s of the undeformed backbone."""
-    return exp_map(s * STRAIGHT_STRAIN)
+    """Pose at arclength s of the undeformed backbone: exp_map(s * STRAIGHT_STRAIN)."""
+    return Pose(np.eye(3), s * STRAIGHT_STRAIN[:3])
 
 
 def straight_nodes(rod: RodModel, node_arclengths):
