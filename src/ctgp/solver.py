@@ -49,9 +49,10 @@ from .liegroup import se3_exp, so3_project
 from .prior import (TIME_TOL, IntervalBlocks, NodeArrays, check_interval_times,
                     interval_chart)
 
+# factors that tie the trajectory to the world frame, on a node or, wrapped
+# in an InterpolatedFactor, between two
 _ABSOLUTE_FACTORS = (_factors.RangeFactor, _factors.PoseFactor,
-                     _factors.PositionFactor, _factors.AnchorFactor,
-                     _factors.InterpolatedFactor)
+                     _factors.PositionFactor, _factors.AnchorFactor)
 
 _REJECT_LIMIT = 50
 _INITIAL_DAMPING = 0.0
@@ -96,7 +97,8 @@ class Problem:
     one node or an adjacent pair. Each failure raises WiringError.
 
     gauge: "auto" adds a tight anchor on the first node when no factor
-    carries absolute information, "fix-first" always adds it, "none" trusts
+    carries absolute information (a range, pose, position or anchor factor,
+    on a node or interpolated), "fix-first" always adds it, "none" trusts
     the given factors (a genuinely gauge-deficient graph then fails with
     GaugeFreedomError). coarse, when given, is a problem over the same time
     span with fewer nodes whose solution seeds this one's start (see solve).
@@ -147,8 +149,9 @@ class Problem:
         """Extra anchoring factors implied by the gauge policy."""
         if self.gauge == "none":
             return []
-        if self.gauge == "auto" and any(isinstance(f, _ABSOLUTE_FACTORS)
-                                        for f in self.measurement_factors):
+        measured = [f.inner if isinstance(f, _factors.InterpolatedFactor) else f
+                    for f in self.measurement_factors]
+        if self.gauge == "auto" and any(isinstance(f, _ABSOLUTE_FACTORS) for f in measured):
             return []
         first = self.nodes[0]
         return [_factors.AnchorFactor(0, first.pose, first.bias.copy(),

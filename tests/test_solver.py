@@ -383,6 +383,28 @@ def test_gauge_policies():
         assert pose_gap(est.pose, ref.pose) < 1e-6
 
 
+def test_auto_gauge_reads_an_interpolated_factor_by_its_inner():
+    rng = np.random.default_rng(76)
+    blocks_list = wnoa_chain(4, dt=1.0)
+    nodes = propagate_chain(prior.StateNode(0.0, exp_map(bounded_twist(rng, 0.5)),
+                                            bounded_twist(rng, 0.4)), blocks_list)
+    velocity = factors.VelocityFactor(1, nodes[1].bias, 1e-2 * np.eye(6), np.ones(6, dtype=bool))
+    position = factors.PositionFactor(1, nodes[1].pose.translation, 1e-2 * np.eye(3))
+
+    # a velocity says nothing about where the robot is, wherever it is taken
+    relative = solver.Problem(nodes, blocks_list,
+                              [factors.InterpolatedFactor(1, blocks_list[1], 1.5, velocity)])
+    assert len(relative.gauge_factors()) == 1
+    sol = solver.solve(relative)
+    assert sol.converged
+    # a free gauge leaves pose variances near 1e12
+    assert np.max(np.diagonal(sol.node_covariances[:, :6, :6], axis1=1, axis2=2)) < 10.0
+
+    absolute = solver.Problem(nodes, blocks_list,
+                              [factors.InterpolatedFactor(1, blocks_list[1], 1.5, position)])
+    assert absolute.gauge_factors() == []
+
+
 def test_first_indefinite_pivot_block_is_reported():
     d = np.stack([np.eye(12)] * 5)
     d[2, 4, 4] = -1.0
