@@ -273,3 +273,53 @@ def test_export_finder_sees_missing_stale_and_unsorted_names(tmp_path):
 
 def test_package_exports_exactly_what_it_imports():
     assert export_problems(SRC / "__init__.py") == []
+
+
+def unreferenced_public_names(defining, reading):
+    """(file, name) of each public module-level function or class that no file reads.
+
+    A public name has no leading underscore. It is read where any of the
+    reading files loads it, as a bare name or as an attribute, or imports
+    it by name; defining it is not a read.
+    """
+    defined = [(path.name, node.name) for path in defining for node in _parse(path).body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+               and not node.name.startswith("_")]
+    read = set()
+    for path in reading:
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+            elif isinstance(getattr(node, "ctx", None), ast.Load):
+                read.add(getattr(node, "id", None) or getattr(node, "attr", None))
+    return sorted((f, name) for f, name in defined if name not in read)
+
+
+def test_unreferenced_public_names_finder_sees_loads_attributes_and_imports(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("def called():\n"
+                      "    def nested():\n"
+                      "        return 0\n"
+                      "    return nested()\n"
+                      "def imported():\n"
+                      "    return called()\n"
+                      "def through_module():\n"
+                      "    return 0\n"
+                      "def orphan():\n"
+                      "    return 0\n"
+                      "def _private():\n"
+                      "    return 0\n"
+                      "class Ghost:\n"
+                      "    def method(self):\n"
+                      "        return 0\n")
+    caller = tmp_path / "c.py"
+    caller.write_text("import m\n"
+                      "from m import imported\n"
+                      "m.through_module()\n")
+    assert unreferenced_public_names([module], [module, caller]) == [
+        ("m.py", "Ghost"), ("m.py", "orphan")]
+
+
+def test_package_has_no_unreferenced_public_names():
+    reading = [p for d in ("src", "tests", "benchmark") for p in sorted((ROOT / d).rglob("*.py"))]
+    assert unreferenced_public_names(sorted(SRC.glob("*.py")), reading) == []
