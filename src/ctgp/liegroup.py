@@ -3,8 +3,16 @@
 A twist is a plain length-6 ndarray [rho, phi]: linear part first, angular
 part second. All kernel functions broadcast over leading axes, so a (N, 6)
 stack of twists yields (N, 4, 4) wedges, (N, 3, 3) rotations, and so on.
-Closed-form Rodrigues-style expressions are used everywhere, with Taylor
-fallbacks once the angular norm drops below SMALL_ANGLE.
+
+The exponential and the SE(3) left Jacobian, with their inverses, are
+closed forms in the rotation angle t = |phi| (Barfoot & Furgale 2014).
+_coeffs is the one place that evaluates the angle's coefficients, and each
+map makes one such pass. Where a closed form loses precision at small
+angles the pass uses its Taylor series: a, b and d below SMALL_ANGLE, and
+c and Q's c3 and c4, whose closed forms cancel worst, below SERIES_ANGLE.
+Callers that need a map and its Jacobian at one twist use the fused forms:
+se3_exp_jacobian gives the exponential with J, se3_log_jacobian_inv the
+logarithm with J^-1.
 """
 
 from __future__ import annotations
@@ -21,6 +29,13 @@ from .errors import IllConditionedRotationError
 SMALL_ANGLE = 1e-6
 # log_map refuses rotations closer than this to the pi singularity.
 LOG_SINGULARITY_MARGIN = 1e-6
+# Below this angle c, c3 and c4 are their Taylor series: the closed forms
+# cancel, and their rounding grows like 1/t^2 as the angle t shrinks.
+SERIES_ANGLE = 0.5
+# c, c3 and c4's Taylor coefficients in powers of -t^2, highest power
+# first; seven terms reach double precision below SERIES_ANGLE
+_SERIES = np.array([[1.0 / math.factorial(2 * k + 3), 1.0 / math.factorial(2 * k + 4),
+                     (k + 1.0) / math.factorial(2 * k + 5)] for k in reversed(range(7))])
 
 _BERNOULLI = np.array(
     [1.0, -0.5, 1.0 / 6, 0.0, -1.0 / 30, 0.0, 1.0 / 42, 0.0, -1.0 / 30, 0.0,
@@ -93,9 +108,11 @@ def _coeffs(phi, inverse=False) -> _Coeffs:
     """skew(phi), its square and the six coefficients of the angle t = |phi|.
 
     a = sin(t)/t, b = (1-cos t)/t^2 and c = (t-sin t)/t^3 build R and J; d
-    builds J^-1; c, c3 and c4 scale the terms of Q. Each is a Taylor series
-    below SMALL_ANGLE and carries two trailing unit axes, so it scales a
-    stack of 3x3 matrices. inverse refuses angles where J^-1 is undefined.
+    builds J^-1; c, c3 and c4 scale the terms of Q. a, b and d are Taylor
+    series below SMALL_ANGLE, and b is evaluated as 2 (sin(t/2)/t)^2,
+    which does not cancel; c, c3 and c4 are series (Horner) below
+    SERIES_ANGLE. Each carries two trailing unit axes, so it scales a stack
+    of 3x3 matrices. inverse refuses angles where J^-1 is undefined.
     """
     phi = np.asarray(phi, dtype=float)
     theta = np.linalg.norm(phi, axis=-1)
@@ -107,14 +124,19 @@ def _coeffs(phi, inverse=False) -> _Coeffs:
     t2, t4 = t * t, t**4
     s, co = np.sin(t), np.cos(t)
     a = np.where(small, 1.0 - theta**2 / 6.0, s / t)
-    b = np.where(small, 0.5 - theta**2 / 24.0, (1.0 - co) / t2)
-    c = np.where(small, 1.0 / 6.0 - theta**2 / 120.0, (t - s) / (t2 * t))
+    half = np.sin(0.5 * t) / t
+    b = np.where(small, 0.5 - theta**2 / 24.0, 2.0 * half * half)
     with np.errstate(divide="ignore", invalid="ignore"):
         d_closed = 1.0 / t2 - (1.0 + co) / (2.0 * t * s)
     d = np.where(small, 1.0 / 12.0 + theta**2 / 720.0, d_closed)
-    c3 = np.where(small, 1.0 / 24.0 - theta**2 / 720.0, (t2 + 2.0 * co - 2.0) / (2.0 * t4))
-    c4 = np.where(small, 1.0 / 120.0 - theta**2 / 2520.0,
-                  (2.0 * t - 3.0 * s + t * co) / (2.0 * t4 * t))
+    minus_t2 = -(theta * theta)[..., None]
+    acc = _SERIES[0]
+    for row in _SERIES[1:]:
+        acc = acc * minus_t2 + row
+    series = theta < SERIES_ANGLE
+    c = np.where(series, acc[..., 0], (t - s) / (t2 * t))
+    c3 = np.where(series, acc[..., 1], (t2 + 2.0 * co - 2.0) / (2.0 * t4))
+    c4 = np.where(series, acc[..., 2], (2.0 * t - 3.0 * s + t * co) / (2.0 * t4 * t))
     p = skew(phi)
     return _Coeffs(p, p @ p, *(x[..., None, None] for x in (a, b, c, d, c3, c4)))
 

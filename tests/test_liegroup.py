@@ -84,10 +84,28 @@ def test_log_exp_round_trip():
         assert np.allclose(lg.log_map(lg.exp_map(x)), x, atol=1e-9)
 
 
+def small_angle_twists(rng, per_angle=8, max_trans=2.0):
+    """Twists at angles on a log grid from 1e-9 to 1e-1 rad, and either side of each switch."""
+    switches = np.array([lg.SMALL_ANGLE, lg.SERIES_ANGLE])
+    angles = np.concatenate([np.logspace(-9, -1, 17), 0.999 * switches, 1.001 * switches])
+    axes = rng.normal(size=(len(angles), per_angle, 3))
+    axes /= np.linalg.norm(axes, axis=-1, keepdims=True)
+    rho = rng.uniform(-1.0, 1.0, size=(len(angles), per_angle, 3))
+    rho *= max_trans / np.sqrt(3.0)
+    return np.concatenate([rho, axes * angles[:, None, None]], axis=-1).reshape(-1, 6)
+
+
 def test_left_jacobian_matches_series_oracle():
     rng = np.random.default_rng(4)
-    for xi in random_twists(rng, 50):
-        assert np.allclose(lg.left_jacobian(xi), jacobian_series(xi), atol=1e-12)
+    for xi in np.concatenate([random_twists(rng, 50), small_angle_twists(rng)]):
+        assert np.allclose(lg.left_jacobian(xi), jacobian_series(xi), rtol=0.0, atol=1e-12)
+
+
+def test_left_jacobian_inv_matches_inverted_series_oracle():
+    rng = np.random.default_rng(13)
+    for xi in np.concatenate([random_twists(rng, 50), small_angle_twists(rng)]):
+        want = np.linalg.inv(jacobian_series(xi))
+        assert np.allclose(lg.left_jacobian_inv(xi), want, rtol=0.0, atol=1e-12)
 
 
 def test_left_jacobian_inverse_consistent():
