@@ -144,9 +144,10 @@ def chain(rows: QueryRows, nodes: NodeArrays, chart: IntervalChart, *,
     nodes holds all K node states and chart the K-1 interval charts from
     interval_chart. The caller has checked the node times against the rows'
     intervals (check_interval_times), once: Trajectory and the solver at
-    construction, _pair per call. Perturbation conventions match the factors
-    and solver: pose updates multiply on the left, T <- exp(delta) T, and
-    biases update additively.
+    construction, _pair per call. Each row's local twist xi gives exp(xi)
+    and J(xi) from one se3_exp_jacobian pass. Perturbation conventions match
+    the factors and solver: pose updates multiply on the left,
+    T <- exp(delta) T, and biases update additively.
     """
     k = rows.interval
     lam_bias = rows.lam[:, :, 6:]

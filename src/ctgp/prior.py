@@ -476,8 +476,9 @@ class IntervalChart(NamedTuple):
 def interval_chart(nodes: NodeArrays) -> IntervalChart:
     """Charts of the K-1 intervals between consecutive stacked nodes.
 
-    xi = ln(T_k1 T_k^-1)^v and psi = Jinv(xi) b_k1; the bias term's
-    Jacobian d(Jinv(xi) b_k1)/dxi is the exact series derivative.
+    xi = ln(T_k1 T_k^-1)^v and psi = Jinv(xi) b_k1, with xi and Jinv(xi)
+    from one se3_log_jacobian_inv pass; the bias term's Jacobian
+    d(Jinv(xi) b_k1)/dxi is the exact series derivative.
     """
     rot, trans, bias = nodes.rot, nodes.trans, nodes.bias
     rel_rot = rot[1:] @ np.swapaxes(rot[:-1], -1, -2)
