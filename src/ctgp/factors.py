@@ -43,7 +43,7 @@ from .errors import (
     WiringError,
 )
 from .interpolation import CHUNK_ROWS, chain, interpolate_with_jacobian, query_rows
-from .liegroup import (Pose, left_jacobian_inv, position_jacobian, se3_log,
+from .liegroup import (Pose, curlywedge, position_jacobian, se3_log_jacobian_inv,
                        so3_left_jacobian_inv, so3_log)
 from .prior import (IntervalBlocks, IntervalChart, NodeArrays, StateNode,
                     check_interval_times, interval_chart)
@@ -99,8 +99,8 @@ def prior_factor_batch(nodes, blocks, *, chart=None):
     """Evaluate all adjacent-pair prior factors in one vectorized pass.
 
     error = [ln(T_k1 T_k^-1)^v; Jinv(xi) b_k1] - Phi [0; b_k] - input
-    integral, weighted by Q_k^-1, with the exact series derivative of the
-    bias term. Returns a dict with stacked arrays: error (K-1, 12), info
+    integral, weighted by Q_k^-1. The bias term's Jacobian comes from
+    interval_chart. Returns a dict with stacked arrays: error (K-1, 12), info
     (K-1, 12, 12), and j_k / j_k1 (K-1, 12, 12).
 
     nodes is a sequence of K StateNodes or their NodeArrays. blocks is the
@@ -160,9 +160,10 @@ def _pose_kernel(nodes: NodeArrays, meas_rot, meas_trans):
     """Pose error ln(measured pose^-1)^v and its Jacobian."""
     rel_rot = meas_rot @ np.swapaxes(nodes.rot, -1, -2)
     rel_trans = meas_trans - np.einsum("nij,nj->ni", rel_rot, nodes.trans)
-    error = se3_log(rel_rot, rel_trans)
+    error, jinv = se3_log_jacobian_inv(rel_rot, rel_trans)
     jac = np.zeros((len(error), 6, 12))
-    jac[:, :, :6] = -left_jacobian_inv(-error)
+    # -Jinv(-error), by Jinv(-xi) = Jinv(xi) + curlywedge(xi)
+    jac[:, :, :6] = -(jinv + curlywedge(error))
     return error, jac
 
 

@@ -37,15 +37,9 @@ SERIES_ANGLE = 0.5
 _SERIES = np.array([[1.0 / math.factorial(2 * k + 3), 1.0 / math.factorial(2 * k + 4),
                      (k + 1.0) / math.factorial(2 * k + 5)] for k in reversed(range(7))])
 
-_BERNOULLI = np.array(
-    [1.0, -0.5, 1.0 / 6, 0.0, -1.0 / 30, 0.0, 1.0 / 42, 0.0, -1.0 / 30, 0.0,
-     5.0 / 66, 0.0, -691.0 / 2730, 0.0, 7.0 / 6, 0.0, -3617.0 / 510, 0.0,
-     43867.0 / 798, 0.0, -174611.0 / 330]
-)
-# terms of the series for Jinv(xi) v and J(xi) v that _series_dx differentiates
-SERIES_TERMS = len(_BERNOULLI)
-_JINV_SERIES = [_BERNOULLI[n] / float(math.factorial(n)) for n in range(SERIES_TERMS)]
-_J_SERIES = [1.0 / float(math.factorial(n + 1)) for n in range(SERIES_TERMS)]
+# terms of the series for J(xi) v that j_vec_dx differentiates; 28 reach
+# double precision at every angle up to pi
+_J_TERMS = 28
 
 
 def skew(v):
@@ -258,40 +252,40 @@ def left_jacobian_inv(xi):
     return _se3_jacobian(_jacobian_inv(k), xi[..., :3], k, inverse=True)
 
 
-def _series_dx(xi, vec, coeffs):
-    """d/dxi of sum_n coeffs[n] * curlywedge(xi)^n @ vec, as a 6x6 matrix.
+def j_vec_dx(xi, vec):
+    """Derivative of left_jacobian(xi) @ vec with respect to xi, as a 6x6 matrix.
 
-    Shared kernel for the derivatives of J(xi) @ v and Jinv(xi) @ v; converges
-    for angular norms below 2*pi. Batched over leading axes.
+    The series J(xi) v = sum_n curlywedge(xi)^n v / (n+1)! term by term, to
+    _J_TERMS terms or until a term falls below 1e-17; double precision at
+    every angle up to pi. Batched over leading axes.
     """
     xi = np.asarray(xi, dtype=float)
-    vec = np.asarray(vec, dtype=float)
     X = curlywedge(xi)
     batch = X.shape[:-2]
     out = np.zeros(batch + (6, 6))
-    y = np.broadcast_to(vec, batch + (6,)).copy()
-    # term n contributes coeffs[n] * sum_{j=0}^{n-1} X^j @ (-curlywedge(X^{n-1-j} vec)),
+    y = np.broadcast_to(np.asarray(vec, dtype=float), batch + (6,)).copy()
+    # term n contributes sum_{j=0}^{n-1} X^j @ (-curlywedge(X^{n-1-j} vec)) / (n+1)!,
     # accumulated through S_n = X @ S_{n-1} - curlywedge(X^{n-1} vec)
     S = np.zeros(batch + (6, 6))
-    for n in range(1, len(coeffs)):
+    coeff = 1.0
+    for n in range(1, _J_TERMS):
         S = X @ S - curlywedge(y)
-        if coeffs[n] != 0.0:
-            term = coeffs[n] * S
-            out += term
-            if np.max(np.abs(term)) < 1e-17:
-                break
+        coeff /= n + 1
+        term = coeff * S
+        out += term
+        if np.max(np.abs(term)) < 1e-17:
+            break
         y = np.einsum("...ij,...j->...i", X, y)
     return out
 
 
 def jinv_vec_dx(xi, vec):
-    """Exact derivative of left_jacobian_inv(xi) @ vec with respect to xi."""
-    return _series_dx(xi, vec, _JINV_SERIES)
+    """Derivative of left_jacobian_inv(xi) @ vec with respect to xi, as a 6x6 matrix.
 
-
-def j_vec_dx(xi, vec):
-    """Exact derivative of left_jacobian(xi) @ vec with respect to xi."""
-    return _series_dx(xi, vec, _J_SERIES)
+    From J(xi) J^-1(xi) v = v: it is -J^-1 times j_vec_dx at w = J^-1(xi) v.
+    """
+    jinv = left_jacobian_inv(xi)
+    return -jinv @ j_vec_dx(xi, np.einsum("...ij,...j->...i", jinv, np.asarray(vec, dtype=float)))
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,7 @@ import numpy as np
 from .errors import (DegenerateInputError, DomainError, HyperparameterError,
                      IntervalTooLongError, WiringError)
 from .inputs import InputProfile, InputSegment
-from .liegroup import (Pose, curlywedge, jinv_vec_dx, se3_adjoint, se3_exp_jacobian,
+from .liegroup import (Pose, curlywedge, j_vec_dx, se3_adjoint, se3_exp_jacobian,
                        se3_log_jacobian_inv)
 
 # Higham (2005): the largest 1-norm at which the [m/m] Pade approximant,
@@ -477,16 +477,18 @@ def interval_chart(nodes: NodeArrays) -> IntervalChart:
     """Charts of the K-1 intervals between consecutive stacked nodes.
 
     xi = ln(T_k1 T_k^-1)^v and psi = Jinv(xi) b_k1, with xi and Jinv(xi)
-    from one se3_log_jacobian_inv pass; the bias term's Jacobian
-    d(Jinv(xi) b_k1)/dxi is the exact series derivative.
+    from one se3_log_jacobian_inv pass. The bias term's Jacobian follows
+    from J(xi) psi = b_k1: d psi/dxi = -Jinv(xi) d(J(xi) w)/dxi at w = psi,
+    one j_vec_dx call.
     """
     rot, trans, bias = nodes.rot, nodes.trans, nodes.bias
     rel_rot = rot[1:] @ np.swapaxes(rot[:-1], -1, -2)
     rel_trans = trans[1:] - np.einsum("nij,nj->ni", rel_rot, trans[:-1])
     xi, jinv = se3_log_jacobian_inv(rel_rot, rel_trans)
-    gamma = np.concatenate([xi, np.einsum("nij,nj->ni", jinv, bias[1:])], axis=-1)
+    psi = np.einsum("nij,nj->ni", jinv, bias[1:])
+    gamma = np.concatenate([xi, psi], axis=-1)
     # d gamma / d xi, chained to the left perturbation of node k+1's pose
-    chart = np.concatenate([jinv, jinv_vec_dx(xi, bias[1:]) @ jinv], axis=-2)
+    chart = np.concatenate([jinv, -jinv @ j_vec_dx(xi, psi) @ jinv], axis=-2)
     jac_k1 = np.zeros((len(xi), 12, 12))
     jac_k1[:, :, :6] = chart
     jac_k1[:, 6:, 6:] = jinv
