@@ -6,7 +6,14 @@ class EstimationError(Exception):
 
 
 class IllConditionedRotationError(EstimationError):
-    """Rotation too close to a singularity of the requested map (pi for log, 2*pi for inverse Jacobians)."""
+    """Rotation too close to a singularity of the requested map (pi for log, 2*pi for inverse Jacobians).
+
+    entry is the flat index of the first batch entry that raised it, or None.
+    """
+
+    def __init__(self, message, entry=None):
+        super().__init__(message)
+        self.entry = entry
 
 
 class IntervalTooLongError(EstimationError):

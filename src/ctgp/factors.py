@@ -39,6 +39,7 @@ import numpy as np
 from .errors import (
     DegenerateInputError,
     HyperparameterError,
+    IllConditionedRotationError,
     SingularGeometryError,
     WiringError,
 )
@@ -156,11 +157,21 @@ def _range_kernel(nodes: NodeArrays, landmark, measured):
     return (measured - rng)[:, None], jac
 
 
+def _named_at_node(err: IllConditionedRotationError, what: str, nodes: NodeArrays):
+    """err again, naming the node and time of the batch entry that raised it."""
+    k = err.entry
+    return IllConditionedRotationError(
+        f"{what} on node {nodes.index[k]} at t = {nodes.time[k]:.6g} s: {err}", k)
+
+
 def _pose_kernel(nodes: NodeArrays, meas_rot, meas_trans):
     """Pose error ln(measured pose^-1)^v and its Jacobian."""
     rel_rot = meas_rot @ np.swapaxes(nodes.rot, -1, -2)
     rel_trans = meas_trans - np.einsum("nij,nj->ni", rel_rot, nodes.trans)
-    error, jinv = se3_log_jacobian_inv(rel_rot, rel_trans)
+    try:
+        error, jinv = se3_log_jacobian_inv(rel_rot, rel_trans)
+    except IllConditionedRotationError as err:
+        raise _named_at_node(err, "pose error", nodes) from err
     jac = np.zeros((len(error), 6, 12))
     # -Jinv(-error), by Jinv(-xi) = Jinv(xi) + curlywedge(xi)
     jac[:, :, :6] = -(jinv + curlywedge(error))
@@ -199,7 +210,10 @@ def _planar_lock_kernel(nodes: NodeArrays, *, bias_only):
         jac = np.zeros((len(bias_rows), 4, 12))
         jac[:, :, 6:] = bias_jac
         return -bias_rows, jac
-    rotvec = so3_log(nodes.rot)
+    try:
+        rotvec = so3_log(nodes.rot)
+    except IllConditionedRotationError as err:
+        raise _named_at_node(err, "planar lock", nodes) from err
     value = np.concatenate([nodes.trans[:, 2:], rotvec[:, :2], bias_rows], axis=-1)
     jac = np.zeros((len(bias_rows), 7, 12))
     jac[:, 0, :6] = -position_jacobian(nodes.trans)[:, 2]

@@ -163,16 +163,20 @@ def so3_exp(phi):
 
 
 def so3_log(R):
-    """Rotation matrix/matrices to rotation vector. Raises near the pi singularity."""
+    """Rotation matrix/matrices to rotation vector.
+
+    Raises near the pi singularity; the error's entry is the first such batch entry.
+    """
     R = np.asarray(R, dtype=float)
     vec = unskew((R - np.swapaxes(R, -1, -2)) / 2.0)
     s = np.linalg.norm(vec, axis=-1)
     c = (np.trace(R, axis1=-2, axis2=-1) - 1.0) / 2.0
     theta = np.arctan2(s, np.clip(c, -1.0, 1.0))
-    if np.any(theta >= np.pi - LOG_SINGULARITY_MARGIN):
+    singular = np.flatnonzero(theta >= np.pi - LOG_SINGULARITY_MARGIN)
+    if len(singular):
         raise IllConditionedRotationError(
-            "rotation angle within %.0e of pi; log is ill-conditioned" % LOG_SINGULARITY_MARGIN
-        )
+            "rotation angle within %.0e of pi; log is ill-conditioned" % LOG_SINGULARITY_MARGIN,
+            int(singular[0]))
     small = theta < SMALL_ANGLE
     scale = np.where(small, 1.0 + theta**2 / 6.0, theta / np.where(small, 1.0, s))
     return scale[..., None] * vec

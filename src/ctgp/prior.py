@@ -34,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (DegenerateInputError, DomainError, HyperparameterError,
-                     IntervalTooLongError, WiringError)
+                     IllConditionedRotationError, IntervalTooLongError, WiringError)
 from .inputs import InputProfile, InputSegment
 from .liegroup import (Pose, curlywedge, j_vec_dx, se3_adjoint, se3_exp_jacobian,
                        se3_log_jacobian_inv)
@@ -479,12 +479,21 @@ def interval_chart(nodes: NodeArrays) -> IntervalChart:
     xi = ln(T_k1 T_k^-1)^v and psi = Jinv(xi) b_k1, with xi and Jinv(xi)
     from one se3_log_jacobian_inv pass. The bias term's Jacobian follows
     from J(xi) psi = b_k1: d psi/dxi = -Jinv(xi) d(J(xi) w)/dxi at w = psi,
-    one j_vec_dx call.
+    one j_vec_dx call. A relative rotation too near pi for the logarithm
+    raises IllConditionedRotationError naming the interval, its nodes and
+    their times.
     """
     rot, trans, bias = nodes.rot, nodes.trans, nodes.bias
     rel_rot = rot[1:] @ np.swapaxes(rot[:-1], -1, -2)
     rel_trans = trans[1:] - np.einsum("nij,nj->ni", rel_rot, trans[:-1])
-    xi, jinv = se3_log_jacobian_inv(rel_rot, rel_trans)
+    try:
+        xi, jinv = se3_log_jacobian_inv(rel_rot, rel_trans)
+    except IllConditionedRotationError as err:
+        k = err.entry
+        first, last = nodes.index[k], nodes.index[k + 1]
+        raise IllConditionedRotationError(
+            f"interval {first} (nodes {first} and {last}, t = {nodes.time[k]:.6g} to "
+            f"{nodes.time[k + 1]:.6g} s): {err}", k) from err
     psi = np.einsum("nij,nj->ni", jinv, bias[1:])
     gamma = np.concatenate([xi, psi], axis=-1)
     # d gamma / d xi, chained to the left perturbation of node k+1's pose

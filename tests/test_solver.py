@@ -587,6 +587,42 @@ def test_trial_step_that_raises_is_rejected_and_damped():
                                     meas + [ChartLimit(0.1)]))
 
 
+def turned_nodes(turns):
+    """Zero-bias nodes 1 s apart, node k turned by turns[k] (a rotation vector)."""
+    return [prior.StateNode(float(k), exp_map(np.concatenate([np.zeros(3), phi])), np.zeros(6))
+            for k, phi in enumerate(np.asarray(turns, dtype=float))]
+
+
+# a turn about z or x within 1e-8 of pi, where the rotation log is refused
+NEAR_PI_Z = (0.0, 0.0, np.pi - 1e-8)
+NEAR_PI_X = (np.pi - 1e-8, 0.0, 0.0)
+
+
+def test_start_state_log_singularity_names_its_interval():
+    nodes = turned_nodes([(0.0, 0.0, 0.0), NEAR_PI_Z, NEAR_PI_Z])
+    problem = solver.Problem(nodes, wnoa_chain(3, dt=1.0), gauge="fix-first")
+    with pytest.raises(IllConditionedRotationError,
+                       match=r"^interval 0 \(nodes 0 and 1, t = 0 to 1 s\): rotation angle"):
+        solver.solve(problem)
+
+
+def test_start_state_log_singularity_names_its_pose_factor_node():
+    nodes = turned_nodes([(0.0, 0.0, 0.0)] * 3)
+    measured = turned_nodes([(0.0, 0.0, 0.0), (0.0, 0.0, 0.0), NEAR_PI_Z])
+    meas = [factors.PoseFactor(k, measured[k].pose, np.eye(6)) for k in (0, 2)]
+    with pytest.raises(IllConditionedRotationError,
+                       match=r"^pose error on node 2 at t = 2 s: rotation angle"):
+        solver.solve(solver.Problem(nodes, wnoa_chain(3, dt=1.0), meas))
+
+
+def test_start_state_log_singularity_names_its_planar_lock_node():
+    nodes = turned_nodes([NEAR_PI_X] * 3)
+    meas = [factors.PlanarLockFactor(k) for k in (1, 2)]
+    with pytest.raises(IllConditionedRotationError,
+                       match=r"^planar lock on node 1 at t = 1 s: rotation angle"):
+        solver.solve(solver.Problem(nodes, wnoa_chain(3, dt=1.0), meas))
+
+
 def test_each_trial_state_is_linearized_once(monkeypatch):
     guesses, blocks_list, meas, _ = chart_limited_chain()
     problem = solver.Problem(guesses, blocks_list,
