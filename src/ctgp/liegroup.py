@@ -13,6 +13,12 @@ c and Q's c3 and c4, whose closed forms cancel worst, below SERIES_ANGLE.
 Callers that need a map and its Jacobian at one twist use the fused forms:
 se3_exp_jacobian gives the exponential with J, se3_log_jacobian_inv the
 logarithm with J^-1.
+
+One series, j_vec_dx, differentiates J(xi) v with respect to xi. The
+inverse side has no series of its own; two identities give it from the
+forward side: d(J^-1 v)/dxi = -J^-1 d(J w)/dxi at w = J^-1 v, which
+jinv_vec_dx and prior.interval_chart use, and J^-1(-xi) = J^-1(xi) +
+curlywedge(xi), which the pose factor's Jacobian uses.
 """
 
 from __future__ import annotations
