@@ -216,3 +216,74 @@ def test_j_vec_dx_matches_finite_differences():
         analytic = lg.j_vec_dx(xi, b)
         numeric = central_difference(lambda x: lg.left_jacobian(x) @ b, xi)
         assert np.allclose(analytic, numeric, atol=1e-6)
+
+
+# angles for the chart-derivative oracles: from 1e-9 rad up to just short of
+# pi, where so3_log stops and the interval chart ends
+ORACLE_ANGLES = (1e-9, 1e-6, 1e-3, 0.1, 0.5, 1.0, 2.0, 3.0, np.pi - 1e-3)
+
+
+def oracle_twists(seed):
+    rng = np.random.default_rng(seed)
+    for angle in ORACLE_ANGLES:
+        axis = rng.normal(size=3)
+        rho = rng.normal(size=3)
+        yield np.concatenate([rho, angle * axis / np.linalg.norm(axis)]), rng.normal(size=6)
+
+
+def series_vec_dx(xi, vec, inverse):
+    """40-digit central difference of J(xi) vec, or of J(xi)^-1 vec, by the series."""
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp
+    mp.dps = 40
+    step, tol = mp.mpf("1e-12"), mp.mpf("1e-34")
+    # curlywedge of each unit twist: exact 0/+-1 entries
+    bases = [mp.matrix(lg.curlywedge(e).tolist()) for e in np.eye(6)]
+
+    def j_vec(x, v):
+        # sum_n curlywedge(x)^n v / (n+1)!
+        X = mp.matrix(6, 6)
+        for xk, basis in zip(x, bases):
+            X += xk * basis
+        out, term, n = mp.matrix(v), mp.matrix(v), 1
+        while n < 6 or mp.norm(term) > tol:
+            term = X * term / (n + 1)
+            out += term
+            n += 1
+        return out
+
+    def value(x, v):
+        if not inverse:
+            return j_vec(x, v)
+        cols = [j_vec(x, mp.matrix(np.eye(6)[c].tolist())) for c in range(6)]
+        J = mp.matrix([[cols[c][r] for c in range(6)] for r in range(6)])
+        return mp.lu_solve(J, v)
+
+    x = [mp.mpf(float(a)) for a in xi]
+    v = mp.matrix([mp.mpf(float(a)) for a in vec])
+    out = np.zeros((6, 6))
+    for c in range(6):
+        up, down = list(x), list(x)
+        up[c] += step
+        down[c] -= step
+        diff = (value(up, v) - value(down, v)) / (2 * step)
+        out[:, c] = [float(diff[i]) for i in range(6)]
+    return out
+
+
+def test_j_vec_dx_matches_series_oracle():
+    for xi, v in oracle_twists(14):
+        assert np.allclose(lg.j_vec_dx(xi, v), series_vec_dx(xi, v, False), rtol=0.0, atol=1e-12)
+
+
+def test_jinv_vec_dx_matches_series_oracle():
+    for xi, v in oracle_twists(15):
+        assert np.allclose(lg.jinv_vec_dx(xi, v), series_vec_dx(xi, v, True),
+                           rtol=0.0, atol=1e-12)
+
+
+def test_left_jacobian_inv_of_negated_twist():
+    # Jinv(-xi) = Jinv(xi) + curlywedge(xi): -curlywedge(xi) / 2 is Jinv's one odd-order term
+    for xi, _ in oracle_twists(16):
+        assert np.allclose(lg.left_jacobian_inv(-xi), lg.left_jacobian_inv(xi) + lg.curlywedge(xi),
+                           rtol=0.0, atol=1e-12)
