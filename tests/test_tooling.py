@@ -276,15 +276,20 @@ def test_package_exports_exactly_what_it_imports():
 
 
 def unreferenced_public_names(defining, reading):
-    """(file, name) of each public module-level function or class that no file reads.
+    """(file, name) of each public module-level function, class or constant that no file reads.
 
-    A public name has no leading underscore. It is read where any of the
-    reading files loads it, as a bare name or as an attribute, or imports
-    it by name; defining it is not a read.
+    A public name has no leading underscore; a constant is a name that a
+    module-level assignment binds. It is read where any of the reading
+    files loads it, as a bare name or as an attribute, or imports it by
+    name; defining it is not a read.
     """
-    defined = [(path.name, node.name) for path in defining for node in _parse(path).body
-               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-               and not node.name.startswith("_")]
+    defined = []
+    for path in defining:
+        for node in _parse(path).body:
+            names = ([node.name]
+                     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                     else [t.id for t in _targets(node) if isinstance(t, ast.Name)])
+            defined += [(path.name, name) for name in names if not name.startswith("_")]
     read = set()
     for path in reading:
         for node in ast.walk(_parse(path)):
@@ -297,9 +302,11 @@ def unreferenced_public_names(defining, reading):
 
 def test_unreferenced_public_names_finder_sees_loads_attributes_and_imports(tmp_path):
     module = tmp_path / "m.py"
-    module.write_text("def called():\n"
+    module.write_text("LIMIT = 1\n"
+                      "STALE, _HIDDEN = 2, 3\n"
+                      "def called():\n"
                       "    def nested():\n"
-                      "        return 0\n"
+                      "        return LIMIT\n"
                       "    return nested()\n"
                       "def imported():\n"
                       "    return called()\n"
@@ -317,7 +324,7 @@ def test_unreferenced_public_names_finder_sees_loads_attributes_and_imports(tmp_
                       "from m import imported\n"
                       "m.through_module()\n")
     assert unreferenced_public_names([module], [module, caller]) == [
-        ("m.py", "Ghost"), ("m.py", "orphan")]
+        ("m.py", "Ghost"), ("m.py", "STALE"), ("m.py", "orphan")]
 
 
 def test_package_has_no_unreferenced_public_names():
