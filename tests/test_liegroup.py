@@ -233,9 +233,7 @@ def oracle_twists(seed):
 
 def series_vec_dx(xi, vec, inverse):
     """40-digit central difference of J(xi) vec, or of J(xi)^-1 vec, by the series."""
-    mpmath = pytest.importorskip("mpmath")
-    mp = mpmath.mp
-    mp.dps = 40
+    mp = pytest.importorskip("mpmath").mp
     step, tol = mp.mpf("1e-12"), mp.mpf("1e-34")
     # curlywedge of each unit twist: exact 0/+-1 entries
     bases = [mp.matrix(lg.curlywedge(e).tolist()) for e in np.eye(6)]
@@ -262,12 +260,13 @@ def series_vec_dx(xi, vec, inverse):
     x = [mp.mpf(float(a)) for a in xi]
     v = mp.matrix([mp.mpf(float(a)) for a in vec])
     out = np.zeros((6, 6))
-    for c in range(6):
-        up, down = list(x), list(x)
-        up[c] += step
-        down[c] -= step
-        diff = (value(up, v) - value(down, v)) / (2 * step)
-        out[:, c] = [float(diff[i]) for i in range(6)]
+    with mp.workdps(40):
+        for c in range(6):
+            up, down = list(x), list(x)
+            up[c] += step
+            down[c] -= step
+            diff = (value(up, v) - value(down, v)) / (2 * step)
+            out[:, c] = [float(diff[i]) for i in range(6)]
     return out
 
 
