@@ -1,12 +1,9 @@
 """Piecewise-linear exogenous input profiles.
 
-A profile stores contiguous segments, each linear in time in both the
-velocity and acceleration channels. Values may jump at segment knots;
-evaluation is right-continuous there. The segment transition (prior.py)
-meets its 1e-6 relative accuracy against dense RK4 up to 0.5 s at twist
-norms up to 2, and its error grows as the seventh power of the segment
-length beyond that, so construction enforces DEFAULT_MAX_SEGMENT unless
-explicitly disabled.
+A profile stores contiguous segments of any length, each linear in time in
+both the velocity and acceleration channels. Values may jump at segment
+knots; evaluation is right-continuous there. How finely a segment is
+integrated is the motion prior's concern (prior.py), not the profile's.
 """
 
 from __future__ import annotations
@@ -17,7 +14,6 @@ import numpy as np
 
 from .errors import DegenerateInputError, DomainError
 
-DEFAULT_MAX_SEGMENT = 0.5
 _KNOT_TOL = 1e-9
 
 
@@ -59,7 +55,6 @@ class InputProfile:
     """Contiguous, ordered input segments covering [start, end]."""
 
     segments: tuple
-    max_segment_duration: float | None = DEFAULT_MAX_SEGMENT
 
     def __post_init__(self):
         segs = tuple(self.segments)
@@ -68,13 +63,6 @@ class InputProfile:
         for prev, nxt in zip(segs, segs[1:]):
             if abs(nxt.t0 - prev.t1) > _KNOT_TOL:
                 raise DegenerateInputError("profile segments must be contiguous")
-        if self.max_segment_duration is not None:
-            worst = max(s.duration for s in segs)
-            if worst > self.max_segment_duration + _KNOT_TOL:
-                raise DegenerateInputError(
-                    f"segment duration {worst:.4g} exceeds maximum "
-                    f"{self.max_segment_duration:.4g}; subdivide or disable the limit"
-                )
         object.__setattr__(self, "segments", segs)
         object.__setattr__(self, "_starts", np.array([s.t0 for s in segs]))
 
@@ -88,9 +76,9 @@ class InputProfile:
 
     @classmethod
     def zero(cls, t0: float, t1: float) -> "InputProfile":
-        """Identically zero profile; exempt from the duration limit (handled in closed form)."""
+        """Identically zero profile of one segment; the prior integrates it in closed form."""
         z = np.zeros(6)
-        return cls((InputSegment(t0, t1, z, z, z, z),), max_segment_duration=None)
+        return cls((InputSegment(t0, t1, z, z, z, z),))
 
     def is_zero(self) -> bool:
         return all(
@@ -136,21 +124,21 @@ class InputProfile:
             out.append(InputSegment(lo, hi, v_lo, v_hi, a_lo, a_hi))
         if not out:
             raise DomainError("slice window contains no segment content")
-        return InputProfile(tuple(out), max_segment_duration=self.max_segment_duration)
+        return InputProfile(tuple(out))
 
 
-def from_samples(times, velocities, accelerations=None, *,
-                 max_segment_duration: float | None = DEFAULT_MAX_SEGMENT) -> InputProfile:
-    """Profile through sampled inputs, linear between consecutive samples.
+def from_samples(times, velocities, accelerations=None) -> InputProfile:
+    """Profile through sampled inputs, one linear segment per sample gap.
 
-    Sample gaps longer than the duration limit are subdivided (the interpolant
-    is unchanged, only the knot set grows). Missing accelerations are zero.
+    The segment endpoints are the samples themselves. Missing accelerations
+    are zero.
     """
     times = np.asarray(times, dtype=float)
-    velocities = np.asarray(velocities, dtype=float)
+    # copies, since the segments keep views of their rows
+    velocities = np.array(velocities, dtype=float)
     if accelerations is None:
         accelerations = np.zeros_like(velocities)
-    accelerations = np.asarray(accelerations, dtype=float)
+    accelerations = np.array(accelerations, dtype=float)
     if times.ndim != 1 or len(times) < 2:
         raise DegenerateInputError("need at least two samples")
     if velocities.shape != (len(times), 6) or accelerations.shape != (len(times), 6):
@@ -160,23 +148,10 @@ def from_samples(times, velocities, accelerations=None, *,
     if not (np.all(np.isfinite(velocities)) and np.all(np.isfinite(accelerations))):
         raise DegenerateInputError("samples must be finite")
 
-    segs = []
-    for i in range(len(times) - 1):
-        lo, hi = times[i], times[i + 1]
-        n_sub = 1
-        if max_segment_duration is not None:
-            n_sub = max(1, int(np.ceil((hi - lo) / max_segment_duration - _KNOT_TOL)))
-        knots = np.linspace(lo, hi, n_sub + 1)
-        for a_t, b_t in zip(knots[:-1], knots[1:]):
-            wa, wb = (a_t - lo) / (hi - lo), (b_t - lo) / (hi - lo)
-            segs.append(InputSegment(
-                a_t, b_t,
-                velocities[i] + wa * (velocities[i + 1] - velocities[i]),
-                velocities[i] + wb * (velocities[i + 1] - velocities[i]),
-                accelerations[i] + wa * (accelerations[i + 1] - accelerations[i]),
-                accelerations[i] + wb * (accelerations[i + 1] - accelerations[i]),
-            ))
-    return InputProfile(tuple(segs), max_segment_duration=max_segment_duration)
+    return InputProfile(tuple(
+        InputSegment(times[i], times[i + 1], velocities[i], velocities[i + 1],
+                     accelerations[i], accelerations[i + 1])
+        for i in range(len(times) - 1)))
 
 
 def read_input_log(path) -> InputProfile:

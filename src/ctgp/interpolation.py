@@ -85,7 +85,7 @@ def query_rows(blocks_seq, taus, intervals) -> QueryRows:
     n = len(taus)
     lam, psi_gain, q_cond = (np.empty((n, 12, 12)) for _ in range(3))
     input_tau, input_full = np.empty((n, 12)), np.empty((n, 12))
-    input_velocity = np.zeros((n, 6))
+    input_velocity = np.empty((n, 6))
     t0, t1 = np.empty(n), np.empty(n)
     for i, (blocks, tau) in enumerate(zip(blocks_seq, taus)):
         qb = blocks.at(tau)
@@ -96,8 +96,7 @@ def query_rows(blocks_seq, taus, intervals) -> QueryRows:
         q_cond[i] = 0.5 * (q + q.T)
         input_tau[i] = qb.input_tau
         input_full[i] = blocks.input_full
-        if not blocks.closed_form:
-            input_velocity[i] = blocks.profile.evaluate(tau)[0]
+        input_velocity[i] = qb.input_velocity
         t0[i], t1[i] = blocks.t0, blocks.t1
     return QueryRows(np.asarray(intervals, dtype=int), taus, t0, t1, lam, psi_gain,
                      q_cond, input_tau, input_full, input_velocity)
@@ -325,8 +324,7 @@ class Trajectory:
             t, bias = float(state.time[j]), state.bias[j]
             # the input twist is right-continuous: read it from the interval
             # that starts at the node, or the last one for the last node
-            blocks = self.blocks[min(j, len(self.blocks) - 1)]
-            v_in = np.zeros(6) if blocks.closed_form else blocks.profile.evaluate(t)[0]
+            v_in = self.blocks[min(j, len(self.blocks) - 1)].profile.evaluate(t)[0]
             out[i] = QueryResult(t, Pose(state.rot[j], state.trans[j]), bias.copy(), bias + v_in,
                                  self.covariances[j].copy() if with_cov else None, False)
         off = np.flatnonzero(~hit)

@@ -8,10 +8,12 @@ density Qc. With piecewise-linear inputs u(s) = [v(s), a(s)] the
 linearized system matrix is linear in time on each segment, A(s) = B + C s,
 and so is Van Loan's (1978) augmented generator, whose transition has
 the transition Phi, the input integral int Phi(t, s) u(s) ds and the noise
-integral Q as blocks. A transition over any window of a segment is a product of
+integral Q as blocks. A transition over a window of a segment is a product of
 three uniform steps of the sixth-order Blanes-Casas-Ros Magnus scheme, so
 its error scales as the window length to the seventh power and stays below
-1e-6 relative on 0.5 s segments with twist norms up to 2.
+1e-6 relative on 0.5 s windows with twist norms up to 2. Segments may be of
+any length: the pieces over [0, upto] of one segment are the product of
+ceil(upto / 0.5 s) equal windows, so that contract holds per 0.5 s window.
 
 An IntervalBlocks instance caches everything the factors and the
 interpolation need about one node interval: the (transition, input
@@ -62,6 +64,9 @@ _PADE13_B = np.array([
 # 5.7e-5 with one step, 8.9e-7 with two and 7.8e-8 with three, against a
 # 1e-6 contract.
 _MAGNUS_SUBSTEPS = 3
+# The longest window _segment_pieces integrates with one _transitions call;
+# a longer span of a segment is cut into equal windows no longer than this.
+_MAGNUS_WINDOW = 0.5
 # two times closer than this are the same node time
 TIME_TOL = 1e-9
 
@@ -253,8 +258,10 @@ def _transitions(coeffs: SegmentCoeffs, ta, tb):
 def magnus_transition(coeffs: SegmentCoeffs, t0: float, t1: float):
     """Transition matrix over [t0, t1] within one segment (local times).
 
-    Three uniform sixth-order Blanes-Casas-Ros steps; within 1e-6
-    relative of a dense RK4 oracle up to the 0.5 s segment limit.
+    Three uniform sixth-order Blanes-Casas-Ros steps over the whole window,
+    so the error grows as its seventh power: within 1e-6 relative of a
+    dense RK4 oracle on windows up to 0.5 s. IntervalBlocks integrates
+    longer spans window by window (_segment_pieces).
     """
     if not (-1e-12 <= t0 <= t1 <= coeffs.duration + 1e-12):
         raise DomainError("magnus_transition times must satisfy 0 <= t0 <= t1 <= duration")
@@ -293,12 +300,17 @@ def wnoa_q_inv(dt: float, qc_inv):
 
 @dataclass(frozen=True)
 class QueryBlocks:
-    """Transition/integral pieces for one query time inside an interval."""
+    """Transition/integral pieces for one query time inside an interval.
+
+    input_velocity is the input twist at the query time, right-continuous
+    at knots like InputProfile.evaluate.
+    """
 
     phi_from_start: np.ndarray
     phi_to_end: np.ndarray
     q_tau: np.ndarray
     input_tau: np.ndarray
+    input_velocity: np.ndarray
 
 
 def _compose(earlier, later):
@@ -314,7 +326,9 @@ def _segment_pieces(seg: InputSegment, upto: float, hyper: PriorHyper):
     All three are blocks of the transition X(upto, 0) of Van Loan's 25x25
     generator M(s) = [[A(s), L Qc L^T, u(s)], [0, -A(s)^T, 0], [0, 0, 0]],
     L picking the bias rows: Phi = X11, the input integral is X13 and
-    Q = X12 X11^T. M(s) is linear in s, so _transitions integrates it.
+    Q = X12 X11^T. M(s) is linear in s, so _transitions integrates it, one
+    call per window of ceil(upto / _MAGNUS_WINDOW) equal ones, and the
+    window transitions are multiplied in time order.
     """
     co = system_matrix_coeffs(seg)
     b = np.zeros((25, 25))
@@ -324,7 +338,11 @@ def _segment_pieces(seg: InputSegment, upto: float, hyper: PriorHyper):
     b[6:12, 18:24] = hyper.qc
     b[:12, 24] = np.concatenate([seg.v0, seg.a0])
     c[:12, 24] = np.concatenate([seg.v1 - seg.v0, seg.a1 - seg.a0]) / seg.duration
-    x = _transitions(SegmentCoeffs(b, c, seg.duration), 0.0, upto)
+    co = SegmentCoeffs(b, c, seg.duration)
+    edges = np.linspace(0.0, upto, max(1, int(np.ceil(upto / _MAGNUS_WINDOW))) + 1)
+    x = _transitions(co, edges[0], edges[1])
+    for ta, tb in zip(edges[1:-1], edges[2:]):
+        x = _transitions(co, ta, tb) @ x
     phi = x[:12, :12]
     return phi, x[:12, 24], x[:12, 12:24] @ phi.T
 
@@ -350,14 +368,17 @@ class IntervalBlocks:
     The (transition, input integral, noise integral) triples from t0 to
     every later knot of the profile, t1 included, are stacked in (n, ...)
     arrays; phi, input_full and q_full are the last row, and the triple at
-    t0 itself is the identity. A query integrates only within its own
-    segment and composes the result after the triple at the segment's
-    start. Identically zero profiles are closed_form unless
-    force_general is set (the general route is then exercised, which the
-    fallback-equivalence tests rely on): their segment pieces, the
-    transition from a query time to t1 and Q^-1 are the constant-velocity
-    closed forms. compose builds one interval from consecutive ones without
-    integrating again.
+    t0 itself is the identity. Segments may be of any length; each is
+    integrated in windows of at most 0.5 s (_segment_pieces). A query
+    integrates only within its own segment, from the segment's start, and
+    composes the result after the triple there; its QueryBlocks also carry
+    the input twist at the query time. Identically zero profiles are
+    closed_form unless force_general is set (the general route is then
+    exercised, which the fallback-equivalence tests rely on): their segment
+    pieces, the transition from a query time to t1 and Q^-1 are the
+    constant-velocity closed forms. Only this module reads closed_form.
+    compose builds one interval from consecutive ones without integrating
+    again.
     """
 
     def __init__(self, profile: InputProfile, hyper: PriorHyper, *, force_general: bool = False):
@@ -382,9 +403,7 @@ class IntervalBlocks:
         if any(not np.array_equal(b.hyper.qc, hyper.qc) for b in fine):
             raise HyperparameterError("composed intervals must share one Qc")
         _check_contiguous(fine)
-        # each segment was checked against its limit when its interval was built
-        profile = InputProfile(tuple(s for b in fine for s in b.profile.segments),
-                               max_segment_duration=None)
+        profile = InputProfile(tuple(s for b in fine for s in b.profile.segments))
         out = cls.__new__(cls)
         out._store(profile, hyper, all(b.closed_form for b in fine),
                    [list(zip(b._phi, b._input, b._q)) for b in fine])
@@ -424,6 +443,7 @@ class IntervalBlocks:
             raise DomainError(f"query time {tau} outside interval [{self.t0}, {self.t1}]")
         m = self._locate(tau)
         seg = self.profile.segments[m]
+        velocity = seg.values_at(tau)[0]
         local = tau - self._knots[m]
         if local > 1e-12 and seg.duration - local <= 1e-12:
             m, local = m + 1, 0.0
@@ -436,7 +456,7 @@ class IntervalBlocks:
         phi_to_end = (wnoa_phi(self.t1 - tau) if self.closed_form
                       else self.phi @ np.linalg.inv(phi_from_start))
         return QueryBlocks(phi_from_start.copy(), phi_to_end,
-                           0.5 * (q_tau + q_tau.T), input_tau.copy())
+                           0.5 * (q_tau + q_tau.T), input_tau.copy(), velocity)
 
 
 def precompute_intervals(profiles, hyper: PriorHyper):

@@ -27,15 +27,13 @@ def test_segment_validation():
         inputs.InputSegment(0.0, 1.0, np.full(6, np.nan), np.zeros(6), np.zeros(6), np.zeros(6))
 
 
-def test_profile_requires_contiguity_and_duration_limit():
+def test_profile_requires_contiguity_and_accepts_long_segments():
     s1 = inputs.InputSegment(0.0, 0.4, vx(1.0), vx(1.0), np.zeros(6), np.zeros(6))
     s2 = inputs.InputSegment(0.5, 0.9, vx(1.0), vx(1.0), np.zeros(6), np.zeros(6))
     with pytest.raises(DegenerateInputError):
         inputs.InputProfile((s1, s2))
     long_seg = inputs.InputSegment(0.0, 2.0, vx(1.0), vx(1.0), np.zeros(6), np.zeros(6))
-    with pytest.raises(DegenerateInputError):
-        inputs.InputProfile((long_seg,))
-    inputs.InputProfile((long_seg,), max_segment_duration=None)
+    assert inputs.InputProfile((long_seg,)).segments == (long_seg,)
 
 
 def test_evaluate_linear_interpolation_and_right_continuity():
@@ -65,12 +63,15 @@ def test_evaluate_batched_and_domain():
         p.evaluate(0.9)
 
 
-def test_from_samples_interpolates_and_subdivides():
+def test_from_samples_keeps_the_sample_knots_and_interpolates():
     times = np.array([0.0, 1.0, 2.0])
     vels = np.stack([vx(0.0), vx(2.0), vx(2.0)])
-    p = inputs.from_samples(times, vels, max_segment_duration=0.5)
-    assert all(s.duration <= 0.5 + 1e-12 for s in p.segments)
-    assert len(p.segments) == 4
+    p = inputs.from_samples(times, vels)
+    assert [(s.t0, s.t1) for s in p.segments] == [(0.0, 1.0), (1.0, 2.0)]
+    for seg, i in zip(p.segments, (0, 1)):
+        assert np.array_equal(seg.v0, vels[i]) and np.array_equal(seg.v1, vels[i + 1])
+    # the segments keep no view of the caller's samples
+    vels[:] = 7.0
     v, _ = p.evaluate(0.75)
     assert np.isclose(v[0], 1.5)
     v, _ = p.evaluate(1.25)
@@ -89,7 +90,7 @@ def test_from_samples_validation():
 def test_slice_clips_with_interpolated_endpoints():
     times = np.array([0.0, 1.0])
     vels = np.stack([vx(0.0), vx(4.0)])
-    p = inputs.from_samples(times, vels, max_segment_duration=None)
+    p = inputs.from_samples(times, vels)
     sub = p.slice(0.25, 0.75)
     assert np.isclose(sub.start, 0.25) and np.isclose(sub.end, 0.75)
     v0, _ = sub.evaluate(0.25)

@@ -117,8 +117,8 @@ def test_magnus_transition_matches_rk4_at_input_tick():
         assert magnus_rk4_rel(seg) < 1e-6
 
 
-def test_magnus_transition_bounded_at_max_segment_duration():
-    # the same 1e-6 RK4 contract holds up to the 0.5 s segment cap
+def test_magnus_transition_bounded_at_half_second_window():
+    # the same 1e-6 RK4 contract holds on windows up to 0.5 s
     rng = np.random.default_rng(2)
     worst = max(magnus_rk4_rel(random_segment(rng, scale=2.0)) for _ in range(20))
     assert worst < 1e-6
@@ -291,8 +291,8 @@ def rk4_augmented(segs, qc):
 
 
 def test_segment_integrals_match_augmented_rk4_at_segment_cap():
-    # the 1e-6 RK4 contract for the input and noise integrals up to the 0.5 s
-    # segment cap, where the quadrature-oracle tests above do not reach
+    # the 1e-6 RK4 contract for the input and noise integrals on segments up
+    # to one 0.5 s window, where the quadrature-oracle tests above do not reach
     rng = np.random.default_rng(10)
     segs = [random_segment(rng, scale=2.0) for _ in range(8)]
     root = rng.normal(scale=0.6, size=(6, 6))
@@ -307,6 +307,68 @@ def test_segment_integrals_match_augmented_rk4_at_segment_cap():
         assert rel(blocks.phi, x[:12, :12]) < 1e-6
         assert rel(blocks.input_full, x[:12, 24]) < 1e-6
         assert rel(blocks.q_full, x[:12, 12:24] @ x[:12, :12].T) < 1e-6
+
+
+def long_segment_profiles(rng):
+    """One-segment profiles of 2 s and 5 s with twist norms up to 2."""
+    return [inputs.InputProfile((inputs.InputSegment(
+                t0, t0 + duration, *(random_twist_bounded(rng, 2.0) for _ in range(4))),))
+            for t0, duration in ((0.3, 2.0), (1.0, 5.0))]
+
+
+def test_long_segment_equals_the_profile_cut_into_half_second_segments():
+    rng = np.random.default_rng(12)
+    hyper = random_hyper(rng)
+    for profile in long_segment_profiles(rng):
+        knots = np.linspace(profile.start, profile.end,
+                            int(round((profile.end - profile.start) / 0.5)) + 1)
+        cut = inputs.InputProfile(tuple(profile.slice(a, b).segments[0]
+                                        for a, b in zip(knots[:-1], knots[1:])))
+        whole, ref = prior.IntervalBlocks(profile, hyper), prior.IntervalBlocks(cut, hyper)
+        for name in ("phi", "input_full", "q_full"):
+            got, want = getattr(whole, name), getattr(ref, name)
+            assert np.max(np.abs(got - want)) / np.max(np.abs(want)) < 1e-12, name
+
+
+def test_queries_inside_long_segments_match_augmented_rk4():
+    # the 1e-6 RK4 contract at query times more than one window into a segment
+    rng = np.random.default_rng(13)
+    hyper = random_hyper(rng)
+    profiles = long_segment_profiles(rng)
+    taus = (0.3 + 1.3, 1.0 + 3.7)
+    heads = []
+    for profile, tau in zip(profiles, taus):
+        seg = profile.segments[0]
+        (v, a) = seg.values_at(tau)
+        heads.append(inputs.InputSegment(seg.t0, tau, seg.v0, v, seg.a0, a))
+    oracle = rk4_augmented(heads, hyper.qc)
+
+    def rel(ours, ref):
+        return np.linalg.norm(ours - ref) / np.linalg.norm(ref)
+
+    for profile, tau, x in zip(profiles, taus, oracle):
+        qb = prior.IntervalBlocks(profile, hyper).at(tau)
+        assert rel(qb.phi_from_start, x[:12, :12]) < 1e-6
+        assert rel(qb.input_tau, x[:12, 24]) < 1e-6
+        assert rel(qb.q_tau, x[:12, 12:24] @ x[:12, :12].T) < 1e-6
+
+
+def test_query_blocks_carry_the_profile_input_velocity():
+    rng = np.random.default_rng(14)
+    hyper = random_hyper(rng)
+    v = [random_twist_bounded(rng, 2.0) for _ in range(4)]
+    z = np.zeros(6)
+    # the input jumps from v[1] to v[2] at the inner knot t = 2
+    profile = inputs.InputProfile((inputs.InputSegment(0.0, 2.0, v[0], v[1], z, z),
+                                   inputs.InputSegment(2.0, 2.5, v[2], v[3], z, z)))
+    blocks = prior.IntervalBlocks(profile, hyper)
+    for tau in (0.9, 2.0 - 1e-13, 2.0, 2.5):
+        assert np.array_equal(blocks.at(tau).input_velocity, profile.evaluate(tau)[0]), tau
+    assert np.allclose(blocks.at(2.0 - 1e-13).input_velocity, v[1], atol=1e-12)
+    zero = prior.IntervalBlocks(inputs.InputProfile.zero(0.0, 2.5), hyper)
+    assert zero.closed_form
+    for tau in (0.0, 0.9, 2.5):
+        assert np.array_equal(zero.at(tau).input_velocity, np.zeros(6))
 
 
 def test_zero_input_general_route_reproduces_closed_forms():
