@@ -238,6 +238,18 @@ def _check_covariance(cov, label):
     return cov
 
 
+def _check_cross_covariances(cross, count):
+    """Validate a (count, 12, 12) stack of adjacent-node cross-covariances."""
+    try:
+        cross = np.asarray(cross, dtype=float)
+    except ValueError:
+        raise HyperparameterError("cross-covariances must all be 12x12") from None
+    if cross.shape != (count, 12, 12) or not np.all(np.isfinite(cross)):
+        raise HyperparameterError(
+            f"cross-covariances must be a finite ({count}, 12, 12) stack, got shape {cross.shape}")
+    return cross
+
+
 def interpolate_covariance(node_k: StateNode, node_k1: StateNode,
                            cov_k, cov_k1, blocks: IntervalBlocks, tau: float,
                            *, cross_covariance=None):
@@ -251,7 +263,7 @@ def interpolate_covariance(node_k: StateNode, node_k1: StateNode,
     covs = np.stack([_check_covariance(cov_k, "node_k"),
                      _check_covariance(cov_k1, "node_k1")])
     cross = (None if cross_covariance is None
-             else np.asarray(cross_covariance, dtype=float)[None])
+             else _check_cross_covariances([cross_covariance], 1))
     rows, ch = _pair(node_k, node_k1, blocks, tau, True)
     return chain_covariance(rows, ch, covs, cross)[0], cross is None
 
@@ -283,7 +295,7 @@ class Trajectory:
         if cross_covariances is not None:
             if len(cross_covariances) != k - 1:
                 raise WiringError("need one cross-covariance per interval")
-            cross_covariances = np.asarray(cross_covariances, dtype=float)
+            cross_covariances = _check_cross_covariances(cross_covariances, k - 1)
         self.blocks = list(blocks_list)
         self.covariances = covariances
         self.cross_covariances = cross_covariances

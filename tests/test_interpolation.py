@@ -415,3 +415,11 @@ def test_trajectory_covariance_query_matches_standalone_calls():
     bad[1] = -bad[1]
     with pytest.raises(HyperparameterError):
         interpolation.Trajectory([node_k, node_k1], [blocks], covariances=bad)
+    # and so are the cross-covariances, there and in interpolate_covariance
+    for bad_cross in (np.zeros((1, 6, 6)), np.full((1, 12, 12), np.nan)):
+        with pytest.raises(HyperparameterError, match="cross-covariances"):
+            interpolation.Trajectory([node_k, node_k1], [blocks], covariances=covs,
+                                     cross_covariances=bad_cross)
+        with pytest.raises(HyperparameterError, match="cross-covariances"):
+            interpolation.interpolate_covariance(node_k, node_k1, covs[0], covs[1], blocks,
+                                                 0.3, cross_covariance=bad_cross[0])
