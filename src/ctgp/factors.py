@@ -320,6 +320,10 @@ class PlanarLockFactor(_BatchedFactor):
 
     _kernel = staticmethod(_planar_lock_kernel)
 
+    def __post_init__(self):
+        if not (np.isfinite(self.information) and self.information > 0):
+            raise HyperparameterError("planar lock information must be finite and positive")
+
     def _params(self):
         return {}
 

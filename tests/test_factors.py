@@ -323,6 +323,9 @@ def test_planar_lock_factor_bias_only():
     for _ in range(10):
         assert_jacobians_match_fd(lambda nodes: lock.evaluate(nodes),
                                   [random_node(rng, bias_scale=0.5)])
+    for bad in (-1.0, 0.0, np.nan, np.inf):
+        with pytest.raises(HyperparameterError):
+            factors.PlanarLockFactor(0, information=bad, bias_only=True)
 
 
 def test_anchor_factor():
