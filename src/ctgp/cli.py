@@ -19,9 +19,9 @@ import sys
 import numpy as np
 
 from .errors import EstimationError
-from .experiment import (FIG3_COLUMNS, _pose_columns, _stacked, reproduce_fig3,
-                         run_continuum, run_experiment, sweep, write_csv,
-                         write_fig3_csv, write_metrics_csv, write_trajectory_csv)
+from .experiment import (FIG3_COLUMNS, reproduce_fig3, run_continuum, run_experiment,
+                         sweep, write_csv, write_fig3_csv, write_metrics_csv,
+                         write_trajectory_csv, write_truth_csv)
 from .scenario import bundled_scenario, load_scenario
 from .simulate import simulate_mobile
 
@@ -47,12 +47,7 @@ def cmd_simulate(args):
     truth = simulate_mobile(scenario, seed=args.seed)
     out = _ensure_dir(args.out)
 
-    rows = np.column_stack([truth.times, _pose_columns(*_stacked(truth.poses)),
-                            truth.input_velocities + truth.biases])
-    write_csv(os.path.join(out, "truth.csv"),
-              ["time", "x", "y", "z", "rx", "ry", "rz",
-               "vx", "vy", "vz", "wx", "wy", "wz"], rows)
-
+    write_truth_csv(os.path.join(out, "truth.csv"), truth)
     write_csv(os.path.join(out, "input_log.csv"),
               ["time", "vx", "vy", "vz", "wx", "wy", "wz"],
               np.column_stack([truth.times, truth.input_velocities]))

@@ -511,6 +511,14 @@ def write_csv(path, columns, rows, *, what="csv"):
     _write_rows(path, columns, ([f"{v:.12g}" for v in r] for r in rows))
 
 
+def write_truth_csv(path, truth: MobileTruth):
+    """The simulated truth at each tick: time, pose columns and the full body twist."""
+    rows = np.column_stack([truth.times, _pose_columns(*_stacked(truth.poses)),
+                            truth.input_velocities + truth.biases])
+    write_csv(path, ["time", "x", "y", "z", "rx", "ry", "rz",
+                     "vx", "vy", "vz", "wx", "wy", "wz"], rows, what="truth")
+
+
 def write_trajectory_csv(path, rows):
     """One row per evaluation time; see TRAJECTORY_COLUMNS for the layout."""
     write_csv(path, TRAJECTORY_COLUMNS, rows, what="trajectory")

@@ -330,3 +330,38 @@ def test_unreferenced_public_names_finder_sees_loads_attributes_and_imports(tmp_
 def test_package_has_no_unreferenced_public_names():
     reading = [p for d in ("src", "tests", "benchmark") for p in sorted((ROOT / d).rglob("*.py"))]
     assert unreferenced_public_names(sorted(SRC.glob("*.py")), reading) == []
+
+
+def private_imports(paths):
+    """(file, name) of each private name a module imports from a ctgp module, sorted.
+
+    A ctgp module is one reached by a relative import or through the ctgp
+    package. A private name has a leading underscore; importing a module
+    under a private alias, as in `from . import factors as _factors`, is
+    not a private import.
+    """
+    found = set()
+    for path in paths:
+        for node in ast.walk(_parse(path)):
+            if (isinstance(node, ast.ImportFrom)
+                    and (node.level or node.module.split(".")[0] == "ctgp")):
+                found.update((path.name, alias.name) for alias in node.names
+                             if alias.name.startswith("_"))
+    return sorted(found)
+
+
+def test_private_imports_finder_sees_relative_absolute_and_nested_imports(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("from __future__ import annotations\n"
+                      "from numpy import _NoValue\n"
+                      "from . import factors as _factors\n"
+                      "from .experiment import _pose_columns, write_csv\n"
+                      "from ctgp.prior import _T0_TRIPLE as identity\n"
+                      "def f():\n"
+                      "    from .solver import _iterate\n")
+    assert private_imports([module]) == [
+        ("m.py", "_T0_TRIPLE"), ("m.py", "_iterate"), ("m.py", "_pose_columns")]
+
+
+def test_package_modules_import_no_private_names_from_each_other():
+    assert private_imports(sorted(SRC.glob("*.py"))) == []
