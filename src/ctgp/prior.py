@@ -11,9 +11,9 @@ the transition Phi, the input integral int Phi(t, s) u(s) ds and the noise
 integral Q as blocks. A transition over a window of a segment is a product of
 three uniform steps of the sixth-order Blanes-Casas-Ros Magnus scheme, so
 its error scales as the window length to the seventh power and stays below
-1e-6 relative on 0.5 s windows with twist norms up to 2. Segments may be of
-any length: the pieces over [0, upto] of one segment are the product of
-ceil(upto / 0.5 s) equal windows, so that contract holds per 0.5 s window.
+1e-6 relative on 0.5 s windows with twist norms up to 2. A segment may be
+of any length: its pieces over [0, upto] are the product of ceil(upto / 0.5 s)
+equal windows, so the contract holds per 0.5 s window.
 
 An IntervalBlocks instance caches everything the factors and the
 interpolation need about one node interval: the (transition, input
@@ -338,11 +338,11 @@ def _segment_pieces(seg: InputSegment, upto: float, hyper: PriorHyper):
     b[6:12, 18:24] = hyper.qc
     b[:12, 24] = np.concatenate([seg.v0, seg.a0])
     c[:12, 24] = np.concatenate([seg.v1 - seg.v0, seg.a1 - seg.a0]) / seg.duration
-    co = SegmentCoeffs(b, c, seg.duration)
+    gen = SegmentCoeffs(b, c, seg.duration)
     edges = np.linspace(0.0, upto, max(1, int(np.ceil(upto / _MAGNUS_WINDOW))) + 1)
-    x = _transitions(co, edges[0], edges[1])
+    x = _transitions(gen, edges[0], edges[1])
     for ta, tb in zip(edges[1:-1], edges[2:]):
-        x = _transitions(co, ta, tb) @ x
+        x = _transitions(gen, ta, tb) @ x
     phi = x[:12, :12]
     return phi, x[:12, 24], x[:12, 12:24] @ phi.T
 
@@ -443,6 +443,7 @@ class IntervalBlocks:
             raise DomainError(f"query time {tau} outside interval [{self.t0}, {self.t1}]")
         m = self._locate(tau)
         seg = self.profile.segments[m]
+        # read before the snap to the next knot below, as InputProfile.evaluate reads it
         velocity = seg.values_at(tau)[0]
         local = tau - self._knots[m]
         if local > 1e-12 and seg.duration - local <= 1e-12:
