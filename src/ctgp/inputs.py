@@ -30,7 +30,8 @@ class InputSegment:
 
     def __post_init__(self):
         for name in ("v0", "v1", "a0", "a1"):
-            arr = np.asarray(getattr(self, name), dtype=float)
+            # a copy: the segment must not change with the caller's array
+            arr = np.array(getattr(self, name), dtype=float)
             if arr.shape != (6,) or not np.all(np.isfinite(arr)):
                 raise DegenerateInputError(f"segment field {name} must be a finite 6-vector")
             object.__setattr__(self, name, arr)
@@ -134,11 +135,10 @@ def from_samples(times, velocities, accelerations=None) -> InputProfile:
     are zero.
     """
     times = np.asarray(times, dtype=float)
-    # copies, since the segments keep views of their rows
-    velocities = np.array(velocities, dtype=float)
+    velocities = np.asarray(velocities, dtype=float)
     if accelerations is None:
         accelerations = np.zeros_like(velocities)
-    accelerations = np.array(accelerations, dtype=float)
+    accelerations = np.asarray(accelerations, dtype=float)
     if times.ndim != 1 or len(times) < 2:
         raise DegenerateInputError("need at least two samples")
     if velocities.shape != (len(times), 6) or accelerations.shape != (len(times), 6):
