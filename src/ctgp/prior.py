@@ -339,7 +339,8 @@ def _segment_pieces(seg: InputSegment, upto: float, hyper: PriorHyper):
     b[:12, 24] = np.concatenate([seg.v0, seg.a0])
     c[:12, 24] = np.concatenate([seg.v1 - seg.v0, seg.a1 - seg.a0]) / seg.duration
     gen = SegmentCoeffs(b, c, seg.duration)
-    edges = np.linspace(0.0, upto, max(1, int(np.ceil(upto / _MAGNUS_WINDOW))) + 1)
+    n = max(1, int(np.ceil(upto / _MAGNUS_WINDOW)))
+    edges = [upto * j / n for j in range(n)] + [upto]
     x = _transitions(gen, edges[0], edges[1])
     for ta, tb in zip(edges[1:-1], edges[2:]):
         x = _transitions(gen, ta, tb) @ x
