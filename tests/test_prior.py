@@ -339,7 +339,7 @@ def test_queries_inside_long_segments_match_augmented_rk4():
     heads = []
     for profile, tau in zip(profiles, taus):
         seg = profile.segments[0]
-        (v, a) = seg.values_at(tau)
+        v, a = seg.values_at(tau)
         heads.append(inputs.InputSegment(seg.t0, tau, seg.v0, v, seg.a0, a))
     oracle = rk4_augmented(heads, hyper.qc)
 
