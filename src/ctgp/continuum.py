@@ -21,7 +21,7 @@ from .errors import CoverageError, DomainError, HyperparameterError
 from .inputs import InputProfile, from_samples
 from .interpolation import Trajectory
 from .liegroup import Pose
-from .prior import PriorHyper, StateNode, precompute_intervals
+from .prior import NodeArrays, PriorHyper, precompute_intervals
 
 # strain of an undeformed backbone: unit tangent along the body z axis
 STRAIGHT_STRAIN = np.array([0.0, 0.0, 1.0, 0.0, 0.0, 0.0])
@@ -149,11 +149,6 @@ def straight_pose(s: float) -> Pose:
     return Pose(np.eye(3), s * STRAIGHT_STRAIN[:3])
 
 
-def straight_nodes(rod: RodModel, node_arclengths):
-    return [StateNode(float(s), straight_pose(float(s)), STRAIGHT_STRAIN.copy())
-            for s in node_arclengths]
-
-
 # loose base-strain prior on the same scale as the shape prior's diffusion;
 # it removes the gauge deficiency of tip-position-only sensing
 BASE_STRAIN_COVARIANCE = np.diag([1e-2] * 3 + [1e3] * 3)
@@ -163,24 +158,26 @@ def estimate_shape(rod: RodModel, tendons, measurement_factors,
                    hyper: PriorHyper, node_count: int):
     """MAP shape estimate from tendon tensions plus the given measurements.
 
-    Nodes sit at uniform arclengths with the base pose anchored at the
-    identity (the rod is expressed in its own base frame) and a loose prior
-    on the base strain. Returns the Solution and a Trajectory for dense
-    queries along the shape.
+    Nodes start straight (straight_pose, STRAIGHT_STRAIN) at uniform
+    arclengths, with the base pose anchored at the identity (the rod is
+    expressed in its own base frame) and a loose prior on the base strain.
+    Returns the Solution and a Trajectory for dense queries along the shape.
     """
     if node_count < 2:
         raise HyperparameterError("need at least two shape nodes")
     s_nodes = np.linspace(0.0, rod.length, node_count)
     profiles = tensions_to_inputs(rod, tendons, s_nodes)
     blocks_list = precompute_intervals(profiles, hyper)
-    nodes = straight_nodes(rod, s_nodes)
+    nodes = NodeArrays(np.arange(node_count), s_nodes, np.tile(np.eye(3), (node_count, 1, 1)),
+                       np.outer(s_nodes, STRAIGHT_STRAIN[:3]),
+                       np.tile(STRAIGHT_STRAIN, (node_count, 1)))
 
     anchor = _factors.AnchorFactor(0, Pose.identity(), STRAIGHT_STRAIN.copy(),
                                    1e-12 * np.eye(6), BASE_STRAIN_COVARIANCE)
     problem = _solver.Problem(nodes, blocks_list,
                               [anchor] + list(measurement_factors), gauge="none")
     solution = _solver.solve(problem)
-    trajectory = Trajectory(list(solution.nodes), blocks_list,
+    trajectory = Trajectory(solution.nodes, blocks_list,
                             covariances=solution.node_covariances,
                             cross_covariances=solution.cross_covariances)
     return solution, trajectory

@@ -31,7 +31,7 @@ from .factors import (AnchorFactor, InterpolatedFactor, PlanarLockFactor,
 from .inputs import InputProfile, InputSegment, from_samples
 from .interpolation import CHUNK_ROWS, Trajectory
 from .liegroup import Pose, position_jacobian, se3_exp, so3_log, so3_project
-from .prior import (TIME_TOL, IntervalBlocks, PriorHyper, StateNode,
+from .prior import (TIME_TOL, IntervalBlocks, NodeArrays, PriorHyper, StateNode,
                     precompute_intervals, prior_mean_propagate)
 from .scenario import ContinuumScenario, MobileScenario
 from .simulate import MobileTruth, filter_ranges, simulate_mobile, simulate_rod
@@ -130,15 +130,17 @@ def _stacked(poses):
             np.stack([p.translation for p in poses]))
 
 
-def _dead_reckon(truth: MobileTruth):
-    """Odometry-only pose chain at the tick times, used as the initial guess."""
+def _dead_reckon(truth: MobileTruth, bias):
+    """The initial guess at every tick: the odometry-only pose chain, with the given biases.
+
+    A node grid's start is a [::stride] slice of it.
+    """
     cmd = truth.input_velocities
-    steps = zip(*se3_exp(truth.scenario.tick * (0.5 * (cmd[:-1] + cmd[1:]))))
-    poses = [truth.scenario.start]
-    for rot, trans in steps:
-        last = poses[-1]
-        poses.append(Pose(so3_project(rot @ last.rotation), rot @ last.translation + trans))
-    return poses
+    rot, trans = [truth.scenario.start.rotation], [truth.scenario.start.translation]
+    for r, t in zip(*se3_exp(truth.scenario.tick * (0.5 * (cmd[:-1] + cmd[1:])))):
+        rot.append(so3_project(r @ rot[-1]))
+        trans.append(r @ trans[-1] + t)
+    return NodeArrays(np.arange(len(cmd)), truth.times, np.array(rot), np.array(trans), bias)
 
 
 def _anchor(scenario: MobileScenario, bias_measured):
@@ -187,11 +189,8 @@ def _coarse_problem(truth: MobileTruth, blocks_list, stride, dt_landmark, reckon
         blocks = _composed(blocks_list, coarse_stride // stride)
         if blocks is None:
             continue
-        node_times = truth.times[::coarse_stride]
-        nodes = [StateNode(float(t), reckoned[k * coarse_stride], np.zeros(6))
-                 for k, t in enumerate(node_times)]
-        return Problem(nodes, blocks,
-                       _fixed_factors(truth, node_times, spacing, np.zeros(6)),
+        return Problem(reckoned[::coarse_stride], blocks,
+                       _fixed_factors(truth, truth.times[::coarse_stride], spacing, np.zeros(6)),
                        gauge="auto")
     return None
 
@@ -255,12 +254,8 @@ def build_mobile_problem(truth: MobileTruth, *, method="inputs",
         [full_profile.slice(t0, t1) if method == "inputs" else InputProfile.zero(t0, t1)
          for t0, t1 in zip(node_times[:-1], node_times[1:])], hyper)
 
-    reckoned = _dead_reckon(truth)
-    nodes = []
-    for k, t in enumerate(node_times):
-        bias = (np.zeros(6) if method == "inputs"
-                else truth.input_velocities[k * stride].copy())
-        nodes.append(StateNode(float(t), reckoned[k * stride], bias))
+    reckoned = _dead_reckon(truth, np.zeros_like(truth.input_velocities) if method == "inputs"
+                            else truth.input_velocities.copy())
 
     measured_bias = (np.zeros(6) if method == "inputs"
                      else truth.input_velocities[0] * ODOMETRY_MASK)
@@ -280,7 +275,7 @@ def build_mobile_problem(truth: MobileTruth, *, method="inputs",
 
     coarse = (_coarse_problem(truth, blocks_list, stride, dt_landmark, reckoned)
               if method == "inputs" else None)
-    problem = Problem(nodes, blocks_list, meas, gauge="auto", coarse=coarse)
+    problem = Problem(reckoned[::stride], blocks_list, meas, gauge="auto", coarse=coarse)
     return problem, blocks_list, node_times
 
 
@@ -294,7 +289,7 @@ def run_experiment(scenario: MobileScenario, *, method="inputs", node_policy=Non
     t0 = time.perf_counter()
     solution = solve(problem)
     solve_time = time.perf_counter() - t0
-    trajectory = Trajectory(list(solution.nodes), blocks_list,
+    trajectory = Trajectory(solution.nodes, blocks_list,
                             covariances=solution.node_covariances,
                             cross_covariances=solution.cross_covariances)
 
@@ -418,7 +413,7 @@ def reproduce_fig3(variant="velocity"):
 
     prior_problem = Problem(nodes, blocks_list, [anchor], gauge="none")
     prior_solution = solve(prior_problem)
-    prior_traj = Trajectory(list(prior_solution.nodes), blocks_list,
+    prior_traj = Trajectory(prior_solution.nodes, blocks_list,
                             covariances=prior_solution.node_covariances,
                             cross_covariances=prior_solution.cross_covariances)
 
@@ -427,7 +422,7 @@ def reproduce_fig3(variant="velocity"):
                          _FIG3_MEAS_VARIANCE * np.eye(3))
     post_problem = Problem(nodes, blocks_list, [anchor, tip], gauge="none")
     post_solution = solve(post_problem)
-    post_traj = Trajectory(list(post_solution.nodes), blocks_list,
+    post_traj = Trajectory(post_solution.nodes, blocks_list,
                            covariances=post_solution.node_covariances,
                            cross_covariances=post_solution.cross_covariances)
 

@@ -31,7 +31,7 @@ factors are hashable and comparing two never touches their array fields.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -104,16 +104,15 @@ def prior_factor_batch(nodes, blocks, *, chart=None):
     interval_chart. Returns a dict with stacked arrays: error (K-1, 12), info
     (K-1, 12, 12), and j_k / j_k1 (K-1, 12, 12).
 
-    nodes is a sequence of K StateNodes or their NodeArrays. blocks is the
+    nodes is the K node states, stacked by NodeArrays.stack. blocks is the
     K-1 IntervalBlocks, checked here against the node times, or their
     PriorConstants, stacked and checked once by the caller. The solver
     passes those, checked when its Problem was built, and the interval
     charts (interval_chart) that its interpolated factors also read.
     """
-    if not isinstance(nodes, NodeArrays):
-        nodes = NodeArrays.stack(nodes)
+    nodes = NodeArrays.stack(nodes)
     if not isinstance(blocks, PriorConstants):
-        if len(blocks) != len(nodes.time) - 1:
+        if len(blocks) != len(nodes) - 1:
             raise WiringError("need one IntervalBlocks per adjacent node pair")
         blocks = PriorConstants.stack(blocks)
         check_interval_times(nodes.time, blocks.t0, blocks.t1)
@@ -288,11 +287,7 @@ class _BatchedFactor:
 
     def evaluate_node(self, node: StateNode) -> FactorEval:
         """Linearize at one state, such as an interpolated one."""
-        # Pose keeps its fields as given, which may be lists
-        rot, trans = (np.asarray(a, dtype=float)[None]
-                      for a in (node.pose.rotation, node.pose.translation))
-        nodes = NodeArrays(np.array([self.index]), np.array([node.time]),
-                           rot, trans, node.bias[None])
+        nodes = replace(NodeArrays.stack([node]), index=np.array([self.index]))
         params = {k: np.asarray(v, dtype=float)[None] for k, v in self._params().items()}
         error, jac = self._kernel(nodes, **params, **self._shared())
         return FactorEval(error[0], ((self.index, jac[0]),), self._weight())
@@ -518,7 +513,7 @@ class FactorBatch:
 
     def linearize(self, nodes: NodeArrays, chart=None):
         """(error (n, m), Jacobian (n, m, 12)) from the stacked states of all nodes."""
-        return self.evaluate(nodes.take(self.index))
+        return self.evaluate(nodes[self.index])
 
 
 class InterpolatedBatch:

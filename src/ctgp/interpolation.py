@@ -271,7 +271,7 @@ def interpolate_covariance(node_k: StateNode, node_k1: StateNode,
 class Trajectory:
     """Continuous read-only view of a solved trajectory.
 
-    Wraps the node estimates, StateNodes or their NodeArrays, and the
+    Wraps the node estimates, stacked once (NodeArrays.stack), and the
     per-interval blocks; queries between nodes interpolate the posterior,
     queries at node times return the node values. Covariances are attached
     when the solver marginals (and optionally the adjacent-node
@@ -282,10 +282,10 @@ class Trajectory:
     """
 
     def __init__(self, nodes, blocks_list, covariances=None, cross_covariances=None):
-        k = len(nodes.time) if isinstance(nodes, NodeArrays) else len(nodes)
+        state = NodeArrays.stack(nodes)
+        k = len(state)
         if k < 2 or len(blocks_list) != k - 1:
             raise WiringError("need K nodes and K-1 interval blocks")
-        state = nodes if isinstance(nodes, NodeArrays) else NodeArrays.stack(nodes)
         check_interval_times(state.time, [b.t0 for b in blocks_list],
                              [b.t1 for b in blocks_list])
         if covariances is not None:
@@ -330,14 +330,13 @@ class Trajectory:
         with_cov = with_covariance and self.covariances is not None
 
         out = [None] * len(taus)
-        state = self._state
         for i in np.flatnonzero(hit):
             j = nearest[i]
-            t, bias = float(state.time[j]), state.bias[j]
+            node = self._state[j]
             # the input twist is right-continuous: read it from the interval
             # that starts at the node, or the last one for the last node
-            v_in = self.blocks[min(j, len(self.blocks) - 1)].profile.evaluate(t)[0]
-            out[i] = QueryResult(t, Pose(state.rot[j], state.trans[j]), bias.copy(), bias + v_in,
+            v_in = self.blocks[min(j, len(self.blocks) - 1)].profile.evaluate(node.time)[0]
+            out[i] = QueryResult(node.time, node.pose, node.bias.copy(), node.bias + v_in,
                                  self.covariances[j].copy() if with_cov else None, False)
         off = np.flatnonzero(~hit)
         if len(off) and self._chart is None:

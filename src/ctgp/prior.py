@@ -30,7 +30,7 @@ the same inputs needs no second integration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -149,11 +149,14 @@ class StateNode:
         object.__setattr__(self, "bias", bias)
 
 
-class NodeArrays(NamedTuple):
-    """Node states stacked for one vectorized call.
+@dataclass(frozen=True, eq=False)
+class NodeArrays:
+    """Node states, stacked, as a sequence of StateNodes: the one node container.
 
     index (n,) holds the node indices that errors name, time (n,) their
-    times; rot (n, 3, 3), trans (n, 3) and bias (n, 6) the states.
+    times; rot (n, 3, 3), trans (n, 3) and bias (n, 6) the states. nodes[i]
+    is row i as a StateNode, and iterating yields the rows in order; a
+    slice or an index array gives a NodeArrays that keeps its node indices.
     """
 
     index: np.ndarray
@@ -164,20 +167,23 @@ class NodeArrays(NamedTuple):
 
     @classmethod
     def stack(cls, nodes):
-        """Stack a sequence of StateNodes, indexed by their positions in it."""
+        """StateNodes (or QueryResults), or a NodeArrays, as rows numbered 0 to K-1."""
+        if isinstance(nodes, NodeArrays):
+            return replace(nodes, index=np.arange(len(nodes)))
         return cls(np.arange(len(nodes)),
-                   np.array([n.time for n in nodes]),
-                   np.stack([n.pose.rotation for n in nodes]),
-                   np.stack([n.pose.translation for n in nodes]),
-                   np.stack([n.bias for n in nodes]))
+                   np.array([n.time for n in nodes], dtype=float),
+                   np.array([n.pose.rotation for n in nodes], dtype=float),
+                   np.array([n.pose.translation for n in nodes], dtype=float),
+                   np.array([n.bias for n in nodes], dtype=float))
 
-    def unstack(self):
-        """The StateNodes of the rows, in order: the inverse of stack."""
-        return [StateNode(float(t), Pose(r, p), b)
-                for t, r, p, b in zip(self.time, self.rot, self.trans, self.bias)]
+    def __len__(self):
+        return len(self.time)
 
-    def take(self, rows):
-        return NodeArrays(*(a[rows] for a in self))
+    def __getitem__(self, rows):
+        if isinstance(rows, (int, np.integer)):
+            return StateNode(float(self.time[rows]), Pose(self.rot[rows], self.trans[rows]),
+                             self.bias[rows])
+        return NodeArrays(*(getattr(self, f.name)[rows] for f in fields(self)))
 
 
 @dataclass(frozen=True)

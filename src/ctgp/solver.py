@@ -1,29 +1,30 @@
 """MAP batch estimation over the block-tridiagonal factor graph.
 
-A Problem holds the nodes, the prior's IntervalBlocks between consecutive
-nodes, and the measurement factors, and checks their wiring when it is
-built. The motion prior chains adjacent nodes and every measurement factor
-touches one node or an adjacent pair, so the Gauss-Newton normal equations
-stay block tridiagonal. The solver carries the node states as one NodeArrays
-across iterations. Each step solves the current system, updates every node
-at once, and linearizes the trial state in one pass, whose cost decides
-acceptance and whose system, when accepted, is the next step's. The final
-state's system, kept from that pass, gives the covariances. Levenberg-style
-diagonal damping activates only when a step is rejected.
+A Problem holds the nodes, stacked once into a NodeArrays, the prior's
+IntervalBlocks between consecutive nodes, and the measurement factors, and
+checks them when it is built. The motion prior chains adjacent nodes and
+every measurement factor touches one node or an adjacent pair, so the
+Gauss-Newton normal equations stay block tridiagonal. The solver carries
+that NodeArrays across iterations, to Solution.nodes. Each step solves the
+current system, updates every node at once, and linearizes the trial state
+in one pass, whose cost decides acceptance and whose accepted system is the
+next step's. The final state's system, kept from that pass, gives the
+covariances. Levenberg-style diagonal damping acts only after a rejection.
 
 Linearization is batched by factor type. Each pass computes the chart of
-every node interval once; the prior errors of all intervals come from it
-in one prior_factor_batch call, with the intervals' constant blocks
-stacked once per solve. Each built-in one-node type (range, position,
-pose, velocity, planar lock, anchor) is one kernel call. Interpolated
-factors, which wrap such a type, are grouped the same way: their query
-rows are built once per solve, and one batched interpolation chain over
-them, reading the same interval charts, feeds the inner kernel. Custom factors are evaluated one by one, on
-StateNodes unstacked from the state. Every batch and every custom factor
-gives stacked rows (index, error, Jacobian, information), and one scatter
-adds them into D, E and g. The block LDL^T sweep stores the inverse pivot
-blocks S_i^-1, one inverse per block, so the forward-backward solve and the
-Takahashi recursion for the posterior covariance blocks are plain products.
+every node interval once; the prior errors of all intervals come from it in
+one prior_factor_batch call, with the intervals' constant blocks stacked
+once per solve. Each built-in one-node type (range, position, pose,
+velocity, planar lock, anchor) is one kernel call. Interpolated factors,
+which wrap such a type, are grouped the same way: their query rows are built
+once per solve, and one batched interpolation chain over them, reading the
+same interval charts, feeds the inner kernel. Custom factors are evaluated
+one by one, on the state itself, whose nodes[i] is a StateNode. Every batch
+and every custom factor gives stacked rows (index, error, Jacobian,
+information), and one scatter adds them into D, E and g. The block LDL^T
+sweep stores the inverse pivot blocks S_i^-1, one inverse per block, so the
+forward-backward solve and the Takahashi recursion for the posterior
+covariance blocks are plain products.
 
 Coarse-to-fine start: a problem may carry a coarse problem over the same
 span with fewer nodes (Problem.coarse). solve runs it first through the
@@ -36,7 +37,7 @@ without a coarse problem. Solution.start records which start was used.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -64,7 +65,7 @@ _MAX_ITERATIONS = 100
 
 @dataclass(frozen=True)
 class Solution:
-    """Posterior means, covariance blocks, and solve diagnostics.
+    """Posterior means (nodes, a NodeArrays), covariance blocks, and solve diagnostics.
 
     iterations, cost_history and cost_evaluations belong to the solve of
     the given problem. cost_evaluations counts its trial states, each
@@ -75,7 +76,7 @@ class Solution:
     coarse solve's, 0 without one.
     """
 
-    nodes: tuple
+    nodes: NodeArrays
     node_covariances: np.ndarray  # (K, 12, 12)
     cross_covariances: np.ndarray  # (K-1, 12, 12), cov(node_k, node_k+1)
     cost_history: tuple
@@ -90,6 +91,7 @@ class Solution:
 class Problem:
     """Factor graph for one batch solve: nodes, prior intervals, measurements.
 
+    nodes, StateNodes or a NodeArrays, are stacked once (NodeArrays.stack).
     blocks holds the K-1 IntervalBlocks of the input-driven prior, interval
     k between nodes k and k+1. All wiring is checked here, once: the node
     times increase, each interval's ends and each InterpolatedFactor's
@@ -106,11 +108,11 @@ class Problem:
 
     def __init__(self, nodes, blocks, measurement_factors=(), gauge: str = "auto",
                  coarse: "Problem | None" = None):
-        nodes = list(nodes)
+        nodes = NodeArrays.stack(nodes)
         if len(nodes) < 2:
             raise WiringError("need at least two nodes")
-        times = [n.time for n in nodes]
-        if any(t1 - t0 <= 0 for t0, t1 in zip(times, times[1:])):
+        times = nodes.time
+        if np.any(np.diff(times) <= 0):
             raise WiringError("node times must be strictly increasing")
         blocks = list(blocks)
         if len(blocks) != len(nodes) - 1:
@@ -136,8 +138,8 @@ class Problem:
         if gauge not in ("auto", "fix-first", "none"):
             raise HyperparameterError("gauge must be auto, fix-first, or none")
         if coarse is not None and (
-                abs(coarse.nodes[0].time - times[0]) > TIME_TOL
-                or abs(coarse.nodes[-1].time - times[-1]) > TIME_TOL):
+                abs(coarse.nodes.time[0] - times[0]) > TIME_TOL
+                or abs(coarse.nodes.time[-1] - times[-1]) > TIME_TOL):
             raise WiringError("the coarse problem must span the same times")
         self.nodes = nodes
         self.blocks = blocks
@@ -196,9 +198,8 @@ class _Linearizer:
         """
         for batch in self.batches:
             yield (batch.index, *batch.linearize(state, chart), batch.information)
-        nodes = state.unstack() if self.others else None
         for f in self.others:
-            ev = f.evaluate(nodes)
+            ev = f.evaluate(state)
             blocks = sorted(ev.jacobians, key=lambda ij: ij[0])
             yield (np.array([blocks[0][0]]), ev.error[None],
                    np.concatenate([jac for _, jac in blocks], axis=-1)[None],
@@ -315,9 +316,9 @@ def _apply_step(state: NodeArrays, delta) -> NodeArrays:
     projected back onto SO(3); biases add.
     """
     d_rot, d_trans = se3_exp(delta[:, :6])
-    return state._replace(rot=so3_project(d_rot @ state.rot),
-                          trans=np.einsum("kij,kj->ki", d_rot, state.trans) + d_trans,
-                          bias=state.bias + delta[:, 6:])
+    return replace(state, rot=so3_project(d_rot @ state.rot),
+                   trans=np.einsum("kij,kj->ki", d_rot, state.trans) + d_trans,
+                   bias=state.bias + delta[:, 6:])
 
 
 class _Run(NamedTuple):
@@ -395,12 +396,12 @@ def _coarse_start(coarse: Problem, state: NodeArrays):
 
     The coarse problem runs through the same iterations, without
     covariances; its posterior mean, queried at the times of state, the
-    given dense nodes, is the seed. None when the coarse solve raises, does
-    not converge, or a query leaves the local chart.
+    given dense nodes, and stacked, is the seed. None when the coarse solve
+    raises, does not converge, or a query leaves the local chart.
     """
     counts = (0, 0)
     try:
-        run = _iterate(_Linearizer(coarse), NodeArrays.stack(coarse.nodes))
+        run = _iterate(_Linearizer(coarse), coarse.nodes)
         counts = (run.iterations, run.evaluations)
         if not run.converged:
             return None, counts
@@ -408,9 +409,7 @@ def _coarse_start(coarse: Problem, state: NodeArrays):
         queried = trajectory.query_many(state.time)
     except EstimationError:
         return None, counts
-    return state._replace(rot=np.stack([q.pose.rotation for q in queried]),
-                          trans=np.stack([q.pose.translation for q in queried]),
-                          bias=np.stack([q.bias for q in queried])), counts
+    return replace(NodeArrays.stack(queried), time=state.time), counts
 
 
 def solve(problem: Problem) -> Solution:
@@ -428,7 +427,7 @@ def solve(problem: Problem) -> Solution:
     cost at any damping returns the best state found with converged=False.
     """
     lin = _Linearizer(problem)
-    state, start, coarse = NodeArrays.stack(problem.nodes), "given", (0, 0)
+    state, start, coarse = problem.nodes, "given", (0, 0)
     if problem.coarse is not None:
         seed, coarse = _coarse_start(problem.coarse, state)
         if seed is not None:
@@ -443,6 +442,6 @@ def solve(problem: Problem) -> Solution:
             f"{err.block} (t = {run.state.time[err.block]:.6g} s) at the solution; "
             "covariance undefined (set gauge='fix-first' or add measurements)") from None
     covariances, cross = _takahashi(s, run.e)
-    return Solution(tuple(run.state.unstack()), covariances, cross, tuple(run.history),
+    return Solution(run.state, covariances, cross, tuple(run.history),
                     run.converged, run.iterations, start, coarse[0],
                     run.evaluations, coarse[1])

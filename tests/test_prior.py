@@ -575,3 +575,58 @@ def test_compose_rejects_gaps_and_mixed_hyperparameters():
             [a, prior.IntervalBlocks(inputs.InputProfile.zero(1.0, 2.0), h2)])
     with pytest.raises(WiringError):
         prior.IntervalBlocks.compose([])
+
+
+def random_state_nodes(rng, count):
+    return [prior.StateNode(0.1 * k, exp_map(random_twist_bounded(rng, 2.0)),
+                            random_twist_bounded(rng, 1.0)) for k in range(count)]
+
+
+def assert_same_states(got, want):
+    """Two NodeArrays hold bit-equal times and states."""
+    for name in ("time", "rot", "trans", "bias"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
+
+
+def test_node_arrays_stack_state_nodes_and_renumber_node_arrays():
+    nodes = random_state_nodes(np.random.default_rng(3), 5)
+    stacked = prior.NodeArrays.stack(nodes)
+    assert len(stacked) == 5
+    assert np.array_equal(stacked.index, np.arange(5))
+    assert np.array_equal(stacked.time, [n.time for n in nodes])
+    assert np.array_equal(stacked.rot, np.stack([n.pose.rotation for n in nodes]))
+    assert np.array_equal(stacked.trans, np.stack([n.pose.translation for n in nodes]))
+    assert np.array_equal(stacked.bias, np.stack([n.bias for n in nodes]))
+    # a NodeArrays keeps its states and is numbered 0 to K-1 again
+    picked = stacked[[4, 1, 3]]
+    again = prior.NodeArrays.stack(picked)
+    assert np.array_equal(again.index, np.arange(3))
+    assert_same_states(again, picked)
+    # as are the StateNodes it yields
+    assert_same_states(prior.NodeArrays.stack(list(picked)), picked)
+
+
+def test_node_arrays_rows_are_bit_equal_state_nodes():
+    nodes = random_state_nodes(np.random.default_rng(4), 4)
+    stacked = prior.NodeArrays.stack(nodes)
+    rows = list(stacked)
+    assert len(rows) == 4
+    for row, want in zip(rows + [stacked[np.int64(-1)]], nodes + nodes[-1:]):
+        assert isinstance(row, prior.StateNode)
+        assert type(row.time) is float and row.time == want.time
+        assert np.array_equal(row.pose.rotation, want.pose.rotation)
+        assert np.array_equal(row.pose.translation, want.pose.translation)
+        assert np.array_equal(row.bias, want.bias)
+
+
+def test_node_arrays_slice_and_index_array_keep_node_indices():
+    stacked = prior.NodeArrays.stack(random_state_nodes(np.random.default_rng(5), 6))
+    middle = stacked[1:4]
+    assert isinstance(middle, prior.NodeArrays) and len(middle) == 3
+    assert np.array_equal(middle.index, [1, 2, 3])
+    assert np.array_equal(middle.time, stacked.time[1:4])
+    assert middle[0].time == stacked[1].time
+    picked = stacked[np.array([5, 0, 2])]
+    assert np.array_equal(picked.index, [5, 0, 2])
+    assert_same_states(picked, prior.NodeArrays.stack([stacked[5], stacked[0], stacked[2]]))
+    assert np.array_equal(picked[::2].index, [5, 2])

@@ -746,3 +746,26 @@ def test_out_of_order_node_times_rejected():
                prior.StateNode(nodes[1].time, nodes[2].pose, nodes[2].bias)]
     with pytest.raises(WiringError):
         solver.Problem(swapped, blocks_list)
+
+
+def test_problem_and_solution_nodes_are_node_arrays():
+    rng = np.random.default_rng(83)
+    blocks_list = input_chain(rng, 5)
+    nodes = perturbed(rng, propagate_chain(prior.StateNode(0.0, Pose.identity(),
+                                                           bounded_twist(rng, 0.5)),
+                                           blocks_list), 0.05, 0.05)
+    problem = solver.Problem(nodes, blocks_list, gauge="fix-first")
+    assert isinstance(problem.nodes, prior.NodeArrays)
+    assert np.array_equal(problem.nodes.index, np.arange(5))
+    sol = solver.solve(problem)
+    assert isinstance(sol.nodes, prior.NodeArrays) and len(sol.nodes) == 5
+    # the StateNodes of a solution build the same trajectory as the solution's nodes
+    from_rows = interpolation.Trajectory(list(sol.nodes), blocks_list, sol.node_covariances)
+    direct = interpolation.Trajectory(sol.nodes, blocks_list, sol.node_covariances)
+    times = [0.0, 0.1, 0.25, 0.6, 1.0]
+    for a, b in zip(from_rows.query_many(times, with_covariance=True),
+                    direct.query_many(times, with_covariance=True)):
+        assert np.array_equal(a.pose.rotation, b.pose.rotation)
+        assert np.array_equal(a.pose.translation, b.pose.translation)
+        assert np.array_equal(a.bias, b.bias) and np.array_equal(a.covariance, b.covariance)
+
