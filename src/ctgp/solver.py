@@ -43,8 +43,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import factors as _factors
-from .errors import (EstimationError, GaugeFreedomError, HyperparameterError,
-                     WiringError)
+from .errors import (DegenerateInputError, EstimationError, GaugeFreedomError,
+                     HyperparameterError, WiringError)
 from .interpolation import Trajectory
 from .liegroup import se3_exp, so3_project
 from .prior import (TIME_TOL, IntervalBlocks, NodeArrays, check_interval_times,
@@ -96,7 +96,8 @@ class Problem:
     k between nodes k and k+1. All wiring is checked here, once: the node
     times increase, each interval's ends and each InterpolatedFactor's
     interval sit at the node times, and every measurement factor touches
-    one node or an adjacent pair. Each failure raises WiringError.
+    one node or an adjacent pair. Each failure raises WiringError; a node
+    whose time, pose or bias is not finite raises DegenerateInputError.
 
     gauge: "auto" adds a tight anchor on the first node when no factor
     carries absolute information (a range, pose, position or anchor factor,
@@ -112,6 +113,11 @@ class Problem:
         if len(nodes) < 2:
             raise WiringError("need at least two nodes")
         times = nodes.time
+        bad = np.flatnonzero(~np.isfinite(np.column_stack(
+            [times, nodes.rot.reshape(-1, 9), nodes.trans, nodes.bias])).all(axis=1))
+        if len(bad):
+            raise DegenerateInputError(f"node {bad[0]} (t = {times[bad[0]]:.6g} s) has a "
+                                       "non-finite time, pose or bias")
         if np.any(np.diff(times) <= 0):
             raise WiringError("node times must be strictly increasing")
         blocks = list(blocks)

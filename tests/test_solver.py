@@ -8,7 +8,7 @@ import pytest
 import ctgp
 
 from ctgp import factors, inputs, interpolation, prior, solver
-from ctgp.errors import (GaugeFreedomError, HyperparameterError,
+from ctgp.errors import (DegenerateInputError, GaugeFreedomError, HyperparameterError,
                          IllConditionedRotationError, IntervalTooLongError,
                          WiringError)
 from ctgp.liegroup import Pose, exp_map, log_map, skew, so3_log
@@ -769,3 +769,18 @@ def test_problem_and_solution_nodes_are_node_arrays():
         assert np.array_equal(a.pose.translation, b.pose.translation)
         assert np.array_equal(a.bias, b.bias) and np.array_equal(a.covariance, b.covariance)
 
+
+@pytest.mark.parametrize("spoil, named", [
+    (lambda n: prior.StateNode(n.time, n.pose, np.full(6, np.nan)), r"node 2 \(t = 0\.6 s\)"),
+    (lambda n: prior.StateNode(n.time, Pose(n.pose.rotation, [np.inf, 0.0, 0.0]), n.bias),
+     r"node 2 \(t = 0\.6 s\)"),
+    (lambda n: prior.StateNode(np.nan, n.pose, n.bias), r"node 2 \(t = nan s\)"),
+])
+def test_problem_names_the_first_non_finite_start_node(spoil, named):
+    rng = np.random.default_rng(89)
+    blocks_list = wnoa_chain(5)
+    nodes = propagate_chain(prior.StateNode(0.0, Pose.identity(), bounded_twist(rng, 0.3)),
+                            blocks_list)
+    nodes[2], nodes[3] = spoil(nodes[2]), spoil(nodes[3])
+    with pytest.raises(DegenerateInputError, match=named):
+        solver.Problem(nodes, blocks_list, gauge="fix-first")
