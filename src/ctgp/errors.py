@@ -21,7 +21,7 @@ class IntervalTooLongError(EstimationError):
 
 
 class DomainError(EstimationError):
-    """Query time outside the domain of a profile, interval, or trajectory."""
+    """Query time or arclength outside a profile, interval, trajectory or simulated run."""
 
 
 class CoverageError(EstimationError):

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .continuum import STRAIGHT_STRAIN, tensions_to_inputs
+from .errors import DomainError
 from .liegroup import Pose, exp_map, wedge
 from .scenario import Disturbance, MobileScenario
 
@@ -56,8 +57,8 @@ class MobileTruth:
 
     def pose_at_tick(self, time) -> Pose:
         idx = int(np.argmin(np.abs(self.times - time)))
-        if abs(self.times[idx] - time) > 1e-9:
-            raise ValueError(f"no simulated tick at t = {time}")
+        if not abs(self.times[idx] - time) <= 1e-9:
+            raise DomainError(f"no simulated tick at t = {time} s")
         return self.poses[idx]
 
 
@@ -212,10 +213,11 @@ def simulate_rod(rod, tendons, node_arclengths, sample_arclengths, *,
     strain_at = _strain_table(rod, profiles, disturbance)
 
     sample_arclengths = np.asarray(sample_arclengths, dtype=float)
+    off = [s for s in sample_arclengths if not 0.0 <= s <= rod.length + 1e-12]
+    if off:
+        raise DomainError(f"sample arclength {off[0]:.6g} lies off the rod [0, {rod.length:.6g}]")
     grid = np.unique(np.concatenate([
         np.arange(0.0, rod.length, step), [rod.length], sample_arclengths]))
-    if grid[0] < 0.0 or grid[-1] > rod.length + 1e-12:
-        raise ValueError("sample arclengths must lie on the rod")
 
     phis = _transitions(strain_at, grid[:-1], np.diff(grid), step)
     mats = [np.eye(4)]

@@ -4,6 +4,7 @@ import yaml
 
 from ctgp.continuum import (RodModel, TendonRoute, straight_pose,
                             tensions_to_inputs)
+from ctgp.errors import DomainError
 from ctgp.liegroup import exp_map
 from ctgp.scenario import Disturbance, parse_scenario
 from ctgp.simulate import filter_ranges, simulate_mobile, simulate_rod
@@ -127,8 +128,10 @@ class TestMobile:
     def test_pose_at_tick_rejects_off_grid_times(self):
         truth = simulate_mobile(make_scenario())
         assert truth.pose_at_tick(0.5) is truth.poses[5]
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError, match=r"t = 0\.55 s"):
             truth.pose_at_tick(0.55)
+        with pytest.raises(DomainError, match=r"t = nan s"):
+            truth.pose_at_tick(np.nan)
 
     def test_filter_ranges_keeps_multiples_of_the_interval(self):
         truth = simulate_mobile(make_scenario())
@@ -213,6 +216,14 @@ class TestRod:
         for pose, ref in zip(poses, refs):
             assert np.allclose(pose.translation, ref.translation, atol=1e-7)
             assert np.allclose(pose.rotation, ref.rotation, atol=1e-6)
+
+    def test_sample_arclength_off_the_rod_is_named(self):
+        rod = make_rod()
+        nodes = np.array([0.0, rod.length])
+        for off in (-0.01, rod.length + 0.01, np.nan):
+            samples = np.array([0.0, 0.5 * rod.length, off])
+            with pytest.raises(DomainError, match=f"sample arclength {off:.6g} "):
+                simulate_rod(rod, (), nodes, samples)
 
     def test_disturbance_bends_the_rod_away_from_the_tendon_shape(self):
         rod = make_rod()

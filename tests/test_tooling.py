@@ -1,6 +1,7 @@
 """Static checks on the package source, made with the standard library's ast."""
 
 import ast
+import builtins
 import sys
 from pathlib import Path
 
@@ -365,3 +366,52 @@ def test_private_imports_finder_sees_relative_absolute_and_nested_imports(tmp_pa
 
 def test_package_modules_import_no_private_names_from_each_other():
     assert private_imports(sorted(SRC.glob("*.py"))) == []
+
+
+def builtin_raises(paths):
+    """(file, line, name) of each raise of a built-in exception class, sorted.
+
+    A raise counts whether it names the class bare or calls it; the
+    package's own errors and other modules' classes, reached as attributes,
+    do not.
+    """
+    found = []
+    for path in paths:
+        for node in ast.walk(_parse(path)):
+            if not isinstance(node, ast.Raise):
+                continue
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            name = getattr(exc, "id", "")
+            cls = getattr(builtins, name, None)
+            if isinstance(cls, type) and issubclass(cls, BaseException):
+                found.append((path.name, node.lineno, name))
+    return sorted(found)
+
+
+def test_builtin_raises_finder_sees_bare_and_called_classes(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("import numpy as np\n"
+                      "class OwnError(Exception):\n"
+                      "    pass\n"
+                      "def f(x):\n"
+                      "    if x:\n"
+                      "        raise ValueError('x')\n"
+                      "    try:\n"
+                      "        raise OwnError('y')\n"
+                      "    except OwnError as err:\n"
+                      "        raise RuntimeError from err\n"
+                      "    except KeyError:\n"
+                      "        raise\n"
+                      "    raise np.linalg.LinAlgError('z')\n"
+                      "def g(err):\n"
+                      "    raise err\n"
+                      "def h():\n"
+                      "    raise NotImplementedError\n")
+    assert builtin_raises([module]) == [
+        ("m.py", 6, "ValueError"), ("m.py", 10, "RuntimeError"),
+        ("m.py", 17, "NotImplementedError")]
+
+
+def test_package_raises_only_its_own_errors():
+    """The typed errors of ctgp.errors name what went wrong; a built-in class does not."""
+    assert builtin_raises(sorted(SRC.glob("*.py"))) == []
