@@ -6,7 +6,8 @@ method="wnoa" the prior carries no inputs and the stream is attached as
 masked velocity measurements instead, interpolated into the bracketing
 nodes when a reading falls between estimation times.
 
-Dead reckoning ignores the anchor and the ranges, so a dense inputs problem
+Dead reckoning, the truth's RK4 at the tick step on the interpolated
+command, ignores the anchor and the ranges, so a dense inputs problem
 started from it can take dozens of iterations. With inputs, nodes 5 s apart
 already give a few-centimetre estimate, and GP interpolation recovers the
 state at any time from its two bracketing nodes. So build_mobile_problem
@@ -30,11 +31,12 @@ from .factors import (AnchorFactor, InterpolatedFactor, PlanarLockFactor,
                       PositionFactor, RangeFactor, VelocityFactor)
 from .inputs import InputProfile, InputSegment, from_samples
 from .interpolation import CHUNK_ROWS, Trajectory
-from .liegroup import Pose, position_jacobian, se3_exp, so3_log, so3_project
+from .liegroup import Pose, position_jacobian, so3_log
 from .prior import (TIME_TOL, IntervalBlocks, NodeArrays, PriorHyper, StateNode,
                     precompute_intervals, prior_mean_propagate)
 from .scenario import ContinuumScenario, MobileScenario
-from .simulate import MobileTruth, filter_ranges, simulate_mobile, simulate_rod
+from .simulate import (MobileTruth, filter_ranges, integrate_poses, interpolate_ticks,
+                       simulate_mobile, simulate_rod)
 from .solver import Problem, solve
 
 # wheel odometry observes the forward and yaw components only
@@ -133,14 +135,12 @@ def _stacked(poses):
 def _dead_reckon(truth: MobileTruth, bias):
     """The initial guess at every tick: the odometry-only pose chain, with the given biases.
 
-    A node grid's start is a [::stride] slice of it.
+    The truth's integrator (integrate_poses) on the interpolated command,
+    one RK4 step per tick. A node grid's start is a [::stride] slice of it.
     """
-    cmd = truth.input_velocities
-    rot, trans = [truth.scenario.start.rotation], [truth.scenario.start.translation]
-    for r, t in zip(*se3_exp(truth.scenario.tick * (0.5 * (cmd[:-1] + cmd[1:])))):
-        rot.append(so3_project(r @ rot[-1]))
-        trans.append(r @ trans[-1] + t)
-    return NodeArrays(np.arange(len(cmd)), truth.times, np.array(rot), np.array(trans), bias)
+    rot, trans = integrate_poses(interpolate_ticks(truth.times, truth.input_velocities),
+                                 truth.times, truth.scenario.tick, truth.scenario.start)
+    return NodeArrays(np.arange(len(truth.times)), truth.times, rot, trans, bias)
 
 
 def _anchor(scenario: MobileScenario, bias_measured):

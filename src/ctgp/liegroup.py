@@ -309,11 +309,6 @@ class Pose:
     def identity(cls):
         return cls(np.eye(3), np.zeros(3))
 
-    @classmethod
-    def from_matrix(cls, m):
-        m = np.asarray(m, dtype=float)
-        return cls(m[:3, :3].copy(), m[:3, 3].copy())
-
     def matrix(self):
         out = np.eye(4)
         out[:3, :3] = self.rotation

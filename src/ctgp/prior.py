@@ -12,8 +12,8 @@ integral Q as blocks. A transition over a window of a segment is a product of
 three uniform steps of the sixth-order Blanes-Casas-Ros Magnus scheme, so
 its error scales as the window length to the seventh power and stays below
 1e-6 relative on 0.5 s windows with twist norms up to 2. A segment may be
-of any length: its pieces over [0, upto] are the product of ceil(upto / 0.5 s)
-equal windows, so the contract holds per 0.5 s window.
+of any length: a span of it is the product of ceil(span / 0.5 s) equal
+windows, so the contract holds per 0.5 s window.
 
 An IntervalBlocks instance caches everything the factors and the
 interpolation need about one node interval: the (transition, input
@@ -64,8 +64,7 @@ _PADE13_B = np.array([
 # 5.7e-5 with one step, 8.9e-7 with two and 7.8e-8 with three, against a
 # 1e-6 contract.
 _MAGNUS_SUBSTEPS = 3
-# The longest window _segment_pieces integrates with one _transitions call;
-# a longer span of a segment is cut into equal windows no longer than this.
+# the longest window of one _transitions call; longer spans are cut into equal ones
 _MAGNUS_WINDOW = 0.5
 # two times closer than this are the same node time
 TIME_TOL = 1e-9
@@ -261,19 +260,29 @@ def _transitions(coeffs: SegmentCoeffs, ta, tb):
     return phi
 
 
+def _windowed_transition(coeffs: SegmentCoeffs, t0: float, t1: float):
+    """Time-ordered product of _transitions over ceil((t1 - t0) / _MAGNUS_WINDOW) equal windows."""
+    n = max(1, int(np.ceil((t1 - t0) / _MAGNUS_WINDOW)))
+    edges = [t0 + (t1 - t0) * j / n for j in range(n)] + [t1]
+    x = _transitions(coeffs, edges[0], edges[1])
+    for ta, tb in zip(edges[1:-1], edges[2:]):
+        x = _transitions(coeffs, ta, tb) @ x
+    return x
+
+
 def magnus_transition(coeffs: SegmentCoeffs, t0: float, t1: float):
     """Transition matrix over [t0, t1] within one segment (local times).
 
-    Three uniform sixth-order Blanes-Casas-Ros steps over the whole window,
-    so the error grows as its seventh power: within 1e-6 relative of a
-    dense RK4 oracle on windows up to 0.5 s. IntervalBlocks integrates
-    longer spans window by window (_segment_pieces).
+    Cut into ceil((t1 - t0) / 0.5 s) equal windows of three uniform
+    sixth-order Blanes-Casas-Ros steps each, as the segment pieces are: the
+    error grows as the window length to the seventh power and stays within
+    1e-6 relative of a dense RK4 oracle on any span.
     """
     if not (-1e-12 <= t0 <= t1 <= coeffs.duration + 1e-12):
         raise DomainError("magnus_transition times must satisfy 0 <= t0 <= t1 <= duration")
     if t1 == t0:
         return np.eye(12)
-    return _transitions(coeffs, t0, t1)
+    return _windowed_transition(coeffs, t0, t1)
 
 
 def wnoa_phi(dt: float):
@@ -332,9 +341,8 @@ def _segment_pieces(seg: InputSegment, upto: float, hyper: PriorHyper):
     All three are blocks of the transition X(upto, 0) of Van Loan's 25x25
     generator M(s) = [[A(s), L Qc L^T, u(s)], [0, -A(s)^T, 0], [0, 0, 0]],
     L picking the bias rows: Phi = X11, the input integral is X13 and
-    Q = X12 X11^T. M(s) is linear in s, so _transitions integrates it, one
-    call per window of ceil(upto / _MAGNUS_WINDOW) equal ones, and the
-    window transitions are multiplied in time order.
+    Q = X12 X11^T. M(s) is linear in s, so _windowed_transition integrates
+    it in ceil(upto / _MAGNUS_WINDOW) equal windows.
     """
     co = system_matrix_coeffs(seg)
     b = np.zeros((25, 25))
@@ -345,11 +353,7 @@ def _segment_pieces(seg: InputSegment, upto: float, hyper: PriorHyper):
     b[:12, 24] = np.concatenate([seg.v0, seg.a0])
     c[:12, 24] = np.concatenate([seg.v1 - seg.v0, seg.a1 - seg.a0]) / seg.duration
     gen = SegmentCoeffs(b, c, seg.duration)
-    n = max(1, int(np.ceil(upto / _MAGNUS_WINDOW)))
-    edges = [upto * j / n for j in range(n)] + [upto]
-    x = _transitions(gen, edges[0], edges[1])
-    for ta, tb in zip(edges[1:-1], edges[2:]):
-        x = _transitions(gen, ta, tb) @ x
+    x = _windowed_transition(gen, 0.0, upto)
     phi = x[:12, :12]
     return phi, x[:12, 24], x[:12, 12:24] @ phi.T
 

@@ -8,11 +8,11 @@ The continuum simulator integrates the same kinematics over arclength, with
 the strain obtained exactly from the piecewise-linear actuation inputs plus
 any disturbance load withheld from the estimator.
 
-Both simulators share one integrator: a fourth-order Runge-Kutta scheme on
-the homogeneous transform at a fine fixed step, batched across intervals
-(input ticks, or arclength grid steps). The per-interval transition matrices
-are independent of each other, so they are computed in parallel and chained
-afterwards.
+One integrator, integrate_poses, serves both truths and the estimator's
+dead-reckoned start: a fourth-order Runge-Kutta scheme on the homogeneous
+transform, batched across grid intervals (input ticks, or arclength grid
+steps), whose independent transitions are chained afterwards. The truths
+integrate at a fine fixed step, the dead reckoning at one step per tick.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 
 from .continuum import STRAIGHT_STRAIN, tensions_to_inputs
 from .errors import DomainError
-from .liegroup import Pose, exp_map, wedge
+from .liegroup import Pose, exp_map, so3_project, wedge
 from .scenario import Disturbance, MobileScenario
 
 # sub-tick resolution of the simulated bias walk; fine enough that the
@@ -62,30 +62,40 @@ class MobileTruth:
         return self.poses[idx]
 
 
-def _transitions(velocity_fn, t0s, dt, step):
-    """Batched RK4 transition matrices over [t0, t0 + dt] per entry.
+def interpolate_ticks(times, values):
+    """The piecewise-linear stream through values (n, 6) at times, as a function of time."""
+    return lambda t: np.stack([np.interp(np.atleast_1d(t), times, v) for v in values.T], axis=-1)
 
-    dt is one shared duration or one per entry; the sub-step count comes
-    from the longest, so no entry steps coarser than step.
+
+def integrate_poses(velocity, grid, step, start: Pose, rows=None):
+    """Stacked (rotations, translations) at grid[rows] (all by default) of T' = velocity(t)^ T.
+
+    velocity maps times to (n, 6) twists; start is the pose at grid[0]. Every
+    interval takes the longest one's RK4 step count, so none steps coarser
+    than step. Only the rotations returned are projected onto SO(3).
     """
-    dt = np.asarray(dt, dtype=float)
+    grid = np.asarray(grid, dtype=float)
+    t0s, dt = grid[:-1], np.diff(grid)
     n_sub = max(1, int(round(float(np.max(dt)) / step)))
     h = dt / n_sub
     hm = h[..., None, None]
-    t0s = np.asarray(t0s, dtype=float)
     phi = np.broadcast_to(np.eye(4), (len(t0s), 4, 4)).copy()
-    a_start = wedge(velocity_fn(t0s))
+    a_start = wedge(velocity(t0s))
     for j in range(n_sub):
         ta = t0s + j * h
-        a_mid = wedge(velocity_fn(ta + 0.5 * h))
-        a_end = wedge(velocity_fn(ta + h))
+        a_mid = wedge(velocity(ta + 0.5 * h))
+        a_end = wedge(velocity(ta + h))
         k1 = a_start @ phi
         k2 = a_mid @ (phi + 0.5 * hm * k1)
         k3 = a_mid @ (phi + 0.5 * hm * k2)
         k4 = a_end @ (phi + hm * k3)
         phi = phi + (hm / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         a_start = a_end
-    return phi
+    mats = [start.matrix()]
+    for p in phi:
+        mats.append(p @ mats[-1])
+    mats = np.array(mats if rows is None else [mats[i] for i in rows])
+    return so3_project(mats[:, :3, :3]), mats[:, :3, 3]
 
 
 def simulate_mobile(scenario: MobileScenario, *, seed=None) -> MobileTruth:
@@ -119,16 +129,10 @@ def simulate_mobile(scenario: MobileScenario, *, seed=None) -> MobileTruth:
         idx = np.clip((t / h_walk + 1e-9).astype(int), 0, n_walk)
         return bias_err + walk[idx]
 
-    def velocity(t):
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        v = np.stack([np.interp(t, times, commanded[:, d]) for d in range(6)],
-                     axis=-1)
-        return v + true_bias(t)
-
-    phis = _transitions(velocity, times[:-1], dt, scenario.sim_step)
-    poses = [start]
-    for k in range(n_ticks):
-        poses.append(Pose.from_matrix(phis[k] @ poses[-1].matrix()).renormalized())
+    command = interpolate_ticks(times, commanded)
+    rot, trans = integrate_poses(lambda t: command(t) + true_bias(t), times,
+                                 scenario.sim_step, start)
+    poses = [Pose(r, p) for r, p in zip(rot, trans)]
 
     stride = int(round(scenario.range_schedule.interval / dt))
     meas_idx = np.arange(0, n_ticks + 1, stride)
@@ -219,9 +223,6 @@ def simulate_rod(rod, tendons, node_arclengths, sample_arclengths, *,
     grid = np.unique(np.concatenate([
         np.arange(0.0, rod.length, step), [rod.length], sample_arclengths]))
 
-    phis = _transitions(strain_at, grid[:-1], np.diff(grid), step)
-    mats = [np.eye(4)]
-    for phi in phis:
-        mats.append(phi @ mats[-1])
-    return [Pose.from_matrix(mats[i]).renormalized()
-            for i in np.searchsorted(grid, sample_arclengths)]
+    rot, trans = integrate_poses(strain_at, grid, step, Pose.identity(),
+                                 np.searchsorted(grid, sample_arclengths))
+    return [Pose(r, p) for r, p in zip(rot, trans)]

@@ -12,6 +12,7 @@ from ctgp.experiment import (COARSE_ROTATION_MAX, FIG3_COLUMNS, TRAJECTORY_COLUM
                              write_fig3_csv, write_metrics_csv,
                              write_trajectory_csv, xy_nees)
 from ctgp.factors import InterpolatedBatch
+from ctgp.liegroup import so3_log
 from ctgp.scenario import (Channel, RangeSchedule, ScriptSegment, bundled_scenario,
                            parse_scenario)
 from ctgp.simulate import simulate_mobile
@@ -181,6 +182,18 @@ class TestCoarseStart:
     @pytest.fixture(scope="class")
     def twisty(self):
         return bundled_scenario("mobile_twisty")
+
+    def test_dead_reckoned_start_is_the_noiseless_truth(self, twisty):
+        # the truth's integrator at the tick step: only RK4's truncation remains
+        quiet = dataclasses.replace(twisty, process_noise=False,
+                                    anchor_pose_sigma=np.zeros(6),
+                                    anchor_bias_sigma=np.zeros(6))
+        truth = simulate_mobile(quiet)
+        nodes = build_mobile_problem(truth, method="wnoa", node_policy="all")[0].nodes
+        assert len(nodes) == len(truth.poses)
+        for node, pose in zip(nodes, truth.poses):
+            assert np.linalg.norm(node.pose.translation - pose.translation) < 1e-6
+            assert np.linalg.norm(so3_log(node.pose.rotation @ pose.rotation.T)) < 1e-7
 
     def test_coarse_problem_is_the_meas_only_problem_at_5s(self, twisty, monkeypatch):
         truth = simulate_mobile(twisty)

@@ -127,10 +127,11 @@ def test_magnus_transition_bounded_at_half_second_window():
 def test_magnus_truncation_is_fifth_order():
     # windows of one fixed segment, so the generator's slope C stays put while
     # h halves; a fixed count of sixth-order steps leaves an error of order
-    # h^7 (fit 7.4), and an adaptive step count flattens the fit below 6
+    # h^7 (fit 7.2), and an adaptive step count flattens the fit below 6.
+    # The windows stay within 0.5 s, which magnus_transition takes whole.
     rng = np.random.default_rng(3)
     vals = [random_twist_bounded(rng, 2.0) for _ in range(4)]
-    windows = np.array([1.6, 0.8, 0.4, 0.2])
+    windows = np.array([0.5, 0.25, 0.125, 0.0625])
     co = prior.system_matrix_coeffs(inputs.InputSegment(0.0, windows[0], *vals))
     errs = []
     for h in windows:
@@ -139,6 +140,17 @@ def test_magnus_truncation_is_fifth_order():
         errs.append(np.linalg.norm(ours - oracle) / np.linalg.norm(oracle))
     slope = np.polyfit(np.log(windows), np.log(errs), 1)[0]
     assert slope > 6
+
+
+def test_magnus_transition_keeps_the_contract_past_half_a_second():
+    # a 2 s span is cut into four 0.5 s windows; three Magnus steps over the
+    # whole span miss the oracle by 4.3e-6
+    rng = np.random.default_rng(3)
+    vals = [random_twist_bounded(rng, 2.0) for _ in range(4)]
+    co = prior.system_matrix_coeffs(inputs.InputSegment(0.0, 2.0, *vals))
+    ours = prior.magnus_transition(co, 0.0, 2.0)
+    oracle = rk4_transition(co.b, co.c, 0.0, 2.0, 20000)
+    assert np.linalg.norm(ours - oracle) / np.linalg.norm(oracle) < 1e-6
 
 
 def test_magnus_transition_partial_and_domain():

@@ -7,7 +7,7 @@ from ctgp.continuum import (RodModel, TendonRoute, straight_pose,
 from ctgp.errors import DomainError
 from ctgp.liegroup import exp_map
 from ctgp.scenario import Disturbance, parse_scenario
-from ctgp.simulate import filter_ranges, simulate_mobile, simulate_rod
+from ctgp.simulate import filter_ranges, integrate_poses, simulate_mobile, simulate_rod
 
 BASE = """
 schema_version: 1
@@ -139,6 +139,23 @@ class TestMobile:
         assert {s.time for s in kept} == {0.0, 2.0, 4.0, 6.0, 8.0, 10.0, 12.0}
         shifted = filter_ranges(truth.ranges, 2.0, start=0.5)
         assert {s.time for s in shifted} == {0.5, 2.5, 4.5, 6.5, 8.5, 10.5}
+
+
+def test_integrate_poses_follows_a_constant_twist():
+    # T' = xi^ T from a non-identity start is T(t) = exp(t xi) T(0)
+    xi = np.array([0.8, -0.3, 0.2, 0.4, -0.7, 1.1])
+    start = exp_map(np.array([1.0, 2.0, -0.5, 0.3, 0.2, -0.6]))
+    grid = np.linspace(0.0, 2.0, 21)
+    rot, trans = integrate_poses(lambda t: np.tile(xi, (len(t), 1)), grid, 1e-3, start)
+    assert rot.shape == (21, 3, 3) and trans.shape == (21, 3)
+    for t, r, p in zip(grid, rot, trans):
+        want = exp_map(t * xi) @ start
+        assert np.max(np.abs(r - want.rotation)) < 1e-10
+        assert np.max(np.abs(p - want.translation)) < 1e-10
+    assert np.max(np.abs(rot @ rot.transpose(0, 2, 1) - np.eye(3))) < 1e-12
+    rows = [3, 7, 20]
+    picked = integrate_poses(lambda t: np.tile(xi, (len(t), 1)), grid, 1e-3, start, rows)
+    assert np.array_equal(picked[0], rot[rows]) and np.array_equal(picked[1], trans[rows])
 
 
 def sample_acceleration(profiles, s):

@@ -238,6 +238,12 @@ def test_package_imports_only_its_dependencies():
     assert foreign_imports(sorted(SRC.glob("*.py")), allowed) == []
 
 
+def test_tests_import_only_declared_dependencies():
+    """The package's dependencies and itself, plus pyproject's test extra."""
+    allowed = set(sys.stdlib_module_names) | {"numpy", "yaml", "ctgp", "pytest", "scipy", "mpmath"}
+    assert foreign_imports(sorted((ROOT / "tests").glob("*.py")), allowed) == []
+
+
 def export_problems(path):
     """How a package __init__'s __all__ differs from the names it imports.
 
