@@ -64,7 +64,8 @@ class MobileTruth:
 
 def interpolate_ticks(times, values):
     """The piecewise-linear stream through values (n, 6) at times, as a function of time."""
-    return lambda t: np.stack([np.interp(np.atleast_1d(t), times, v) for v in values.T], axis=-1)
+    columns = np.ascontiguousarray(np.transpose(values))
+    return lambda t: np.stack([np.interp(t, times, c) for c in columns], axis=-1)
 
 
 def integrate_poses(velocity, grid, step, start: Pose, rows=None):
@@ -78,7 +79,9 @@ def integrate_poses(velocity, grid, step, start: Pose, rows=None):
     t0s, dt = grid[:-1], np.diff(grid)
     n_sub = max(1, int(round(float(np.max(dt)) / step)))
     h = dt / n_sub
-    hm = h[..., None, None]
+    # whole-matrix step sizes: same-shape products beat broadcasts from (n, 1, 1)
+    hm = h[:, None, None] * np.ones((4, 4))
+    half, sixth = 0.5 * hm, hm / 6.0
     phi = np.broadcast_to(np.eye(4), (len(t0s), 4, 4)).copy()
     a_start = wedge(velocity(t0s))
     for j in range(n_sub):
@@ -86,10 +89,10 @@ def integrate_poses(velocity, grid, step, start: Pose, rows=None):
         a_mid = wedge(velocity(ta + 0.5 * h))
         a_end = wedge(velocity(ta + h))
         k1 = a_start @ phi
-        k2 = a_mid @ (phi + 0.5 * hm * k1)
-        k3 = a_mid @ (phi + 0.5 * hm * k2)
+        k2 = a_mid @ (phi + half * k1)
+        k3 = a_mid @ (phi + half * k2)
         k4 = a_end @ (phi + hm * k3)
-        phi = phi + (hm / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        phi = phi + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         a_start = a_end
     mats = [start.matrix()]
     for p in phi:
@@ -125,14 +128,12 @@ def simulate_mobile(scenario: MobileScenario, *, seed=None) -> MobileTruth:
     walk = np.concatenate([np.zeros((1, 6)), np.cumsum(steps, axis=0)])
 
     def true_bias(t):
-        t = np.atleast_1d(np.asarray(t, dtype=float))
         idx = np.clip((t / h_walk + 1e-9).astype(int), 0, n_walk)
         return bias_err + walk[idx]
 
     command = interpolate_ticks(times, commanded)
     rot, trans = integrate_poses(lambda t: command(t) + true_bias(t), times,
                                  scenario.sim_step, start)
-    poses = [Pose(r, p) for r, p in zip(rot, trans)]
 
     stride = int(round(scenario.range_schedule.interval / dt))
     meas_idx = np.arange(0, n_ticks + 1, stride)
@@ -140,7 +141,7 @@ def simulate_mobile(scenario: MobileScenario, *, seed=None) -> MobileTruth:
     noise = rng.standard_normal((len(meas_idx), len(scenario.landmarks))) * sigma
     ranges = []
     for row, k in enumerate(meas_idx):
-        p = poses[k].translation
+        p = trans[k]
         for lm_idx, lm in enumerate(scenario.landmarks):
             dist = float(np.linalg.norm(lm - p))
             if (scenario.range_schedule.max_range is not None
@@ -150,7 +151,7 @@ def simulate_mobile(scenario: MobileScenario, *, seed=None) -> MobileTruth:
                 float(times[k]), lm_idx,
                 dist * scenario.range_schedule.scale + float(noise[row, lm_idx])))
 
-    return MobileTruth(scenario, times, tuple(poses), true_bias(times),
+    return MobileTruth(scenario, times, tuple(map(Pose, rot, trans)), true_bias(times),
                        commanded, tuple(ranges))
 
 
@@ -223,6 +224,5 @@ def simulate_rod(rod, tendons, node_arclengths, sample_arclengths, *,
     grid = np.unique(np.concatenate([
         np.arange(0.0, rod.length, step), [rod.length], sample_arclengths]))
 
-    rot, trans = integrate_poses(strain_at, grid, step, Pose.identity(),
-                                 np.searchsorted(grid, sample_arclengths))
-    return [Pose(r, p) for r, p in zip(rot, trans)]
+    return list(map(Pose, *integrate_poses(strain_at, grid, step, Pose.identity(),
+                                           np.searchsorted(grid, sample_arclengths))))
