@@ -146,7 +146,11 @@ def test_integrate_poses_follows_a_constant_twist():
     xi = np.array([0.8, -0.3, 0.2, 0.4, -0.7, 1.1])
     start = exp_map(np.array([1.0, 2.0, -0.5, 0.3, 0.2, -0.6]))
     grid = np.linspace(0.0, 2.0, 21)
-    rot, trans = integrate_poses(lambda t: np.tile(xi, (len(t), 1)), grid, 1e-3, start)
+
+    def velocity(t):
+        return np.tile(xi, (len(t), 1))
+
+    rot, trans = integrate_poses(velocity, grid, 1e-3, start)
     assert rot.shape == (21, 3, 3) and trans.shape == (21, 3)
     for t, r, p in zip(grid, rot, trans):
         want = exp_map(t * xi) @ start
@@ -154,7 +158,7 @@ def test_integrate_poses_follows_a_constant_twist():
         assert np.max(np.abs(p - want.translation)) < 1e-10
     assert np.max(np.abs(rot @ rot.transpose(0, 2, 1) - np.eye(3))) < 1e-12
     rows = [3, 7, 20]
-    picked = integrate_poses(lambda t: np.tile(xi, (len(t), 1)), grid, 1e-3, start, rows)
+    picked = integrate_poses(velocity, grid, 1e-3, start, rows)
     assert np.array_equal(picked[0], rot[rows]) and np.array_equal(picked[1], trans[rows])
 
 
