@@ -365,14 +365,12 @@ _FIG3_QUERY_RATE = 100.0
 def _fig3_profile(variant):
     knots = np.round(np.arange(31) * 0.1, 12)
     if variant == "velocity":
-        segs = []
-        for t0, t1 in zip(knots[:-1], knots[1:]):
-            rate = _FIG3_ARC_RATES[min(int(t0), 2)]
-            v = np.array([1.0, 0.0, 0.0, 0.0, 0.0, rate])
-            segs.append(InputSegment(float(t0), float(t1), v, v,
-                                     np.zeros(6), np.zeros(6)))
         # piecewise-constant arcs with jumps at the arc boundaries
-        return InputProfile(tuple(segs)), np.zeros(6)
+        z = np.zeros(6)
+        arcs = [np.array([1.0, 0.0, 0.0, 0.0, 0.0, _FIG3_ARC_RATES[min(int(t0), 2)]])
+                for t0 in knots[:-1]]
+        return InputProfile(InputSegment(float(t0), float(t1), v, v, z, z)
+                            for t0, t1, v in zip(knots[:-1], knots[1:], arcs)), np.zeros(6)
     if variant == "acceleration":
         accel = np.zeros((31, 6))
         accel[:, 5] = _FIG3_SIN_AMPLITUDE * np.cos(

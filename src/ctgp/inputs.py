@@ -1,9 +1,10 @@
 """Piecewise-linear exogenous input profiles.
 
-A profile stores contiguous segments of any length, each linear in time in
-both the velocity and acceleration channels. Values may jump at segment
-knots; evaluation is right-continuous there. How finely a segment is
-integrated is the motion prior's concern (prior.py), not the profile's.
+A profile stacks contiguous segments of any length as rows of arrays, each
+linear in time in both the velocity and acceleration channels. Values may
+jump at segment knots; evaluation is right-continuous there. A profile is
+validated where its data enters, not when it is sliced or joined. How finely
+a segment is integrated is the motion prior's concern (prior.py).
 """
 
 from __future__ import annotations
@@ -15,6 +16,13 @@ import numpy as np
 from .errors import DegenerateInputError, DomainError
 
 _KNOT_TOL = 1e-9
+
+
+def _lerp(t, t0, t1, v0, v1, a0, a1):
+    """Velocity and acceleration at time(s) t between the end values on [t0, t1]."""
+    s = (np.asarray(t, dtype=float) - t0) / (t1 - t0)
+    s = s[..., None] if np.ndim(s) else s
+    return v0 + s * (v1 - v0), a0 + s * (a1 - a0)
 
 
 @dataclass(frozen=True)
@@ -44,48 +52,73 @@ class InputSegment:
 
     def values_at(self, t):
         """Velocity and acceleration at absolute time(s) t, no domain check."""
-        s = (np.asarray(t, dtype=float) - self.t0) / self.duration
-        s = s[..., None] if np.ndim(s) else s
-        v = self.v0 + s * (self.v1 - self.v0)
-        a = self.a0 + s * (self.a1 - self.a0)
-        return v, a
+        return _lerp(t, self.t0, self.t1, self.v0, self.v1, self.a0, self.a1)
 
 
-@dataclass(frozen=True)
 class InputProfile:
-    """Contiguous, ordered input segments covering [start, end]."""
+    """Contiguous, ordered input segments covering [start, end]: the one input container.
 
-    segments: tuple
+    Row i is segment i: t0 and t1 (n,) hold its own ends, exactly as given,
+    and v0, v1, a0 and a1 (n, 6) its endpoint velocities and accelerations.
+    InputProfile(segments) stacks InputSegments and checks that they are
+    contiguous; segments gives the rows back as InputSegments.
+    """
 
-    def __post_init__(self):
-        segs = tuple(self.segments)
+    __slots__ = ("t0", "t1", "v0", "v1", "a0", "a1")
+
+    def __init__(self, segments):
+        segs = tuple(segments)
         if not segs:
             raise DegenerateInputError("profile requires at least one segment")
-        for prev, nxt in zip(segs, segs[1:]):
-            if abs(nxt.t0 - prev.t1) > _KNOT_TOL:
-                raise DegenerateInputError("profile segments must be contiguous")
-        object.__setattr__(self, "segments", segs)
-        object.__setattr__(self, "_starts", np.array([s.t0 for s in segs]))
+        for name in self.__slots__:
+            setattr(self, name, np.array([getattr(s, name) for s in segs], dtype=float))
+        self._check_contiguous()
 
-    @property
-    def start(self) -> float:
-        return self.segments[0].t0
+    @classmethod
+    def _stacked(cls, *rows) -> "InputProfile":
+        """A profile of the given (t0, t1, v0, v1, a0, a1) rows, unchecked."""
+        out = cls.__new__(cls)
+        out.t0, out.t1, out.v0, out.v1, out.a0, out.a1 = rows
+        return out
 
-    @property
-    def end(self) -> float:
-        return self.segments[-1].t1
+    @classmethod
+    def join(cls, profiles) -> "InputProfile":
+        """Consecutive profiles as one; raises DegenerateInputError unless contiguous."""
+        parts = list(profiles)
+        out = cls._stacked(*(np.concatenate([getattr(p, name) for p in parts])
+                             for name in cls.__slots__))
+        out._check_contiguous()
+        return out
+
+    def _check_contiguous(self):
+        if np.any(np.abs(self.t0[1:] - self.t1[:-1]) > _KNOT_TOL):
+            raise DegenerateInputError("profile segments must be contiguous")
 
     @classmethod
     def zero(cls, t0: float, t1: float) -> "InputProfile":
         """Identically zero profile of one segment; the prior integrates it in closed form."""
-        z = np.zeros(6)
-        return cls((InputSegment(t0, t1, z, z, z, z),))
+        return from_samples([t0, t1], np.zeros((2, 6)))
+
+    @property
+    def segments(self) -> tuple:
+        """The rows as InputSegments, in time order."""
+        return tuple(map(InputSegment, self.t0.tolist(), self.t1.tolist(),
+                         self.v0, self.v1, self.a0, self.a1))
+
+    @property
+    def start(self) -> float:
+        return float(self.t0[0])
+
+    @property
+    def end(self) -> float:
+        return float(self.t1[-1])
 
     def is_zero(self) -> bool:
-        return all(
-            not (np.any(s.v0) or np.any(s.v1) or np.any(s.a0) or np.any(s.a1))
-            for s in self.segments
-        )
+        return not (self.v0.any() or self.v1.any() or self.a0.any() or self.a1.any())
+
+    def values_at(self, t, rows):
+        """Velocity and acceleration at time(s) t on the given rows, no domain check."""
+        return _lerp(t, *(getattr(self, name)[rows] for name in self.__slots__))
 
     def evaluate(self, t):
         """Right-continuous (velocity, acceleration) at time(s) t.
@@ -96,36 +129,23 @@ class InputProfile:
         t = np.asarray(t, dtype=float)
         if np.any(t < self.start - _KNOT_TOL) or np.any(t > self.end + _KNOT_TOL):
             raise DomainError(f"time outside profile domain [{self.start}, {self.end}]")
-        idx = np.clip(np.searchsorted(self._starts, t, side="right") - 1,
-                      0, len(self.segments) - 1)
-        if t.ndim == 0:
-            return self.segments[int(idx)].values_at(float(t))
-        v = np.empty(t.shape + (6,))
-        a = np.empty(t.shape + (6,))
-        for i in np.unique(idx):
-            m = idx == i
-            v[m], a[m] = self.segments[i].values_at(t[m])
-        return v, a
+        return self.values_at(t, np.clip(np.searchsorted(self.t0, t, side="right") - 1,
+                                         0, len(self.t0) - 1))
 
     def slice(self, t0: float, t1: float) -> "InputProfile":
         """Restriction to [t0, t1], splitting straddling segments with interpolated endpoints."""
         if t0 < self.start - _KNOT_TOL or t1 > self.end + _KNOT_TOL or t1 <= t0:
             raise DomainError("slice window must lie inside the profile and have positive length")
-        # binary-search the overlapping range; the guards below keep edge exactness
-        lo_idx = max(0, int(np.searchsorted(self._starts, t0, side="right")) - 1)
-        hi_idx = min(len(self.segments),
-                     int(np.searchsorted(self._starts, t1, side="left")) + 1)
-        out = []
-        for seg in self.segments[lo_idx:hi_idx]:
-            lo, hi = max(seg.t0, t0), min(seg.t1, t1)
-            if hi - lo <= _KNOT_TOL:
-                continue
-            v_lo, a_lo = seg.values_at(lo)
-            v_hi, a_hi = seg.values_at(hi)
-            out.append(InputSegment(lo, hi, v_lo, v_hi, a_lo, a_hi))
-        if not out:
+        # binary-search the overlapping rows; the guards below keep edge exactness
+        rows = np.arange(max(0, int(np.searchsorted(self.t0, t0, side="right")) - 1),
+                         min(len(self.t0), int(np.searchsorted(self.t0, t1, side="left")) + 1))
+        lo, hi = np.maximum(self.t0[rows], t0), np.minimum(self.t1[rows], t1)
+        keep = hi - lo > _KNOT_TOL
+        if not keep.any():
             raise DomainError("slice window contains no segment content")
-        return InputProfile(tuple(out))
+        rows, lo, hi = rows[keep], lo[keep], hi[keep]
+        (v_lo, a_lo), (v_hi, a_hi) = self.values_at(lo, rows), self.values_at(hi, rows)
+        return self._stacked(lo, hi, v_lo, v_hi, a_lo, a_hi)
 
 
 def from_samples(times, velocities, accelerations=None) -> InputProfile:
@@ -134,24 +154,21 @@ def from_samples(times, velocities, accelerations=None) -> InputProfile:
     The segment endpoints are the samples themselves. Missing accelerations
     are zero.
     """
-    times = np.asarray(times, dtype=float)
-    velocities = np.asarray(velocities, dtype=float)
-    if accelerations is None:
-        accelerations = np.zeros_like(velocities)
-    accelerations = np.asarray(accelerations, dtype=float)
+    # copies: the profile must not change with the caller's arrays
+    times = np.array(times, dtype=float)
+    velocities = np.array(velocities, dtype=float)
+    accelerations = (np.zeros_like(velocities) if accelerations is None
+                     else np.array(accelerations, dtype=float))
     if times.ndim != 1 or len(times) < 2:
         raise DegenerateInputError("need at least two samples")
     if velocities.shape != (len(times), 6) or accelerations.shape != (len(times), 6):
         raise DegenerateInputError("sample arrays must be (n, 6)")
     if np.any(np.diff(times) <= 0):
         raise DegenerateInputError("sample times must be strictly increasing")
-    if not (np.all(np.isfinite(velocities)) and np.all(np.isfinite(accelerations))):
+    if not all(np.all(np.isfinite(x)) for x in (times, velocities, accelerations)):
         raise DegenerateInputError("samples must be finite")
-
-    return InputProfile(tuple(
-        InputSegment(times[i], times[i + 1], velocities[i], velocities[i + 1],
-                     accelerations[i], accelerations[i + 1])
-        for i in range(len(times) - 1)))
+    return InputProfile._stacked(times[:-1], times[1:], velocities[:-1], velocities[1:],
+                                 accelerations[:-1], accelerations[1:])
 
 
 def read_input_log(path) -> InputProfile:

@@ -15,17 +15,17 @@ its error scales as the window length to the seventh power and stays below
 of any length: a span of it is the product of ceil(span / 0.5 s) equal
 windows, so the contract holds per 0.5 s window.
 
-An IntervalBlocks instance caches everything the factors and the
-interpolation need about one node interval: the (transition, input
-integral, noise covariance) triples from the interval start to every later
-input knot, t1 included, stacked in one array each. The last row holds the
-full products, and a mid-interval query integrates only within its own
-segment, after the triple at the segment's start. With zero inputs the
-segment pieces are the constant-velocity closed forms of Barfoot, Tong and
-Sarkka (2014), and so are the transition from a query time to t1 and the
-inverse noise covariance. IntervalBlocks.compose joins consecutive
-intervals into one from their stacked triples, so a coarser node grid over
-the same inputs needs no second integration.
+An IntervalBlocks instance caches what the factors and the interpolation
+need about one node interval. It reads its segments from the rows of its
+InputProfile and stacks the (transition, input integral, noise covariance)
+triples from the interval start to every later input knot, t1 included,
+in one array each. The last row holds the full products; a mid-interval
+query integrates only within its own segment, after the triple at the
+segment's start. With zero inputs the segment pieces, the transition from a
+query time to t1 and the inverse noise covariance are the constant-velocity
+closed forms of Barfoot, Tong and Sarkka (2014). IntervalBlocks.compose
+joins consecutive intervals from their stacked triples and profiles, so a
+coarser node grid over the same inputs needs no second integration.
 """
 
 from __future__ import annotations
@@ -194,24 +194,31 @@ class SegmentCoeffs:
     duration: float
 
 
+def _generator(profile: InputProfile, m: int, qc) -> SegmentCoeffs:
+    """Van Loan's (1978) 25x25 generator on row m of profile, b + c s with s local.
+
+    M(s) = [[A(s), L Qc L^T, u(s)], [0, -A(s)^T, 0], [0, 0, 0]], where A(s)
+    is the local system matrix, u(s) = [v(s), a(s)] the inputs and L picks
+    the bias rows.
+    """
+    v0, a0 = profile.v0[m], profile.a0[m]
+    dt = profile.t1[m] - profile.t0[m]
+    b, c = np.zeros((2, 25, 25))
+    b[:6, 6:12] = np.eye(6)
+    b[6:12, 18:24] = qc
+    for out, v, a in ((b, v0, a0), (c, (profile.v1[m] - v0) / dt, (profile.a1[m] - a0) / dt)):
+        out[:6, :6] = 0.5 * curlywedge(v)
+        out[6:12, :6] = 0.5 * curlywedge(a)
+        out[6:12, 6:12] = -0.5 * curlywedge(v)
+        out[12:24, 12:24] = -out[:12, :12].T
+        out[:12, 24] = np.concatenate([v, a])
+    return SegmentCoeffs(b, c, dt)
+
+
 def system_matrix_coeffs(segment: InputSegment) -> SegmentCoeffs:
     """Constant and slope parts of the local system matrix on one segment."""
-    dt = segment.duration
-    dv = (segment.v1 - segment.v0) / dt
-    da = (segment.a1 - segment.a0) / dt
-
-    def _assemble(v, a):
-        m = np.zeros((12, 12))
-        m[:6, :6] = 0.5 * curlywedge(v)
-        m[:6, 6:] = np.eye(6)
-        m[6:, :6] = 0.5 * curlywedge(a)
-        m[6:, 6:] = -0.5 * curlywedge(v)
-        return m
-
-    b = _assemble(segment.v0, segment.a0)
-    c = _assemble(dv, da)
-    c[:6, 6:] = 0.0
-    return SegmentCoeffs(b, c, dt)
+    gen = _generator(InputProfile((segment,)), 0, np.zeros((6, 6)))
+    return SegmentCoeffs(gen.b[:12, :12].copy(), gen.c[:12, :12].copy(), gen.duration)
 
 
 def _magnus_argument(coeffs: SegmentCoeffs, ta, tb):
@@ -335,31 +342,21 @@ def _compose(earlier, later):
     return phi_2 @ phi_1, phi_2 @ inp_1 + inp_2, phi_2 @ q_1 @ phi_2.T + q_2
 
 
-def _segment_pieces(seg: InputSegment, upto: float, hyper: PriorHyper):
-    """Transition, input integral, and noise integral over [0, upto] of one segment.
+def _segment_pieces(profile: InputProfile, m: int, upto: float, hyper: PriorHyper):
+    """Transition, input integral, and noise integral over [0, upto] of row m of profile.
 
-    All three are blocks of the transition X(upto, 0) of Van Loan's 25x25
-    generator M(s) = [[A(s), L Qc L^T, u(s)], [0, -A(s)^T, 0], [0, 0, 0]],
-    L picking the bias rows: Phi = X11, the input integral is X13 and
-    Q = X12 X11^T. M(s) is linear in s, so _windowed_transition integrates
-    it in ceil(upto / _MAGNUS_WINDOW) equal windows.
+    All three are blocks of the transition X(upto, 0) of Van Loan's
+    generator (_generator): Phi = X11, the input integral is X13 and
+    Q = X12 X11^T. The generator is linear in s, so _windowed_transition
+    integrates it in ceil(upto / _MAGNUS_WINDOW) equal windows.
     """
-    co = system_matrix_coeffs(seg)
-    b = np.zeros((25, 25))
-    c = np.zeros((25, 25))
-    b[:12, :12], c[:12, :12] = co.b, co.c
-    b[12:24, 12:24], c[12:24, 12:24] = -co.b.T, -co.c.T
-    b[6:12, 18:24] = hyper.qc
-    b[:12, 24] = np.concatenate([seg.v0, seg.a0])
-    c[:12, 24] = np.concatenate([seg.v1 - seg.v0, seg.a1 - seg.a0]) / seg.duration
-    gen = SegmentCoeffs(b, c, seg.duration)
-    x = _windowed_transition(gen, 0.0, upto)
+    x = _windowed_transition(_generator(profile, m, hyper.qc), 0.0, upto)
     phi = x[:12, :12]
     return phi, x[:12, 24], x[:12, 12:24] @ phi.T
 
 
-def _zero_pieces(seg: InputSegment, upto: float, hyper: PriorHyper):
-    """_segment_pieces of a segment with zero inputs, in closed form."""
+def _zero_pieces(profile: InputProfile, m: int, upto: float, hyper: PriorHyper):
+    """_segment_pieces of a row with zero inputs, in closed form."""
     return wnoa_phi(upto), np.zeros(12), wnoa_q(upto, hyper.qc)
 
 
@@ -367,36 +364,30 @@ def _zero_pieces(seg: InputSegment, upto: float, hyper: PriorHyper):
 _T0_TRIPLE = (np.eye(12), np.zeros(12), np.zeros((12, 12)))
 
 
-def _check_contiguous(blocks):
-    for prev, nxt in zip(blocks, blocks[1:]):
-        if abs(prev.t1 - nxt.t0) > TIME_TOL:
-            raise DegenerateInputError("interval profiles must be contiguous")
-
-
 class IntervalBlocks:
     """Precomputed prior quantities for one node interval.
 
-    The (transition, input integral, noise integral) triples from t0 to
-    every later knot of the profile, t1 included, are stacked in (n, ...)
-    arrays; phi, input_full and q_full are the last row, and the triple at
-    t0 itself is the identity. Segments may be of any length; each is
-    integrated in windows of at most 0.5 s (_segment_pieces). A query
-    integrates only within its own segment, from the segment's start, and
-    composes the result after the triple there; its QueryBlocks also carry
+    profile is the interval's InputProfile, read as rows of arrays. The
+    (transition, input integral, noise integral) triples from t0 to every
+    later knot of it, t1 included, are stacked in (n, ...) arrays; phi,
+    input_full and q_full are the last row, and the triple at t0 is the
+    identity. Each segment is integrated in windows of at most 0.5 s
+    (_segment_pieces). A query integrates only within its own segment, from
+    the segment's start, after the triple there; its QueryBlocks also carry
     the input twist at the query time. Identically zero profiles are
-    closed_form unless force_general is set (the general route is then
-    exercised, which the fallback-equivalence tests rely on): their segment
-    pieces, the transition from a query time to t1 and Q^-1 are the
-    constant-velocity closed forms. Only this module reads closed_form.
-    compose builds one interval from consecutive ones without integrating
-    again.
+    closed_form unless force_general is set (which exercises the general
+    route, as the fallback-equivalence tests need): their segment pieces,
+    the transition from a query time to t1 and Q^-1 are the closed forms
+    of constant velocity; only this module reads closed_form. compose joins
+    consecutive intervals and their profiles without integrating again.
     """
 
     def __init__(self, profile: InputProfile, hyper: PriorHyper, *, force_general: bool = False):
         closed_form = profile.is_zero() and not force_general
         piece = _zero_pieces if closed_form else _segment_pieces
+        durations = profile.t1 - profile.t0
         self._store(profile, hyper, closed_form,
-                    [[piece(seg, seg.duration, hyper)] for seg in profile.segments])
+                    [[piece(profile, m, dt, hyper)] for m, dt in enumerate(durations)])
 
     @classmethod
     def compose(cls, fine_blocks) -> "IntervalBlocks":
@@ -413,10 +404,9 @@ class IntervalBlocks:
         hyper = fine[0].hyper
         if any(not np.array_equal(b.hyper.qc, hyper.qc) for b in fine):
             raise HyperparameterError("composed intervals must share one Qc")
-        _check_contiguous(fine)
-        profile = InputProfile(tuple(s for b in fine for s in b.profile.segments))
         out = cls.__new__(cls)
-        out._store(profile, hyper, all(b.closed_form for b in fine),
+        out._store(InputProfile.join(b.profile for b in fine), hyper,
+                   all(b.closed_form for b in fine),
                    [list(zip(b._phi, b._input, b._q)) for b in fine])
         return out
 
@@ -432,8 +422,6 @@ class IntervalBlocks:
         self.t0 = profile.start
         self.t1 = profile.end
         self.closed_form = closed_form
-        segs = profile.segments
-        self._knots = np.array([s.t0 for s in segs] + [segs[-1].t1])
         triples = list(runs[0])
         for run in runs[1:]:
             start = triples[-1]
@@ -444,26 +432,22 @@ class IntervalBlocks:
         self.q_full_inv = (wnoa_q_inv(self.t1 - self.t0, hyper.qc_inv) if closed_form
                            else np.linalg.inv(self.q_full))
 
-    def _locate(self, tau: float) -> int:
-        idx = int(np.searchsorted(self._knots, tau, side="right")) - 1
-        return min(max(idx, 0), len(self._knots) - 2)
-
     def at(self, tau: float) -> QueryBlocks:
         """Blocks for a query time in [t0, t1]."""
         if not (self.t0 - TIME_TOL <= tau <= self.t1 + TIME_TOL):
             raise DomainError(f"query time {tau} outside interval [{self.t0}, {self.t1}]")
-        m = self._locate(tau)
-        seg = self.profile.segments[m]
+        p = self.profile
+        m = min(max(int(np.searchsorted(p.t0, tau, side="right")) - 1, 0), len(p.t0) - 1)
         # read before the snap to the next knot below, as InputProfile.evaluate reads it
-        velocity = seg.values_at(tau)[0]
-        local = tau - self._knots[m]
-        if local > 1e-12 and seg.duration - local <= 1e-12:
+        velocity = p.values_at(tau, m)[0]
+        local = tau - p.t0[m]
+        if local > 1e-12 and p.t1[m] - p.t0[m] - local <= 1e-12:
             m, local = m + 1, 0.0
         knot = (self._phi[m - 1], self._input[m - 1], self._q[m - 1]) if m else _T0_TRIPLE
         if local <= 1e-12:
             phi_from_start, input_tau, q_tau = knot
         else:
-            piece = (_zero_pieces if self.closed_form else _segment_pieces)(seg, local, self.hyper)
+            piece = (_zero_pieces if self.closed_form else _segment_pieces)(p, m, local, self.hyper)
             phi_from_start, input_tau, q_tau = piece if m == 0 else _compose(knot, piece)
         phi_to_end = (wnoa_phi(self.t1 - tau) if self.closed_form
                       else self.phi @ np.linalg.inv(phi_from_start))
@@ -474,7 +458,9 @@ class IntervalBlocks:
 def precompute_intervals(profiles, hyper: PriorHyper):
     """IntervalBlocks for each per-interval profile, in order."""
     blocks = [IntervalBlocks(p, hyper) for p in profiles]
-    _check_contiguous(blocks)
+    for prev, nxt in zip(blocks, blocks[1:]):
+        if abs(prev.t1 - nxt.t0) > TIME_TOL:
+            raise DegenerateInputError("interval profiles must be contiguous")
     return blocks
 
 

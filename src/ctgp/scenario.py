@@ -58,14 +58,25 @@ def _integer(value, where, *, minimum=0):
     return value
 
 
-def _vector(value, n, where):
+def _array(value, where, what, fits):
+    """value as a float array of finite numbers that fits accepts, else ScenarioError."""
     try:
         arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError):
-        raise ScenarioError(f"{where}: expected {n} numbers") from None
-    if arr.shape != (n,) or not np.all(np.isfinite(arr)):
-        raise ScenarioError(f"{where}: expected {n} finite numbers")
+        arr = None
+    if arr is None or not np.all(np.isfinite(arr)) or not fits(arr):
+        raise ScenarioError(f"{where}: expected {what}")
     return arr
+
+
+def _vector(value, n, where):
+    return _array(value, where, f"{n} finite numbers", lambda a: a.shape == (n,))
+
+
+def _flag(value, where):
+    if not isinstance(value, bool):
+        raise ScenarioError(f"{where}: expected true or false, got {value!r}")
+    return value
 
 
 def _choice(value, options, where):
@@ -76,12 +87,9 @@ def _choice(value, options, where):
 
 def _per_axis(value, where):
     """Expand a (linear, angular) pair to the 6 twist dimensions."""
-    arr = np.asarray(value, dtype=float).ravel()
-    if arr.shape == (2,):
-        arr = np.concatenate([np.full(3, arr[0]), np.full(3, arr[1])])
-    if arr.shape != (6,) or np.any(arr <= 0) or not np.all(np.isfinite(arr)):
-        raise ScenarioError(f"{where}: expected 2 or 6 positive numbers")
-    return arr
+    arr = _array(value, where, "2 or 6 positive numbers",
+                 lambda a: a.size in (2, 6) and np.all(a > 0)).ravel()
+    return np.repeat(arr, 3) if arr.shape == (2,) else arr
 
 
 @dataclass(frozen=True)
@@ -254,10 +262,9 @@ def _parse_mobile(doc) -> MobileScenario:
     if sum(s.duration for s in segments) < duration - _TIME_TOL:
         raise ScenarioError("script: segments cover less than the scenario duration")
 
-    landmarks = np.atleast_2d(np.asarray(_require(doc, "landmarks", "scenario"),
-                                         dtype=float))
-    if landmarks.ndim != 2 or landmarks.shape[1] != 3 or landmarks.shape[0] < 1:
-        raise ScenarioError("landmarks: expected a list of [x, y, z] positions")
+    landmarks = np.atleast_2d(_array(
+        _require(doc, "landmarks", "scenario"), "landmarks", "a list of [x, y, z] positions",
+        lambda a: a.size > 0 and np.atleast_2d(a).shape[1:] == (3,)))
 
     meas = _mapping(_require(doc, "measurements", "scenario"), "measurements")
     rng_spec = _mapping(_require(meas, "range", "measurements"), "measurements.range")
@@ -301,7 +308,7 @@ def _parse_mobile(doc) -> MobileScenario:
         input_rate=input_rate,
         sim_step=_number(doc.get("sim_step", 1e-4), "sim_step", positive=True),
         seed=_integer(doc.get("seed", 0), "seed"),
-        planar=bool(doc.get("planar", True)),
+        planar=_flag(doc.get("planar", True), "planar"),
         start=_yaw_pose(_vector(start.get("position", [0.0, 0.0, 0.0]), 3,
                                 "start.position"),
                         _number(start.get("yaw", 0.0), "start.yaw")),
@@ -314,7 +321,7 @@ def _parse_mobile(doc) -> MobileScenario:
                               "hyper.qc_baseline"),
         node_policy=_choice(doc.get("node_policy", "all"), {"all", "meas-only"},
                             "node_policy"),
-        process_noise=bool(doc.get("process_noise", False)),
+        process_noise=_flag(doc.get("process_noise", False), "process_noise"),
         anchor_pose_sigma=pose_sigma,
         anchor_bias_sigma=bias_sigma,
         planar_lock_mode=_choice(lock.get("mode", "full"), {"full", "bias", "none"},
@@ -334,7 +341,8 @@ def _parse_continuum(doc) -> ContinuumScenario:
             raise ScenarioError("rod.disks: need at least one disk")
         disk_arclengths = np.linspace(length / disks, length, disks)
     else:
-        disk_arclengths = np.asarray(disks, dtype=float).ravel()
+        disk_arclengths = _array(disks, "rod.disks", "a disk count or a list of arclengths",
+                                 lambda a: a.size > 0).ravel()
     rod = RodModel(length, stiffness, tuple(disk_arclengths))
 
     hyper = _mapping(_require(doc, "hyper", "scenario"), "hyper")

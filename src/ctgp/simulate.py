@@ -23,6 +23,7 @@ import numpy as np
 
 from .continuum import STRAIGHT_STRAIN, tensions_to_inputs
 from .errors import DomainError
+from .inputs import InputProfile
 from .liegroup import Pose, exp_map, so3_project, wedge
 from .scenario import Disturbance, MobileScenario
 
@@ -155,14 +156,9 @@ def simulate_mobile(scenario: MobileScenario, *, seed=None) -> MobileTruth:
                        commanded, tuple(ranges))
 
 
-def filter_ranges(ranges, interval, *, start=0.0):
+def filter_ranges(ranges, interval):
     """Keep the range samples that fall on the coarser schedule."""
-    out = []
-    for s in ranges:
-        k = (s.time - start) / interval
-        if abs(k - round(k)) < 1e-6:
-            out.append(s)
-    return tuple(out)
+    return tuple(s for s in ranges if abs(s.time / interval - round(s.time / interval)) < 1e-6)
 
 
 def _strain_table(rod, profiles, disturbance: Disturbance | None):
@@ -172,14 +168,9 @@ def _strain_table(rod, profiles, disturbance: Disturbance | None):
     the knots integrates them exactly and the strain between knots is the
     quadratic continuation from the previous knot.
     """
-    knots = [profiles[0].start]
-    accel = [profiles[0].evaluate(profiles[0].start)[1]]
-    for p in profiles:
-        for seg in p.segments:
-            knots.append(seg.t1)
-            accel.append(seg.a1)
-    knots = np.asarray(knots)
-    accel = np.asarray(accel)
+    full = InputProfile.join(profiles)
+    knots = np.concatenate([full.t0[:1], full.t1])
+    accel = np.concatenate([full.a0[:1], full.a1])
     strain = np.zeros_like(accel)
     strain[0] = STRAIGHT_STRAIN
     widths = np.diff(knots)

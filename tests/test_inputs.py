@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from ctgp import inputs
+from ctgp import inputs, prior, scenario, simulate
 from ctgp.errors import DegenerateInputError, DomainError
 
 
@@ -33,7 +35,84 @@ def test_profile_requires_contiguity_and_accepts_long_segments():
     with pytest.raises(DegenerateInputError):
         inputs.InputProfile((s1, s2))
     long_seg = inputs.InputSegment(0.0, 2.0, vx(1.0), vx(1.0), np.zeros(6), np.zeros(6))
-    assert inputs.InputProfile((long_seg,)).segments == (long_seg,)
+    assert_same_segments(inputs.InputProfile((long_seg,)).segments, [long_seg])
+
+
+def assert_same_segments(got, want):
+    """Two sequences of InputSegments agree field by field, bit for bit."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        for f in dataclasses.fields(w):
+            assert np.array_equal(getattr(g, f.name), getattr(w, f.name)), f.name
+
+
+def jumpy_segments(rng, n=7):
+    """n contiguous random segments whose values jump at every knot."""
+    t = 0.3 + np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 0.7, n))])
+    return [inputs.InputSegment(t[i], t[i + 1], *rng.standard_normal((4, 6)))
+            for i in range(n)]
+
+
+def test_profile_gives_back_its_segments():
+    segs = jumpy_segments(np.random.default_rng(1))
+    assert_same_segments(inputs.InputProfile(segs).segments, segs)
+
+
+def test_evaluate_is_the_per_row_lerp_bit_for_bit():
+    rng = np.random.default_rng(2)
+    segs = jumpy_segments(rng)
+    p = inputs.InputProfile(segs)
+    inside = [rng.uniform(s.t0, s.t1) for s in segs]
+    knots = [s.t0 for s in segs]
+    times = inside + knots + [p.end]
+    # right-continuous: a knot belongs to the segment it starts, the end to the last
+    want = [segs[k].values_at(t) for k, t in enumerate(inside)]
+    want += [s.values_at(s.t0) for s in segs] + [segs[-1].values_at(p.end)]
+    v, a = p.evaluate(np.array(times))
+    for i, (t, (v_ref, a_ref)) in enumerate(zip(times, want)):
+        v_one, a_one = p.evaluate(t)
+        assert np.array_equal(v_one, v_ref) and np.array_equal(a_one, a_ref), t
+        assert np.array_equal(v[i], v_ref) and np.array_equal(a[i], a_ref), t
+
+
+@pytest.mark.parametrize("window", ["straddling", "knot-aligned", "inside-one-row"])
+def test_slice_is_the_per_row_split_bit_for_bit(window):
+    rng = np.random.default_rng(3)
+    segs = jumpy_segments(rng)
+    t0, t1 = {"straddling": (rng.uniform(segs[1].t0, segs[1].t1),
+                             rng.uniform(segs[4].t0, segs[4].t1)),
+              "knot-aligned": (segs[2].t0, segs[5].t0),
+              "inside-one-row": tuple(np.sort(rng.uniform(segs[3].t0, segs[3].t1, 2)))}[window]
+    want = []
+    for s in segs:
+        lo, hi = max(s.t0, t0), min(s.t1, t1)
+        if hi - lo > 1e-9:
+            (v_lo, a_lo), (v_hi, a_hi) = s.values_at(lo), s.values_at(hi)
+            want.append(inputs.InputSegment(lo, hi, v_lo, v_hi, a_lo, a_hi))
+    assert_same_segments(inputs.InputProfile(segs).slice(t0, t1).segments, want)
+
+
+def test_builders_and_consumers_construct_no_segment(monkeypatch):
+    calls = []
+    post_init = inputs.InputSegment.__post_init__
+    monkeypatch.setattr(inputs.InputSegment, "__post_init__",
+                        lambda seg: calls.append(seg) or post_init(seg))
+    times = np.linspace(0.0, 2.0, 21)
+    rng = np.random.default_rng(4)
+    p = inputs.from_samples(times, rng.standard_normal((21, 6)), rng.standard_normal((21, 6)))
+    hyper = prior.PriorHyper(np.ones(6))
+    fine = prior.precompute_intervals(
+        [p.slice(a, b) for a, b in zip(times[:-1:4], times[4::4])]
+        + [inputs.InputProfile.zero(2.0, 2.5)], hyper)
+    coarse = prior.IntervalBlocks.compose(fine)
+    coarse.at(0.77), coarse.at(2.2), p.evaluate(times), p.is_zero()
+    sc = scenario.bundled_scenario("continuum_bench")
+    _, _, tendons, disturbance = sc.configs()[-1]
+    simulate.simulate_rod(sc.rod, tendons, np.linspace(0.0, sc.rod.length, sc.node_count),
+                          [sc.rod.length], disturbance=disturbance, step=1e-3)
+    assert calls == []
+    segs = coarse.profile.segments  # the counter sees the rows that segments rebuilds
+    assert len(segs) == len(calls) == 21
 
 
 def test_evaluate_linear_interpolation_and_right_continuity():
@@ -85,6 +164,8 @@ def test_from_samples_validation():
         inputs.from_samples([0.0, 0.0], np.stack([vx(1.0), vx(1.0)]))
     with pytest.raises(DegenerateInputError):
         inputs.from_samples([0.0, 1.0], np.ones((2, 5)))
+    with pytest.raises(DegenerateInputError):
+        inputs.from_samples([0.0, np.inf], np.stack([vx(1.0), vx(1.0)]))
 
 
 def test_slice_clips_with_interpolated_endpoints():
@@ -108,6 +189,8 @@ def test_zero_profile():
     v, a = p.evaluate(2.5)
     assert np.allclose(v, 0.0) and np.allclose(a, 0.0)
     assert not ramp_profile().is_zero()
+    with pytest.raises(DegenerateInputError):
+        inputs.InputProfile.zero(1.0, 1.0)
 
 
 def test_read_input_log_with_and_without_accelerations(tmp_path):

@@ -102,6 +102,14 @@ class TestMobileParsing:
         (lambda d: d.update(script=[{"duration": 1.0, "forward": 1.0}]),
          "less than the scenario duration"),
         (lambda d: d.update(landmarks=[[1.0, 2.0]]), "landmarks"),
+        pytest.param(lambda d: d.update(landmarks=[[1.0, 2.0, 0.0], [1.0, 2.0]]), "landmarks",
+                     id="ragged-landmarks"),
+        pytest.param(lambda d: d.update(landmarks=[[1.0, "north", 0.0]]), "landmarks",
+                     id="non-numeric-landmarks"),
+        pytest.param(lambda d: d.update(landmarks=[[1.0, float("nan"), 0.0]]), "landmarks",
+                     id="nan-landmarks"),
+        (lambda d: d.update(planar="false"), "planar"),
+        (lambda d: d.update(process_noise="no"), "process_noise"),
         (lambda d: d["measurements"]["range"].update(interval=0.37), "whole number"),
         (lambda d: d["measurements"]["range"].update(variance=-1.0), "positive"),
         (lambda d: d["measurements"]["range"].update(scale=2.0), "implausible"),
@@ -154,6 +162,13 @@ class TestContinuumParsing:
     @pytest.mark.parametrize("mutate, match", [
         (lambda d: d.update(node_count=1), "node_count"),
         (lambda d: d["rod"].update(stiffness=[1.0] * 5), "stiffness"),
+        pytest.param(lambda d: d["rod"].update(disks=[]), "rod.disks", id="empty-disks"),
+        pytest.param(lambda d: d["rod"].update(disks=[0.1, [0.15, 0.2]]), "rod.disks",
+                     id="ragged-disks"),
+        pytest.param(lambda d: d["rod"].update(disks=[0.1, "tip"]), "rod.disks",
+                     id="non-numeric-disks"),
+        pytest.param(lambda d: d["rod"].update(disks=[0.1, float("nan")]), "rod.disks",
+                     id="nan-disks"),
         (lambda d: d.update(tension_sets=[]), "tension_sets"),
         (lambda d: d["tension_sets"][0][0].update(tension=-1.0), "non-negative"),
         (lambda d: d["disturbances"][0].update(span=[0.9, 0.4]), "span"),

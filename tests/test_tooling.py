@@ -421,3 +421,26 @@ def test_builtin_raises_finder_sees_bare_and_called_classes(tmp_path):
 def test_package_raises_only_its_own_errors():
     """The typed errors of ctgp.errors name what went wrong; a built-in class does not."""
     assert builtin_raises(sorted(SRC.glob("*.py"))) == []
+
+
+def segments_reads(paths):
+    """(file, line) of each read of a .segments attribute, sorted."""
+    return sorted((path.name, node.lineno) for path in paths for node in ast.walk(_parse(path))
+                  if isinstance(node, ast.Attribute) and node.attr == "segments"
+                  and isinstance(node.ctx, ast.Load))
+
+
+def test_segments_reads_finder_sees_attribute_loads_only(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("segments = []\n"
+                      "def f(profile, other):\n"
+                      "    for seg in profile.segments:\n"
+                      "        segments.append(seg)\n"
+                      "    other.segments = segments\n"
+                      "    return getattr(profile, 'x').segments[0]\n")
+    assert segments_reads([module]) == [("m.py", 3), ("m.py", 6)]
+
+
+def test_only_inputs_reads_profile_segments():
+    """The block build, the queries and the simulators read a profile's stacked arrays."""
+    assert segments_reads([p for p in sorted(SRC.glob("*.py")) if p.name != "inputs.py"]) == []
