@@ -30,10 +30,10 @@ from .errors import ScenarioError
 from .factors import (AnchorFactor, InterpolatedFactor, PlanarLockFactor,
                       PositionFactor, RangeFactor, VelocityFactor)
 from .inputs import InputProfile, InputSegment, from_samples
-from .interpolation import CHUNK_ROWS, Trajectory
+from .interpolation import Trajectory
 from .liegroup import Pose, position_jacobian, so3_log
-from .prior import (TIME_TOL, IntervalBlocks, NodeArrays, PriorHyper, StateNode,
-                    precompute_intervals, prior_mean_propagate)
+from .prior import (IntervalBlocks, NodeArrays, PriorHyper, StateNode, precompute_intervals,
+                    prior_mean_propagate)
 from .scenario import ContinuumScenario, MobileScenario
 from .simulate import (MobileTruth, filter_ranges, integrate_poses, interpolate_ticks,
                        simulate_mobile, simulate_rod)
@@ -127,7 +127,7 @@ def _pose_columns(rot, trans):
 
 
 def _stacked(poses):
-    """(rotations (n, 3, 3), translations (n, 3)) of a sequence of Poses."""
+    """(rotations (n, 3, 3), translations (n, 3)) of a sequence of Poses, the rod truth's."""
     return (np.stack([p.rotation for p in poses]),
             np.stack([p.translation for p in poses]))
 
@@ -294,22 +294,10 @@ def run_experiment(scenario: MobileScenario, *, method="inputs", node_policy=Non
                             cross_covariances=solution.cross_covariances)
 
     times = truth.times
-    est_rot, est_trans = np.empty((len(times), 3, 3)), np.empty((len(times), 3))
-    velocity, variance = np.empty((len(times), 6)), np.empty((len(times), 12))
-    # a chunk of ticks at a time keeps the held results small on long runs
-    for lo in range(0, len(times), CHUNK_ROWS):
-        chunk = trajectory.query_many(times[lo:lo + CHUNK_ROWS], with_covariance=True)
-        hi = lo + len(chunk)
-        est_rot[lo:hi], est_trans[lo:hi] = _stacked([q.pose for q in chunk])
-        velocity[lo:hi] = [q.velocity for q in chunk]
-        variance[lo:hi] = [np.diag(q.covariance) for q in chunk]
-    truth_rot, truth_trans = _stacked(truth.poses)
-    rows = np.column_stack([times, _pose_columns(truth_rot, truth_trans),
-                            _pose_columns(est_rot, est_trans), velocity, variance])
-    # a tick is interpolated unless a node sits at its time
-    after = np.clip(np.searchsorted(node_times, times), 1, len(node_times) - 1)
-    gap = np.minimum(np.abs(node_times[after - 1] - times), np.abs(node_times[after] - times))
-    interpolated = int(np.count_nonzero(gap > TIME_TOL))
+    est = trajectory.query_many(times, with_covariance=True)
+    rows = np.column_stack([times, _pose_columns(truth.rot, truth.trans),
+                            _pose_columns(est.rot, est.trans), est.velocity,
+                            np.diagonal(est.covariance, axis1=1, axis2=2)])
 
     metrics = Metrics(
         scenario=scenario.name,
@@ -318,11 +306,12 @@ def run_experiment(scenario: MobileScenario, *, method="inputs", node_policy=Non
         dt_landmark=(scenario.range_schedule.interval if dt_landmark is None
                      else float(dt_landmark)),
         node_count=len(node_times),
-        **_errors(truth_rot, truth_trans, est_rot, est_trans),
+        **_errors(truth.rot, truth.trans, est.rot, est.trans),
         solve_time=solve_time,
         iterations=solution.iterations,
         converged=solution.converged,
-        interpolated_fraction=interpolated / len(times),
+        # the nodes sit on ticks; the remaining ticks are interpolated
+        interpolated_fraction=(len(times) - len(node_times)) / len(times),
     )
     return ExperimentResult(metrics, truth, trajectory, solution, rows)
 
@@ -383,9 +372,8 @@ def _fig3_profile(variant):
 
 def _fig3_rows(trajectory, times):
     queried = trajectory.query_many(times, with_covariance=True)
-    return np.column_stack([times, _pose_columns(*_stacked([q.pose for q in queried])),
-                            [q.velocity for q in queried],
-                            [np.sqrt(np.diag(q.covariance)) for q in queried]])
+    return np.column_stack([times, _pose_columns(queried.rot, queried.trans), queried.velocity,
+                            np.sqrt(np.diagonal(queried.covariance, axis1=1, axis2=2))])
 
 
 def reproduce_fig3(variant="velocity"):
@@ -453,17 +441,15 @@ def run_continuum(scenario: ContinuumScenario, *, method="inputs"):
     rod = scenario.rod
     rng = np.random.default_rng(scenario.seed)
     node_arclengths = np.linspace(0.0, rod.length, scenario.node_count)
-    samples = np.unique(np.concatenate([rod.disk_arclengths, [rod.length]]))
     hyper = PriorHyper(scenario.qc)
     sigma = float(np.sqrt(scenario.tip_variance))
 
     out = []
     for i, j, tendons, disturbance in scenario.configs():
-        truth_poses = simulate_rod(rod, tendons, node_arclengths, samples,
-                                   disturbance=disturbance,
-                                   step=scenario.sim_step)
-        truth = dict(zip((float(s) for s in samples), truth_poses))
-        tip_measured = truth[rod.length].translation + rng.standard_normal(3) * sigma
+        *disks, tip = simulate_rod(rod, tendons, node_arclengths,
+                                   rod.disk_arclengths + (rod.length,),
+                                   disturbance=disturbance, step=scenario.sim_step)
+        tip_measured = tip.translation + rng.standard_normal(3) * sigma
         meas = [PositionFactor(scenario.node_count - 1, tip_measured,
                                scenario.tip_variance * np.eye(3))]
         used = tendons if method == "inputs" else ()
@@ -476,8 +462,7 @@ def run_continuum(scenario: ContinuumScenario, *, method="inputs"):
             scenario=scenario.name,
             config=f"tensions{i}-load{j}",
             method=method,
-            **_errors(*_stacked([truth[float(s)] for s in rod.disk_arclengths]),
-                      *_stacked([q.pose for q in queried])),
+            **_errors(*_stacked(disks), queried.rot, queried.trans),
             solve_time=solve_time,
             iterations=solution.iterations,
             converged=solution.converged,
@@ -506,7 +491,7 @@ def write_csv(path, columns, rows, *, what="csv"):
 
 def write_truth_csv(path, truth: MobileTruth):
     """The simulated truth at each tick: time, pose columns and the full body twist."""
-    rows = np.column_stack([truth.times, _pose_columns(*_stacked(truth.poses)),
+    rows = np.column_stack([truth.times, _pose_columns(truth.rot, truth.trans),
                             truth.input_velocities + truth.biases])
     write_csv(path, ["time", "x", "y", "z", "rx", "ry", "rz",
                      "vx", "vy", "vz", "wx", "wy", "wz"], rows, what="truth")

@@ -85,6 +85,8 @@ class InputProfile:
     def join(cls, profiles) -> "InputProfile":
         """Consecutive profiles as one; raises DegenerateInputError unless contiguous."""
         parts = list(profiles)
+        if not parts:
+            raise DegenerateInputError("join requires at least one profile, got none")
         out = cls._stacked(*(np.concatenate([getattr(p, name) for p in parts])
                              for name in cls.__slots__))
         out._check_contiguous()

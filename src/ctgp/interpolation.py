@@ -9,11 +9,12 @@ query_rows is the one builder of those gains: it turns each time's
 IntervalBlocks.at pieces into stacked QueryRows. There is one evaluation
 path, chain: the rows interpolated from the stacked node states and each
 interval's chart (prior.interval_chart), with the node Jacobian and
-covariance on request. Trajectory.query_many runs it over its off-node
-rows, a fixed-size chunk at a time, and the solver's interpolated factor
-batches build their rows once and run it over them at every
-linearization; Trajectory.query, lambda_psi, interpolate_mean,
-interpolate_with_jacobian and interpolate_covariance are batches of one.
+covariance on request. Trajectory.query_many gathers its node hits and
+runs chain over its off-node rows, a fixed-size chunk at a time, into one
+stacked QueryArrays; the solver's interpolated factor batches run it over
+their rows at every linearization. Trajectory.query, lambda_psi,
+interpolate_mean, interpolate_with_jacobian and interpolate_covariance are
+batches of one.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from .liegroup import Pose, j_vec_dx, se3_adjoint, se3_exp_jacobian
 from .prior import (TIME_TOL, IntervalBlocks, IntervalChart, NodeArrays, StateNode,
                     check_interval_times, interval_chart)
 
-# off-node rows per batched chain in Trajectory.query_many; callers that
-# query long runs may consume their times in chunks of this size too
+# off-node rows per batched chain in Trajectory.query_many and per
+# interpolated factor batch
 CHUNK_ROWS = 512
 
 
@@ -50,6 +51,32 @@ class QueryResult:
     velocity: np.ndarray
     covariance: np.ndarray | None = None
     covariance_is_approximate: bool = False
+
+
+@dataclass(frozen=True, eq=False)
+class QueryArrays:
+    """n query results, stacked, as a sequence of QueryResult rows (queried[i]).
+
+    time (n,), the poses' rot (n, 3, 3) and trans (n, 3), bias and velocity
+    (n, 6), covariance (n, 12, 12) or None, and approximate (n,), the
+    covariance_is_approximate flags.
+    """
+
+    time: np.ndarray
+    rot: np.ndarray
+    trans: np.ndarray
+    bias: np.ndarray
+    velocity: np.ndarray
+    covariance: np.ndarray | None
+    approximate: np.ndarray
+
+    def __len__(self):
+        return len(self.time)
+
+    def __getitem__(self, i):
+        return QueryResult(float(self.time[i]), Pose(self.rot[i], self.trans[i]), self.bias[i],
+                           self.velocity[i], None if self.covariance is None else self.covariance[i],
+                           bool(self.approximate[i]))
 
 
 class QueryRows(NamedTuple):
@@ -273,12 +300,12 @@ class Trajectory:
 
     Wraps the node estimates, stacked once (NodeArrays.stack), and the
     per-interval blocks; queries between nodes interpolate the posterior,
-    queries at node times return the node values. Covariances are attached
-    when the solver marginals (and optionally the adjacent-node
-    cross-covariances) are supplied; the marginals are validated once,
-    here, rather than on every query. Each interval's chart is computed
-    once, at the first query that falls between nodes, and kept: the
-    trajectory never changes.
+    queries at node times return the node values; query_many stacks them in
+    a QueryArrays. Covariances are attached when the solver marginals (and
+    optionally the adjacent-node cross-covariances) are supplied; the
+    marginals are validated once, here, rather than on every query. Each
+    interval's chart is computed once, at the first query off the nodes,
+    and kept: the trajectory never changes.
     """
 
     def __init__(self, nodes, blocks_list, covariances=None, cross_covariances=None):
@@ -313,44 +340,41 @@ class Trajectory:
     def query(self, tau: float, *, with_covariance: bool = False) -> QueryResult:
         return self.query_many([tau], with_covariance=with_covariance)[0]
 
-    def query_many(self, times, *, with_covariance: bool = False):
-        """QueryResults at each time, the off-node ones in batched chains.
+    def query_many(self, times, *, with_covariance: bool = False) -> QueryArrays:
+        """The posterior at each time, stacked; the off-node rows in batched chains.
 
         The off-node rows run CHUNK_ROWS at a time, which bounds the
         arrays a chain holds however many times are asked for.
         """
         taus = np.asarray(times, dtype=float).reshape(-1)
-        node_times = self._state.time
-        # interval k holds [t_k, t_k+1); the last one also holds its end
-        k = np.clip(np.searchsorted(node_times, taus, side="right") - 1,
-                    0, len(self.blocks) - 1)
-        nearest = np.where(np.abs(taus - node_times[k]) <= np.abs(node_times[k + 1] - taus),
+        state = self._state
+        # interval k holds [t_k, t_k+1) and the last one also its end, so k
+        # counts the interior nodes at or before tau
+        k = np.searchsorted(state.time[1:-1], taus, side="right")
+        nearest = np.where(np.abs(taus - state.time[k]) <= np.abs(state.time[k + 1] - taus),
                            k, k + 1)
-        hit = np.abs(node_times[nearest] - taus) <= TIME_TOL
+        hit = np.abs(state.time[nearest] - taus) <= TIME_TOL
         with_cov = with_covariance and self.covariances is not None
-
-        out = [None] * len(taus)
+        # every row starts as its nearest node; the off-node rows are then overwritten
+        out = QueryArrays(np.where(hit, state.time[nearest], taus), state.rot[nearest],
+                          state.trans[nearest], state.bias[nearest], state.bias[nearest],
+                          self.covariances[nearest] if with_cov else None,
+                          ~hit & (with_cov and self.cross_covariances is None))
         for i in np.flatnonzero(hit):
-            j = nearest[i]
-            node = self._state[j]
             # the input twist is right-continuous: read it from the interval
             # that starts at the node, or the last one for the last node
-            v_in = self.blocks[min(j, len(self.blocks) - 1)].profile.evaluate(node.time)[0]
-            out[i] = QueryResult(node.time, node.pose, node.bias.copy(), node.bias + v_in,
-                                 self.covariances[j].copy() if with_cov else None, False)
+            blocks = self.blocks[min(nearest[i], len(self.blocks) - 1)]
+            out.velocity[i] += blocks.profile.evaluate(out.time[i])[0]
         off = np.flatnonzero(~hit)
         if len(off) and self._chart is None:
-            self._chart = interval_chart(self._state)
+            self._chart = interval_chart(state)
         for lo in range(0, len(off), CHUNK_ROWS):
             part = off[lo:lo + CHUNK_ROWS]
-            rows = query_rows([self.blocks[k[i]] for i in part], taus[part], k[part])
-            ch = chain(rows, self._state, self._chart, jacobians=with_cov)
-            cov = (chain_covariance(rows, ch, self.covariances, self.cross_covariances)
-                   if with_cov else None)
-            velocity = ch.bias + rows.input_velocity
-            for row, i in enumerate(part):
-                out[i] = QueryResult(
-                    float(taus[i]), Pose(ch.rot[row], ch.trans[row]), ch.bias[row],
-                    velocity[row], None if cov is None else cov[row],
-                    with_cov and self.cross_covariances is None)
+            rows = query_rows([self.blocks[i] for i in k[part]], taus[part], k[part])
+            ch = chain(rows, state, self._chart, jacobians=with_cov)
+            out.rot[part], out.trans[part], out.bias[part] = ch.rot, ch.trans, ch.bias
+            out.velocity[part] = ch.bias + rows.input_velocity
+            if with_cov:
+                out.covariance[part] = chain_covariance(rows, ch, self.covariances,
+                                                        self.cross_covariances)
         return out

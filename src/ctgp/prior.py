@@ -166,7 +166,7 @@ class NodeArrays:
 
     @classmethod
     def stack(cls, nodes):
-        """StateNodes (or QueryResults), or a NodeArrays, as rows numbered 0 to K-1."""
+        """StateNodes, or a NodeArrays, as rows numbered 0 to K-1."""
         if isinstance(nodes, NodeArrays):
             return replace(nodes, index=np.arange(len(nodes)))
         return cls(np.arange(len(nodes)),

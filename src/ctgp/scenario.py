@@ -341,8 +341,9 @@ def _parse_continuum(doc) -> ContinuumScenario:
             raise ScenarioError("rod.disks: need at least one disk")
         disk_arclengths = np.linspace(length / disks, length, disks)
     else:
-        disk_arclengths = _array(disks, "rod.disks", "a disk count or a list of arclengths",
-                                 lambda a: a.size > 0).ravel()
+        disk_arclengths = _array(disks, "rod.disks",
+                                 f"a disk count or a list of arclengths in [0, {length:g}]",
+                                 lambda a: a.size > 0 and np.all((a >= 0) & (a <= length))).ravel()
     rod = RodModel(length, stiffness, tuple(disk_arclengths))
 
     hyper = _mapping(_require(doc, "hyper", "scenario"), "hyper")

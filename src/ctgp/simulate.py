@@ -1,8 +1,8 @@
 """Ground-truth generation for the simulated experiments.
 
 The mobile simulator integrates the pose kinematics driven by the scripted
-body velocity, optionally perturbed by an initial-state draw and a
-velocity-bias random walk whose intensity matches the estimator's prior.
+body velocity, optionally perturbed by an initial-state draw and a bias
+random walk matching the estimator's prior; its truth holds stacked poses.
 
 The continuum simulator integrates the same kinematics over arclength, with
 the strain obtained exactly from the piecewise-linear actuation inputs plus
@@ -18,6 +18,7 @@ integrate at a fine fixed step, the dead reckoning at one step per tick.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -44,6 +45,7 @@ class RangeSample:
 class MobileTruth:
     """One simulated run: truth at the input ticks plus the measurement log.
 
+    rot (n, 3, 3) and trans (n, 3) are the poses, as Pose rows in poses.
     input_velocities holds the estimator-visible velocity stream (the
     scripted commands); biases holds the true deviation from that stream,
     zero unless the scenario samples initial errors or process noise.
@@ -51,10 +53,15 @@ class MobileTruth:
 
     scenario: MobileScenario
     times: np.ndarray
-    poses: tuple[Pose, ...]
+    rot: np.ndarray
+    trans: np.ndarray
     biases: np.ndarray
     input_velocities: np.ndarray
     ranges: tuple[RangeSample, ...]
+
+    @cached_property
+    def poses(self) -> tuple[Pose, ...]:
+        return tuple(map(Pose, self.rot, self.trans))
 
     def pose_at_tick(self, time) -> Pose:
         idx = int(np.argmin(np.abs(self.times - time)))
@@ -152,8 +159,7 @@ def simulate_mobile(scenario: MobileScenario, *, seed=None) -> MobileTruth:
                 float(times[k]), lm_idx,
                 dist * scenario.range_schedule.scale + float(noise[row, lm_idx])))
 
-    return MobileTruth(scenario, times, tuple(map(Pose, rot, trans)), true_bias(times),
-                       commanded, tuple(ranges))
+    return MobileTruth(scenario, times, rot, trans, true_bias(times), commanded, tuple(ranges))
 
 
 def filter_ranges(ranges, interval):

@@ -402,8 +402,8 @@ def _coarse_start(coarse: Problem, state: NodeArrays):
 
     The coarse problem runs through the same iterations, without
     covariances; its posterior mean, queried at the times of state, the
-    given dense nodes, and stacked, is the seed. None when the coarse solve
-    raises, does not converge, or a query leaves the local chart.
+    given dense nodes, is the seed. None when the coarse solve raises, does
+    not converge, or a query leaves the local chart.
     """
     counts = (0, 0)
     try:
@@ -415,7 +415,7 @@ def _coarse_start(coarse: Problem, state: NodeArrays):
         queried = trajectory.query_many(state.time)
     except EstimationError:
         return None, counts
-    return replace(NodeArrays.stack(queried), time=state.time), counts
+    return replace(state, rot=queried.rot, trans=queried.trans, bias=queried.bias), counts
 
 
 def solve(problem: Problem) -> Solution:

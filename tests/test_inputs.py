@@ -34,6 +34,8 @@ def test_profile_requires_contiguity_and_accepts_long_segments():
     s2 = inputs.InputSegment(0.5, 0.9, vx(1.0), vx(1.0), np.zeros(6), np.zeros(6))
     with pytest.raises(DegenerateInputError):
         inputs.InputProfile((s1, s2))
+    with pytest.raises(DegenerateInputError, match="at least one profile"):
+        inputs.InputProfile.join([])
     long_seg = inputs.InputSegment(0.0, 2.0, vx(1.0), vx(1.0), np.zeros(6), np.zeros(6))
     assert_same_segments(inputs.InputProfile((long_seg,)).segments, [long_seg])
 

@@ -332,6 +332,16 @@ def test_query_many_matches_per_time_queries(monkeypatch):
         off_node = [not np.any(np.isclose(tau, [0.0, 0.6, 1.2, 1.8])) for tau in times]
         want_flag = "covariances" in kw and "cross_covariances" not in kw
         assert approx == [want_flag and off for off in off_node]
+        assert np.array_equal(many.approximate, approx)
+        # an empty ask gives empty stacks of the same row shapes
+        empty = traj.query_many([], with_covariance=True)
+        assert isinstance(empty, interpolation.QueryArrays)
+        assert len(empty) == 0 and list(empty) == []
+        assert empty.rot.shape == (0, 3, 3) and empty.velocity.shape == (0, 6)
+        if "covariances" in kw:
+            assert empty.covariance.shape == (0, 12, 12)
+        else:
+            assert empty.covariance is None
 
 
 def test_trajectory_queries_and_wiring():

@@ -169,6 +169,8 @@ class TestContinuumParsing:
                      id="non-numeric-disks"),
         pytest.param(lambda d: d["rod"].update(disks=[0.1, float("nan")]), "rod.disks",
                      id="nan-disks"),
+        pytest.param(lambda d: d["rod"].update(disks=[0.1, 0.5]), "rod.disks",
+                     id="off-rod-disks"),
         (lambda d: d.update(tension_sets=[]), "tension_sets"),
         (lambda d: d["tension_sets"][0][0].update(tension=-1.0), "non-negative"),
         (lambda d: d["disturbances"][0].update(span=[0.9, 0.4]), "span"),

@@ -444,3 +444,56 @@ def test_segments_reads_finder_sees_attribute_loads_only(tmp_path):
 def test_only_inputs_reads_profile_segments():
     """The block build, the queries and the simulators read a profile's stacked arrays."""
     assert segments_reads([p for p in sorted(SRC.glob("*.py")) if p.name != "inputs.py"]) == []
+
+
+ROW_FIELDS = {"pose", "velocity", "covariance"}
+
+
+def row_restacks(paths):
+    """(file, function, line) of each comprehension that reads a row field of its loop variable.
+
+    A row field is .pose, .velocity or .covariance; function is the
+    qualified name of the innermost enclosing function or class, "" at
+    module level. Such a comprehension rebuilds a stack of states row by
+    row.
+    """
+    found = []
+
+    def visit(node, scope, path):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            elif isinstance(child, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)):
+                names = {n.id for gen in child.generators for n in ast.walk(gen.target)
+                         if isinstance(n, ast.Name)}
+                if any(isinstance(a, ast.Attribute) and a.attr in ROW_FIELDS
+                       and isinstance(a.value, ast.Name) and a.value.id in names
+                       for a in ast.walk(child)):
+                    found.append((path.name, scope, child.lineno))
+            visit(child, inner, path)
+
+    for path in paths:
+        visit(_parse(path), "", path)
+    return sorted(found)
+
+
+def test_row_restacks_finder_sees_loop_variable_fields_in_every_comprehension(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("def f(results, other):\n"
+                      "    a = [q.pose for q in results]\n"
+                      "    b = {i: q.covariance for i, q in enumerate(results)}\n"
+                      "    c = [other.velocity for q in results]\n"
+                      "    return sum(q.time for q in results)\n"
+                      "class C:\n"
+                      "    def stack(self, rows):\n"
+                      "        return list(r.velocity[0] for r in rows)\n"
+                      "TOP = [n.pose.rotation for n in []]\n")
+    assert row_restacks([module]) == [("m.py", "", 9), ("m.py", "C.stack", 8),
+                                      ("m.py", "f", 2), ("m.py", "f", 3)]
+
+
+def test_no_package_comprehension_restacks_state_rows():
+    """Stacked states are read as arrays; only NodeArrays.stack takes caller-given StateNodes."""
+    found = row_restacks(sorted(SRC.glob("*.py")))
+    assert [f for f in found if f[:2] != ("prior.py", "NodeArrays.stack")] == []
