@@ -207,10 +207,11 @@ def _composed(blocks_list, ratio):
 
 def build_mobile_problem(truth: MobileTruth, *, method="inputs",
                          node_policy=None, dt_landmark=None):
-    """Factor graph for one run. Returns (problem, blocks list, node times).
+    """Factor graph for one run. Returns (problem, intervals, node times).
 
-    The blocks list is the problem's own prior intervals (problem.blocks),
-    returned for building the Trajectory of the solution.
+    The intervals are the problem's own prior intervals, one IntervalArrays
+    built by precompute_intervals (problem.blocks), returned for building
+    the Trajectory of the solution.
 
     The nodes start at dead reckoning. With method="inputs" and a node grid
     finer than the coarse spacing, the problem also carries a coarse problem

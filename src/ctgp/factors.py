@@ -9,8 +9,9 @@ The one-node types (range, position, pose, velocity, planar lock, anchor)
 each have one vectorized kernel over stacked node states. The solver groups
 their instances into FactorBatches and linearizes each group in one call;
 their evaluate and the *_factor_error functions are batch-of-one calls into
-the same kernel. Covariances are validated and inverted once, when a factor
-is built.
+the same kernel. When a factor is built, its covariances are validated and
+inverted once, and its measured values are checked for shape and
+finiteness and copied.
 
 An InterpolatedFactor wraps one of those one-node factors, its inner, and
 joins an InterpolatedBatch of up to CHUNK_ROWS rows. The batch builds the
@@ -20,10 +21,12 @@ all of them, the inner kernel runs on those, and its Jacobian is chained
 onto both bracketing nodes. A measurement of another kind is a custom
 two-node factor whose evaluate calls interpolated_factor.
 
-The motion prior is no factor object: the solver takes its IntervalBlocks
-as they are. prior_factor_batch evaluates the prior error of every interval
-in one pass, from the interval charts (prior.interval_chart) that the
-interpolated queries also read, and prior_factor_error is its batch of one.
+The motion prior is no factor object: the solver takes its intervals as
+they are, in one IntervalArrays. prior_factor_batch evaluates the prior
+error of every interval in one pass, reading Phi, the input integrals and
+Q^-1 from that container and the interval charts (prior.interval_chart)
+that the interpolated queries also read; prior_factor_error is its batch
+of one.
 
 Every factor dataclass is frozen and compares by identity (eq=False), so
 factors are hashable and comparing two never touches their array fields.
@@ -32,7 +35,6 @@ factors are hashable and comparing two never touches their array fields.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -46,7 +48,7 @@ from .errors import (
 from .interpolation import CHUNK_ROWS, chain, interpolate_with_jacobian, query_rows
 from .liegroup import (Pose, curlywedge, position_jacobian, se3_log_jacobian_inv,
                        so3_left_jacobian_inv, so3_log)
-from .prior import (IntervalBlocks, IntervalChart, NodeArrays, StateNode,
+from .prior import (IntervalArrays, IntervalBlocks, IntervalChart, NodeArrays, StateNode,
                     check_interval_times, interval_chart)
 
 
@@ -73,27 +75,22 @@ def _information_from_covariance(covariance, label):
     return np.linalg.inv(cov)
 
 
-class PriorConstants(NamedTuple):
-    """The state-independent prior quantities of K-1 intervals, stacked once.
+def _check_values(factor, shapes):
+    """Store a copy of each named field of factor as a finite float array of its shape.
 
-    phi_bias (K-1, 12, 6) holds Phi's bias columns, input_full (K-1, 12) the
-    input integrals, info (K-1, 12, 12) the weights Q^-1, and t0, t1 (K-1,)
-    the interval ends.
+    shapes maps field names to shapes; a field of shape () is kept as a
+    float. Raises DegenerateInputError naming the factor and the field.
     """
-
-    phi_bias: np.ndarray
-    input_full: np.ndarray
-    info: np.ndarray
-    t0: np.ndarray
-    t1: np.ndarray
-
-    @classmethod
-    def stack(cls, blocks_list):
-        return cls(np.stack([b.phi[:, 6:] for b in blocks_list]),
-                   np.stack([b.input_full for b in blocks_list]),
-                   np.stack([b.q_full_inv for b in blocks_list]),
-                   np.array([b.t0 for b in blocks_list]),
-                   np.array([b.t1 for b in blocks_list]))
+    for name, shape in shapes.items():
+        try:
+            value = np.array(getattr(factor, name), dtype=float)
+        except (TypeError, ValueError):
+            value = None
+        if value is None or value.shape != shape or not np.all(np.isfinite(value)):
+            raise DegenerateInputError(
+                f"{type(factor).__name__} field {name} must be finite of shape {shape}, "
+                f"got {getattr(factor, name)!r}")
+        object.__setattr__(factor, name, value if shape else float(value))
 
 
 def prior_factor_batch(nodes, blocks, *, chart=None):
@@ -104,26 +101,26 @@ def prior_factor_batch(nodes, blocks, *, chart=None):
     interval_chart. Returns a dict with stacked arrays: error (K-1, 12), info
     (K-1, 12, 12), and j_k / j_k1 (K-1, 12, 12).
 
-    nodes is the K node states, stacked by NodeArrays.stack. blocks is the
-    K-1 IntervalBlocks, checked here against the node times, or their
-    PriorConstants, stacked and checked once by the caller. The solver
-    passes those, checked when its Problem was built, and the interval
-    charts (interval_chart) that its interpolated factors also read.
+    nodes is the K node states, stacked by NodeArrays.stack, and blocks the
+    K-1 intervals, IntervalBlocks or their IntervalArrays (stacked by
+    IntervalArrays.stack), checked here against the node times. The solver
+    passes its Problem's IntervalArrays and the interval charts
+    (interval_chart) that its interpolated factors also read.
     """
     nodes = NodeArrays.stack(nodes)
-    if not isinstance(blocks, PriorConstants):
-        if len(blocks) != len(nodes) - 1:
-            raise WiringError("need one IntervalBlocks per adjacent node pair")
-        blocks = PriorConstants.stack(blocks)
-        check_interval_times(nodes.time, blocks.t0, blocks.t1)
+    blocks = IntervalArrays.stack(blocks)
+    if len(blocks) != len(nodes) - 1:
+        raise WiringError("need one IntervalBlocks per adjacent node pair")
+    check_interval_times(nodes.time, blocks.t0, blocks.t1)
     if chart is None:
         chart = interval_chart(nodes)
-    error = (chart.gamma - np.einsum("nij,nj->ni", blocks.phi_bias, nodes.bias[:-1])
+    phi_bias = blocks.phi[:, :, 6:]
+    error = (chart.gamma - np.einsum("nij,nj->ni", phi_bias, nodes.bias[:-1])
              - blocks.input_full)
     j_k = np.empty((len(error), 12, 12))
     j_k[:, :, :6] = chart.jac_k
-    j_k[:, :, 6:] = -blocks.phi_bias
-    return {"error": error, "info": blocks.info, "j_k": j_k, "j_k1": chart.jac_k1}
+    j_k[:, :, 6:] = -phi_bias
+    return {"error": error, "info": blocks.q_full_inv, "j_k": j_k, "j_k1": chart.jac_k1}
 
 
 def prior_factor_error(node_k: StateNode, node_k1: StateNode,
@@ -346,6 +343,7 @@ class AnchorFactor(_BatchedFactor):
     _kernel = staticmethod(_anchor_kernel)
 
     def __post_init__(self):
+        _check_values(self, {"bias": (6,)})
         pose_info = _information_from_covariance(self.pose_covariance, "anchor pose")
         bias_info = _information_from_covariance(self.bias_covariance, "anchor bias")
         if pose_info.shape != (6, 6) or bias_info.shape != (6, 6):
@@ -371,6 +369,7 @@ class RangeFactor(_BatchedFactor):
     _kernel = staticmethod(_range_kernel)
 
     def __post_init__(self):
+        _check_values(self, {"landmark": (3,), "measured": ()})
         if not self.variance > 0:
             raise HyperparameterError("range variance must be positive")
         object.__setattr__(self, "information", np.array([[1.0 / self.variance]]))
@@ -408,6 +407,7 @@ class PositionFactor(_BatchedFactor):
     _kernel = staticmethod(_position_kernel)
 
     def __post_init__(self):
+        _check_values(self, {"measured": (3,)})
         info = _information_from_covariance(self.covariance, "position")
         if info.shape != (3, 3):
             raise HyperparameterError("position covariance must be 3x3")
@@ -435,6 +435,8 @@ class VelocityFactor(_BatchedFactor):
     _kernel = staticmethod(_velocity_kernel)
 
     def __post_init__(self):
+        _check_values(self, {"measured": (6,)} if self.input_velocity is None
+                      else {"measured": (6,), "input_velocity": (6,)})
         mask = np.asarray(self.mask, dtype=bool)
         if mask.shape != (6,) or not mask.any():
             raise DegenerateInputError("velocity mask must select at least one component")

@@ -61,7 +61,8 @@ class InputProfile:
     Row i is segment i: t0 and t1 (n,) hold its own ends, exactly as given,
     and v0, v1, a0 and a1 (n, 6) its endpoint velocities and accelerations.
     InputProfile(segments) stacks InputSegments and checks that they are
-    contiguous; segments gives the rows back as InputSegments.
+    contiguous; segments gives the rows back as InputSegments. len(profile)
+    counts the rows, and profile[lo:hi] is a profile of views into them.
     """
 
     __slots__ = ("t0", "t1", "v0", "v1", "a0", "a1")
@@ -91,6 +92,12 @@ class InputProfile:
                              for name in cls.__slots__))
         out._check_contiguous()
         return out
+
+    def __len__(self):
+        return len(self.t0)
+
+    def __getitem__(self, rows: slice) -> "InputProfile":
+        return self._stacked(*(getattr(self, name)[rows] for name in self.__slots__))
 
     def _check_contiguous(self):
         if np.any(np.abs(self.t0[1:] - self.t1[:-1]) > _KNOT_TOL):

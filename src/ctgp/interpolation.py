@@ -26,8 +26,8 @@ import numpy as np
 
 from .errors import HyperparameterError, IntervalTooLongError, WiringError
 from .liegroup import Pose, j_vec_dx, se3_adjoint, se3_exp_jacobian
-from .prior import (TIME_TOL, IntervalBlocks, IntervalChart, NodeArrays, StateNode,
-                    check_interval_times, interval_chart)
+from .prior import (TIME_TOL, IntervalArrays, IntervalBlocks, IntervalChart, NodeArrays,
+                    StateNode, check_interval_times, interval_chart)
 
 # off-node rows per batched chain in Trajectory.query_many and per
 # interpolated factor batch
@@ -299,13 +299,14 @@ class Trajectory:
     """Continuous read-only view of a solved trajectory.
 
     Wraps the node estimates, stacked once (NodeArrays.stack), and the
-    per-interval blocks; queries between nodes interpolate the posterior,
-    queries at node times return the node values; query_many stacks them in
-    a QueryArrays. Covariances are attached when the solver marginals (and
-    optionally the adjacent-node cross-covariances) are supplied; the
-    marginals are validated once, here, rather than on every query. Each
-    interval's chart is computed once, at the first query off the nodes,
-    and kept: the trajectory never changes.
+    intervals, stacked once (IntervalArrays.stack); queries between nodes
+    interpolate the posterior, queries at node times return the node values
+    and the input twist there; query_many stacks them in a QueryArrays.
+    Covariances are attached when the solver marginals (and optionally the
+    adjacent-node cross-covariances) are supplied; the marginals are
+    validated once, here, rather than on every query. Each interval's chart
+    is computed once, at the first query off the nodes, and kept: the
+    trajectory never changes.
     """
 
     def __init__(self, nodes, blocks_list, covariances=None, cross_covariances=None):
@@ -313,8 +314,8 @@ class Trajectory:
         k = len(state)
         if k < 2 or len(blocks_list) != k - 1:
             raise WiringError("need K nodes and K-1 interval blocks")
-        check_interval_times(state.time, [b.t0 for b in blocks_list],
-                             [b.t1 for b in blocks_list])
+        blocks = IntervalArrays.stack(blocks_list)
+        check_interval_times(state.time, blocks.t0, blocks.t1)
         if covariances is not None:
             if len(covariances) != k:
                 raise WiringError("need one covariance per node")
@@ -323,11 +324,15 @@ class Trajectory:
             if len(cross_covariances) != k - 1:
                 raise WiringError("need one cross-covariance per interval")
             cross_covariances = _check_cross_covariances(cross_covariances, k - 1)
-        self.blocks = list(blocks_list)
+        self.blocks = blocks
         self.covariances = covariances
         self.cross_covariances = cross_covariances
         self._state = state
         self._chart = None
+        # the input twist at each node, right-continuous: from the first
+        # segment of the interval that starts there, the last one at the end
+        self._node_input = blocks.profile.values_at(
+            state.time, np.append(blocks.offsets[:-1], blocks.offsets[-1] - 1))[0]
 
     @property
     def start(self):
@@ -357,14 +362,10 @@ class Trajectory:
         with_cov = with_covariance and self.covariances is not None
         # every row starts as its nearest node; the off-node rows are then overwritten
         out = QueryArrays(np.where(hit, state.time[nearest], taus), state.rot[nearest],
-                          state.trans[nearest], state.bias[nearest], state.bias[nearest],
+                          state.trans[nearest], state.bias[nearest],
+                          state.bias[nearest] + self._node_input[nearest],
                           self.covariances[nearest] if with_cov else None,
                           ~hit & (with_cov and self.cross_covariances is None))
-        for i in np.flatnonzero(hit):
-            # the input twist is right-continuous: read it from the interval
-            # that starts at the node, or the last one for the last node
-            blocks = self.blocks[min(nearest[i], len(self.blocks) - 1)]
-            out.velocity[i] += blocks.profile.evaluate(out.time[i])[0]
         off = np.flatnonzero(~hit)
         if len(off) and self._chart is None:
             self._chart = interval_chart(state)

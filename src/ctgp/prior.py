@@ -15,22 +15,22 @@ its error scales as the window length to the seventh power and stays below
 of any length: a span of it is the product of ceil(span / 0.5 s) equal
 windows, so the contract holds per 0.5 s window.
 
-An IntervalBlocks instance caches what the factors and the interpolation
-need about one node interval. It reads its segments from the rows of its
-InputProfile and stacks the (transition, input integral, noise covariance)
-triples from the interval start to every later input knot, t1 included,
-in one array each. The last row holds the full products; a mid-interval
-query integrates only within its own segment, after the triple at the
-segment's start. With zero inputs the segment pieces, the transition from a
-query time to t1 and the inverse noise covariance are the constant-velocity
-closed forms of Barfoot, Tong and Sarkka (2014). IntervalBlocks.compose
-joins consecutive intervals from their stacked triples and profiles, so a
-coarser node grid over the same inputs needs no second integration.
+precompute_intervals builds every node interval in one pass into one
+IntervalArrays, whose rows are IntervalBlocks. Input-driven segments are
+integrated CHUNK_SEGMENTS at a time, zero-input intervals take the
+constant-velocity closed forms of Barfoot, Tong and Sarkka (2014), and the
+segment pieces are composed, stacked across intervals, into the
+(transition, input integral, noise covariance) triples from each interval's
+start to every later knot. A mid-interval query integrates only within its
+own segment, after the triple at the segment's start. IntervalBlocks.compose
+joins consecutive intervals from their triples, so a coarser node grid over
+the same inputs needs no second integration.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -58,14 +58,20 @@ _PADE13_B = np.array([
     1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
     33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
 ])
+# the 1-norms at which expm_ss moves to the next Pade degree or scaling
+_PADE_BOUNDS = np.array([theta for _, theta in _PADE_THETA]
+                        + [_PADE13_THETA * 2.0 ** s for s in range(64)])
 # Uniform sixth-order Magnus steps per transition window. A fixed count keeps
 # the error scaling as the seventh power of the window length. On 0.5 s
 # segments with twist norms up to 2 the worst error against dense RK4 is
 # 5.7e-5 with one step, 8.9e-7 with two and 7.8e-8 with three, against a
 # 1e-6 contract.
 _MAGNUS_SUBSTEPS = 3
-# the longest window of one _transitions call; longer spans are cut into equal ones
+# the longest transition window; longer spans are cut into equal ones
 _MAGNUS_WINDOW = 0.5
+# segments per stacked _segment_pieces call of the interval build; a 0.5 s
+# window's intermediates take some 0.2 MiB, so the build's peak stays flat
+CHUNK_SEGMENTS = 16
 # two times closer than this are the same node time
 TIME_TOL = 1e-9
 
@@ -76,7 +82,8 @@ def expm_ss(A):
     Accepts a single (n, n) matrix or a stacked (..., n, n) batch. The batch
     shares one Pade degree, the lowest of 3, 5, 7, 9 and 13 whose theta
     bounds its largest 1-norm, and is scaled by a power of two only above
-    theta_13.
+    theta_13. _transitions batches only windows whose norms fall between the
+    same two _PADE_BOUNDS, so each window comes out as its own call gave it.
     """
     A = np.asarray(A, dtype=float)
     single = A.ndim == 2
@@ -194,34 +201,34 @@ class SegmentCoeffs:
     duration: float
 
 
-def _generator(profile: InputProfile, m: int, qc) -> SegmentCoeffs:
-    """Van Loan's (1978) 25x25 generator on row m of profile, b + c s with s local.
+def _generator(profile: InputProfile, rows, qc):
+    """Van Loan's (1978) 25x25 generators b + c s on the given rows of profile, stacked.
 
     M(s) = [[A(s), L Qc L^T, u(s)], [0, -A(s)^T, 0], [0, 0, 0]], where A(s)
     is the local system matrix, u(s) = [v(s), a(s)] the inputs and L picks
-    the bias rows.
+    the bias rows. Returns b and c, (m, 25, 25) each.
     """
-    v0, a0 = profile.v0[m], profile.a0[m]
-    dt = profile.t1[m] - profile.t0[m]
-    b, c = np.zeros((2, 25, 25))
-    b[:6, 6:12] = np.eye(6)
-    b[6:12, 18:24] = qc
-    for out, v, a in ((b, v0, a0), (c, (profile.v1[m] - v0) / dt, (profile.a1[m] - a0) / dt)):
-        out[:6, :6] = 0.5 * curlywedge(v)
-        out[6:12, :6] = 0.5 * curlywedge(a)
-        out[6:12, 6:12] = -0.5 * curlywedge(v)
-        out[12:24, 12:24] = -out[:12, :12].T
-        out[:12, 24] = np.concatenate([v, a])
-    return SegmentCoeffs(b, c, dt)
+    v0, a0 = profile.v0[rows], profile.a0[rows]
+    dt = (profile.t1[rows] - profile.t0[rows])[:, None]
+    b, c = np.zeros((2, len(dt), 25, 25))
+    b[:, :6, 6:12] = np.eye(6)
+    b[:, 6:12, 18:24] = qc
+    for out, v, a in ((b, v0, a0), (c, (profile.v1[rows] - v0) / dt, (profile.a1[rows] - a0) / dt)):
+        out[:, :6, :6] = 0.5 * curlywedge(v)
+        out[:, 6:12, :6] = 0.5 * curlywedge(a)
+        out[:, 6:12, 6:12] = -0.5 * curlywedge(v)
+        out[:, 12:24, 12:24] = -np.swapaxes(out[:, :12, :12], -1, -2)
+        out[:, :12, 24] = np.concatenate([v, a], axis=-1)
+    return b, c
 
 
 def system_matrix_coeffs(segment: InputSegment) -> SegmentCoeffs:
     """Constant and slope parts of the local system matrix on one segment."""
-    gen = _generator(InputProfile((segment,)), 0, np.zeros((6, 6)))
-    return SegmentCoeffs(gen.b[:12, :12].copy(), gen.c[:12, :12].copy(), gen.duration)
+    b, c = _generator(InputProfile((segment,)), [0], np.zeros((6, 6)))
+    return SegmentCoeffs(b[0, :12, :12].copy(), c[0, :12, :12].copy(), segment.duration)
 
 
-def _magnus_argument(coeffs: SegmentCoeffs, ta, tb):
+def _magnus_argument(b, c, ta, tb):
     """Sixth-order Magnus argument for one step from ta to tb (segment-local times).
 
     The Blanes-Casas-Ros (2000) scheme on the three Gauss-Legendre points
@@ -232,48 +239,55 @@ def _magnus_argument(coeffs: SegmentCoeffs, ta, tb):
         Omega = a1 + a3 / 12 + [-20 a1 - a3 + C1, a2 + C2] / 240.
 
     With A(s) = B + C s the point differences are exact, a2 = h^2 C and
-    a3 = 0. The local error is O(h^7). Broadcasts over arrays of ta, tb.
+    a3 = 0. The local error is O(h^7). b and c (..., n, n) broadcast
+    against ta and tb (...); where c is zero, Omega is a1.
     """
-    ta = np.asarray(ta, dtype=float)
-    tb = np.asarray(tb, dtype=float)
     h = (tb - ta)[..., None, None]
-    a1 = h * (coeffs.b + coeffs.c * (0.5 * (ta + tb))[..., None, None])
-    if not np.any(coeffs.c):
-        return a1
-    a2 = h * h * coeffs.c
+    a1 = h * (b + c * (0.5 * (ta + tb))[..., None, None])
+    a2 = h * h * c
     c1 = a1 @ a2 - a2 @ a1
     c2 = -(a1 @ c1 - c1 @ a1) / 60.0
     x = c1 - 20.0 * a1
     y = a2 + c2
-    return a1 + (x @ y - y @ x) / 240.0
+    return np.where(np.any(c, axis=(-2, -1))[..., None, None],
+                    a1 + (x @ y - y @ x) / 240.0, a1)
 
 
-def _transitions(coeffs: SegmentCoeffs, ta, tb):
-    """Transitions from ta to tb (segment-local times), broadcast over arrays.
+def _transitions(b, c, ta, tb):
+    """Transitions of windows with generators b, c (W, n, n) from ta to tb (W,), local times.
 
     Each window is split into _MAGNUS_SUBSTEPS uniform sixth-order steps whose
-    exponentials, taken in one batch, are multiplied in time order. Both
-    magnus_transition and IntervalBlocks go through here, so an interval's
-    transition equals the product of its segment transitions to rounding.
+    exponentials, batched by Pade degree and scaling (_PADE_BOUNDS), are
+    multiplied in time order. Both magnus_transition and the interval build
+    go through here, so an interval's transition equals the product of its
+    segment transitions to rounding.
     """
-    ta = np.asarray(ta, dtype=float)
-    tb = np.asarray(tb, dtype=float)
     frac = np.arange(_MAGNUS_SUBSTEPS + 1) / _MAGNUS_SUBSTEPS
-    edges = ta[..., None] + (tb - ta)[..., None] * frac
-    steps = expm_ss(_magnus_argument(coeffs, edges[..., :-1], edges[..., 1:]))
-    phi = steps[..., 0, :, :]
+    edges = ta[:, None] + (tb - ta)[:, None] * frac
+    args = _magnus_argument(b[:, None], c[:, None], edges[:, :-1], edges[:, 1:])
+    order = np.searchsorted(_PADE_BOUNDS, np.max(np.sum(np.abs(args), axis=-2), axis=(1, 2)))
+    steps = np.empty_like(args)
+    for key in set(order.tolist()):
+        steps[order == key] = expm_ss(args[order == key])
+    phi = steps[:, 0]
     for j in range(1, _MAGNUS_SUBSTEPS):
-        phi = steps[..., j, :, :] @ phi
+        phi = steps[:, j] @ phi
     return phi
 
 
-def _windowed_transition(coeffs: SegmentCoeffs, t0: float, t1: float):
-    """Time-ordered product of _transitions over ceil((t1 - t0) / _MAGNUS_WINDOW) equal windows."""
-    n = max(1, int(np.ceil((t1 - t0) / _MAGNUS_WINDOW)))
-    edges = [t0 + (t1 - t0) * j / n for j in range(n)] + [t1]
-    x = _transitions(coeffs, edges[0], edges[1])
-    for ta, tb in zip(edges[1:-1], edges[2:]):
-        x = _transitions(coeffs, ta, tb) @ x
+def _windowed_transition(b, c, t0, t1):
+    """Transitions of rows b, c (m, n, n) over [t0, t1] (m,), in equal windows.
+
+    A row takes ceil((t1 - t0) / _MAGNUS_WINDOW) windows; window k of every
+    row that has one is one _transitions call.
+    """
+    span = t1 - t0
+    n = np.maximum(1, np.ceil(span / _MAGNUS_WINDOW)).astype(int)
+    x = _transitions(b, c, t0, np.where(n == 1, t1, t0 + span / n))
+    for k in range(1, n.max()):
+        at = np.flatnonzero(n > k)
+        tb = np.where(n[at] == k + 1, t1[at], t0[at] + span[at] * (k + 1) / n[at])
+        x[at] = _transitions(b[at], c[at], t0[at] + span[at] * k / n[at], tb) @ x[at]
     return x
 
 
@@ -289,35 +303,42 @@ def magnus_transition(coeffs: SegmentCoeffs, t0: float, t1: float):
         raise DomainError("magnus_transition times must satisfy 0 <= t0 <= t1 <= duration")
     if t1 == t0:
         return np.eye(12)
-    return _windowed_transition(coeffs, t0, t1)
+    return _windowed_transition(coeffs.b[None], coeffs.c[None], np.array([t0], dtype=float),
+                                np.array([t1], dtype=float))[0]
 
 
-def wnoa_phi(dt: float):
-    """Closed-form transition for identically zero inputs."""
-    out = np.eye(12)
-    out[:6, 6:] = dt * np.eye(6)
+def _pow(dt, k):
+    # a float's dt ** k is the C library's pow, which NumPy's vectorized
+    # power and square do not always match to the last bit
+    return np.array(np.asarray(dt, dtype=float).astype(object) ** k, dtype=float)
+
+
+def _wnoa_blocks(c00, c01, c11, m):
+    """[[c00 m, c01 m], [c01 m, c11 m]] for scalar or (n,) coefficients."""
+    c = np.asarray([c00, c01, c11], dtype=float)[..., None, None] * m
+    out = np.empty(c.shape[1:-2] + (12, 12))
+    out[..., :6, :6], out[..., :6, 6:], out[..., 6:, :6], out[..., 6:, 6:] = c[0], c[1], c[1], c[2]
     return out
 
 
-def wnoa_q(dt: float, qc):
-    """Closed-form accumulated noise covariance for identically zero inputs."""
-    qc = np.asarray(qc, dtype=float)
-    out = np.empty((12, 12))
-    out[:6, :6] = (dt ** 3 / 3.0) * qc
-    out[:6, 6:] = (dt ** 2 / 2.0) * qc
-    out[6:, :6] = (dt ** 2 / 2.0) * qc
-    out[6:, 6:] = dt * qc
+def wnoa_phi(dt):
+    """Closed-form transition for identically zero inputs, over a scalar or (n,) dt."""
+    dt = np.asarray(dt, dtype=float)[..., None, None]
+    out = np.eye(12) + np.zeros(dt.shape[:-2] + (12, 12))
+    out[..., :6, 6:] = dt * np.eye(6)
     return out
 
 
-def wnoa_q_inv(dt: float, qc_inv):
-    qc_inv = np.asarray(qc_inv, dtype=float)
-    out = np.empty((12, 12))
-    out[:6, :6] = (12.0 / dt ** 3) * qc_inv
-    out[:6, 6:] = (-6.0 / dt ** 2) * qc_inv
-    out[6:, :6] = (-6.0 / dt ** 2) * qc_inv
-    out[6:, 6:] = (4.0 / dt) * qc_inv
-    return out
+def wnoa_q(dt, qc):
+    """Closed-form accumulated noise covariance for identically zero inputs, likewise."""
+    dt = np.asarray(dt, dtype=float)
+    return _wnoa_blocks(_pow(dt, 3) / 3.0, _pow(dt, 2) / 2.0, dt, np.asarray(qc, dtype=float))
+
+
+def wnoa_q_inv(dt, qc_inv):
+    dt = np.asarray(dt, dtype=float)
+    return _wnoa_blocks(12.0 / _pow(dt, 3), -6.0 / _pow(dt, 2), 4.0 / dt,
+                        np.asarray(qc_inv, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -336,28 +357,25 @@ class QueryBlocks:
 
 
 def _compose(earlier, later):
-    """(Phi, input integral, Q) over two consecutive windows, from each window's triple."""
+    """(Phi, input integral, Q) over two consecutive windows, from each one's (stacked) triple."""
     phi_1, inp_1, q_1 = earlier
     phi_2, inp_2, q_2 = later
-    return phi_2 @ phi_1, phi_2 @ inp_1 + inp_2, phi_2 @ q_1 @ phi_2.T + q_2
+    return (phi_2 @ phi_1, (phi_2 @ inp_1[..., None])[..., 0] + inp_2,
+            phi_2 @ q_1 @ np.swapaxes(phi_2, -1, -2) + q_2)
 
 
-def _segment_pieces(profile: InputProfile, m: int, upto: float, hyper: PriorHyper):
-    """Transition, input integral, and noise integral over [0, upto] of row m of profile.
+def _segment_pieces(profile: InputProfile, rows, upto, hyper: PriorHyper):
+    """Transitions, input integrals and noise integrals over [0, upto] of rows of profile.
 
     All three are blocks of the transition X(upto, 0) of Van Loan's
     generator (_generator): Phi = X11, the input integral is X13 and
     Q = X12 X11^T. The generator is linear in s, so _windowed_transition
-    integrates it in ceil(upto / _MAGNUS_WINDOW) equal windows.
+    integrates it in ceil(upto / _MAGNUS_WINDOW) equal windows. rows and
+    upto (m,) give stacks of m.
     """
-    x = _windowed_transition(_generator(profile, m, hyper.qc), 0.0, upto)
-    phi = x[:12, :12]
-    return phi, x[:12, 24], x[:12, 12:24] @ phi.T
-
-
-def _zero_pieces(profile: InputProfile, m: int, upto: float, hyper: PriorHyper):
-    """_segment_pieces of a row with zero inputs, in closed form."""
-    return wnoa_phi(upto), np.zeros(12), wnoa_q(upto, hyper.qc)
+    x = _windowed_transition(*_generator(profile, rows, hyper.qc), np.zeros(len(upto)), upto)
+    phi = x[:, :12, :12]
+    return phi, x[:, :12, 24], x[:, :12, 12:24] @ np.swapaxes(phi, -1, -2)
 
 
 # the triple from an interval's start to itself
@@ -365,72 +383,56 @@ _T0_TRIPLE = (np.eye(12), np.zeros(12), np.zeros((12, 12)))
 
 
 class IntervalBlocks:
-    """Precomputed prior quantities for one node interval.
+    """Precomputed prior quantities for one node interval: a row of an IntervalArrays.
 
-    profile is the interval's InputProfile, read as rows of arrays. The
-    (transition, input integral, noise integral) triples from t0 to every
-    later knot of it, t1 included, are stacked in (n, ...) arrays; phi,
-    input_full and q_full are the last row, and the triple at t0 is the
-    identity. Each segment is integrated in windows of at most 0.5 s
-    (_segment_pieces). A query integrates only within its own segment, from
-    the segment's start, after the triple there; its QueryBlocks also carry
-    the input twist at the query time. Identically zero profiles are
-    closed_form unless force_general is set (which exercises the general
-    route, as the fallback-equivalence tests need): their segment pieces,
-    the transition from a query time to t1 and Q^-1 are the closed forms
-    of constant velocity; only this module reads closed_form. compose joins
-    consecutive intervals and their profiles without integrating again.
+    profile is the interval's InputProfile. The (transition, input
+    integral, noise integral) triples from t0 to every later knot of it, t1
+    included, are stacked in (n, ...) arrays; phi, input_full and q_full are
+    the last row, and the triple at t0 is the identity. All are views into
+    the IntervalArrays. IntervalBlocks(profile, hyper) is its batch of one.
+    A query integrates only within its own segment, after the triple at the
+    segment's start; its QueryBlocks also carry the input twist there.
+    Identically zero profiles are closed_form unless force_general is set
+    (which exercises the general route, as the fallback-equivalence tests
+    need): their segment pieces, the transition from a query time to t1 and
+    Q^-1 are the closed forms of constant velocity; only this module reads
+    closed_form. compose joins consecutive intervals without integrating.
     """
 
     def __init__(self, profile: InputProfile, hyper: PriorHyper, *, force_general: bool = False):
-        closed_form = profile.is_zero() and not force_general
-        piece = _zero_pieces if closed_form else _segment_pieces
-        durations = profile.t1 - profile.t0
-        self._store(profile, hyper, closed_form,
-                    [[piece(profile, m, dt, hyper)] for m, dt in enumerate(durations)])
+        self._view(_build(profile, [len(profile)], hyper, force_general), 0)
+
+    def _view(self, intervals: "IntervalArrays", i: int) -> "IntervalBlocks":
+        """Become row i of intervals, as views into its arrays."""
+        lo, hi = intervals.offsets[i], intervals.offsets[i + 1]
+        self.profile, self.hyper = intervals.profile[lo:hi], intervals.hyper
+        self.t0, self.t1 = float(intervals.t0[i]), float(intervals.t1[i])
+        self.closed_form = bool(intervals.closed_form[i])
+        self._phi, self._input, self._q = (intervals.knot_phi[lo:hi], intervals.knot_input[lo:hi],
+                                           intervals.knot_q[lo:hi])
+        self.phi, self.input_full, self.q_full = self._phi[-1], self._input[-1], self._q[-1]
+        self.q_full_inv = intervals.q_full_inv[i]
+        return self
 
     @classmethod
     def compose(cls, fine_blocks) -> "IntervalBlocks":
-        """One interval over consecutive fine ones, from their stored triples.
+        """One interval over consecutive fine ones, IntervalBlocks or an IntervalArrays.
 
         The coarse triples are the fine ones composed in time order with
         _compose. Every fine knot, the fine intervals' ends included, stays a
         knot of the result, so at() at any of them is a lookup. The result is
         closed_form when every fine interval is.
         """
-        fine = list(fine_blocks)
-        if not fine:
-            raise WiringError("compose needs at least one interval")
-        hyper = fine[0].hyper
-        if any(not np.array_equal(b.hyper.qc, hyper.qc) for b in fine):
-            raise HyperparameterError("composed intervals must share one Qc")
-        out = cls.__new__(cls)
-        out._store(InputProfile.join(b.profile for b in fine), hyper,
-                   all(b.closed_form for b in fine),
-                   [list(zip(b._phi, b._input, b._q)) for b in fine])
-        return out
-
-    def _store(self, profile: InputProfile, hyper: PriorHyper, closed_form: bool, runs):
-        """Stack the triples from t0 to every knot of profile after t0.
-
-        runs holds, for each stretch of the profile in time order, the
-        triples from the stretch's start to each of its knots. The first run
-        is copied; each later one is composed after the triple at its start.
-        """
-        self.profile = profile
-        self.hyper = hyper
-        self.t0 = profile.start
-        self.t1 = profile.end
-        self.closed_form = closed_form
-        triples = list(runs[0])
-        for run in runs[1:]:
-            start = triples[-1]
-            triples.extend(_compose(start, t) for t in run)
-        self._phi, self._input, self._q = (np.array(x) for x in zip(*triples))
-        self._q[-1] = 0.5 * (self._q[-1] + self._q[-1].T)
-        self.phi, self.input_full, self.q_full = self._phi[-1], self._input[-1], self._q[-1]
-        self.q_full_inv = (wnoa_q_inv(self.t1 - self.t0, hyper.qc_inv) if closed_form
-                           else np.linalg.inv(self.q_full))
+        fine = IntervalArrays.stack(fine_blocks)
+        if np.any(np.abs(fine.t0[1:] - fine.t1[:-1]) > TIME_TOL):
+            raise DegenerateInputError("composed intervals must be contiguous")
+        phi, inp, q = fine.knot_phi.copy(), fine.knot_input.copy(), fine.knot_q.copy()
+        for lo, hi in zip(fine.offsets[1:-1], fine.offsets[2:]):
+            phi[lo:hi], inp[lo:hi], q[lo:hi] = _compose(
+                (phi[lo - 1], inp[lo - 1], q[lo - 1]), (phi[lo:hi], inp[lo:hi], q[lo:hi]))
+        return cls.__new__(cls)._view(IntervalArrays(
+            fine.profile, fine.hyper, fine.offsets[[0, -1]], fine.closed_form.all(keepdims=True),
+            phi, inp, q), 0)
 
     def at(self, tau: float) -> QueryBlocks:
         """Blocks for a query time in [t0, t1]."""
@@ -447,7 +449,9 @@ class IntervalBlocks:
         if local <= 1e-12:
             phi_from_start, input_tau, q_tau = knot
         else:
-            piece = (_zero_pieces if self.closed_form else _segment_pieces)(p, m, local, self.hyper)
+            piece = ((wnoa_phi(local), np.zeros(12), wnoa_q(local, self.hyper.qc))
+                     if self.closed_form else [x[0] for x in _segment_pieces(
+                         p, slice(m, m + 1), np.array([local]), self.hyper)])
             phi_from_start, input_tau, q_tau = piece if m == 0 else _compose(knot, piece)
         phi_to_end = (wnoa_phi(self.t1 - tau) if self.closed_form
                       else self.phi @ np.linalg.inv(phi_from_start))
@@ -455,13 +459,120 @@ class IntervalBlocks:
                            0.5 * (q_tau + q_tau.T), input_tau.copy(), velocity)
 
 
-def precompute_intervals(profiles, hyper: PriorHyper):
-    """IntervalBlocks for each per-interval profile, in order."""
-    blocks = [IntervalBlocks(p, hyper) for p in profiles]
-    for prev, nxt in zip(blocks, blocks[1:]):
-        if abs(prev.t1 - nxt.t0) > TIME_TOL:
-            raise DegenerateInputError("interval profiles must be contiguous")
-    return blocks
+@dataclass(frozen=True, eq=False)
+class IntervalArrays:
+    """Node intervals, stacked, as a sequence of IntervalBlocks: the one interval container.
+
+    profile joins the intervals' profiles, interval i holding its rows
+    offsets[i] to offsets[i + 1] - 1. On profile row r, knot_phi, knot_input
+    and knot_q (S, ...) hold the triple from the start of r's interval to
+    the end of r; closed_form (n,) marks the closed-form intervals. The
+    ends t0, t1 (n,), the full triples phi, input_full and q_full and the
+    weights q_full_inv (n, ...) follow, each full Q symmetrized in place.
+    intervals[i] is row i, and a slice a tuple of rows; the rows are made at
+    the first access and kept.
+    """
+
+    profile: InputProfile
+    hyper: PriorHyper
+    offsets: np.ndarray
+    closed_form: np.ndarray
+    knot_phi: np.ndarray
+    knot_input: np.ndarray
+    knot_q: np.ndarray
+    t0: np.ndarray = field(init=False)
+    t1: np.ndarray = field(init=False)
+    phi: np.ndarray = field(init=False)
+    input_full: np.ndarray = field(init=False)
+    q_full: np.ndarray = field(init=False)
+    q_full_inv: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        last, q, closed = self.offsets[1:] - 1, self.knot_q, self.closed_form
+        # one knot per interval: the full triples are the knot arrays, not copies
+        last = slice(None) if len(last) == len(q) else last
+        q[last] = 0.5 * (q[last] + np.swapaxes(q[last], -1, -2))
+        t0, t1 = self.profile.t0[self.offsets[:-1]], self.profile.t1[last]
+        q_inv = np.empty((len(t1), 12, 12))
+        q_inv[closed] = wnoa_q_inv(t1[closed] - t0[closed], self.hyper.qc_inv)
+        q_inv[~closed] = np.linalg.inv(q[last][~closed])
+        for name, value in (("t0", t0), ("t1", t1), ("phi", self.knot_phi[last]),
+                            ("input_full", self.knot_input[last]), ("q_full", q[last]),
+                            ("q_full_inv", q_inv)):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def stack(cls, intervals) -> "IntervalArrays":
+        """IntervalBlocks, copied in the given order, or an IntervalArrays as it is.
+
+        The profiles are joined unchecked: a caller checks the ends it relies
+        on, against the node times (check_interval_times) or each other
+        (compose). Raises WiringError without rows or for one that is not an
+        IntervalBlocks, HyperparameterError unless they share one Qc.
+        """
+        if isinstance(intervals, IntervalArrays):
+            return intervals
+        rows = list(intervals)
+        if not rows:
+            raise WiringError("need at least one interval")
+        for k, b in enumerate(rows):
+            if not isinstance(b, IntervalBlocks):
+                raise WiringError(f"prior interval {k} is not an IntervalBlocks")
+        if any(not np.array_equal(b.hyper.qc, rows[0].hyper.qc) for b in rows):
+            raise HyperparameterError("stacked intervals must share one Qc")
+        profile = InputProfile._stacked(*(np.concatenate([getattr(b.profile, name) for b in rows])
+                                          for name in InputProfile.__slots__))
+        return cls(profile, rows[0].hyper, np.cumsum([0] + [len(b.profile) for b in rows]),
+                   np.array([b.closed_form for b in rows]),
+                   *(np.concatenate(x) for x in zip(*((b._phi, b._input, b._q) for b in rows))))
+
+    @cached_property
+    def rows(self) -> tuple:
+        """The intervals as IntervalBlocks, in time order."""
+        return tuple(IntervalBlocks.__new__(IntervalBlocks)._view(self, i)
+                     for i in range(len(self)))
+
+    def __len__(self):
+        return len(self.offsets) - 1
+
+    def __getitem__(self, i):
+        return self.rows[i]
+
+
+def _build(profile: InputProfile, counts, hyper: PriorHyper,
+           force_general: bool = False) -> IntervalArrays:
+    """The intervals over consecutive rows of profile, counts[i] of them for interval i.
+
+    Zero-input intervals take the closed forms unless force_general is set,
+    the other rows are integrated CHUNK_SEGMENTS at a time, and knot j of
+    every interval is then composed after its knot j - 1, stacked.
+    """
+    counts = np.asarray(counts)
+    offsets = np.concatenate([[0], np.cumsum(counts)])
+    moving = (profile.v0.any(axis=1) | profile.v1.any(axis=1)
+              | profile.a0.any(axis=1) | profile.a1.any(axis=1))
+    closed_form = ~np.logical_or.reduceat(moving, offsets[:-1]) & (not force_general)
+    closed_row = np.repeat(closed_form, counts)
+    upto = profile.t1 - profile.t0
+    phi, q = np.empty((2, len(upto), 12, 12))
+    inp = np.empty((len(upto), 12))
+    rows = np.flatnonzero(closed_row)
+    phi[rows], inp[rows], q[rows] = wnoa_phi(upto[rows]), 0.0, wnoa_q(upto[rows], hyper.qc)
+    general = np.flatnonzero(~closed_row)
+    for lo in range(0, len(general), CHUNK_SEGMENTS):
+        rows = general[lo:lo + CHUNK_SEGMENTS]
+        phi[rows], inp[rows], q[rows] = _segment_pieces(profile, rows, upto[rows], hyper)
+    for j in range(1, counts.max()):
+        at = offsets[:-1][counts > j] + j
+        phi[at], inp[at], q[at] = _compose((phi[at - 1], inp[at - 1], q[at - 1]),
+                                           (phi[at], inp[at], q[at]))
+    return IntervalArrays(profile, hyper, offsets, closed_form, phi, inp, q)
+
+
+def precompute_intervals(profiles, hyper: PriorHyper) -> IntervalArrays:
+    """The IntervalArrays of contiguous per-interval profiles (InputProfile.join), in one pass."""
+    parts = list(profiles)
+    return _build(InputProfile.join(parts), [len(p) for p in parts], hyper)
 
 
 def check_interval_times(times, t0, t1, intervals=None):

@@ -1,20 +1,21 @@
 """MAP batch estimation over the block-tridiagonal factor graph.
 
 A Problem holds the nodes, stacked once into a NodeArrays, the prior's
-IntervalBlocks between consecutive nodes, and the measurement factors, and
-checks them when it is built. The motion prior chains adjacent nodes and
-every measurement factor touches one node or an adjacent pair, so the
-Gauss-Newton normal equations stay block tridiagonal. The solver carries
-that NodeArrays across iterations, to Solution.nodes. Each step solves the
-current system, updates every node at once, and linearizes the trial state
-in one pass, whose cost decides acceptance and whose accepted system is the
-next step's. The final state's system, kept from that pass, gives the
-covariances. Levenberg-style diagonal damping acts only after a rejection.
+intervals between consecutive nodes, stacked once into an IntervalArrays,
+and the measurement factors, and checks them when it is built. The motion
+prior chains adjacent nodes and every measurement factor touches one node
+or an adjacent pair, so the Gauss-Newton normal equations stay block
+tridiagonal. The solver carries that NodeArrays across iterations, to
+Solution.nodes. Each step solves the current system, updates every node at
+once, and linearizes the trial state in one pass, whose cost decides
+acceptance and whose accepted system is the next step's. The final state's
+system, kept from that pass, gives the covariances. Levenberg-style
+diagonal damping acts only after a rejection.
 
 Linearization is batched by factor type. Each pass computes the chart of
 every node interval once; the prior errors of all intervals come from it in
-one prior_factor_batch call, with the intervals' constant blocks stacked
-once per solve. Each built-in one-node type (range, position, pose,
+one prior_factor_batch call, which reads the Problem's IntervalArrays as
+it is. Each built-in one-node type (range, position, pose,
 velocity, planar lock, anchor) is one kernel call. Interpolated factors,
 which wrap such a type, are grouped the same way: their query rows are built
 once per solve, and one batched interpolation chain over them, reading the
@@ -47,7 +48,7 @@ from .errors import (DegenerateInputError, EstimationError, GaugeFreedomError,
                      HyperparameterError, WiringError)
 from .interpolation import Trajectory
 from .liegroup import se3_exp, so3_project
-from .prior import (TIME_TOL, IntervalBlocks, NodeArrays, check_interval_times,
+from .prior import (TIME_TOL, IntervalArrays, NodeArrays, check_interval_times,
                     interval_chart)
 
 # factors that tie the trajectory to the world frame, on a node or, wrapped
@@ -93,11 +94,13 @@ class Problem:
 
     nodes, StateNodes or a NodeArrays, are stacked once (NodeArrays.stack).
     blocks holds the K-1 IntervalBlocks of the input-driven prior, interval
-    k between nodes k and k+1. All wiring is checked here, once: the node
-    times increase, each interval's ends and each InterpolatedFactor's
+    k between nodes k and k+1, or their IntervalArrays; they are stacked
+    once too (IntervalArrays.stack). All wiring is checked here, once: the
+    node times increase, each interval's ends and each InterpolatedFactor's
     interval sit at the node times, and every measurement factor touches
     one node or an adjacent pair. Each failure raises WiringError; a node
-    whose time, pose or bias is not finite raises DegenerateInputError.
+    whose time, pose or bias is not finite raises DegenerateInputError,
+    and intervals of different Qc raise HyperparameterError.
 
     gauge: "auto" adds a tight anchor on the first node when no factor
     carries absolute information (a range, pose, position or anchor factor,
@@ -120,13 +123,10 @@ class Problem:
                                        "non-finite time, pose or bias")
         if np.any(np.diff(times) <= 0):
             raise WiringError("node times must be strictly increasing")
-        blocks = list(blocks)
+        blocks = IntervalArrays.stack(blocks)
         if len(blocks) != len(nodes) - 1:
             raise WiringError("need exactly one IntervalBlocks per adjacent node pair")
-        for k, b in enumerate(blocks):
-            if not isinstance(b, IntervalBlocks):
-                raise WiringError(f"prior interval {k} is not an IntervalBlocks")
-        check_interval_times(times, [b.t0 for b in blocks], [b.t1 for b in blocks])
+        check_interval_times(times, blocks.t0, blocks.t1)
         measurement_factors = list(measurement_factors)
         for f in measurement_factors:
             idx = tuple(f.indices)
@@ -169,9 +169,9 @@ class Problem:
 class _Linearizer:
     """Linearizes a state: its cost and block-tridiagonal normal equations.
 
-    The prior's interval constants are stacked once, and the batched factor
-    types, interpolated ones included, grouped once; Problem has checked
-    every time, and a step never changes one. A custom measurement factor,
+    The prior's intervals come stacked from the Problem, and the batched
+    factor types, interpolated ones included, are grouped once; Problem has
+    checked every time, and a step never changes one. A custom measurement factor,
     in others, is evaluated on its own. assemble is the one linearization:
     each pass computes every interval's chart once, for the prior and the
     interpolated batches alike.
@@ -181,7 +181,7 @@ class _Linearizer:
         self.k = len(problem.nodes)
         self.batches, self.others = _factors.batch_factors(
             list(problem.measurement_factors) + problem.gauge_factors())
-        self.prior = _factors.PriorConstants.stack(problem.blocks)
+        self.prior = problem.blocks
 
     def _add_priors(self, state, chart, d, e, g) -> float:
         """Adds the prior factors' blocks in place; returns their cost."""

@@ -197,17 +197,18 @@ class TestCoarseStart:
 
     def test_coarse_problem_is_the_meas_only_problem_at_5s(self, twisty, monkeypatch):
         truth = simulate_mobile(twisty)
-        built = []
-        original = prior.IntervalBlocks.__init__
+        integrated = []
+        original = prior._segment_pieces
 
-        def counting(self, *args, **kwargs):
-            built.append(self)
-            original(self, *args, **kwargs)
+        def counting(profile, rows, *args):
+            integrated.extend(rows)
+            return original(profile, rows, *args)
 
-        monkeypatch.setattr(prior.IntervalBlocks, "__init__", counting)
+        monkeypatch.setattr(prior, "_segment_pieces", counting)
         problem, blocks, _ = build_mobile_problem(truth, node_policy="all")
-        # the coarse intervals are composed from the dense ones, not built again
-        assert len(built) == len(blocks) == 600
+        # each dense segment is integrated once; the coarse intervals are
+        # composed from the dense ones, not integrated again
+        assert sorted(integrated) == list(range(len(blocks))) and len(blocks) == 600
         monkeypatch.undo()
         sparse, _, sparse_times = build_mobile_problem(truth, node_policy="meas-only",
                                                        dt_landmark=5.0)

@@ -420,3 +420,40 @@ def test_interpolated_factor_rejects_a_callable_inner():
                 blocks):
         with pytest.raises(WiringError, match="inner must be one of"):
             factors.InterpolatedFactor(0, blocks, 0.31, bad)
+
+
+_ALL = np.ones(6, dtype=bool)
+
+
+@pytest.mark.parametrize("build, field", [
+    pytest.param(lambda: factors.VelocityFactor(2, 0.5, np.eye(6), _ALL), "measured",
+                 id="velocity-scalar"),
+    pytest.param(lambda: factors.VelocityFactor(2, np.zeros(6), np.eye(6), _ALL, np.zeros(3)),
+                 "input_velocity", id="velocity-input-3"),
+    pytest.param(lambda: factors.PositionFactor(0, np.zeros(2), np.eye(3)), "measured",
+                 id="position-2"),
+    pytest.param(lambda: factors.PositionFactor(0, np.array([0.0, np.nan, 1.0]), np.eye(3)),
+                 "measured", id="position-nan"),
+    pytest.param(lambda: factors.RangeFactor(0, np.zeros(2), 1.0, 0.1), "landmark",
+                 id="range-landmark-2"),
+    pytest.param(lambda: factors.RangeFactor(0, np.ones(3), np.nan, 0.1), "measured",
+                 id="range-nan"),
+    pytest.param(lambda: factors.RangeFactor(0, np.ones(3), "far", 0.1), "measured",
+                 id="range-text"),
+    pytest.param(lambda: factors.AnchorFactor(0, Pose.identity(), np.zeros(3), np.eye(6),
+                                              np.eye(6)), "bias", id="anchor-bias-3"),
+    pytest.param(lambda: factors.AnchorFactor(0, Pose.identity(), np.full(6, np.inf),
+                                              np.eye(6), np.eye(6)), "bias", id="anchor-inf"),
+])
+def test_factor_constructors_reject_malformed_values(build, field):
+    with pytest.raises(DegenerateInputError, match=f"Factor field {field} must be finite"):
+        build()
+
+
+def test_factor_values_are_copies_of_the_callers_arrays():
+    measured, landmark = np.zeros(3), np.ones(3)
+    position = factors.PositionFactor(0, measured, np.eye(3))
+    rng = factors.RangeFactor(0, landmark, 2, 0.1)
+    measured[0] = landmark[0] = 5.0
+    assert not position.measured.any() and np.array_equal(rng.landmark, np.ones(3))
+    assert type(rng.measured) is float

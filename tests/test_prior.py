@@ -476,6 +476,78 @@ def test_precompute_intervals_contiguity():
         prior.precompute_intervals([p1, p_gap], hyper)
 
 
+INTERVAL_FIELDS = ("t0", "t1", "closed_form", "_phi", "_input", "_q", "phi", "input_full",
+                   "q_full", "q_full_inv")
+CONTAINER_FIELDS = ("offsets", "closed_form", "knot_phi", "knot_input", "knot_q",
+                    "q_full_inv", "t0", "t1", "phi", "input_full", "q_full")
+PROFILE_FIELDS = ("t0", "t1", "v0", "v1", "a0", "a1")
+
+
+def mixed_profiles(rng):
+    """A zero profile, one segment, three segments and one 1.2 s segment, contiguous."""
+    seg = [random_twist_bounded(rng, 1.0) for _ in range(6)]
+    moving = inputs.from_samples([0.4, 0.7, 0.9, 1.0, 1.3, 2.5], seg)
+    return [inputs.InputProfile.zero(0.0, 0.4), moving.slice(0.4, 0.7),
+            moving.slice(0.7, 1.3), moving.slice(1.3, 2.5)]
+
+
+def test_one_pass_rows_equal_intervals_built_alone_and_are_views():
+    rng = np.random.default_rng(12)
+    hyper = random_hyper(rng)
+    profiles = mixed_profiles(rng)
+    intervals = prior.precompute_intervals(profiles, hyper)
+    assert len(intervals) == 4 and list(intervals.closed_form) == [True, False, False, False]
+    for profile, row in zip(profiles, intervals):
+        alone = prior.IntervalBlocks(profile, hyper)
+        for name in INTERVAL_FIELDS:
+            assert np.array_equal(getattr(row, name), getattr(alone, name)), name
+        for name in PROFILE_FIELDS:
+            assert np.array_equal(getattr(row.profile, name), getattr(profile, name)), name
+            assert np.shares_memory(getattr(row.profile, name), getattr(intervals.profile, name))
+        for name, stacked in (("_phi", "knot_phi"), ("_input", "knot_input"), ("_q", "knot_q"),
+                              ("q_full_inv", "q_full_inv")):
+            assert np.shares_memory(getattr(row, name), getattr(intervals, stacked)), name
+        tau = 0.37 * row.t0 + 0.63 * row.t1
+        got, want = row.at(tau), alone.at(tau)
+        for name in ("phi_from_start", "phi_to_end", "q_tau", "input_tau", "input_velocity"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+def test_interval_arrays_stack_round_trips_its_rows():
+    rng = np.random.default_rng(13)
+    hyper = random_hyper(rng)
+    intervals = prior.precompute_intervals(mixed_profiles(rng), hyper)
+    assert prior.IntervalArrays.stack(intervals) is intervals
+    again = prior.IntervalArrays.stack(list(intervals))
+    assert again is not intervals and len(again) == len(intervals)
+    for name in CONTAINER_FIELDS:
+        assert np.array_equal(getattr(again, name), getattr(intervals, name)), name
+    for name in PROFILE_FIELDS:
+        assert np.array_equal(getattr(again.profile, name), getattr(intervals.profile, name))
+    with pytest.raises(WiringError, match="prior interval 1"):
+        prior.IntervalArrays.stack([intervals[0], intervals[1].profile])
+    with pytest.raises(HyperparameterError):
+        prior.IntervalArrays.stack([intervals[0], prior.IntervalBlocks(
+            intervals[1].profile, prior.PriorHyper(2.0 * np.diag(hyper.qc)))])
+
+
+def test_the_interval_build_peaks_below_12_mib_on_600_intervals():
+    """The build is chunked: all 600 segments at once peaked at 145 MiB."""
+    import tracemalloc
+    rng = np.random.default_rng(14)
+    times = 0.1 * np.arange(601)
+    profile = inputs.from_samples(times, rng.normal(scale=0.5, size=(601, 6)))
+    profiles = [profile.slice(a, b) for a, b in zip(times[:-1], times[1:])]
+    hyper = prior.PriorHyper(np.ones(6))
+    tracemalloc.start()
+    try:
+        prior.precompute_intervals(profiles, hyper)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2 ** 20
+
+
 @pytest.fixture(scope="module")
 def twisty_blocks():
     """The 50 dense mobile_twisty blocks in [0, 5] s and the direct 5 s block."""

@@ -449,13 +449,13 @@ def test_only_inputs_reads_profile_segments():
 ROW_FIELDS = {"pose", "velocity", "covariance"}
 
 
-def row_restacks(paths):
+def row_restacks(paths, fields=ROW_FIELDS):
     """(file, function, line) of each comprehension that reads a row field of its loop variable.
 
-    A row field is .pose, .velocity or .covariance; function is the
-    qualified name of the innermost enclosing function or class, "" at
-    module level. Such a comprehension rebuilds a stack of states row by
-    row.
+    A row field is one of fields, by default .pose, .velocity or
+    .covariance; function is the qualified name of the innermost enclosing
+    function or class, "" at module level. Such a comprehension rebuilds a
+    stack of rows one by one.
     """
     found = []
 
@@ -467,7 +467,7 @@ def row_restacks(paths):
             elif isinstance(child, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)):
                 names = {n.id for gen in child.generators for n in ast.walk(gen.target)
                          if isinstance(n, ast.Name)}
-                if any(isinstance(a, ast.Attribute) and a.attr in ROW_FIELDS
+                if any(isinstance(a, ast.Attribute) and a.attr in fields
                        and isinstance(a.value, ast.Name) and a.value.id in names
                        for a in ast.walk(child)):
                     found.append((path.name, scope, child.lineno))
@@ -497,3 +497,26 @@ def test_no_package_comprehension_restacks_state_rows():
     """Stacked states are read as arrays; only NodeArrays.stack takes caller-given StateNodes."""
     found = row_restacks(sorted(SRC.glob("*.py")))
     assert [f for f in found if f[:2] != ("prior.py", "NodeArrays.stack")] == []
+
+
+INTERVAL_FIELDS = {"t0", "t1", "phi", "input_full", "q_full_inv"}
+
+
+def test_row_restacks_finder_sees_interval_fields_of_the_loop_variable(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("def f(blocks, other):\n"
+                      "    a = [b.t0 for b in blocks]\n"
+                      "    c = (b.profile.t0 for b in blocks)\n"
+                      "    d = {k: b.q_full_inv for k, b in enumerate(blocks)}\n"
+                      "    return [other.phi for b in blocks], a, c, d\n"
+                      "class IntervalArrays:\n"
+                      "    def stack(cls, rows):\n"
+                      "        return [b.input_full for b in rows], [b.pose for b in rows]\n")
+    assert row_restacks([module], INTERVAL_FIELDS) == [
+        ("m.py", "IntervalArrays.stack", 8), ("m.py", "f", 2), ("m.py", "f", 4)]
+
+
+def test_no_package_comprehension_restacks_interval_rows():
+    """Stacked intervals are read as arrays; only IntervalArrays.stack takes caller-given rows."""
+    found = row_restacks(sorted(SRC.glob("*.py")), INTERVAL_FIELDS)
+    assert [f for f in found if f[:2] != ("prior.py", "IntervalArrays.stack")] == []
