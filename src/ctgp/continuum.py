@@ -99,12 +99,14 @@ def _check_node_arclengths(rod: RodModel, node_arclengths):
 
 
 def tensions_to_inputs(rod: RodModel, tendons, node_arclengths):
-    """Per-interval input profiles from the tendon tensions.
+    """The input profile along the rod, over the node arclengths, from the tendon tensions.
 
     Each tendon's point moment becomes a triangular bump one node spacing
     wide (clipped to the rod and renormalized so the integrated moment is
     exact), summed across tendons, divided by the stiffness, and placed on
-    the strain-derivative channel. Zero tensions give exactly zero profiles.
+    the strain-derivative channel. The profile has a knot at every node
+    arclength and at every bump's ends and peak. Zero tensions give one zero
+    segment over the rod.
     """
     s = _check_node_arclengths(rod, node_arclengths)
     if any(t.termination_arclength < 0 or t.termination_arclength > rod.length
@@ -112,7 +114,7 @@ def tensions_to_inputs(rod: RodModel, tendons, node_arclengths):
         raise DomainError("tendon termination lies outside the rod")
 
     if all(t.tension == 0 for t in tendons):
-        return [InputProfile.zero(a, b) for a, b in zip(s[:-1], s[1:])]
+        return InputProfile.zero(s[0], s[-1])
 
     bumps = []
     knots = set(s.tolist())
@@ -140,8 +142,7 @@ def tensions_to_inputs(rod: RodModel, tendons, node_arclengths):
         load += np.outer(np.clip(w, 0.0, 1.0), peak)
     accel = load / rod.stiffness
 
-    full = from_samples(grid, np.zeros_like(accel), accel)
-    return [full.slice(a, b) for a, b in zip(s[:-1], s[1:])]
+    return from_samples(grid, np.zeros_like(accel), accel)
 
 
 def straight_pose(s: float) -> Pose:
@@ -166,8 +167,7 @@ def estimate_shape(rod: RodModel, tendons, measurement_factors,
     if node_count < 2:
         raise HyperparameterError("need at least two shape nodes")
     s_nodes = np.linspace(0.0, rod.length, node_count)
-    profiles = tensions_to_inputs(rod, tendons, s_nodes)
-    blocks_list = precompute_intervals(profiles, hyper)
+    blocks_list = precompute_intervals(tensions_to_inputs(rod, tendons, s_nodes), s_nodes, hyper)
     nodes = NodeArrays(np.arange(node_count), s_nodes, np.tile(np.eye(3), (node_count, 1, 1)),
                        np.outer(s_nodes, STRAIGHT_STRAIN[:3]),
                        np.tile(STRAIGHT_STRAIN, (node_count, 1)))

@@ -13,8 +13,9 @@ already give a few-centimetre estimate, and GP interpolation recovers the
 state at any time from its two bracketing nodes. So build_mobile_problem
 attaches to a dense inputs problem the meas-only problem at a coarse
 spacing (see there for the rule), with intervals composed from the dense
-ones, and solve starts the dense nodes from its interpolated solution,
-falling back to dead reckoning when the coarse solve fails.
+ones (IntervalArrays.coarsen), and solve starts the dense nodes from its
+interpolated solution, falling back to dead reckoning when the coarse solve
+fails.
 """
 
 from __future__ import annotations
@@ -32,8 +33,7 @@ from .factors import (AnchorFactor, InterpolatedFactor, PlanarLockFactor,
 from .inputs import InputProfile, InputSegment, from_samples
 from .interpolation import Trajectory
 from .liegroup import Pose, position_jacobian, so3_log
-from .prior import (IntervalBlocks, NodeArrays, PriorHyper, StateNode, precompute_intervals,
-                    prior_mean_propagate)
+from .prior import NodeArrays, PriorHyper, StateNode, precompute_intervals, prior_mean_propagate
 from .scenario import ContinuumScenario, MobileScenario
 from .simulate import (MobileTruth, filter_ranges, integrate_poses, interpolate_ticks,
                        simulate_mobile, simulate_rod)
@@ -168,14 +168,14 @@ def _fixed_factors(truth: MobileTruth, node_times, dt_landmark, measured_bias):
     return meas
 
 
-def _coarse_problem(truth: MobileTruth, blocks_list, stride, dt_landmark, reckoned):
+def _coarse_problem(truth: MobileTruth, intervals, stride, dt_landmark, reckoned):
     """The meas-only inputs problem at the coarse spacing, or None.
 
     The spacing is the largest multiple of dt_landmark up to
     COARSE_SPACING_MAX that divides the run, is a coarser multiple of the
     node grid, and keeps the rotation part of every composed interval's
     input integral below COARSE_ROTATION_MAX. The coarse intervals are
-    composed from the dense ones.
+    composed from the dense ones (IntervalArrays.coarsen).
     """
     tick = truth.scenario.tick
     ticks = len(truth.times) - 1
@@ -186,23 +186,13 @@ def _coarse_problem(truth: MobileTruth, blocks_list, stride, dt_landmark, reckon
             return None
         if coarse_stride % stride or ticks % coarse_stride:
             continue
-        blocks = _composed(blocks_list, coarse_stride // stride)
-        if blocks is None:
+        coarse = intervals.coarsen(coarse_stride // stride)
+        if np.any(np.linalg.norm(coarse.input_full[:, 3:6], axis=1) >= COARSE_ROTATION_MAX):
             continue
-        return Problem(reckoned[::coarse_stride], blocks,
+        return Problem(reckoned[::coarse_stride], coarse,
                        _fixed_factors(truth, truth.times[::coarse_stride], spacing, np.zeros(6)),
                        gauge="auto")
     return None
-
-
-def _composed(blocks_list, ratio):
-    """The intervals composed ratio at a time, or None once one turns too far."""
-    out = []
-    for i in range(0, len(blocks_list), ratio):
-        out.append(IntervalBlocks.compose(blocks_list[i:i + ratio]))
-        if np.linalg.norm(out[-1].input_full[3:6]) >= COARSE_ROTATION_MAX:
-            return None
-    return out
 
 
 def build_mobile_problem(truth: MobileTruth, *, method="inputs",
@@ -211,7 +201,9 @@ def build_mobile_problem(truth: MobileTruth, *, method="inputs",
 
     The intervals are the problem's own prior intervals, one IntervalArrays
     built by precompute_intervals (problem.blocks), returned for building
-    the Trajectory of the solution.
+    the Trajectory of the solution. With method="inputs" they are cut from
+    the one odometry profile through every tick; with method="wnoa" from one
+    zero profile over the run.
 
     The nodes start at dead reckoning. With method="inputs" and a node grid
     finer than the coarse spacing, the problem also carries a coarse problem
@@ -220,7 +212,7 @@ def build_mobile_problem(truth: MobileTruth, *, method="inputs",
     multiple of dt_landmark up to COARSE_SPACING_MAX (5 s) that divides the
     run, is a coarser multiple of the node grid, and keeps the rotation of
     every coarse interval's input integral below COARSE_ROTATION_MAX (pi/2).
-    Its intervals are composed from this problem's (IntervalBlocks.compose),
+    Its intervals are composed from this problem's (IntervalArrays.coarsen),
     not built again. When no spacing qualifies there is no coarse problem;
     when the coarse solve fails, solve falls back to dead reckoning.
     """
@@ -250,10 +242,9 @@ def build_mobile_problem(truth: MobileTruth, *, method="inputs",
 
     qc = scenario.qc_inputs if method == "inputs" else scenario.qc_baseline
     hyper = PriorHyper(qc)
-    full_profile = from_samples(truth.times, truth.input_velocities)
-    blocks_list = precompute_intervals(
-        [full_profile.slice(t0, t1) if method == "inputs" else InputProfile.zero(t0, t1)
-         for t0, t1 in zip(node_times[:-1], node_times[1:])], hyper)
+    profile = (from_samples(truth.times, truth.input_velocities) if method == "inputs"
+               else InputProfile.zero(node_times[0], node_times[-1]))
+    blocks_list = precompute_intervals(profile, node_times, hyper)
 
     reckoned = _dead_reckon(truth, np.zeros_like(truth.input_velocities) if method == "inputs"
                             else truth.input_velocities.copy())
@@ -389,9 +380,7 @@ def reproduce_fig3(variant="velocity"):
     hyper = PriorHyper(_FIG3_QC)
     node_times = np.round(np.arange(0.0, _FIG3_DURATION + 1e-9,
                                     _FIG3_NODE_SPACING), 12)
-    blocks_list = precompute_intervals(
-        [profile.slice(float(t0), float(t1)) for t0, t1 in zip(node_times[:-1], node_times[1:])],
-        hyper)
+    blocks_list = precompute_intervals(profile, node_times, hyper)
     nodes = [StateNode(0.0, Pose.identity(), bias0)]
     for blocks, t1 in zip(blocks_list, node_times[1:]):
         nodes.append(prior_mean_propagate(nodes[-1], blocks, float(t1)))

@@ -65,7 +65,10 @@ class FactorEval:
 
 
 def _information_from_covariance(covariance, label):
-    cov = np.atleast_2d(np.asarray(covariance, dtype=float))
+    try:
+        cov = np.atleast_2d(np.asarray(covariance, dtype=float))
+    except (TypeError, ValueError):
+        raise HyperparameterError(f"{label} covariance is not numeric: {covariance!r}") from None
     if cov.shape[0] != cov.shape[1] or not np.allclose(cov, cov.T, atol=1e-10):
         raise HyperparameterError(f"{label} covariance must be square symmetric")
     try:
@@ -313,8 +316,11 @@ class PlanarLockFactor(_BatchedFactor):
     _kernel = staticmethod(_planar_lock_kernel)
 
     def __post_init__(self):
-        if not (np.isfinite(self.information) and self.information > 0):
-            raise HyperparameterError("planar lock information must be finite and positive")
+        value = self.information
+        if not (isinstance(value, (int, float, np.integer, np.floating)) and np.isfinite(value)
+                and value > 0):
+            raise HyperparameterError("planar lock information must be finite and positive, "
+                                      f"got {value!r}")
 
     def _params(self):
         return {}
@@ -369,7 +375,7 @@ class RangeFactor(_BatchedFactor):
     _kernel = staticmethod(_range_kernel)
 
     def __post_init__(self):
-        _check_values(self, {"landmark": (3,), "measured": ()})
+        _check_values(self, {"landmark": (3,), "measured": (), "variance": ()})
         if not self.variance > 0:
             raise HyperparameterError("range variance must be positive")
         object.__setattr__(self, "information", np.array([[1.0 / self.variance]]))

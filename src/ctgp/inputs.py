@@ -3,8 +3,10 @@
 A profile stacks contiguous segments of any length as rows of arrays, each
 linear in time in both the velocity and acceleration channels. Values may
 jump at segment knots; evaluation is right-continuous there. A profile is
-validated where its data enters, not when it is sliced or joined. How finely
-a segment is integrated is the motion prior's concern (prior.py).
+validated, contiguity included, where its data enters: InputProfile,
+from_samples and read_input_log. One profile drives a whole problem; the
+motion prior cuts it at the node times (prior.precompute_intervals), and how
+finely a segment is integrated is its concern too.
 """
 
 from __future__ import annotations
@@ -73,7 +75,8 @@ class InputProfile:
             raise DegenerateInputError("profile requires at least one segment")
         for name in self.__slots__:
             setattr(self, name, np.array([getattr(s, name) for s in segs], dtype=float))
-        self._check_contiguous()
+        if np.any(np.abs(self.t0[1:] - self.t1[:-1]) > _KNOT_TOL):
+            raise DegenerateInputError("profile segments must be contiguous")
 
     @classmethod
     def _stacked(cls, *rows) -> "InputProfile":
@@ -82,26 +85,11 @@ class InputProfile:
         out.t0, out.t1, out.v0, out.v1, out.a0, out.a1 = rows
         return out
 
-    @classmethod
-    def join(cls, profiles) -> "InputProfile":
-        """Consecutive profiles as one; raises DegenerateInputError unless contiguous."""
-        parts = list(profiles)
-        if not parts:
-            raise DegenerateInputError("join requires at least one profile, got none")
-        out = cls._stacked(*(np.concatenate([getattr(p, name) for p in parts])
-                             for name in cls.__slots__))
-        out._check_contiguous()
-        return out
-
     def __len__(self):
         return len(self.t0)
 
     def __getitem__(self, rows: slice) -> "InputProfile":
         return self._stacked(*(getattr(self, name)[rows] for name in self.__slots__))
-
-    def _check_contiguous(self):
-        if np.any(np.abs(self.t0[1:] - self.t1[:-1]) > _KNOT_TOL):
-            raise DegenerateInputError("profile segments must be contiguous")
 
     @classmethod
     def zero(cls, t0: float, t1: float) -> "InputProfile":
@@ -141,21 +129,6 @@ class InputProfile:
         return self.values_at(t, np.clip(np.searchsorted(self.t0, t, side="right") - 1,
                                          0, len(self.t0) - 1))
 
-    def slice(self, t0: float, t1: float) -> "InputProfile":
-        """Restriction to [t0, t1], splitting straddling segments with interpolated endpoints."""
-        if t0 < self.start - _KNOT_TOL or t1 > self.end + _KNOT_TOL or t1 <= t0:
-            raise DomainError("slice window must lie inside the profile and have positive length")
-        # binary-search the overlapping rows; the guards below keep edge exactness
-        rows = np.arange(max(0, int(np.searchsorted(self.t0, t0, side="right")) - 1),
-                         min(len(self.t0), int(np.searchsorted(self.t0, t1, side="left")) + 1))
-        lo, hi = np.maximum(self.t0[rows], t0), np.minimum(self.t1[rows], t1)
-        keep = hi - lo > _KNOT_TOL
-        if not keep.any():
-            raise DomainError("slice window contains no segment content")
-        rows, lo, hi = rows[keep], lo[keep], hi[keep]
-        (v_lo, a_lo), (v_hi, a_hi) = self.values_at(lo, rows), self.values_at(hi, rows)
-        return self._stacked(lo, hi, v_lo, v_hi, a_lo, a_hi)
-
 
 def from_samples(times, velocities, accelerations=None) -> InputProfile:
     """Profile through sampled inputs, one linear segment per sample gap.
@@ -164,10 +137,13 @@ def from_samples(times, velocities, accelerations=None) -> InputProfile:
     are zero.
     """
     # copies: the profile must not change with the caller's arrays
-    times = np.array(times, dtype=float)
-    velocities = np.array(velocities, dtype=float)
-    accelerations = (np.zeros_like(velocities) if accelerations is None
-                     else np.array(accelerations, dtype=float))
+    try:
+        times = np.array(times, dtype=float)
+        velocities = np.array(velocities, dtype=float)
+        accelerations = (np.zeros_like(velocities) if accelerations is None
+                         else np.array(accelerations, dtype=float))
+    except (TypeError, ValueError) as err:
+        raise DegenerateInputError(f"samples must be numeric arrays: {err}") from None
     if times.ndim != 1 or len(times) < 2:
         raise DegenerateInputError("need at least two samples")
     if velocities.shape != (len(times), 6) or accelerations.shape != (len(times), 6):

@@ -15,16 +15,18 @@ its error scales as the window length to the seventh power and stays below
 of any length: a span of it is the product of ceil(span / 0.5 s) equal
 windows, so the contract holds per 0.5 s window.
 
-precompute_intervals builds every node interval in one pass into one
-IntervalArrays, whose rows are IntervalBlocks. Input-driven segments are
+precompute_intervals cuts one input profile at the node times, since each
+interval's blocks depend only on the inputs between its nodes (Barfoot, Tong
+and Sarkka 2014), and builds every interval in one pass into one
+IntervalArrays whose rows are IntervalBlocks. Input-driven segments are
 integrated CHUNK_SEGMENTS at a time, zero-input intervals take the
-constant-velocity closed forms of Barfoot, Tong and Sarkka (2014), and the
-segment pieces are composed, stacked across intervals, into the
-(transition, input integral, noise covariance) triples from each interval's
-start to every later knot. A mid-interval query integrates only within its
-own segment, after the triple at the segment's start. IntervalBlocks.compose
-joins consecutive intervals from their triples, so a coarser node grid over
-the same inputs needs no second integration.
+constant-velocity closed forms, and the segment pieces are composed, stacked
+across intervals, into the (transition, input integral, noise covariance)
+triples from each interval's start to every later knot. A mid-interval query
+integrates only within its own segment, after the triple at the segment's
+start. IntervalArrays.coarsen composes consecutive intervals from their
+triples, so a coarser node grid over the same inputs needs no second
+integration.
 """
 
 from __future__ import annotations
@@ -125,7 +127,10 @@ class PriorHyper:
     qc_inv: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        qc = np.atleast_1d(np.asarray(self.qc, dtype=float))
+        try:
+            qc = np.atleast_1d(np.asarray(self.qc, dtype=float))
+        except (TypeError, ValueError):
+            raise HyperparameterError(f"Qc must be numeric, got {self.qc!r}") from None
         if qc.ndim == 1:
             if qc.shape != (6,):
                 raise HyperparameterError("diagonal Qc must have 6 entries")
@@ -396,7 +401,7 @@ class IntervalBlocks:
     (which exercises the general route, as the fallback-equivalence tests
     need): their segment pieces, the transition from a query time to t1 and
     Q^-1 are the closed forms of constant velocity; only this module reads
-    closed_form. compose joins consecutive intervals without integrating.
+    closed_form. compose is the batch of one of IntervalArrays.coarsen.
     """
 
     def __init__(self, profile: InputProfile, hyper: PriorHyper, *, force_general: bool = False):
@@ -414,25 +419,10 @@ class IntervalBlocks:
         self.q_full_inv = intervals.q_full_inv[i]
         return self
 
-    @classmethod
-    def compose(cls, fine_blocks) -> "IntervalBlocks":
-        """One interval over consecutive fine ones, IntervalBlocks or an IntervalArrays.
-
-        The coarse triples are the fine ones composed in time order with
-        _compose. Every fine knot, the fine intervals' ends included, stays a
-        knot of the result, so at() at any of them is a lookup. The result is
-        closed_form when every fine interval is.
-        """
-        fine = IntervalArrays.stack(fine_blocks)
-        if np.any(np.abs(fine.t0[1:] - fine.t1[:-1]) > TIME_TOL):
-            raise DegenerateInputError("composed intervals must be contiguous")
-        phi, inp, q = fine.knot_phi.copy(), fine.knot_input.copy(), fine.knot_q.copy()
-        for lo, hi in zip(fine.offsets[1:-1], fine.offsets[2:]):
-            phi[lo:hi], inp[lo:hi], q[lo:hi] = _compose(
-                (phi[lo - 1], inp[lo - 1], q[lo - 1]), (phi[lo:hi], inp[lo:hi], q[lo:hi]))
-        return cls.__new__(cls)._view(IntervalArrays(
-            fine.profile, fine.hyper, fine.offsets[[0, -1]], fine.closed_form.all(keepdims=True),
-            phi, inp, q), 0)
+    @staticmethod
+    def compose(fine_blocks) -> "IntervalBlocks":
+        """One interval over consecutive fine ones, IntervalBlocks or an IntervalArrays."""
+        return IntervalArrays.stack(fine_blocks).coarsen(len(fine_blocks))[0]
 
     def at(self, tau: float) -> QueryBlocks:
         """Blocks for a query time in [t0, t1]."""
@@ -463,7 +453,7 @@ class IntervalBlocks:
 class IntervalArrays:
     """Node intervals, stacked, as a sequence of IntervalBlocks: the one interval container.
 
-    profile joins the intervals' profiles, interval i holding its rows
+    profile holds the intervals' input segments, interval i holding its rows
     offsets[i] to offsets[i + 1] - 1. On profile row r, knot_phi, knot_input
     and knot_q (S, ...) hold the triple from the start of r's interval to
     the end of r; closed_form (n,) marks the closed-form intervals. The
@@ -507,7 +497,7 @@ class IntervalArrays:
 
         The profiles are joined unchecked: a caller checks the ends it relies
         on, against the node times (check_interval_times) or each other
-        (compose). Raises WiringError without rows or for one that is not an
+        (coarsen). Raises WiringError without rows or for one that is not an
         IntervalBlocks, HyperparameterError unless they share one Qc.
         """
         if isinstance(intervals, IntervalArrays):
@@ -525,6 +515,30 @@ class IntervalArrays:
         return cls(profile, rows[0].hyper, np.cumsum([0] + [len(b.profile) for b in rows]),
                    np.array([b.closed_form for b in rows]),
                    *(np.concatenate(x) for x in zip(*((b._phi, b._input, b._q) for b in rows))))
+
+    def coarsen(self, ratio: int) -> "IntervalArrays":
+        """The intervals over ratio consecutive ones each, the last over those left.
+
+        The fine triples are composed in time order without integrating, one
+        stacked _compose per position p of a fine interval in a coarse one.
+        Every fine knot stays a knot, so at() at any of them is a lookup. A
+        coarse interval is closed_form when all its fine ones are. Raises
+        DegenerateInputError unless the intervals are contiguous.
+        """
+        if np.any(np.abs(self.t0[1:] - self.t1[:-1]) > TIME_TOL):
+            raise DegenerateInputError("composed intervals must be contiguous")
+        phi, inp, q = self.knot_phi.copy(), self.knot_input.copy(), self.knot_q.copy()
+        counts = np.diff(self.offsets)
+        for p in range(1, ratio):
+            fine = np.arange(p, len(self), ratio)
+            at = _ranges(self.offsets[fine], counts[fine])
+            before = np.repeat(self.offsets[fine] - 1, counts[fine])
+            phi[at], inp[at], q[at] = _compose((phi[before], inp[before], q[before]),
+                                               (phi[at], inp[at], q[at]))
+        starts = np.arange(0, len(self), ratio)
+        offsets = np.append(self.offsets[starts], self.offsets[-1])
+        return IntervalArrays(self.profile, self.hyper, offsets,
+                              np.logical_and.reduceat(self.closed_form, starts), phi, inp, q)
 
     @cached_property
     def rows(self) -> tuple:
@@ -569,10 +583,55 @@ def _build(profile: InputProfile, counts, hyper: PriorHyper,
     return IntervalArrays(profile, hyper, offsets, closed_form, phi, inp, q)
 
 
-def precompute_intervals(profiles, hyper: PriorHyper) -> IntervalArrays:
-    """The IntervalArrays of contiguous per-interval profiles (InputProfile.join), in one pass."""
-    parts = list(profiles)
-    return _build(InputProfile.join(parts), [len(p) for p in parts], hyper)
+def _ranges(starts, counts):
+    """starts[i], starts[i] + 1, ..., starts[i] + counts[i] - 1 for every i, concatenated."""
+    return np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+
+
+def _split(profile: InputProfile, times):
+    """profile cut at the node times, and the number of its rows in each interval.
+
+    Each row is clipped to each node interval, its new ends read through
+    values_at; pieces of at most TIME_TOL are dropped.
+    """
+    first = np.maximum(np.searchsorted(profile.t0, times[:-1], side="right") - 1, 0)
+    count = np.clip(np.searchsorted(profile.t0, times[1:], side="left") + 1 - first,
+                    0, len(profile) - first)
+    rows, interval = _ranges(first, count), np.repeat(np.arange(len(count)), count)
+    lo = np.maximum(profile.t0[rows], times[interval])
+    hi = np.minimum(profile.t1[rows], times[interval + 1])
+    keep = hi - lo > TIME_TOL
+    rows, interval, lo, hi = rows[keep], interval[keep], lo[keep], hi[keep]
+    (v_lo, a_lo), (v_hi, a_hi) = profile.values_at(lo, rows), profile.values_at(hi, rows)
+    return (InputProfile._stacked(lo, hi, v_lo, v_hi, a_lo, a_hi),
+            np.diff(np.searchsorted(interval, np.arange(len(times)))))
+
+
+def precompute_intervals(profile: InputProfile, node_times, hyper: PriorHyper) -> IntervalArrays:
+    """The IntervalArrays between consecutive node times, over one input profile, in one pass.
+
+    Raises DegenerateInputError for fewer than two node times, a non-finite
+    one, or one with no more than TIME_TOL of input after the one before it
+    (so the times must increase), and DomainError for one outside the
+    profile; each names the node and its time.
+    """
+    times = np.asarray(node_times, dtype=float)
+    if times.ndim != 1 or len(times) < 2:
+        raise DegenerateInputError(f"need at least two node times, got {times.size}")
+    split, counts = _split(profile, times)
+    empty = np.concatenate([[False], counts == 0])
+    inside = (times >= profile.start - TIME_TOL) & (times <= profile.end + TIME_TOL)
+    bad = np.flatnonzero(~np.isfinite(times) | empty | ~inside)
+    if len(bad):
+        k, t = int(bad[0]), times[bad[0]]
+        if not np.isfinite(t):
+            raise DegenerateInputError(f"node {k} time {t} is not finite")
+        if empty[k]:
+            raise DegenerateInputError(f"node {k} time {t:.9g} s is not more than {TIME_TOL} s "
+                                       f"of input after node {k - 1} at {times[k - 1]:.9g} s")
+        raise DomainError(f"node {k} time {t:.9g} s lies outside the input profile "
+                          f"[{profile.start:.9g}, {profile.end:.9g}] s")
+    return _build(split, counts, hyper)
 
 
 def check_interval_times(times, t0, t1, intervals=None):

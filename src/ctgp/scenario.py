@@ -43,6 +43,8 @@ def _number(value, where, *, positive=False, nonnegative=False):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError(f"{where}: expected a number, got {value!r}")
     v = float(value)
+    if not np.isfinite(v):
+        raise ScenarioError(f"{where}: must be finite, got {v}")
     if positive and v <= 0.0:
         raise ScenarioError(f"{where}: must be positive, got {v}")
     if nonnegative and v < 0.0:
@@ -80,7 +82,7 @@ def _flag(value, where):
 
 
 def _choice(value, options, where):
-    if value not in options:
+    if not isinstance(value, str) or value not in options:
         raise ScenarioError(f"{where}: expected one of {sorted(options)}, got {value!r}")
     return value
 
@@ -243,7 +245,8 @@ def _parse_mobile(doc) -> MobileScenario:
     input_rate = _number(_require(doc, "input_rate", "scenario"), "input_rate",
                          positive=True)
     tick = 1.0 / input_rate
-    if abs(duration / tick - round(duration / tick)) > 1e-6:
+    ticks = duration / tick
+    if not np.isfinite(ticks) or abs(ticks - round(ticks)) > 1e-6:
         raise ScenarioError("duration: must be a whole number of input ticks")
 
     segments = []
@@ -270,7 +273,8 @@ def _parse_mobile(doc) -> MobileScenario:
     rng_spec = _mapping(_require(meas, "range", "measurements"), "measurements.range")
     interval = _number(_require(rng_spec, "interval", "measurements.range"),
                        "measurements.range.interval", positive=True)
-    if abs(interval / tick - round(interval / tick)) > 1e-6:
+    ticks = interval / tick
+    if not np.isfinite(ticks) or abs(ticks - round(ticks)) > 1e-6:
         raise ScenarioError(
             "measurements.range.interval: must be a whole number of input ticks")
     max_range = rng_spec.get("max_range")

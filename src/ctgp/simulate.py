@@ -24,7 +24,6 @@ import numpy as np
 
 from .continuum import STRAIGHT_STRAIN, tensions_to_inputs
 from .errors import DomainError
-from .inputs import InputProfile
 from .liegroup import Pose, exp_map, so3_project, wedge
 from .scenario import Disturbance, MobileScenario
 
@@ -167,16 +166,15 @@ def filter_ranges(ranges, interval):
     return tuple(s for s in ranges if abs(s.time / interval - round(s.time / interval)) < 1e-6)
 
 
-def _strain_table(rod, profiles, disturbance: Disturbance | None):
+def _strain_table(rod, profile, disturbance: Disturbance | None):
     """Exact strain at the actuation knots plus an evaluator between them.
 
     The actuation inputs are piecewise linear, so the trapezoid rule over
     the knots integrates them exactly and the strain between knots is the
     quadratic continuation from the previous knot.
     """
-    full = InputProfile.join(profiles)
-    knots = np.concatenate([full.t0[:1], full.t1])
-    accel = np.concatenate([full.a0[:1], full.a1])
+    knots = np.concatenate([profile.t0[:1], profile.t1])
+    accel = np.concatenate([profile.a0[:1], profile.a1])
     strain = np.zeros_like(accel)
     strain[0] = STRAIGHT_STRAIN
     widths = np.diff(knots)
@@ -211,8 +209,7 @@ def simulate_rod(rod, tendons, node_arclengths, sample_arclengths, *,
     Uses the same tendon-to-input conversion the estimator sees, plus the
     optional disturbance load that stays hidden from it.
     """
-    profiles = tensions_to_inputs(rod, tendons, node_arclengths)
-    strain_at = _strain_table(rod, profiles, disturbance)
+    strain_at = _strain_table(rod, tensions_to_inputs(rod, tendons, node_arclengths), disturbance)
 
     sample_arclengths = np.asarray(sample_arclengths, dtype=float)
     off = [s for s in sample_arclengths if not 0.0 <= s <= rod.length + 1e-12]

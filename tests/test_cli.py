@@ -201,3 +201,10 @@ class TestErrors:
         bad.write_text("schema_version: 3\ndomain: mobile\n", encoding="utf-8")
         assert main(["estimate", "--config", str(bad)]) == 2
         assert "schema_version" in capsys.readouterr().err
+
+    def test_infinite_scenario_number_exits_with_the_key(self, tmp_path, capsys):
+        bad = tmp_path / "inf.yaml"
+        bad.write_text(SCENARIO.replace("interval: 0.5", "interval: .inf"), encoding="utf-8")
+        assert main(["estimate", "--config", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: measurements.range.interval: ") and "Traceback" not in err

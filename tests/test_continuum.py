@@ -17,13 +17,9 @@ def make_rod(length=0.2, n_disks=10):
     return continuum.RodModel(length, ROD_STIFFNESS, tuple(disks))
 
 
-def profile_accel(s_nodes, profiles):
-    s_nodes = np.asarray(s_nodes)
-
+def profile_accel(profile):
     def accel(s):
-        k = int(np.clip(np.searchsorted(s_nodes, s, side="right") - 1,
-                        0, len(profiles) - 1))
-        return profiles[k].evaluate(float(s))[1]
+        return profile.evaluate(float(s))[1]
 
     return accel
 
@@ -80,11 +76,12 @@ def test_integrated_moment_matches_point_moment():
     s_nodes = np.linspace(0.0, rod.length, 11)
     for termination in (0.13, 0.2, 0.0):
         tendon = continuum.TendonRoute(5e-3, 0.7, termination, 2.5)
-        profiles = continuum.tensions_to_inputs(rod, [tendon], s_nodes)
+        profile = continuum.tensions_to_inputs(rod, [tendon], s_nodes)
+        assert (profile.start, profile.end) == (0.0, rod.length)
+        assert set(s_nodes) <= set(profile.t0) | {profile.end}
         total = np.zeros(6)
-        for p in profiles:
-            for seg in p.segments:
-                total += 0.5 * (seg.a0 + seg.a1) * seg.duration
+        for seg in profile.segments:
+            total += 0.5 * (seg.a0 + seg.a1) * seg.duration
         assert np.allclose(total * rod.stiffness, continuum.point_moment(tendon),
                            atol=1e-15)
 
@@ -93,9 +90,9 @@ def test_zero_tensions_reproduce_constant_strain_prior():
     rod = make_rod()
     s_nodes = np.linspace(0.0, rod.length, 11)
     slack = [continuum.TendonRoute(5e-3, 0.0, 0.2, 0.0)]
-    profiles = continuum.tensions_to_inputs(rod, slack, s_nodes)
-    assert all(p.is_zero() for p in profiles)
-    assert all(prior.IntervalBlocks(p, PAPER_HYPER).closed_form for p in profiles)
+    profile = continuum.tensions_to_inputs(rod, slack, s_nodes)
+    assert profile.is_zero()
+    assert prior.precompute_intervals(profile, s_nodes, PAPER_HYPER).closed_form.all()
 
     tip = factors.PositionFactor(10, np.array([0.02, 0.0, 0.19]), R_POSITION)
     _, with_slack = continuum.estimate_shape(rod, slack, [tip], PAPER_HYPER, 11)
@@ -110,8 +107,8 @@ def test_tip_pose_consistency_with_forward_oracle():
     rod = make_rod()
     s_nodes = np.linspace(0.0, rod.length, 11)
     tendon = continuum.TendonRoute(5e-3, 0.0, rod.length, 2.0)
-    profiles = continuum.tensions_to_inputs(rod, [tendon], s_nodes)
-    truth = integrate_shape(rod, profile_accel(s_nodes, profiles))
+    profile = continuum.tensions_to_inputs(rod, [tendon], s_nodes)
+    truth = integrate_shape(rod, profile_accel(profile))
     tip_pose = truth[-1][1]
 
     meas = [factors.PoseFactor(10, tip_pose, R_POSE)]
@@ -136,8 +133,8 @@ def test_base_pose_stays_anchored_under_disturbance():
     rod = make_rod()
     s_nodes = np.linspace(0.0, rod.length, 11)
     tendon = continuum.TendonRoute(5e-3, 0.0, rod.length, 2.0)
-    profiles = continuum.tensions_to_inputs(rod, [tendon], s_nodes)
-    tendon_accel = profile_accel(s_nodes, profiles)
+    profile = continuum.tensions_to_inputs(rod, [tendon], s_nodes)
+    tendon_accel = profile_accel(profile)
     dist = np.concatenate([np.zeros(3), [0.0, -4e-3, 0.0]]) / rod.stiffness
 
     def accel(s):
@@ -160,8 +157,8 @@ def test_inputs_beat_no_input_prior_on_disturbed_configs():
     wins = []
     for tension, azimuth in zip(tensions, azimuths):
         tendon = continuum.TendonRoute(5e-3, azimuth, rod.length, tension)
-        profiles = continuum.tensions_to_inputs(rod, [tendon], s_nodes)
-        tendon_accel = profile_accel(s_nodes, profiles)
+        profile = continuum.tensions_to_inputs(rod, [tendon], s_nodes)
+        tendon_accel = profile_accel(profile)
         m_dist = np.concatenate([np.zeros(3), rng.normal(size=3) * 1.5e-3])
         dist = m_dist / rod.stiffness
 

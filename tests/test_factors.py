@@ -440,6 +440,8 @@ _ALL = np.ones(6, dtype=bool)
                  id="range-nan"),
     pytest.param(lambda: factors.RangeFactor(0, np.ones(3), "far", 0.1), "measured",
                  id="range-text"),
+    pytest.param(lambda: factors.RangeFactor(0, np.ones(3), 1.0, None), "variance",
+                 id="range-variance-none"),
     pytest.param(lambda: factors.AnchorFactor(0, Pose.identity(), np.zeros(3), np.eye(6),
                                               np.eye(6)), "bias", id="anchor-bias-3"),
     pytest.param(lambda: factors.AnchorFactor(0, Pose.identity(), np.full(6, np.inf),
@@ -447,6 +449,17 @@ _ALL = np.ones(6, dtype=bool)
 ])
 def test_factor_constructors_reject_malformed_values(build, field):
     with pytest.raises(DegenerateInputError, match=f"Factor field {field} must be finite"):
+        build()
+
+
+@pytest.mark.parametrize("build, match", [
+    pytest.param(lambda: factors.PlanarLockFactor(0, []), "planar lock information",
+                 id="planar-lock-empty"),
+    pytest.param(lambda: factors.PositionFactor(0, np.zeros(3), "tight"),
+                 "position covariance is not numeric", id="position-covariance-text"),
+])
+def test_factor_constructors_reject_non_numeric_weights(build, match):
+    with pytest.raises(HyperparameterError, match=match):
         build()
 
 

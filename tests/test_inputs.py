@@ -34,8 +34,8 @@ def test_profile_requires_contiguity_and_accepts_long_segments():
     s2 = inputs.InputSegment(0.5, 0.9, vx(1.0), vx(1.0), np.zeros(6), np.zeros(6))
     with pytest.raises(DegenerateInputError):
         inputs.InputProfile((s1, s2))
-    with pytest.raises(DegenerateInputError, match="at least one profile"):
-        inputs.InputProfile.join([])
+    with pytest.raises(DegenerateInputError, match="at least one segment"):
+        inputs.InputProfile(())
     long_seg = inputs.InputSegment(0.0, 2.0, vx(1.0), vx(1.0), np.zeros(6), np.zeros(6))
     assert_same_segments(inputs.InputProfile((long_seg,)).segments, [long_seg])
 
@@ -77,21 +77,33 @@ def test_evaluate_is_the_per_row_lerp_bit_for_bit():
         assert np.array_equal(v[i], v_ref) and np.array_equal(a[i], a_ref), t
 
 
-@pytest.mark.parametrize("window", ["straddling", "knot-aligned", "inside-one-row"])
-def test_slice_is_the_per_row_split_bit_for_bit(window):
-    rng = np.random.default_rng(3)
-    segs = jumpy_segments(rng)
-    t0, t1 = {"straddling": (rng.uniform(segs[1].t0, segs[1].t1),
-                             rng.uniform(segs[4].t0, segs[4].t1)),
-              "knot-aligned": (segs[2].t0, segs[5].t0),
-              "inside-one-row": tuple(np.sort(rng.uniform(segs[3].t0, segs[3].t1, 2)))}[window]
+def per_row_split(segs, t0, t1):
+    """The segments clipped to [t0, t1], ends read through each one's values_at."""
     want = []
     for s in segs:
         lo, hi = max(s.t0, t0), min(s.t1, t1)
         if hi - lo > 1e-9:
             (v_lo, a_lo), (v_hi, a_hi) = s.values_at(lo), s.values_at(hi)
             want.append(inputs.InputSegment(lo, hi, v_lo, v_hi, a_lo, a_hi))
-    assert_same_segments(inputs.InputProfile(segs).slice(t0, t1).segments, want)
+    return want
+
+
+@pytest.mark.parametrize("window", ["straddling", "knot-aligned", "inside-one-row"])
+def test_slice_is_the_per_row_split_bit_for_bit(window):
+    # each interval's slice of the profile, cut at the node times by
+    # precompute_intervals, is the per-row split of its window
+    rng = np.random.default_rng(3)
+    segs = jumpy_segments(rng)
+    t0, t1 = {"straddling": (rng.uniform(segs[1].t0, segs[1].t1),
+                             rng.uniform(segs[4].t0, segs[4].t1)),
+              "knot-aligned": (segs[2].t0, segs[5].t0),
+              "inside-one-row": tuple(np.sort(rng.uniform(segs[3].t0, segs[3].t1, 2)))}[window]
+    profile = inputs.InputProfile(segs)
+    times = [profile.start, t0, t1, profile.end]
+    intervals = prior.precompute_intervals(profile, times, prior.PriorHyper(np.ones(6)))
+    assert len(intervals) == 3
+    for row, a, b in zip(intervals, times[:-1], times[1:]):
+        assert_same_segments(row.profile.segments, per_row_split(segs, a, b))
 
 
 def test_builders_and_consumers_construct_no_segment(monkeypatch):
@@ -102,11 +114,14 @@ def test_builders_and_consumers_construct_no_segment(monkeypatch):
     times = np.linspace(0.0, 2.0, 21)
     rng = np.random.default_rng(4)
     p = inputs.from_samples(times, rng.standard_normal((21, 6)), rng.standard_normal((21, 6)))
+    assert calls == []
+    # a closed-form interval at the end, whose segments are made before counting again
+    tail = p.segments + inputs.InputProfile.zero(2.0, 2.5).segments
+    calls.clear()
     hyper = prior.PriorHyper(np.ones(6))
-    fine = prior.precompute_intervals(
-        [p.slice(a, b) for a, b in zip(times[:-1:4], times[4::4])]
-        + [inputs.InputProfile.zero(2.0, 2.5)], hyper)
-    coarse = prior.IntervalBlocks.compose(fine)
+    fine = prior.precompute_intervals(inputs.InputProfile(tail), np.append(times[::4], 2.5),
+                                      hyper)
+    coarse = fine.coarsen(len(fine))[0]
     coarse.at(0.77), coarse.at(2.2), p.evaluate(times), p.is_zero()
     sc = scenario.bundled_scenario("continuum_bench")
     _, _, tendons, disturbance = sc.configs()[-1]
@@ -168,21 +183,26 @@ def test_from_samples_validation():
         inputs.from_samples([0.0, 1.0], np.ones((2, 5)))
     with pytest.raises(DegenerateInputError):
         inputs.from_samples([0.0, np.inf], np.stack([vx(1.0), vx(1.0)]))
+    for odd in ("fast", {}, None):
+        with pytest.raises(DegenerateInputError):
+            inputs.from_samples([0.0, 1.0], [vx(1.0), odd])
+        with pytest.raises(DegenerateInputError):
+            inputs.from_samples([0.0, odd], np.stack([vx(1.0), vx(1.0)]))
 
 
 def test_slice_clips_with_interpolated_endpoints():
+    # the node times cut one segment into three interval slices
     times = np.array([0.0, 1.0])
     vels = np.stack([vx(0.0), vx(4.0)])
     p = inputs.from_samples(times, vels)
-    sub = p.slice(0.25, 0.75)
+    intervals = prior.precompute_intervals(p, [0.0, 0.25, 0.75, 1.0],
+                                           prior.PriorHyper(np.ones(6)))
+    sub = intervals[1].profile
     assert np.isclose(sub.start, 0.25) and np.isclose(sub.end, 0.75)
     v0, _ = sub.evaluate(0.25)
     v1, _ = sub.evaluate(0.75)
     assert np.isclose(v0[0], 1.0) and np.isclose(v1[0], 3.0)
-    with pytest.raises(DomainError):
-        p.slice(-0.5, 0.5)
-    with pytest.raises(DomainError):
-        p.slice(0.6, 0.6)
+    assert len(intervals.profile) == 3
 
 
 def test_zero_profile():
@@ -193,6 +213,9 @@ def test_zero_profile():
     assert not ramp_profile().is_zero()
     with pytest.raises(DegenerateInputError):
         inputs.InputProfile.zero(1.0, 1.0)
+    for odd in ("soon", {}, None):
+        with pytest.raises(DegenerateInputError):
+            inputs.InputProfile.zero(odd, 1.0)
 
 
 def test_read_input_log_with_and_without_accelerations(tmp_path):

@@ -176,6 +176,9 @@ def test_hyper_validation():
     bad[0, 1] = 0.5
     with pytest.raises(HyperparameterError):
         prior.PriorHyper(bad)
+    for odd in ("diag", {"x": 1.0}, None):
+        with pytest.raises(HyperparameterError):
+            prior.PriorHyper(odd)
     h = prior.PriorHyper(np.full(6, 2.0))
     assert np.allclose(h.qc, 2.0 * np.eye(6))
 
@@ -334,8 +337,8 @@ def test_long_segment_equals_the_profile_cut_into_half_second_segments():
     for profile in long_segment_profiles(rng):
         knots = np.linspace(profile.start, profile.end,
                             int(round((profile.end - profile.start) / 0.5)) + 1)
-        cut = inputs.InputProfile(tuple(profile.slice(a, b).segments[0]
-                                        for a, b in zip(knots[:-1], knots[1:])))
+        cut = prior.precompute_intervals(profile, knots, hyper).profile
+        assert len(cut) == len(knots) - 1
         whole, ref = prior.IntervalBlocks(profile, hyper), prior.IntervalBlocks(cut, hyper)
         for name in ("phi", "input_full", "q_full"):
             got, want = getattr(whole, name), getattr(ref, name)
@@ -464,16 +467,30 @@ def test_interval_blocks_deterministic():
     assert np.array_equal(qa.input_tau, qb.input_tau)
 
 
-def test_precompute_intervals_contiguity():
-    rng = np.random.default_rng(9)
-    hyper = random_hyper(rng)
-    p1 = inputs.InputProfile.zero(0.0, 1.0)
-    p2 = inputs.InputProfile.zero(1.0, 2.0)
-    p_gap = inputs.InputProfile.zero(2.5, 3.0)
-    out = prior.precompute_intervals([p1, p2], hyper)
-    assert len(out) == 2
-    with pytest.raises(Exception):
-        prior.precompute_intervals([p1, p_gap], hyper)
+@pytest.mark.parametrize("times, error, match", [
+    pytest.param([1.0], DegenerateInputError, "at least two node times", id="one"),
+    pytest.param([0.0, np.nan, 2.0], DegenerateInputError, "node 1 time nan is not finite",
+                 id="nan"),
+    pytest.param([0.0, 1.0, np.inf], DegenerateInputError, "node 2 time inf is not finite",
+                 id="inf"),
+    pytest.param([0.0, 1.5, 1.5], DegenerateInputError, "node 2 time 1.5 s is not more than",
+                 id="repeated"),
+    pytest.param([0.0, 2.0, 1.0], DegenerateInputError, "node 2 time 1 s is not more than",
+                 id="decreasing"),
+    pytest.param([0.0, 1.0, 1.0 + 5e-10], DegenerateInputError, "node 2 time 1 s",
+                 id="closer-than-tol"),
+    pytest.param([0.0, 1.0, 3.5], DomainError, r"node 2 time 3.5 s lies outside .*\[0, 3\]",
+                 id="past-the-end"),
+    pytest.param([-0.5, 1.0], DomainError, "node 0 time -0.5 s lies outside", id="before"),
+])
+def test_precompute_intervals_names_the_bad_node_time(times, error, match):
+    # contiguity is the profile's, checked where it is built; the node times are checked here
+    hyper = prior.PriorHyper(np.ones(6))
+    profile = inputs.InputProfile(inputs.InputProfile.zero(0.0, 1.0).segments
+                                  + inputs.InputProfile.zero(1.0, 3.0).segments)
+    assert len(prior.precompute_intervals(profile, [0.0, 1.0, 3.0], hyper)) == 2
+    with pytest.raises(error, match=match):
+        prior.precompute_intervals(profile, times, hyper)
 
 
 INTERVAL_FIELDS = ("t0", "t1", "closed_form", "_phi", "_input", "_q", "phi", "input_full",
@@ -483,26 +500,35 @@ CONTAINER_FIELDS = ("offsets", "closed_form", "knot_phi", "knot_input", "knot_q"
 PROFILE_FIELDS = ("t0", "t1", "v0", "v1", "a0", "a1")
 
 
-def mixed_profiles(rng):
-    """A zero profile, one segment, three segments and one 1.2 s segment, contiguous."""
+def mixed_profile(rng):
+    """A profile, and node times that cut it into four intervals.
+
+    They are a zero interval and ones of one segment, three segments and one
+    1.2 s segment.
+    """
     seg = [random_twist_bounded(rng, 1.0) for _ in range(6)]
     moving = inputs.from_samples([0.4, 0.7, 0.9, 1.0, 1.3, 2.5], seg)
-    return [inputs.InputProfile.zero(0.0, 0.4), moving.slice(0.4, 0.7),
-            moving.slice(0.7, 1.3), moving.slice(1.3, 2.5)]
+    profile = inputs.InputProfile(inputs.InputProfile.zero(0.0, 0.4).segments + moving.segments)
+    return profile, [0.0, 0.4, 0.7, 1.3, 2.5]
 
 
 def test_one_pass_rows_equal_intervals_built_alone_and_are_views():
     rng = np.random.default_rng(12)
     hyper = random_hyper(rng)
-    profiles = mixed_profiles(rng)
-    intervals = prior.precompute_intervals(profiles, hyper)
+    whole, times = mixed_profile(rng)
+    intervals = prior.precompute_intervals(whole, times, hyper)
     assert len(intervals) == 4 and list(intervals.closed_form) == [True, False, False, False]
-    for profile, row in zip(profiles, intervals):
+    # every node time is a knot of the profile, so no row is cut
+    assert np.array_equal(intervals.offsets, [0, 1, 2, 5, 6])
+    assert np.array_equal(intervals.profile.t0, whole.t0)
+    assert np.array_equal(intervals.profile.t1, whole.t1)
+    for row in intervals:
+        # a copy of the row's profile, built alone
+        profile = inputs.InputProfile(row.profile.segments)
         alone = prior.IntervalBlocks(profile, hyper)
         for name in INTERVAL_FIELDS:
             assert np.array_equal(getattr(row, name), getattr(alone, name)), name
         for name in PROFILE_FIELDS:
-            assert np.array_equal(getattr(row.profile, name), getattr(profile, name)), name
             assert np.shares_memory(getattr(row.profile, name), getattr(intervals.profile, name))
         for name, stacked in (("_phi", "knot_phi"), ("_input", "knot_input"), ("_q", "knot_q"),
                               ("q_full_inv", "q_full_inv")):
@@ -516,7 +542,7 @@ def test_one_pass_rows_equal_intervals_built_alone_and_are_views():
 def test_interval_arrays_stack_round_trips_its_rows():
     rng = np.random.default_rng(13)
     hyper = random_hyper(rng)
-    intervals = prior.precompute_intervals(mixed_profiles(rng), hyper)
+    intervals = prior.precompute_intervals(*mixed_profile(rng), hyper)
     assert prior.IntervalArrays.stack(intervals) is intervals
     again = prior.IntervalArrays.stack(list(intervals))
     assert again is not intervals and len(again) == len(intervals)
@@ -537,11 +563,10 @@ def test_the_interval_build_peaks_below_12_mib_on_600_intervals():
     rng = np.random.default_rng(14)
     times = 0.1 * np.arange(601)
     profile = inputs.from_samples(times, rng.normal(scale=0.5, size=(601, 6)))
-    profiles = [profile.slice(a, b) for a, b in zip(times[:-1], times[1:])]
     hyper = prior.PriorHyper(np.ones(6))
     tracemalloc.start()
     try:
-        prior.precompute_intervals(profiles, hyper)
+        prior.precompute_intervals(profile, times, hyper)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -557,9 +582,8 @@ def twisty_blocks():
     profile = inputs.from_samples(truth.times, truth.input_velocities)
     hyper = prior.PriorHyper(sc.qc_inputs)
     t = truth.times
-    fine = prior.precompute_intervals(
-        [profile.slice(a, b) for a, b in zip(t[:50], t[1:51])], hyper)
-    return fine, prior.IntervalBlocks(profile.slice(t[0], t[50]), hyper)
+    fine = prior.precompute_intervals(profile, t[:51], hyper)
+    return fine, prior.precompute_intervals(profile, t[[0, 50]], hyper)[0]
 
 
 def test_compose_matches_the_directly_built_interval(twisty_blocks):
@@ -608,8 +632,8 @@ def test_at_a_knot_integrates_nothing_and_returns_the_stored_triple(kind, twisty
 
 def test_compose_zero_input_blocks_gives_the_closed_form():
     hyper = prior.PriorHyper(np.array([0.3, 0.3, 0.3, 0.1, 0.1, 0.1]))
-    fine = prior.precompute_intervals(
-        [inputs.InputProfile.zero(0.4 * k, 0.4 * (k + 1)) for k in range(5)], hyper)
+    fine = prior.precompute_intervals(inputs.InputProfile.zero(0.0, 2.0), 0.4 * np.arange(6),
+                                      hyper)
     coarse = prior.IntervalBlocks.compose(fine)
     assert coarse.closed_form
     assert (coarse.t0, coarse.t1) == (0.0, 2.0)
@@ -634,7 +658,7 @@ def test_compose_mixes_zero_and_input_blocks():
     profile = inputs.InputProfile((
         inputs.InputSegment(0.0, 0.3, z0, z1, z0, z1),
         inputs.InputSegment(0.3, 0.6, seg.v0, seg.v1, seg.a0, seg.a1)))
-    fine = prior.precompute_intervals([profile.slice(0.0, 0.3), profile.slice(0.3, 0.6)], hyper)
+    fine = prior.precompute_intervals(profile, [0.0, 0.3, 0.6], hyper)
     assert fine[0].closed_form and not fine[1].closed_form
     coarse = prior.IntervalBlocks.compose(fine)
     direct = prior.IntervalBlocks(profile, hyper)
@@ -645,6 +669,39 @@ def test_compose_mixes_zero_and_input_blocks():
         got, ref = coarse.at(tau), direct.at(tau)
         assert np.allclose(got.phi_from_start, ref.phi_from_start, rtol=1e-12, atol=1e-14)
         assert np.allclose(got.q_tau, ref.q_tau, rtol=1e-12, atol=1e-14)
+
+
+def test_coarsen_is_sequential_compose_bit_for_bit():
+    # closed-form intervals of two rows and one, then general ones of two, two
+    # and one rows; pairs of them, and the last one alone
+    rng = np.random.default_rng(15)
+    hyper = random_hyper(rng)
+    moving = inputs.from_samples([0.8, 1.1, 1.3, 1.4, 1.7, 2.9],
+                                 [random_twist_bounded(rng, 1.0) for _ in range(6)])
+    profile = inputs.InputProfile(inputs.InputProfile.zero(0.0, 0.3).segments
+                                  + inputs.InputProfile.zero(0.3, 0.8).segments + moving.segments)
+    fine = prior.precompute_intervals(profile, [0.0, 0.4, 0.8, 1.3, 1.7, 2.9], hyper)
+    assert np.array_equal(fine.offsets, [0, 2, 3, 5, 7, 8])
+    coarse = fine.coarsen(2)
+    assert len(coarse) == 3 and list(coarse.closed_form) == [True, False, False]
+    assert np.array_equal(coarse.offsets, fine.offsets[[0, 2, 4, 5]])
+    phi, inp, q = fine.knot_phi.copy(), fine.knot_input.copy(), fine.knot_q.copy()
+    for k in (1, 3):  # the second fine interval of each pair, knot by knot
+        last = fine.offsets[k] - 1
+        for r in range(fine.offsets[k], fine.offsets[k + 1]):
+            phi[r], inp[r], q[r] = prior._compose((phi[last], inp[last], q[last]),
+                                                  (phi[r], inp[r], q[r]))
+    end = coarse.offsets[1:] - 1
+    q[end] = 0.5 * (q[end] + np.swapaxes(q[end], -1, -2))
+    for name, want in (("knot_phi", phi), ("knot_input", inp), ("knot_q", q),
+                       ("t0", fine.t0[[0, 2, 4]]), ("t1", fine.t1[[1, 3, 4]])):
+        assert np.array_equal(getattr(coarse, name), want), name
+    assert np.array_equal(coarse.q_full_inv[0], prior.wnoa_q_inv(0.8, hyper.qc_inv))
+    assert np.array_equal(coarse.q_full_inv[1:], np.linalg.inv(q[end[1:]]))
+    for k, lo in enumerate((0, 2, 4)):
+        one = prior.IntervalBlocks.compose(fine[lo:lo + 2])
+        assert np.array_equal(one.q_full_inv, coarse.q_full_inv[k])
+        assert np.array_equal(one._q, coarse[k]._q)
 
 
 def test_compose_rejects_gaps_and_mixed_hyperparameters():

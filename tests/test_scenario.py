@@ -120,6 +120,15 @@ class TestMobileParsing:
         (lambda d: d.update(anchor={"pose_sigma": [-1.0] + [0.0] * 5}),
          "non-negative"),
         (lambda d: d.update(planar_lock={"mode": "diagonal"}), "mode"),
+        pytest.param(lambda d: d["measurements"]["range"].update(interval=float("inf")),
+                     "measurements.range.interval: must be finite", id="infinite-interval"),
+        pytest.param(lambda d: d.update(start={"yaw": float("nan")}), "start.yaw: must be finite",
+                     id="nan-yaw"),
+        pytest.param(lambda d: d.update(input_rate=1e308), "duration: must be a whole number",
+                     id="overflowing-tick-count"),
+        pytest.param(lambda d: d.update(domain=[]), "domain", id="list-domain"),
+        pytest.param(lambda d: d.update(planar_lock={"mode": ["full"]}), "planar_lock.mode",
+                     id="list-lock-mode"),
     ])
     def test_invalid_documents_are_rejected(self, mutate, match):
         d = doc(MINIMAL_MOBILE)

@@ -160,16 +160,15 @@ def test_integrate_poses_follows_a_constant_twist():
     assert np.array_equal(picked[0], rot[rows]) and np.array_equal(picked[1], trans[rows])
 
 
-def sample_acceleration(profiles, s):
-    for p in profiles:
-        for seg in p.segments:
-            if seg.t0 - 1e-12 <= s <= seg.t1 + 1e-12:
-                u = np.clip((s - seg.t0) / (seg.t1 - seg.t0), 0.0, 1.0)
-                return seg.a0 + (seg.a1 - seg.a0) * u
+def sample_acceleration(profile, s):
+    for seg in profile.segments:
+        if seg.t0 - 1e-12 <= s <= seg.t1 + 1e-12:
+            u = np.clip((s - seg.t0) / (seg.t1 - seg.t0), 0.0, 1.0)
+            return seg.a0 + (seg.a1 - seg.a0) * u
     return np.zeros(6)
 
 
-def midpoint_shape(rod, profiles, arclengths, disturbance=None, n_steps=8000):
+def midpoint_shape(rod, profile, arclengths, disturbance=None, n_steps=8000):
     """Independent strain integrator: midpoint rule on the exponential chart."""
     extra = np.zeros(6)
     if disturbance is not None:
@@ -177,7 +176,7 @@ def midpoint_shape(rod, profiles, arclengths, disturbance=None, n_steps=8000):
         extra[3:] = disturbance.moment / (hi - lo)
 
     def accel(s):
-        a = sample_acceleration(profiles, s).copy()
+        a = sample_acceleration(profile, s).copy()
         if disturbance is not None and lo <= s <= hi:
             a = a + extra / rod.stiffness
         return a
@@ -230,8 +229,8 @@ class TestRod:
         samples = rod.disk_arclengths
         poses = simulate_rod(rod, tendons, nodes, samples,
                              disturbance=disturbance)
-        profiles = tensions_to_inputs(rod, tendons, nodes)
-        refs = midpoint_shape(rod, profiles, samples, disturbance)
+        profile = tensions_to_inputs(rod, tendons, nodes)
+        refs = midpoint_shape(rod, profile, samples, disturbance)
         for pose, ref in zip(poses, refs):
             assert np.allclose(pose.translation, ref.translation, atol=1e-7)
             assert np.allclose(pose.rotation, ref.rotation, atol=1e-6)

@@ -449,33 +449,40 @@ def test_only_inputs_reads_profile_segments():
 ROW_FIELDS = {"pose", "velocity", "covariance"}
 
 
+def _scoped_nodes(node, scope=""):
+    """(function, node) for every node below node.
+
+    function is the qualified name of the innermost function or class
+    enclosing the node, "" at module level.
+    """
+    for child in ast.iter_child_nodes(node):
+        yield scope, child
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = f"{scope}.{child.name}" if scope else child.name
+        yield from _scoped_nodes(child, inner)
+
+
+def _restacks(comp, fields):
+    """Whether the comprehension reads one of fields off its loop variable."""
+    names = {n.id for gen in comp.generators for n in ast.walk(gen.target)
+             if isinstance(n, ast.Name)}
+    return any(isinstance(a, ast.Attribute) and a.attr in fields
+               and isinstance(a.value, ast.Name) and a.value.id in names
+               for a in ast.walk(comp))
+
+
 def row_restacks(paths, fields=ROW_FIELDS):
     """(file, function, line) of each comprehension that reads a row field of its loop variable.
 
     A row field is one of fields, by default .pose, .velocity or
-    .covariance; function is the qualified name of the innermost enclosing
-    function or class, "" at module level. Such a comprehension rebuilds a
-    stack of rows one by one.
+    .covariance; function is as in _scoped_nodes. Such a comprehension
+    rebuilds a stack of rows one by one.
     """
-    found = []
-
-    def visit(node, scope, path):
-        for child in ast.iter_child_nodes(node):
-            inner = scope
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                inner = f"{scope}.{child.name}" if scope else child.name
-            elif isinstance(child, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)):
-                names = {n.id for gen in child.generators for n in ast.walk(gen.target)
-                         if isinstance(n, ast.Name)}
-                if any(isinstance(a, ast.Attribute) and a.attr in fields
-                       and isinstance(a.value, ast.Name) and a.value.id in names
-                       for a in ast.walk(child)):
-                    found.append((path.name, scope, child.lineno))
-            visit(child, inner, path)
-
-    for path in paths:
-        visit(_parse(path), "", path)
-    return sorted(found)
+    comprehensions = (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)
+    return sorted((path.name, scope, node.lineno)
+                  for path in paths for scope, node in _scoped_nodes(_parse(path))
+                  if isinstance(node, comprehensions) and _restacks(node, fields))
 
 
 def test_row_restacks_finder_sees_loop_variable_fields_in_every_comprehension(tmp_path):
@@ -520,3 +527,46 @@ def test_no_package_comprehension_restacks_interval_rows():
     """Stacked intervals are read as arrays; only IntervalArrays.stack takes caller-given rows."""
     found = row_restacks(sorted(SRC.glob("*.py")), INTERVAL_FIELDS)
     assert [f for f in found if f[:2] != ("prior.py", "IntervalArrays.stack")] == []
+
+
+def interval_builds(paths):
+    """(file, function, line) of each IntervalBlocks(...) call and each .compose read.
+
+    function is as in _scoped_nodes. Either one builds intervals one at a
+    time, or composes them one coarse interval at a time.
+    """
+    def names_blocks(func):
+        return ((isinstance(func, ast.Name) and func.id == "IntervalBlocks")
+                or (isinstance(func, ast.Attribute) and func.attr == "IntervalBlocks"))
+
+    return sorted((path.name, scope, node.lineno)
+                  for path in paths for scope, node in _scoped_nodes(_parse(path))
+                  if (isinstance(node, ast.Call) and names_blocks(node.func))
+                  or (isinstance(node, ast.Attribute) and node.attr == "compose"
+                      and isinstance(node.ctx, ast.Load)))
+
+
+def test_interval_builds_finder_sees_block_calls_and_compose_reads(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("from ctgp import prior\n"
+                      "from ctgp.prior import IntervalBlocks\n"
+                      "def f(profile, hyper, fine):\n"
+                      "    a = IntervalBlocks(profile, hyper)\n"
+                      "    b = prior.IntervalBlocks(profile, hyper, force_general=True)\n"
+                      "    merge = IntervalBlocks.compose\n"
+                      "    return a, b, merge(fine), [IntervalBlocks] + fine\n"
+                      "class Grid:\n"
+                      "    def coarse(self, fine):\n"
+                      "        self.compose = None\n"
+                      "        return fine.coarsen(2), fine[0].compose(fine)\n")
+    assert interval_builds([module]) == [("m.py", "Grid.coarse", 11), ("m.py", "f", 4),
+                                         ("m.py", "f", 5), ("m.py", "f", 6)]
+
+
+def test_package_builds_intervals_only_in_one_pass_or_by_coarsening():
+    """Outside prior.py, intervals come from precompute_intervals and IntervalArrays.coarsen.
+
+    The one .compose read left is Pose's own, behind its @ operator.
+    """
+    found = interval_builds(p for p in sorted(SRC.glob("*.py")) if p.name != "prior.py")
+    assert [f[:2] for f in found] == [("liegroup.py", "Pose.__matmul__")]
