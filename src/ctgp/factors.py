@@ -14,12 +14,14 @@ inverted once, and its measured values are checked for shape and
 finiteness and copied.
 
 An InterpolatedFactor wraps one of those one-node factors, its inner, and
-joins an InterpolatedBatch of up to CHUNK_ROWS rows. The batch builds the
-state-independent rows of its query times once (interpolation.query_rows);
-at each linearization one batched interpolation chain gives the states at
-all of them, the inner kernel runs on those, and its Jacobian is chained
-onto both bracketing nodes. A measurement of another kind is a custom
-two-node factor whose evaluate calls interpolated_factor.
+joins an InterpolatedBatch of up to CHUNK_ROWS rows. The batch stacks its
+factors' distinct intervals into one IntervalArrays and builds the
+state-independent rows of its query times from it once
+(interpolation.query_rows); at each linearization one batched interpolation
+chain gives the states at all of them, the inner kernel runs on those, and
+its Jacobian is chained onto both bracketing nodes. A measurement of
+another kind is a custom two-node factor whose evaluate calls
+interpolated_factor.
 
 The motion prior is no factor object: the solver takes its intervals as
 they are, in one IntervalArrays. prior_factor_batch evaluates the prior
@@ -527,18 +529,22 @@ class FactorBatch:
 class InterpolatedBatch:
     """InterpolatedFactors whose inners are of one batched type.
 
-    The query rows, built once here, interpolate every state in one chain,
-    the inner kernel runs on those states, and its Jacobian is chained onto
-    both bracketing nodes. index (n,) is each row's interval, node k of the
-    pair.
+    Each factor interpolates with its own blocks: their distinct intervals,
+    of one Qc, are stacked once, and the query rows built from them here.
+    Every state is then interpolated in one chain, the inner kernel runs on
+    those states, and its Jacobian is chained onto both bracketing nodes.
+    index (n,) is each row's interval, node k of the pair.
     """
 
     def __init__(self, group):
         self.index = np.array([f.index for f in group])
         self.inner = FactorBatch([f.inner for f in group])
         self.information = self.inner.information
-        self.rows = query_rows([f.blocks for f in group], [f.tau for f in group],
-                               self.index)
+        distinct = {(id(f.blocks.arrays), f.blocks.row): f.blocks for f in group}
+        at = {key: i for i, key in enumerate(distinct)}
+        self.rows = query_rows(IntervalArrays.stack(distinct.values()), [f.tau for f in group],
+                               [at[id(f.blocks.arrays), f.blocks.row] for f in group]
+                               )._replace(interval=self.index)
 
     def linearize(self, nodes: NodeArrays, chart: IntervalChart):
         """(error (n, m), Jacobian (n, m, 24)) over (node k, node k+1).
@@ -554,15 +560,17 @@ class InterpolatedBatch:
 def batch_factors(factors):
     """Group the batched types into FactorBatches and InterpolatedBatches.
 
-    InterpolatedFactors are grouped by the type of their inner. A group
-    longer than CHUNK_ROWS is split. Returns (batches, rest). Every other
-    factor, a custom one, is left in rest to be evaluated on its own.
+    InterpolatedFactors are grouped by the type of their inner and the Qc
+    of their blocks. A group longer than CHUNK_ROWS is split. Returns
+    (batches, rest). Every other factor, a custom one, is left in rest to be
+    evaluated on its own.
     """
     groups, rest = {}, []
     for f in factors:
         owner = f.inner if type(f) is InterpolatedFactor else f
         if type(owner) in _BATCHED_TYPES:
-            key = ((type(f), type(owner))
+            qc = f.blocks.hyper.qc.tobytes() if owner is not f else None
+            key = ((type(f), type(owner), qc)
                    + tuple(np.asarray(v).tobytes() for v in owner._shared().values()))
             groups.setdefault(key, []).append(f)
         else:

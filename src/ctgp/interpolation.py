@@ -5,11 +5,11 @@ posterior at an interior time depends only on the two bracketing nodes, the
 interval's precomputed transition/integral blocks, and a conditional noise
 term. The query-time gain matrices are state independent.
 
-query_rows is the one builder of those gains: it turns each time's
-IntervalBlocks.at pieces into stacked QueryRows. There is one evaluation
-path, chain: the rows interpolated from the stacked node states and each
-interval's chart (prior.interval_chart), with the node Jacobian and
-covariance on request. Trajectory.query_many gathers its node hits and
+query_rows is the one builder of those gains: one IntervalArrays.query for
+all its times, then the gains, stacked, into QueryRows. There is one
+evaluation path, chain: the rows interpolated from the stacked node states
+and each interval's chart (prior.interval_chart), with the node Jacobian
+and covariance on request. Trajectory.query_many gathers its node hits and
 runs chain over its off-node rows, a fixed-size chunk at a time, into one
 stacked QueryArrays; the solver's interpolated factor batches run it over
 their rows at every linearization. Trajectory.query, lambda_psi,
@@ -32,6 +32,10 @@ from .prior import (TIME_TOL, IntervalArrays, IntervalBlocks, IntervalChart, Nod
 # off-node rows per batched chain in Trajectory.query_many and per
 # interpolated factor batch
 CHUNK_ROWS = 512
+# rows per IntervalArrays.query in query_rows: a row's intermediates there
+# take some 14 KB, more than a chain's, so a whole CHUNK_ROWS at once would
+# raise the solve's peak memory
+CHUNK_QUERY = 64
 
 
 @dataclass(frozen=True)
@@ -100,38 +104,33 @@ class QueryRows(NamedTuple):
     input_velocity: np.ndarray
 
 
-def query_rows(blocks_seq, taus, intervals) -> QueryRows:
-    """The state-independent rows of query times taus, one per row.
+def query_rows(intervals: IntervalArrays, taus, k) -> QueryRows:
+    """The state-independent rows of query times taus, each in its interval k, stacked.
 
-    Row i is the time taus[i] inside blocks_seq[i], the blocks of interval
-    intervals[i]. The gains condition the prior on both bracketing nodes:
+    The gains condition the prior on both bracketing nodes:
     psi_gain = Q(tau) Phi(t1, tau)^T Q^-1, lam = Phi(tau, t0) - psi_gain Phi
-    and q_cond = Q(tau) - psi_gain Phi(t1, tau) Q(tau).
+    and q_cond = Q(tau) - psi_gain Phi(t1, tau) Q(tau). One
+    IntervalArrays.query serves CHUNK_QUERY rows.
     """
-    taus = np.asarray(taus, dtype=float)
-    n = len(taus)
-    lam, psi_gain, q_cond = (np.empty((n, 12, 12)) for _ in range(3))
-    input_tau, input_full = np.empty((n, 12)), np.empty((n, 12))
-    input_velocity = np.empty((n, 6))
-    t0, t1 = np.empty(n), np.empty(n)
-    for i, (blocks, tau) in enumerate(zip(blocks_seq, taus)):
-        qb = blocks.at(tau)
-        psi = qb.q_tau @ qb.phi_to_end.T @ blocks.q_full_inv
-        psi_gain[i] = psi
-        lam[i] = qb.phi_from_start - psi @ blocks.phi
+    k, taus = np.asarray(k, dtype=int), np.asarray(taus, dtype=float)
+    n = len(k)
+    rows = QueryRows(k, taus, intervals.t0[k], intervals.t1[k], np.empty((n, 12, 12)),
+                     np.empty((n, 12, 12)), np.empty((n, 12, 12)), np.empty((n, 12)),
+                     intervals.input_full[k], np.empty((n, 6)))
+    for lo in range(0, n, CHUNK_QUERY):
+        at = slice(lo, lo + CHUNK_QUERY)
+        qb = intervals.query(k[at], taus[at])
+        psi = qb.q_tau @ np.swapaxes(qb.phi_to_end, -1, -2) @ intervals.q_full_inv[k[at]]
         q = qb.q_tau - psi @ qb.phi_to_end @ qb.q_tau
-        q_cond[i] = 0.5 * (q + q.T)
-        input_tau[i] = qb.input_tau
-        input_full[i] = blocks.input_full
-        input_velocity[i] = qb.input_velocity
-        t0[i], t1[i] = blocks.t0, blocks.t1
-    return QueryRows(np.asarray(intervals, dtype=int), taus, t0, t1, lam, psi_gain,
-                     q_cond, input_tau, input_full, input_velocity)
+        rows.lam[at], rows.psi_gain[at] = qb.phi_from_start - psi @ intervals.phi[k[at]], psi
+        rows.q_cond[at] = 0.5 * (q + np.swapaxes(q, -1, -2))
+        rows.input_tau[at], rows.input_velocity[at] = qb.input_tau, qb.input_velocity
+    return rows
 
 
 def lambda_psi(blocks: IntervalBlocks, tau: float):
     """Interpolation gain matrices (lam, psi) for a query time."""
-    rows = query_rows([blocks], [tau], [0])
+    rows = query_rows(blocks.arrays, [tau], [blocks.row])
     return rows.lam[0], rows.psi_gain[0]
 
 
@@ -228,7 +227,7 @@ def _pair(node_k: StateNode, node_k1: StateNode, blocks: IntervalBlocks, tau: fl
           jacobians):
     """Batch-of-one chain over one bracketing pair."""
     nodes = NodeArrays.stack([node_k, node_k1])
-    rows = query_rows([blocks], [tau], [0])
+    rows = query_rows(blocks.arrays, [tau], [blocks.row])._replace(interval=np.zeros(1, int))
     check_interval_times(nodes.time, rows.t0, rows.t1)
     ch = chain(rows, nodes, interval_chart(nodes), jacobians=jacobians)
     return rows, ch
@@ -371,7 +370,7 @@ class Trajectory:
             self._chart = interval_chart(state)
         for lo in range(0, len(off), CHUNK_ROWS):
             part = off[lo:lo + CHUNK_ROWS]
-            rows = query_rows([self.blocks[i] for i in k[part]], taus[part], k[part])
+            rows = query_rows(self.blocks, taus[part], k[part])
             ch = chain(rows, state, self._chart, jacobians=with_cov)
             out.rot[part], out.trans[part], out.bias[part] = ch.rot, ch.trans, ch.bias
             out.velocity[part] = ch.bias + rows.input_velocity

@@ -279,11 +279,11 @@ def j_vec_dx(xi, vec):
     S = np.zeros(batch + (6, 6))
     coeff = 1.0
     for n in range(1, _J_TERMS):
-        S = X @ S - curlywedge(y)
+        S = X @ S - (y @ _CURLY_BASIS).reshape(X.shape)  # curlywedge(y)
         coeff /= n + 1
         term = coeff * S
         out += term
-        if np.max(np.abs(term)) < 1e-17:
+        if np.abs(term).max() < 1e-17:
             break
         y = np.einsum("...ij,...j->...i", X, y)
     return out

@@ -22,11 +22,12 @@ IntervalArrays whose rows are IntervalBlocks. Input-driven segments are
 integrated CHUNK_SEGMENTS at a time, zero-input intervals take the
 constant-velocity closed forms, and the segment pieces are composed, stacked
 across intervals, into the (transition, input integral, noise covariance)
-triples from each interval's start to every later knot. A mid-interval query
-integrates only within its own segment, after the triple at the segment's
-start. IntervalArrays.coarsen composes consecutive intervals from their
-triples, so a coarser node grid over the same inputs needs no second
-integration.
+triples from each interval's start to every later knot. IntervalArrays.query
+answers query times in one stacked pass: each looks up the triple at its
+segment's start and composes the piece of its segment up to it, cut by the
+same _pieces as the build. IntervalArrays.coarsen composes consecutive
+intervals from their triples, so a coarser node grid over the same inputs
+needs no second integration.
 """
 
 from __future__ import annotations
@@ -76,6 +77,7 @@ _MAGNUS_WINDOW = 0.5
 CHUNK_SEGMENTS = 16
 # two times closer than this are the same node time
 TIME_TOL = 1e-9
+_EYE12 = np.eye(12)
 
 
 def expm_ss(A):
@@ -329,8 +331,8 @@ def _wnoa_blocks(c00, c01, c11, m):
 def wnoa_phi(dt):
     """Closed-form transition for identically zero inputs, over a scalar or (n,) dt."""
     dt = np.asarray(dt, dtype=float)[..., None, None]
-    out = np.eye(12) + np.zeros(dt.shape[:-2] + (12, 12))
-    out[..., :6, 6:] = dt * np.eye(6)
+    out = _EYE12 + np.zeros(dt.shape[:-2] + (12, 12))
+    out[..., :6, 6:] = dt * _EYE12[:6, :6]
     return out
 
 
@@ -346,9 +348,8 @@ def wnoa_q_inv(dt, qc_inv):
                         np.asarray(qc_inv, dtype=float))
 
 
-@dataclass(frozen=True)
-class QueryBlocks:
-    """Transition/integral pieces for one query time inside an interval.
+class QueryBlocks(NamedTuple):
+    """Transition/integral pieces for query times, stacked (n, ...), or one time's from at.
 
     input_velocity is the input twist at the query time, right-continuous
     at knots like InputProfile.evaluate.
@@ -383,41 +384,58 @@ def _segment_pieces(profile: InputProfile, rows, upto, hyper: PriorHyper):
     return phi, x[:, :12, 24], x[:, :12, 12:24] @ np.swapaxes(phi, -1, -2)
 
 
-# the triple from an interval's start to itself
-_T0_TRIPLE = (np.eye(12), np.zeros(12), np.zeros((12, 12)))
+def _pieces(profile: InputProfile, rows, upto, closed, hyper: PriorHyper):
+    """(Phi, input integral, Q) over [0, upto] (m,) of rows of profile, stacked.
+
+    Rows marked closed take the constant-velocity closed forms, the others
+    _segment_pieces, CHUNK_SEGMENTS at a time.
+    """
+    phi, q = np.empty((2, len(rows), 12, 12))
+    inp = np.zeros((len(rows), 12))
+    if closed.any():
+        dt = upto[closed]
+        phi[closed], q[closed] = wnoa_phi(dt), wnoa_q(dt, hyper.qc)
+    general = np.flatnonzero(~closed)
+    for lo in range(0, len(general), CHUNK_SEGMENTS):
+        at = general[lo:lo + CHUNK_SEGMENTS]
+        phi[at], inp[at], q[at] = _segment_pieces(profile, rows[at], upto[at], hyper)
+    return phi, inp, q
 
 
 class IntervalBlocks:
-    """Precomputed prior quantities for one node interval: a row of an IntervalArrays.
+    """Precomputed prior quantities for one node interval: row `row` of the IntervalArrays `arrays`.
 
     profile is the interval's InputProfile. The (transition, input
     integral, noise integral) triples from t0 to every later knot of it, t1
-    included, are stacked in (n, ...) arrays; phi, input_full and q_full are
-    the last row, and the triple at t0 is the identity. All are views into
-    the IntervalArrays. IntervalBlocks(profile, hyper) is its batch of one.
-    A query integrates only within its own segment, after the triple at the
-    segment's start; its QueryBlocks also carry the input twist there.
-    Identically zero profiles are closed_form unless force_general is set
-    (which exercises the general route, as the fallback-equivalence tests
-    need): their segment pieces, the transition from a query time to t1 and
-    Q^-1 are the closed forms of constant velocity; only this module reads
-    closed_form. compose is the batch of one of IntervalArrays.coarsen.
+    included, are _phi, _input and _q (n, ...); phi, input_full and q_full
+    are the last row, and the triple at t0 is the identity. Each field is a
+    view into arrays, read when asked. IntervalBlocks(profile, hyper) is an
+    IntervalArrays of one. Identically zero profiles are closed_form unless
+    force_general is set (which exercises the general route, as the
+    fallback-equivalence tests need): their segment pieces, the transition
+    from a query time to t1 and Q^-1 are the closed forms of constant
+    velocity. at and compose are the batches of one of IntervalArrays.query
+    and IntervalArrays.coarsen.
     """
 
-    def __init__(self, profile: InputProfile, hyper: PriorHyper, *, force_general: bool = False):
-        self._view(_build(profile, [len(profile)], hyper, force_general), 0)
+    __slots__ = ("arrays", "row")
 
-    def _view(self, intervals: "IntervalArrays", i: int) -> "IntervalBlocks":
-        """Become row i of intervals, as views into its arrays."""
-        lo, hi = intervals.offsets[i], intervals.offsets[i + 1]
-        self.profile, self.hyper = intervals.profile[lo:hi], intervals.hyper
-        self.t0, self.t1 = float(intervals.t0[i]), float(intervals.t1[i])
-        self.closed_form = bool(intervals.closed_form[i])
-        self._phi, self._input, self._q = (intervals.knot_phi[lo:hi], intervals.knot_input[lo:hi],
-                                           intervals.knot_q[lo:hi])
-        self.phi, self.input_full, self.q_full = self._phi[-1], self._input[-1], self._q[-1]
-        self.q_full_inv = intervals.q_full_inv[i]
-        return self
+    def __init__(self, profile: InputProfile, hyper: PriorHyper, *, force_general: bool = False):
+        self.arrays, self.row = _build(profile, [len(profile)], hyper, force_general), 0
+
+    hyper = property(lambda self: self.arrays.hyper)
+    t0 = property(lambda self: float(self.arrays.t0[self.row]))
+    t1 = property(lambda self: float(self.arrays.t1[self.row]))
+    closed_form = property(lambda self: bool(self.arrays.closed_form[self.row]))
+    phi = property(lambda self: self.arrays.phi[self.row])
+    input_full = property(lambda self: self.arrays.input_full[self.row])
+    q_full = property(lambda self: self.arrays.q_full[self.row])
+    q_full_inv = property(lambda self: self.arrays.q_full_inv[self.row])
+    _knots = property(lambda self: slice(*self.arrays.offsets[self.row:self.row + 2]))
+    profile = property(lambda self: self.arrays.profile[self._knots])
+    _phi = property(lambda self: self.arrays.knot_phi[self._knots])
+    _input = property(lambda self: self.arrays.knot_input[self._knots])
+    _q = property(lambda self: self.arrays.knot_q[self._knots])
 
     @staticmethod
     def compose(fine_blocks) -> "IntervalBlocks":
@@ -426,27 +444,7 @@ class IntervalBlocks:
 
     def at(self, tau: float) -> QueryBlocks:
         """Blocks for a query time in [t0, t1]."""
-        if not (self.t0 - TIME_TOL <= tau <= self.t1 + TIME_TOL):
-            raise DomainError(f"query time {tau} outside interval [{self.t0}, {self.t1}]")
-        p = self.profile
-        m = min(max(int(np.searchsorted(p.t0, tau, side="right")) - 1, 0), len(p.t0) - 1)
-        # read before the snap to the next knot below, as InputProfile.evaluate reads it
-        velocity = p.values_at(tau, m)[0]
-        local = tau - p.t0[m]
-        if local > 1e-12 and p.t1[m] - p.t0[m] - local <= 1e-12:
-            m, local = m + 1, 0.0
-        knot = (self._phi[m - 1], self._input[m - 1], self._q[m - 1]) if m else _T0_TRIPLE
-        if local <= 1e-12:
-            phi_from_start, input_tau, q_tau = knot
-        else:
-            piece = ((wnoa_phi(local), np.zeros(12), wnoa_q(local, self.hyper.qc))
-                     if self.closed_form else [x[0] for x in _segment_pieces(
-                         p, slice(m, m + 1), np.array([local]), self.hyper)])
-            phi_from_start, input_tau, q_tau = piece if m == 0 else _compose(knot, piece)
-        phi_to_end = (wnoa_phi(self.t1 - tau) if self.closed_form
-                      else self.phi @ np.linalg.inv(phi_from_start))
-        return QueryBlocks(phi_from_start.copy(), phi_to_end,
-                           0.5 * (q_tau + q_tau.T), input_tau.copy(), velocity)
+        return QueryBlocks(*(x[0] for x in self.arrays.query([self.row], [tau])))
 
 
 @dataclass(frozen=True, eq=False)
@@ -459,8 +457,8 @@ class IntervalArrays:
     the end of r; closed_form (n,) marks the closed-form intervals. The
     ends t0, t1 (n,), the full triples phi, input_full and q_full and the
     weights q_full_inv (n, ...) follow, each full Q symmetrized in place.
-    intervals[i] is row i, and a slice a tuple of rows; the rows are made at
-    the first access and kept.
+    intervals[i] is row i, made as an IntervalBlocks on access, and a slice
+    a tuple of rows.
     """
 
     profile: InputProfile
@@ -541,16 +539,58 @@ class IntervalArrays:
                               np.logical_and.reduceat(self.closed_form, starts), phi, inp, q)
 
     @cached_property
-    def rows(self) -> tuple:
-        """The intervals as IntervalBlocks, in time order."""
-        return tuple(IntervalBlocks.__new__(IntervalBlocks)._view(self, i)
-                     for i in range(len(self)))
+    def _row_keys(self):
+        """Each profile row's interval + 1j * its start, sorted: complex numbers
+        order by real, then imaginary part, so one search finds a query's row."""
+        return np.repeat(np.arange(len(self)), np.diff(self.offsets)) + 1j * self.profile.t0
+
+    def query(self, k, taus) -> QueryBlocks:
+        """Blocks for query times taus (n,), each in its interval k (n,), stacked.
+
+        A time within 1e-12 s of its segment's end snaps to the next knot.
+        Raises DomainError naming the first time outside its interval.
+        """
+        k, taus = np.asarray(k, dtype=int), np.asarray(taus, dtype=float)
+        t0, t1, lo = self.t0[k], self.t1[k], self.offsets[k]
+        valid = (t0 - TIME_TOL <= taus) & (taus <= t1 + TIME_TOL)
+        if not valid.all():
+            i = np.argmin(valid)
+            raise DomainError(f"query time {taus[i]} outside interval [{t0[i]}, {t1[i]}]")
+        p = self.profile
+        m = np.maximum(np.searchsorted(self._row_keys, k + 1j * taus, side="right") - 1, lo)
+        start, v0 = p.t0[m], p.v0[m]
+        local, span = taus - start, p.t1[m] - start
+        # the input twist as InputProfile.evaluate reads it: before the snap below
+        velocity = v0 + (local / span)[:, None] * (p.v1[m] - v0)
+        snap = (local > 1e-12) & (span - local <= 1e-12)
+        m = m + snap
+        # the triple from t0 to the start of row m, the identity on the first row
+        phi, inp, q = self.knot_phi[m - 1], self.knot_input[m - 1], self.knot_q[m - 1]
+        first = m == lo
+        if first.any():
+            phi[first], inp[first], q[first] = _EYE12, 0.0, 0.0
+        # then the piece on to tau; on a knot, the closed form over no time
+        inside = (local > 1e-12) & ~snap
+        closed = self.closed_form[k]
+        phi, inp, q = _compose((phi, inp, q), _pieces(p, m, np.where(inside, local, 0.0),
+                                                      closed | ~inside, self.hyper))
+        to_end, general = np.empty_like(phi), ~closed
+        if closed.any():
+            to_end[closed] = wnoa_phi(t1[closed] - taus[closed])
+        if general.any():
+            to_end[general] = self.phi[k[general]] @ np.linalg.inv(phi[general])
+        return QueryBlocks(phi, to_end, 0.5 * (q + np.swapaxes(q, -1, -2)), inp, velocity)
 
     def __len__(self):
         return len(self.offsets) - 1
 
     def __getitem__(self, i):
-        return self.rows[i]
+        rows = range(len(self))[i]
+        if isinstance(rows, range):
+            return tuple(self[r] for r in rows)
+        blocks = IntervalBlocks.__new__(IntervalBlocks)
+        blocks.arrays, blocks.row = self, rows
+        return blocks
 
 
 def _build(profile: InputProfile, counts, hyper: PriorHyper,
@@ -566,16 +606,8 @@ def _build(profile: InputProfile, counts, hyper: PriorHyper,
     moving = (profile.v0.any(axis=1) | profile.v1.any(axis=1)
               | profile.a0.any(axis=1) | profile.a1.any(axis=1))
     closed_form = ~np.logical_or.reduceat(moving, offsets[:-1]) & (not force_general)
-    closed_row = np.repeat(closed_form, counts)
-    upto = profile.t1 - profile.t0
-    phi, q = np.empty((2, len(upto), 12, 12))
-    inp = np.empty((len(upto), 12))
-    rows = np.flatnonzero(closed_row)
-    phi[rows], inp[rows], q[rows] = wnoa_phi(upto[rows]), 0.0, wnoa_q(upto[rows], hyper.qc)
-    general = np.flatnonzero(~closed_row)
-    for lo in range(0, len(general), CHUNK_SEGMENTS):
-        rows = general[lo:lo + CHUNK_SEGMENTS]
-        phi[rows], inp[rows], q[rows] = _segment_pieces(profile, rows, upto[rows], hyper)
+    phi, inp, q = _pieces(profile, np.arange(len(profile)), profile.t1 - profile.t0,
+                          np.repeat(closed_form, counts), hyper)
     for j in range(1, counts.max()):
         at = offsets[:-1][counts > j] + j
         phi[at], inp[at], q[at] = _compose((phi[at - 1], inp[at - 1], q[at - 1]),

@@ -42,7 +42,11 @@ def _require(mapping, key, where):
 def _number(value, where, *, positive=False, nonnegative=False):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError(f"{where}: expected a number, got {value!r}")
-    v = float(value)
+    try:
+        v = float(value)
+    except OverflowError:
+        raise ScenarioError(f"{where}: must be finite, got an integer too large for a float"
+                            ) from None
     if not np.isfinite(v):
         raise ScenarioError(f"{where}: must be finite, got {v}")
     if positive and v <= 0.0:

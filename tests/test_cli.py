@@ -208,3 +208,11 @@ class TestErrors:
         assert main(["estimate", "--config", str(bad)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: measurements.range.interval: ") and "Traceback" not in err
+
+    def test_integer_too_large_for_a_float_exits_with_the_key(self, tmp_path, capsys):
+        bad = tmp_path / "huge.yaml"
+        bad.write_text(SCENARIO.replace("duration: 8.0", "duration: 1" + "0" * 400),
+                       encoding="utf-8")
+        assert main(["estimate", "--config", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: duration: ") and "Traceback" not in err

@@ -535,8 +535,44 @@ def test_one_pass_rows_equal_intervals_built_alone_and_are_views():
             assert np.shares_memory(getattr(row, name), getattr(intervals, stacked)), name
         tau = 0.37 * row.t0 + 0.63 * row.t1
         got, want = row.at(tau), alone.at(tau)
-        for name in ("phi_from_start", "phi_to_end", "q_tau", "input_tau", "input_velocity"):
+        for name in QUERY_FIELDS:
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+QUERY_FIELDS = ("phi_from_start", "phi_to_end", "q_tau", "input_tau", "input_velocity")
+
+
+def test_stacked_queries_equal_the_batch_of_one_rows():
+    """One query call over closed-form, force_general and input-driven intervals, times shuffled.
+
+    Each interval is asked at t0 and t1, on every knot, 1e-13 s above and
+    below each knot (below a segment's end snaps forward to it), and inside
+    its first segment; every row must equal at() on its own bit for bit.
+    """
+    rng = np.random.default_rng(16)
+    hyper = random_hyper(rng)
+    whole, times = mixed_profile(rng)
+    forced = prior.IntervalBlocks(inputs.InputProfile.zero(0.0, 0.4), hyper, force_general=True)
+    intervals = prior.IntervalArrays.stack(list(prior.precompute_intervals(whole, times, hyper))
+                                           + [forced])
+    assert list(intervals.closed_form) == [True, False, False, False, False]
+    k, taus = [], []
+    for i, row in enumerate(intervals):
+        knots = np.append(row.profile.t0, row.t1)
+        asked = np.concatenate([[row.t0, row.t1], knots, knots[1:] - 1e-13, knots[:-1] + 1e-13,
+                                [row.t0 + 0.3 * (row.profile.t1[0] - row.t0)]])
+        k += [i] * len(asked)
+        taus += list(asked)
+    order = rng.permutation(len(taus))
+    k, taus = np.array(k)[order], np.array(taus)[order]
+    stacked = intervals.query(k, taus)
+    for j, (i, tau) in enumerate(zip(k, taus)):
+        one = intervals[i].at(tau)
+        for name in QUERY_FIELDS:
+            assert np.array_equal(getattr(stacked, name)[j], getattr(one, name)), (i, tau, name)
+    late = intervals.t1[2] + 1e-6
+    with pytest.raises(DomainError, match=f"query time {late}"):
+        intervals.query([0, 2], [0.1, late])
 
 
 def test_interval_arrays_stack_round_trips_its_rows():

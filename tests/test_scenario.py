@@ -126,6 +126,8 @@ class TestMobileParsing:
                      id="nan-yaw"),
         pytest.param(lambda d: d.update(input_rate=1e308), "duration: must be a whole number",
                      id="overflowing-tick-count"),
+        pytest.param(lambda d: d.update(duration=10 ** 400), "duration: must be finite",
+                     id="integer-too-large-for-a-float"),
         pytest.param(lambda d: d.update(domain=[]), "domain", id="list-domain"),
         pytest.param(lambda d: d.update(planar_lock={"mode": ["full"]}), "planar_lock.mode",
                      id="list-lock-mode"),

@@ -58,6 +58,45 @@ def pose_gap(a, b):
     return np.linalg.norm(log_map(a @ b.inverse()))
 
 
+def test_interpolated_factors_interpolate_with_their_own_blocks():
+    """Blocks over an interval's times but with other triples are kept, not swapped for the prior's.
+
+    One factor's blocks have another Qc, not a multiple of the prior's (which
+    would leave the gains as they are), and one's are the general route over
+    zero inputs; each batched row equals the factor's own evaluate, and the
+    three rows differ.
+    """
+    rng = np.random.default_rng(79)
+    blocks_list = input_chain(rng, 4)
+    truth = propagate_chain(prior.StateNode(0.0, Pose.identity(), bounded_twist(rng, 0.4)),
+                            blocks_list)
+    shared = blocks_list[1]
+    other_qc = prior.IntervalBlocks(shared.profile,
+                                    prior.PriorHyper(np.arange(1.0, 7.0) * np.diag(shared.hyper.qc)))
+    general = prior.IntervalBlocks(inputs.InputProfile.zero(shared.t0, shared.t1), shared.hyper,
+                                   force_general=True)
+    tau = shared.t0 + 0.1
+    meas = [factors.InterpolatedFactor(1, b, tau, factors.VelocityFactor(
+        1, np.zeros(6), 1e-2 * np.eye(6), np.ones(6, dtype=bool)))
+        for b in (shared, other_qc, general)]
+    # the wiring check sees only the times, so it takes all three
+    problem = solver.Problem(truth, blocks_list, meas)
+    batches, rest = factors.batch_factors(problem.measurement_factors)
+    # the other Qc makes a batch of its own; the general route joins the shared one
+    assert not rest and [len(b.index) for b in batches] == [2, 1]
+    nodes = prior.NodeArrays.stack(perturbed(rng, truth, 5e-2, 5e-2))
+    chart = prior.interval_chart(nodes)
+    first, second = (b.linearize(nodes, chart) for b in batches)
+    errors = []
+    for f, (error, jac), row in zip(meas, (first, second, first), (0, 0, 1)):
+        want = f.evaluate(nodes)
+        assert np.allclose(error[row], want.error, rtol=1e-12, atol=1e-14)
+        assert np.allclose(jac[row], np.concatenate([j for _, j in want.jacobians], axis=-1),
+                           rtol=1e-10, atol=1e-12)
+        errors.append(error[row])
+    assert min(np.abs(a - b).max() for i, a in enumerate(errors) for b in errors[i + 1:]) > 1e-9
+
+
 def test_consistent_problem_converges_in_one_iteration():
     rng = np.random.default_rng(70)
     blocks_list = wnoa_chain(5)

@@ -570,3 +570,63 @@ def test_package_builds_intervals_only_in_one_pass_or_by_coarsening():
     """
     found = interval_builds(p for p in sorted(SRC.glob("*.py")) if p.name != "prior.py")
     assert [f[:2] for f in found] == [("liegroup.py", "Pose.__matmul__")]
+
+
+INTERVAL_NAMES = {"blocks", "blocks_list", "intervals"}
+
+
+def interval_row_queries(paths):
+    """(file, function, line) of each interval query made one row at a time.
+
+    That is a call of an .at attribute, other than a NumPy ufunc's (np.add.at
+    and the like, an attribute of np or numpy), or a comprehension that
+    subscripts something named blocks, blocks_list or intervals with one of
+    its loop variables. function is as in _scoped_nodes.
+    """
+    def ufunc_at(func):
+        owner = func.value
+        return (isinstance(owner, ast.Attribute) and isinstance(owner.value, ast.Name)
+                and owner.value.id in ("np", "numpy"))
+
+    def indexes_rows(comp):
+        names = {n.id for gen in comp.generators for n in ast.walk(gen.target)
+                 if isinstance(n, ast.Name)}
+        return any(isinstance(s, ast.Subscript)
+                   and (getattr(s.value, "id", None) or getattr(s.value, "attr", None))
+                   in INTERVAL_NAMES
+                   and any(isinstance(n, ast.Name) and n.id in names for n in ast.walk(s.slice))
+                   for s in ast.walk(comp))
+
+    comprehensions = (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)
+    return sorted((path.name, scope, node.lineno)
+                  for path in paths for scope, node in _scoped_nodes(_parse(path))
+                  if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                      and node.func.attr == "at" and not ufunc_at(node.func))
+                  or (isinstance(node, comprehensions) and indexes_rows(node)))
+
+
+def test_interval_row_queries_finder_sees_at_calls_and_row_comprehensions(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("import numpy as np\n"
+                      "def f(blocks, intervals, k, taus, d):\n"
+                      "    qb = blocks.at(taus[0])\n"
+                      "    np.add.at(d, k, 1.0)\n"
+                      "    numpy.subtract.at(d, k, 1.0)\n"
+                      "    rows = [intervals[i] for i in k]\n"
+                      "    times = [taus[i] for i in k]\n"
+                      "    return qb, rows, times, {i: intervals.at(t) for i, t in taus}\n"
+                      "class T:\n"
+                      "    def many(self, k):\n"
+                      "        return list(self.blocks[i + 1] for i in k), self.blocks[0]\n")
+    assert interval_row_queries([module]) == [("m.py", "T.many", 11), ("m.py", "f", 3),
+                                              ("m.py", "f", 6), ("m.py", "f", 8)]
+
+
+def test_package_queries_intervals_only_in_stacked_calls():
+    """Outside prior.py every query goes through IntervalArrays.query (query_rows).
+
+    IntervalBlocks.at is its batch of one, kept for the callers in prior.py;
+    the solver's np.add.at is a ufunc's and not an interval's.
+    """
+    found = interval_row_queries(p for p in sorted(SRC.glob("*.py")) if p.name != "prior.py")
+    assert found == []
