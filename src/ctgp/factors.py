@@ -47,7 +47,7 @@ from .errors import (
     SingularGeometryError,
     WiringError,
 )
-from .interpolation import CHUNK_ROWS, chain, interpolate_with_jacobian, query_rows
+from .interpolation import CHUNK_ROWS, chain, query_rows
 from .liegroup import (Pose, curlywedge, position_jacobian, se3_log_jacobian_inv,
                        so3_left_jacobian_inv, so3_log)
 from .prior import (IntervalArrays, IntervalBlocks, IntervalChart, NodeArrays, StateNode,
@@ -96,6 +96,24 @@ def _check_values(factor, shapes):
                 f"{type(factor).__name__} field {name} must be finite of shape {shape}, "
                 f"got {getattr(factor, name)!r}")
         object.__setattr__(factor, name, value if shape else float(value))
+
+
+def _check_pose(factor, name):
+    """As _check_values, for a Pose field: a finite 3x3 rotation and 3-vector translation."""
+    pose = getattr(factor, name)
+    try:
+        rot, trans = (np.array(getattr(pose, p), dtype=float) for p in ("rotation", "translation"))
+    except (AttributeError, TypeError, ValueError):
+        rot = trans = np.empty(0)
+    if rot.shape != (3, 3) or trans.shape != (3,) or not np.isfinite(np.append(rot, trans)).all():
+        raise DegenerateInputError(f"{type(factor).__name__} field {name} must be finite: a Pose "
+                                   f"of a 3x3 rotation and a 3-vector translation, got {pose!r}")
+    object.__setattr__(factor, name, Pose(rot, trans))
+
+
+def is_node_index(index):
+    """Whether index can number a node: an int or a NumPy integer, not a bool."""
+    return isinstance(index, (int, np.integer)) and not isinstance(index, bool)
 
 
 def prior_factor_batch(nodes, blocks, *, chart=None):
@@ -255,12 +273,19 @@ def interpolated_factor(node_k: StateNode, node_k1: StateNode,
                         indices=(0, 1)) -> FactorEval:
     """Measurement factor evaluated at an interpolated state.
 
-    inner maps the interpolated StateNode to a FactorEval with a single
-    12-column Jacobian; that Jacobian is chained onto both bracketing nodes.
-    A custom two-node factor for a measurement of a new kind calls this.
+    The state at tau and its 12x24 node Jacobian come from one query row
+    (interpolation.query_rows) and one chain over the two nodes, whose
+    times are checked against the interval here. inner maps the
+    interpolated StateNode to a FactorEval with a single 12-column
+    Jacobian; that Jacobian is chained onto both bracketing nodes. A custom
+    two-node factor for a measurement of a new kind calls this.
     """
-    pose, bias, _, g = interpolate_with_jacobian(node_k, node_k1, blocks, tau)
-    inner_eval = inner(StateNode(tau, pose, bias))
+    nodes = NodeArrays.stack([node_k, node_k1])
+    rows = query_rows(blocks.arrays, [tau], [blocks.row])._replace(interval=np.zeros(1, int))
+    check_interval_times(nodes.time, rows.t0, rows.t1)
+    ch = chain(rows, nodes, interval_chart(nodes), jacobians=True)
+    g = ch.node_jacobian[0]
+    inner_eval = inner(StateNode(tau, Pose(ch.rot[0], ch.trans[0]), ch.bias[0]))
     (_, j_inner), = inner_eval.jacobians
     return FactorEval(inner_eval.error,
                       ((indices[0], j_inner @ g[:, :12]),
@@ -351,6 +376,7 @@ class AnchorFactor(_BatchedFactor):
     _kernel = staticmethod(_anchor_kernel)
 
     def __post_init__(self):
+        _check_pose(self, "pose")
         _check_values(self, {"bias": (6,)})
         pose_info = _information_from_covariance(self.pose_covariance, "anchor pose")
         bias_info = _information_from_covariance(self.bias_covariance, "anchor bias")
@@ -396,6 +422,7 @@ class PoseFactor(_BatchedFactor):
     _kernel = staticmethod(_pose_kernel)
 
     def __post_init__(self):
+        _check_pose(self, "measured")
         info = _information_from_covariance(self.covariance, "pose")
         if info.shape != (6, 6):
             raise HyperparameterError("pose covariance must be 6x6")
@@ -475,9 +502,10 @@ class InterpolatedFactor:
     """A one-node factor, inner, at a query time between nodes index and index+1.
 
     inner is a RangeFactor, PositionFactor, PoseFactor, VelocityFactor,
-    PlanarLockFactor or AnchorFactor; its own index is not read. The solver
-    linearizes the factor in an InterpolatedBatch, which builds its query
-    row once. evaluate is a batch of one through interpolated_factor.
+    PlanarLockFactor or AnchorFactor; its own index is not read. index, the
+    blocks and tau are checked at construction. The solver linearizes the
+    factor in an InterpolatedBatch, which builds its query row once.
+    evaluate is a batch of one through interpolated_factor.
     """
 
     index: int
@@ -486,6 +514,10 @@ class InterpolatedFactor:
     inner: _BatchedFactor
 
     def __post_init__(self):
+        if not (is_node_index(self.index) and isinstance(self.blocks, IntervalBlocks)):
+            raise WiringError("an interpolated factor needs an integer index and IntervalBlocks, "
+                              f"got {self.index!r} and {self.blocks!r}")
+        _check_values(self, {"tau": ()})
         if type(self.inner) not in _BATCHED_TYPES:
             raise WiringError("an interpolated factor's inner must be one of "
                               f"{[t.__name__ for t in _BATCHED_TYPES]}, not {self.inner!r}")

@@ -11,10 +11,12 @@ evaluation path, chain: the rows interpolated from the stacked node states
 and each interval's chart (prior.interval_chart), with the node Jacobian
 and covariance on request. Trajectory.query_many gathers its node hits and
 runs chain over its off-node rows, a fixed-size chunk at a time, into one
-stacked QueryArrays; the solver's interpolated factor batches run it over
-their rows at every linearization. Trajectory.query, lambda_psi,
-interpolate_mean, interpolate_with_jacobian and interpolate_covariance are
-batches of one.
+stacked QueryArrays, with the exact posterior covariances from the
+bracketing nodes' joint Gaussian (chain_covariance); the solver's
+interpolated factor batches run it over their rows at every linearization.
+Trajectory is the one posterior query API; Trajectory.query and lambda_psi
+are batches of one, and factors.interpolated_factor builds its one row from
+query_rows and chain.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 from .errors import HyperparameterError, IntervalTooLongError, WiringError
 from .liegroup import Pose, j_vec_dx, se3_adjoint, se3_exp_jacobian
 from .prior import (TIME_TOL, IntervalArrays, IntervalBlocks, IntervalChart, NodeArrays,
-                    StateNode, check_interval_times, interval_chart)
+                    check_interval_times, interval_chart)
 
 # off-node rows per batched chain in Trajectory.query_many and per
 # interpolated factor batch
@@ -44,9 +46,8 @@ class QueryResult:
 
     velocity is the full body twist: the latent bias plus the input velocity
     at the query time. covariance, when present, is the 12x12 joint
-    covariance of the local pose and bias perturbations;
-    covariance_is_approximate marks results computed without the
-    cross-covariance of the bracketing nodes.
+    covariance of the local pose and bias perturbations, exact given the
+    joint Gaussian of the bracketing nodes.
     """
 
     time: float
@@ -54,7 +55,6 @@ class QueryResult:
     bias: np.ndarray
     velocity: np.ndarray
     covariance: np.ndarray | None = None
-    covariance_is_approximate: bool = False
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,8 +62,8 @@ class QueryArrays:
     """n query results, stacked, as a sequence of QueryResult rows (queried[i]).
 
     time (n,), the poses' rot (n, 3, 3) and trans (n, 3), bias and velocity
-    (n, 6), covariance (n, 12, 12) or None, and approximate (n,), the
-    covariance_is_approximate flags.
+    (n, 6), and covariance (n, 12, 12) or None. Only Trajectory.query_many
+    builds one.
     """
 
     time: np.ndarray
@@ -72,15 +72,14 @@ class QueryArrays:
     bias: np.ndarray
     velocity: np.ndarray
     covariance: np.ndarray | None
-    approximate: np.ndarray
 
     def __len__(self):
         return len(self.time)
 
     def __getitem__(self, i):
         return QueryResult(float(self.time[i]), Pose(self.rot[i], self.trans[i]), self.bias[i],
-                           self.velocity[i], None if self.covariance is None else self.covariance[i],
-                           bool(self.approximate[i]))
+                           self.velocity[i],
+                           None if self.covariance is None else self.covariance[i])
 
 
 class QueryRows(NamedTuple):
@@ -169,10 +168,10 @@ def chain(rows: QueryRows, nodes: NodeArrays, chart: IntervalChart, *,
     nodes holds all K node states and chart the K-1 interval charts from
     interval_chart. The caller has checked the node times against the rows'
     intervals (check_interval_times), once: Trajectory and the solver at
-    construction, _pair per call. Each row's local twist xi gives exp(xi)
-    and J(xi) from one se3_exp_jacobian pass. Perturbation conventions match
-    the factors and solver: pose updates multiply on the left,
-    T <- exp(delta) T, and biases update additively.
+    construction, factors.interpolated_factor per call. Each row's local
+    twist xi gives exp(xi) and J(xi) from one se3_exp_jacobian pass.
+    Perturbation conventions match the factors and solver: pose updates
+    multiply on the left, T <- exp(delta) T, and biases update additively.
     """
     k = rows.interval
     lam_bias = rows.lam[:, :, 6:]
@@ -203,95 +202,37 @@ def chain(rows: QueryRows, nodes: NodeArrays, chart: IntervalChart, *,
     return Chain(rot, trans, bias, g, h)
 
 
-def chain_covariance(rows: QueryRows, ch: Chain, covariances, cross_covariances=None):
+def chain_covariance(rows: QueryRows, ch: Chain, covariances, cross_covariances):
     """Posterior covariances (n, 12, 12) of the rows from validated node covariances.
 
-    cross_covariances (K-1, 12, 12) holds cov(node_k, node_k+1) in local
-    coordinates; without it the joint is treated as block diagonal.
+    The chain, with its Jacobians, maps each row's bracketing nodes' joint
+    Gaussian: the marginals covariances (K, 12, 12) and cross_covariances
+    (K-1, 12, 12), cov(node_k, node_k+1), both in local coordinates. A
+    caller with marginals only passes zero cross-covariances.
     """
     k = rows.interval
-    joint = np.zeros((len(k), 24, 24))
+    cross = cross_covariances[k]
+    joint = np.empty((len(k), 24, 24))
     joint[:, :12, :12] = covariances[k]
     joint[:, 12:, 12:] = covariances[k + 1]
-    if cross_covariances is not None:
-        cross = cross_covariances[k]
-        joint[:, :12, 12:] = cross
-        joint[:, 12:, :12] = np.swapaxes(cross, -1, -2)
+    joint[:, :12, 12:] = cross
+    joint[:, 12:, :12] = np.swapaxes(cross, -1, -2)
     g, h = ch.node_jacobian, ch.output_map
     cov = (g @ joint @ np.swapaxes(g, -1, -2)
            + h @ rows.q_cond @ np.swapaxes(h, -1, -2))
     return 0.5 * (cov + np.swapaxes(cov, -1, -2))
 
 
-def _pair(node_k: StateNode, node_k1: StateNode, blocks: IntervalBlocks, tau: float,
-          jacobians):
-    """Batch-of-one chain over one bracketing pair."""
-    nodes = NodeArrays.stack([node_k, node_k1])
-    rows = query_rows(blocks.arrays, [tau], [blocks.row])._replace(interval=np.zeros(1, int))
-    check_interval_times(nodes.time, rows.t0, rows.t1)
-    ch = chain(rows, nodes, interval_chart(nodes), jacobians=jacobians)
-    return rows, ch
-
-
-def interpolate_mean(node_k: StateNode, node_k1: StateNode,
-                     blocks: IntervalBlocks, tau: float) -> QueryResult:
-    """Posterior mean state at tau conditioned on the bracketing nodes."""
-    rows, ch = _pair(node_k, node_k1, blocks, tau, False)
-    return QueryResult(tau, Pose(ch.rot[0], ch.trans[0]), ch.bias[0],
-                       ch.bias[0] + rows.input_velocity[0])
-
-
-def interpolate_with_jacobian(node_k: StateNode, node_k1: StateNode,
-                              blocks: IntervalBlocks, tau: float):
-    """Mean state at tau plus the 12x24 node Jacobian."""
-    rows, ch = _pair(node_k, node_k1, blocks, tau, True)
-    return (Pose(ch.rot[0], ch.trans[0]), ch.bias[0],
-            ch.bias[0] + rows.input_velocity[0], ch.node_jacobian[0])
-
-
-def _check_covariance(cov, label):
-    """Validate one 12x12 covariance or a (K, 12, 12) stack of them."""
+def _check_stack(stack, count, what):
+    """stack as a finite (count, 12, 12) float array, else HyperparameterError naming what."""
     try:
-        cov = np.asarray(cov, dtype=float)
+        stack = np.asarray(stack, dtype=float)
     except ValueError:
-        raise HyperparameterError(f"{label} covariances must all be 12x12") from None
-    if (cov.ndim not in (2, 3) or cov.shape[-2:] != (12, 12)
-            or not np.allclose(cov, np.swapaxes(cov, -1, -2), atol=1e-8)):
-        raise HyperparameterError(f"{label} covariance must be symmetric 12x12")
-    eigs = np.linalg.eigvalsh(cov)
-    if np.any(eigs[..., 0] < -1e-9 * np.maximum(eigs[..., -1], 1.0)):
-        raise HyperparameterError(f"{label} covariance must be positive semidefinite")
-    return cov
-
-
-def _check_cross_covariances(cross, count):
-    """Validate a (count, 12, 12) stack of adjacent-node cross-covariances."""
-    try:
-        cross = np.asarray(cross, dtype=float)
-    except ValueError:
-        raise HyperparameterError("cross-covariances must all be 12x12") from None
-    if cross.shape != (count, 12, 12) or not np.all(np.isfinite(cross)):
+        raise HyperparameterError(f"{what} must all be 12x12") from None
+    if stack.shape != (count, 12, 12) or not np.all(np.isfinite(stack)):
         raise HyperparameterError(
-            f"cross-covariances must be a finite ({count}, 12, 12) stack, got shape {cross.shape}")
-    return cross
-
-
-def interpolate_covariance(node_k: StateNode, node_k1: StateNode,
-                           cov_k, cov_k1, blocks: IntervalBlocks, tau: float,
-                           *, cross_covariance=None):
-    """Posterior covariance at tau, with its approximation flag.
-
-    Returns (covariance, is_approximate). cross_covariance is
-    cov(node_k, node_k1) in local coordinates; without it the joint is
-    treated as block diagonal, which is exact only when one node is pinned
-    or the two nodes are uncorrelated, so the result is flagged.
-    """
-    covs = np.stack([_check_covariance(cov_k, "node_k"),
-                     _check_covariance(cov_k1, "node_k1")])
-    cross = (None if cross_covariance is None
-             else _check_cross_covariances([cross_covariance], 1))
-    rows, ch = _pair(node_k, node_k1, blocks, tau, True)
-    return chain_covariance(rows, ch, covs, cross)[0], cross is None
+            f"{what} must be a finite ({count}, 12, 12) stack, got shape {stack.shape}")
+    return stack
 
 
 class Trajectory:
@@ -301,11 +242,12 @@ class Trajectory:
     intervals, stacked once (IntervalArrays.stack); queries between nodes
     interpolate the posterior, queries at node times return the node values
     and the input twist there; query_many stacks them in a QueryArrays.
-    Covariances are attached when the solver marginals (and optionally the
-    adjacent-node cross-covariances) are supplied; the marginals are
-    validated once, here, rather than on every query. Each interval's chart
-    is computed once, at the first query off the nodes, and kept: the
-    trajectory never changes.
+    Covariances are attached when the solver's node covariances and
+    adjacent-node cross-covariances are supplied, both or neither (one
+    alone raises WiringError); they are validated once, here, rather than
+    on every query. A caller with marginals only passes zero
+    cross-covariances. Each interval's chart is computed once, at the first
+    query off the nodes, and kept: the trajectory never changes.
     """
 
     def __init__(self, nodes, blocks_list, covariances=None, cross_covariances=None):
@@ -315,14 +257,19 @@ class Trajectory:
             raise WiringError("need K nodes and K-1 interval blocks")
         blocks = IntervalArrays.stack(blocks_list)
         check_interval_times(state.time, blocks.t0, blocks.t1)
+        if (covariances is None) != (cross_covariances is None):
+            raise WiringError("need the node covariances and the cross-covariances together")
         if covariances is not None:
-            if len(covariances) != k:
-                raise WiringError("need one covariance per node")
-            covariances = _check_covariance(covariances, "node")
-        if cross_covariances is not None:
-            if len(cross_covariances) != k - 1:
-                raise WiringError("need one cross-covariance per interval")
-            cross_covariances = _check_cross_covariances(cross_covariances, k - 1)
+            if len(covariances) != k or len(cross_covariances) != k - 1:
+                raise WiringError("need one covariance per node and one cross-covariance "
+                                  "per interval")
+            covariances = _check_stack(covariances, k, "node covariances")
+            cross_covariances = _check_stack(cross_covariances, k - 1, "cross-covariances")
+            eigs = np.linalg.eigvalsh(covariances)
+            if (not np.allclose(covariances, np.swapaxes(covariances, -1, -2), atol=1e-8)
+                    or np.any(eigs[:, 0] < -1e-9 * np.maximum(eigs[:, -1], 1.0))):
+                raise HyperparameterError("node covariances must be symmetric positive "
+                                          "semidefinite")
         self.blocks = blocks
         self.covariances = covariances
         self.cross_covariances = cross_covariances
@@ -363,8 +310,7 @@ class Trajectory:
         out = QueryArrays(np.where(hit, state.time[nearest], taus), state.rot[nearest],
                           state.trans[nearest], state.bias[nearest],
                           state.bias[nearest] + self._node_input[nearest],
-                          self.covariances[nearest] if with_cov else None,
-                          ~hit & (with_cov and self.cross_covariances is None))
+                          self.covariances[nearest] if with_cov else None)
         off = np.flatnonzero(~hit)
         if len(off) and self._chart is None:
             self._chart = interval_chart(state)

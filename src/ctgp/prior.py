@@ -139,6 +139,8 @@ class PriorHyper:
             qc = np.diag(qc)
         if qc.shape != (6, 6) or not np.allclose(qc, qc.T, atol=1e-12):
             raise HyperparameterError("Qc must be a symmetric 6x6 matrix")
+        if not np.all(np.isfinite(qc)):
+            raise HyperparameterError("Qc must be finite")
         try:
             np.linalg.cholesky(qc)
         except np.linalg.LinAlgError:

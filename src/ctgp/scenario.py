@@ -68,15 +68,18 @@ def _array(value, where, what, fits):
     """value as a float array of finite numbers that fits accepts, else ScenarioError."""
     try:
         arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         arr = None
     if arr is None or not np.all(np.isfinite(arr)) or not fits(arr):
         raise ScenarioError(f"{where}: expected {what}")
     return arr
 
 
-def _vector(value, n, where):
-    return _array(value, where, f"{n} finite numbers", lambda a: a.shape == (n,))
+def _vector(value, n, where, *, positive=False, nonnegative=False):
+    what = "positive" if positive else "non-negative" if nonnegative else "finite"
+    return _array(value, where, f"{n} {what} numbers",
+                  lambda a: a.shape == (n,) and not (positive and np.any(a <= 0))
+                  and not (nonnegative and np.any(a < 0)))
 
 
 def _flag(value, where):
@@ -118,7 +121,7 @@ class Channel:
 
 def _channel(value, where) -> Channel:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return Channel("hold", (float(value),))
+        return Channel("hold", (_number(value, where),))
     if isinstance(value, dict) and set(value) == {"ramp"}:
         pair = _vector(value["ramp"], 2, f"{where}.ramp")
         return Channel("ramp", (float(pair[0]), float(pair[1])))
@@ -296,19 +299,18 @@ def _parse_mobile(doc) -> MobileScenario:
     )
 
     odo = _mapping(_require(doc, "odometry", "scenario"), "odometry")
-    odo_var = _vector(_require(odo, "variance", "odometry"), 2, "odometry.variance")
-    if np.any(odo_var <= 0):
-        raise ScenarioError("odometry.variance: must be positive")
+    odo_var = _vector(_require(odo, "variance", "odometry"), 2, "odometry.variance",
+                      positive=True)
 
     hyper = _mapping(_require(doc, "hyper", "scenario"), "hyper")
     start = _mapping(doc.get("start", {}), "start")
     anchor = _mapping(doc.get("anchor", {}), "anchor")
     lock = _mapping(doc.get("planar_lock", {}), "planar_lock")
 
-    pose_sigma = _vector(anchor.get("pose_sigma", [0.0] * 6), 6, "anchor.pose_sigma")
-    bias_sigma = _vector(anchor.get("bias_sigma", [0.0] * 6), 6, "anchor.bias_sigma")
-    if np.any(pose_sigma < 0) or np.any(bias_sigma < 0):
-        raise ScenarioError("anchor sigmas must be non-negative")
+    pose_sigma = _vector(anchor.get("pose_sigma", [0.0] * 6), 6, "anchor.pose_sigma",
+                         nonnegative=True)
+    bias_sigma = _vector(anchor.get("bias_sigma", [0.0] * 6), 6, "anchor.bias_sigma",
+                         nonnegative=True)
 
     return MobileScenario(
         name=str(doc.get("name", "mobile")),
@@ -342,10 +344,11 @@ def _parse_mobile(doc) -> MobileScenario:
 def _parse_continuum(doc) -> ContinuumScenario:
     rod_spec = _mapping(_require(doc, "rod", "scenario"), "rod")
     length = _number(_require(rod_spec, "length", "rod"), "rod.length", positive=True)
-    stiffness = _vector(_require(rod_spec, "stiffness", "rod"), 6, "rod.stiffness")
+    stiffness = _vector(_require(rod_spec, "stiffness", "rod"), 6, "rod.stiffness",
+                        positive=True)
     disks = rod_spec.get("disks", 10)
     if isinstance(disks, int) and not isinstance(disks, bool):
-        if disks < 1:
+        if _number(disks, "rod.disks") < 1:
             raise ScenarioError("rod.disks: need at least one disk")
         disk_arclengths = np.linspace(length / disks, length, disks)
     else:

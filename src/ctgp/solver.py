@@ -98,7 +98,8 @@ class Problem:
     once too (IntervalArrays.stack). All wiring is checked here, once: the
     node times increase, each interval's ends and each InterpolatedFactor's
     interval sit at the node times, and every measurement factor touches
-    one node or an adjacent pair. Each failure raises WiringError; a node
+    one node or an adjacent pair, by integer node indices (NumPy integers
+    count, bools do not). Each failure raises WiringError; a node
     whose time, pose or bias is not finite raises DegenerateInputError,
     and intervals of different Qc raise HyperparameterError.
 
@@ -128,8 +129,11 @@ class Problem:
             raise WiringError("need exactly one IntervalBlocks per adjacent node pair")
         check_interval_times(times, blocks.t0, blocks.t1)
         measurement_factors = list(measurement_factors)
-        for f in measurement_factors:
+        for n, f in enumerate(measurement_factors):
             idx = tuple(f.indices)
+            if not all(_factors.is_node_index(i) for i in idx):
+                raise WiringError(f"measurement factor {n} ({type(f).__name__}) has node "
+                                  f"indices {idx!r}, not all integers")
             if any(i < 0 or i >= len(nodes) for i in idx):
                 raise WiringError("measurement factor references a missing node")
             if len(idx) == 2 and idx[1] != idx[0] + 1:

@@ -216,3 +216,11 @@ class TestErrors:
         assert main(["estimate", "--config", str(bad)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: duration: ") and "Traceback" not in err
+
+    def test_integer_too_large_for_a_float_in_a_list_exits_with_the_key(self, tmp_path, capsys):
+        bad = tmp_path / "huge_landmark.yaml"
+        bad.write_text(SCENARIO.replace("[4.0, 2.0, 0.0]", "[4.0, 1" + "0" * 400 + ", 0.0]"),
+                       encoding="utf-8")
+        assert main(["estimate", "--config", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: landmarks: ") and "Traceback" not in err

@@ -446,6 +446,22 @@ _ALL = np.ones(6, dtype=bool)
                                               np.eye(6)), "bias", id="anchor-bias-3"),
     pytest.param(lambda: factors.AnchorFactor(0, Pose.identity(), np.full(6, np.inf),
                                               np.eye(6), np.eye(6)), "bias", id="anchor-inf"),
+    pytest.param(lambda: factors.AnchorFactor(0, None, np.zeros(6), np.eye(6), np.eye(6)),
+                 "pose", id="anchor-pose-none"),
+    pytest.param(lambda: factors.AnchorFactor(0, Pose(np.eye(3), np.zeros(2)), np.zeros(6),
+                                              np.eye(6), np.eye(6)), "pose",
+                 id="anchor-translation-2"),
+    pytest.param(lambda: factors.PoseFactor(0, None, np.eye(6)), "measured",
+                 id="pose-none"),
+    pytest.param(lambda: factors.PoseFactor(0, Pose(np.full((3, 3), np.nan), np.zeros(3)),
+                                            np.eye(6)), "measured", id="pose-rotation-nan"),
+    pytest.param(lambda: factors.PoseFactor(0, Pose(np.eye(2), np.zeros(3)), np.eye(6)),
+                 "measured", id="pose-rotation-2x2"),
+    pytest.param(lambda: factors.InterpolatedFactor(
+        0, prior.IntervalBlocks(inputs.InputProfile.zero(0.0, 1.0),
+                                prior.PriorHyper(np.ones(6))),
+        "a", factors.PositionFactor(0, np.zeros(3), np.eye(3))), "tau",
+                 id="interpolated-tau-text"),
 ])
 def test_factor_constructors_reject_malformed_values(build, field):
     with pytest.raises(DegenerateInputError, match=f"Factor field {field} must be finite"):

@@ -55,6 +55,24 @@ def perturbed_pair(rng, blocks, scale=0.3):
                                    node_k1.bias + bounded_twist(rng, scale))
 
 
+def pair_chain(node_k, node_k1, blocks, taus, *, jacobians=False):
+    """query_rows and chain over one bracketing pair, at any times of its interval.
+
+    At the interval's ends a Trajectory answers with the node itself, so
+    the interpolation chain there is reached only this way.
+    """
+    nodes = prior.NodeArrays.stack([node_k, node_k1])
+    rows = interpolation.query_rows(blocks.arrays, taus, [blocks.row] * len(taus))
+    rows = rows._replace(interval=np.zeros(len(taus), int))
+    return rows, interpolation.chain(rows, nodes, prior.interval_chart(nodes),
+                                     jacobians=jacobians)
+
+
+def spd(rng):
+    m = rng.normal(size=(12, 12)) * 0.1
+    return m @ m.T + 0.05 * np.eye(12)
+
+
 def output_map_at(xi, psi):
     """Perturbation map from local-state fluctuations to pose/bias ones."""
     h = np.zeros((12, 12))
@@ -99,9 +117,10 @@ def test_interpolation_on_prior_mean_matches_propagation():
     for _ in range(3):
         blocks, profile, _ = build_blocks(rng)
         node_k, node_k1 = nodes_on_prior_mean(rng, blocks)
+        traj = interpolation.Trajectory([node_k, node_k1], [blocks])
         for tau in np.linspace(blocks.t0, blocks.t1, 9):
             want = prior.prior_mean_propagate(node_k, blocks, tau)
-            got = interpolation.interpolate_mean(node_k, node_k1, blocks, tau)
+            got = traj.query(tau)
             assert np.linalg.norm(log_map(got.pose @ want.pose.inverse())) < 1e-8
             assert np.allclose(got.bias, want.bias, atol=1e-8)
             v_in, _ = profile.evaluate(tau)
@@ -112,14 +131,15 @@ def test_endpoint_queries_return_nodes_exactly():
     rng = np.random.default_rng(13)
     blocks, profile, _ = build_blocks(rng)
     node_k, node_k1 = perturbed_pair(rng, blocks)
-    at0 = interpolation.interpolate_mean(node_k, node_k1, blocks, blocks.t0)
-    assert np.linalg.norm(log_map(at0.pose @ node_k.pose.inverse())) < 1e-12
-    assert np.allclose(at0.bias, node_k.bias, atol=1e-12)
-    at1 = interpolation.interpolate_mean(node_k, node_k1, blocks, blocks.t1)
-    assert np.linalg.norm(log_map(at1.pose @ node_k1.pose.inverse())) < 1e-9
-    assert np.allclose(at1.bias, node_k1.bias, atol=1e-9)
+    # the chain itself at both ends, not a Trajectory's node hit
+    rows, ch = pair_chain(node_k, node_k1, blocks, [blocks.t0, blocks.t1])
+    at0, at1 = (Pose(ch.rot[i], ch.trans[i]) for i in range(2))
+    assert np.linalg.norm(log_map(at0 @ node_k.pose.inverse())) < 1e-12
+    assert np.allclose(ch.bias[0], node_k.bias, atol=1e-12)
+    assert np.linalg.norm(log_map(at1 @ node_k1.pose.inverse())) < 1e-9
+    assert np.allclose(ch.bias[1], node_k1.bias, atol=1e-9)
     v_in, _ = profile.evaluate(blocks.t1)
-    assert np.allclose(at1.velocity, node_k1.bias + v_in, atol=1e-9)
+    assert np.allclose(ch.bias[1] + rows.input_velocity[1], node_k1.bias + v_in, atol=1e-9)
 
 
 def test_velocity_jumps_preserved():
@@ -137,8 +157,8 @@ def test_velocity_jumps_preserved():
     node_k, node_k1 = perturbed_pair(rng, blocks, scale=0.1)
 
     eps = 1e-8
-    before = interpolation.interpolate_mean(node_k, node_k1, blocks, 0.2 - eps)
-    after = interpolation.interpolate_mean(node_k, node_k1, blocks, 0.2 + eps)
+    before, after = interpolation.Trajectory([node_k, node_k1], [blocks]).query_many(
+        [0.2 - eps, 0.2 + eps])
     jump = after.velocity - before.velocity
     assert np.allclose(jump, v_b - v_a, atol=1e-6)
     # the latent bias itself stays continuous across the knot
@@ -177,13 +197,12 @@ def test_interpolated_covariance_matches_prior_propagation():
     gamma1 = np.concatenate([np.zeros(6), node_k.bias])
     gamma1 = blocks.phi @ gamma1 + blocks.input_full
     h1 = output_map_at(gamma1[:6], gamma1[6:])
-    cov_k = np.zeros((12, 12))
-    cov_k1 = h1 @ blocks.q_full @ h1.T
+    covs = np.stack([np.zeros((12, 12)), h1 @ blocks.q_full @ h1.T])
+    # a pinned node has no cross-covariance with the far one
+    traj = interpolation.Trajectory([node_k, node_k1], [blocks], covs, np.zeros((1, 12, 12)))
 
     for tau in (blocks.t0 + 0.07, 0.31, 0.52):
-        cov, approx = interpolation.interpolate_covariance(
-            node_k, node_k1, cov_k, cov_k1, blocks, tau)
-        assert approx
+        cov = traj.query(tau, with_covariance=True).covariance
         qb = blocks.at(tau)
         gamma_tau = qb.phi_from_start @ np.concatenate([np.zeros(6), node_k.bias]) + qb.input_tau
         h_tau = output_map_at(gamma_tau[:6], gamma_tau[6:])
@@ -196,32 +215,26 @@ def test_covariance_endpoints_symmetry_and_psd():
     blocks, _, _ = build_blocks(rng)
     node_k, node_k1 = perturbed_pair(rng, blocks)
 
-    def spd():
-        m = rng.normal(size=(12, 12)) * 0.1
-        return m @ m.T + 0.05 * np.eye(12)
+    covs = np.stack([spd(rng), spd(rng)])
+    zero = np.zeros((1, 12, 12))
+    # the chain itself at both ends, not a Trajectory's node hit
+    rows, ch = pair_chain(node_k, node_k1, blocks, [blocks.t0, blocks.t1], jacobians=True)
+    at0, at1 = interpolation.chain_covariance(rows, ch, covs, zero)
+    assert np.allclose(at0, covs[0], atol=1e-9)
+    assert np.allclose(at1, covs[1], atol=1e-9)
 
-    cov_k, cov_k1 = spd(), spd()
-    at0, _ = interpolation.interpolate_covariance(node_k, node_k1, cov_k, cov_k1,
-                                                  blocks, blocks.t0)
-    assert np.allclose(at0, cov_k, atol=1e-9)
-    at1, _ = interpolation.interpolate_covariance(node_k, node_k1, cov_k, cov_k1,
-                                                  blocks, blocks.t1)
-    assert np.allclose(at1, cov_k1, atol=1e-9)
-
-    cross = 0.1 * cov_k
-    for tau in (0.11, 0.43, 0.77):
-        for kw in ({}, {"cross_covariance": cross}):
-            cov, approx = interpolation.interpolate_covariance(
-                node_k, node_k1, cov_k, cov_k1, blocks, tau, **kw)
-            assert approx == ("cross_covariance" not in kw)
+    for cross in (zero, 0.1 * covs[:1]):
+        traj = interpolation.Trajectory([node_k, node_k1], [blocks], covs, cross)
+        for tau in (0.11, 0.43, 0.77):
+            cov = traj.query(tau, with_covariance=True).covariance
             assert np.allclose(cov, cov.T, atol=1e-10)
             eigs = np.linalg.eigvalsh(cov)
             assert eigs[0] >= -1e-10 * np.trace(cov)
 
     with pytest.raises(HyperparameterError):
-        bad = cov_k.copy()
-        bad[0, 1] += 1.0
-        interpolation.interpolate_covariance(node_k, node_k1, bad, cov_k1, blocks, 0.3)
+        bad = covs.copy()
+        bad[0, 0, 1] += 1.0
+        interpolation.Trajectory([node_k, node_k1], [blocks], bad, zero)
 
 
 def test_query_jacobian_matches_finite_differences():
@@ -241,8 +254,8 @@ def test_query_jacobian_matches_finite_differences():
         blocks, _, _ = build_blocks(rng, n_segments=3)
         node_k, node_k1 = perturbed_pair(rng, blocks)
         for tau in (0.13, 0.41):
-            pose0, bias0, _, g = interpolation.interpolate_with_jacobian(
-                node_k, node_k1, blocks, tau)
+            _, ch = pair_chain(node_k, node_k1, blocks, [tau], jacobians=True)
+            pose0, bias0, g = Pose(ch.rot[0], ch.trans[0]), ch.bias[0], ch.node_jacobian[0]
             num = np.zeros_like(g)
             for col in range(24):
                 readings = []
@@ -250,7 +263,7 @@ def test_query_jacobian_matches_finite_differences():
                     nk = perturb(node_k, col, sign * step) if col < 12 else node_k
                     nk1 = (perturb(node_k1, col - 12, sign * step)
                            if col >= 12 else node_k1)
-                    res = interpolation.interpolate_mean(nk, nk1, blocks, tau)
+                    res = interpolation.Trajectory([nk, nk1], [blocks]).query(tau)
                     readings.append(np.concatenate([
                         log_map(res.pose @ pose0.inverse()), res.bias - bias0]))
                 num[:, col] = (readings[0] - readings[1]) / (2 * step)
@@ -265,7 +278,7 @@ def test_interpolation_chart_guard():
     node_k = prior.StateNode(0.0, Pose.identity(), spin)
     node_k1 = prior.StateNode(1.0, exp_map(np.array([0, 0, 0, 0, 0, 3.0])), np.zeros(6))
     with pytest.raises(IntervalTooLongError):
-        interpolation.interpolate_mean(node_k, node_k1, blocks, 0.5)
+        interpolation.Trajectory([node_k, node_k1], [blocks]).query(0.5)
 
 
 def test_chart_guard_names_the_lowest_interval():
@@ -304,15 +317,11 @@ def test_query_many_matches_per_time_queries(monkeypatch):
                                      exp_map(bounded_twist(rng, 0.2)) @ base.pose,
                                      base.bias + bounded_twist(rng, 0.2)))
 
-    def spd():
-        m = rng.normal(size=(12, 12)) * 0.1
-        return m @ m.T + 0.05 * np.eye(12)
-
-    covs = np.stack([spd() for _ in nodes])
+    covs = np.stack([spd(rng) for _ in nodes])
     cross = [0.1 * c for c in covs[:-1]]
     knots = [0.2, 0.4, 0.8, 1.4, 1.6]
     times = np.array([0.0, 0.6, 1.2, 1.8] + knots + [0.05, 0.33, 0.71, 1.05, 1.77, 0.13])
-    for kw in ({}, {"covariances": covs}, {"covariances": covs, "cross_covariances": cross}):
+    for kw in ({}, {"covariances": covs, "cross_covariances": cross}):
         traj = interpolation.Trajectory(nodes, blocks_list, **kw)
         many = traj.query_many(times, with_covariance=True)
         for tau, got in zip(times, many):
@@ -322,17 +331,11 @@ def test_query_many_matches_per_time_queries(monkeypatch):
             assert np.allclose(got.pose.translation, want.pose.translation, rtol=0, atol=1e-12)
             assert np.allclose(got.bias, want.bias, rtol=0, atol=1e-12)
             assert np.allclose(got.velocity, want.velocity, rtol=0, atol=1e-12)
-            assert got.covariance_is_approximate == want.covariance_is_approximate
             if "covariances" not in kw:
                 assert got.covariance is None and want.covariance is None
             else:
                 scale = np.linalg.norm(want.covariance)
                 assert np.linalg.norm(got.covariance - want.covariance) <= 1e-12 * scale
-        approx = [q.covariance_is_approximate for q in many]
-        off_node = [not np.any(np.isclose(tau, [0.0, 0.6, 1.2, 1.8])) for tau in times]
-        want_flag = "covariances" in kw and "cross_covariances" not in kw
-        assert approx == [want_flag and off for off in off_node]
-        assert np.array_equal(many.approximate, approx)
         # an empty ask gives empty stacks of the same row shapes
         empty = traj.query_many([], with_covariance=True)
         assert isinstance(empty, interpolation.QueryArrays)
@@ -372,7 +375,7 @@ def test_trajectory_queries_and_wiring():
         res = traj.query(tau)
         k = 0 if tau < t_mid else 1
         pair = [(n0, n1, blocks_a), (n1, n2, blocks_b)][k]
-        want = interpolation.interpolate_mean(pair[0], pair[1], pair[2], tau)
+        want = interpolation.Trajectory(pair[:2], pair[2:]).query(tau)
         assert np.linalg.norm(log_map(res.pose @ want.pose.inverse())) < 1e-12
 
     # mean continuity across the shared node
@@ -389,7 +392,7 @@ def test_trajectory_queries_and_wiring():
     with pytest.raises(WiringError):
         interpolation.Trajectory([n0, n2], [blocks_a, blocks_b])
     with pytest.raises(WiringError):
-        interpolation.interpolate_mean(n0, n2, blocks_a, 0.1)
+        interpolation.Trajectory([n0, n2], [blocks_a])
 
 
 def test_trajectory_covariance_query_matches_standalone_calls():
@@ -397,39 +400,35 @@ def test_trajectory_covariance_query_matches_standalone_calls():
     blocks, _, _ = build_blocks(rng, n_segments=3)
     node_k, node_k1 = perturbed_pair(rng, blocks)
 
-    def spd():
-        m = rng.normal(size=(12, 12)) * 0.1
-        return m @ m.T + 0.05 * np.eye(12)
-
-    covs = np.stack([spd(), spd()])
-    cross = 0.1 * covs[0]
-    for cross_list in (None, [cross]):
+    covs = np.stack([spd(rng), spd(rng)])
+    taus = [0.13, 0.4, 0.55]
+    rows, ch = pair_chain(node_k, node_k1, blocks, taus, jacobians=True)
+    for cross in (np.zeros((1, 12, 12)), 0.1 * covs[:1]):
         traj = interpolation.Trajectory([node_k, node_k1], [blocks],
-                                        covariances=covs,
-                                        cross_covariances=cross_list)
-        for tau in (0.13, 0.4, 0.55):
+                                        covariances=covs, cross_covariances=cross)
+        want = interpolation.chain_covariance(rows, ch, covs, cross)
+        for i, tau in enumerate(taus):
             got = traj.query(tau, with_covariance=True)
-            mean = interpolation.interpolate_mean(node_k, node_k1, blocks, tau)
-            cov, approx = interpolation.interpolate_covariance(
-                node_k, node_k1, covs[0], covs[1], blocks, tau,
-                cross_covariance=None if cross_list is None else cross)
-            assert got.time == mean.time
-            assert np.array_equal(got.pose.matrix(), mean.pose.matrix())
-            assert np.array_equal(got.bias, mean.bias)
-            assert np.array_equal(got.velocity, mean.velocity)
-            assert np.array_equal(got.covariance, cov)
-            assert got.covariance_is_approximate == approx == (cross_list is None)
+            assert got.time == tau
+            assert np.array_equal(got.pose.rotation, ch.rot[i])
+            assert np.array_equal(got.pose.translation, ch.trans[i])
+            assert np.array_equal(got.bias, ch.bias[i])
+            assert np.array_equal(got.velocity, ch.bias[i] + rows.input_velocity[i])
+            assert np.array_equal(got.covariance, want[i])
 
     # node covariances are validated when the trajectory is built
     bad = covs.copy()
     bad[1] = -bad[1]
     with pytest.raises(HyperparameterError):
-        interpolation.Trajectory([node_k, node_k1], [blocks], covariances=bad)
-    # and so are the cross-covariances, there and in interpolate_covariance
+        interpolation.Trajectory([node_k, node_k1], [blocks], covariances=bad,
+                                 cross_covariances=np.zeros((1, 12, 12)))
+    # and so are the cross-covariances
     for bad_cross in (np.zeros((1, 6, 6)), np.full((1, 12, 12), np.nan)):
         with pytest.raises(HyperparameterError, match="cross-covariances"):
             interpolation.Trajectory([node_k, node_k1], [blocks], covariances=covs,
                                      cross_covariances=bad_cross)
-        with pytest.raises(HyperparameterError, match="cross-covariances"):
-            interpolation.interpolate_covariance(node_k, node_k1, covs[0], covs[1], blocks,
-                                                 0.3, cross_covariance=bad_cross[0])
+    # and both come together or not at all
+    for kw in ({"covariances": covs}, {"cross_covariances": np.zeros((1, 12, 12))}):
+        with pytest.raises(WiringError, match="together"):
+            interpolation.Trajectory([node_k, node_k1], [blocks], **kw)
+

@@ -179,6 +179,8 @@ def test_hyper_validation():
     for odd in ("diag", {"x": 1.0}, None):
         with pytest.raises(HyperparameterError):
             prior.PriorHyper(odd)
+    with pytest.raises(HyperparameterError, match="finite"):
+        prior.PriorHyper([np.inf] * 6)
     h = prior.PriorHyper(np.full(6, 2.0))
     assert np.allclose(h.qc, 2.0 * np.eye(6))
 

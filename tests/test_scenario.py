@@ -1,9 +1,15 @@
+import copy
+import dataclasses
+import importlib.resources
+import re
+
 import numpy as np
 import pytest
 import yaml
 
 from ctgp.errors import ScenarioError
-from ctgp.scenario import (bundled_scenario, load_scenario, parse_scenario)
+from ctgp.scenario import (ContinuumScenario, MobileScenario, bundled_scenario, load_scenario,
+                           parse_scenario)
 
 MINIMAL_MOBILE = """
 schema_version: 1
@@ -227,3 +233,77 @@ class TestFileLoading:
     def test_unknown_bundled_name_lists_available(self):
         with pytest.raises(ScenarioError, match="mobile_twisty"):
             bundled_scenario("nope")
+
+
+ODD_VALUES = (None, "x", [], {}, [1, [2]], float("nan"), float("inf"), float("-inf"), 0, -1,
+              1e308, True, 10 ** 400)
+# a value checked against another key's is reported under that key
+CROSS_CHECKED = {"input_rate": "duration"}
+
+
+def key_paths(node, path=""):
+    """Every key path below node, written as in ScenarioError messages: a.b[0].c."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        sub = f"{path}[{key}]" if isinstance(node, list) else f"{path}.{key}" if path else key
+        yield sub
+        yield from key_paths(child, sub)
+
+
+def replaced(document, path, value):
+    """A deep copy of document with the entry at path set to value."""
+    out = copy.deepcopy(document)
+    keys = [int(k) if k.isdigit() else k for k in re.findall(r"[^.\[\]]+", path)]
+    node = out
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
+    return out
+
+
+def related(key, path):
+    """Whether key is path itself, a key above it or a key below it."""
+    short, long = sorted((key, path), key=len)
+    return long == short or long.startswith((short + ".", short + "["))
+
+
+def all_finite(value):
+    """Whether every number a parsed scenario holds is finite."""
+    if dataclasses.is_dataclass(value):
+        return all(all_finite(getattr(value, f.name)) for f in dataclasses.fields(value))
+    if isinstance(value, (tuple, list)):
+        return all(all_finite(v) for v in value)
+    if isinstance(value, (float, np.ndarray)):
+        return bool(np.all(np.isfinite(value)))
+    return True
+
+
+@pytest.mark.parametrize("name, kind", [("mobile_twisty", MobileScenario),
+                                        ("continuum_bench", ContinuumScenario)])
+def test_every_key_path_takes_odd_values_with_a_named_error(name, kind):
+    """Each key path of a bundled document, set to each odd value, parses or names its key.
+
+    A ScenarioError must start with the key path, a key above it or below
+    it (CROSS_CHECKED lists the exceptions); any other exception is an
+    escape. A document that parses must give a scenario of its kind whose
+    numbers are all finite.
+    """
+    text = (importlib.resources.files("ctgp.scenarios") / f"{name}.yaml").read_text(
+        encoding="utf-8")
+    document = yaml.safe_load(text)
+    wrong = []
+    for path in key_paths(document):
+        for value in ODD_VALUES:
+            try:
+                parsed = parse_scenario(replaced(document, path, value))
+            except ScenarioError as err:
+                key = str(err).split(":")[0]
+                if not (related(key, path) or key == CROSS_CHECKED.get(path)):
+                    wrong.append((path, value, str(err)))
+            except Exception as err:  # noqa: BLE001 - any other class is the escape sought
+                wrong.append((path, value, f"{type(err).__name__}: {err}"))
+            else:
+                if not (isinstance(parsed, kind) and all_finite(parsed)):
+                    wrong.append((path, value, "parsed to an invalid scenario"))
+    assert wrong == []

@@ -318,7 +318,7 @@ def test_covariance_blocks_match_dense_inverse():
     truth = propagate_chain(start, blocks_list)
 
     tau = blocks_list[1].t0 + 0.17
-    q_tau = interpolation.interpolate_mean(truth[1], truth[2], blocks_list[1], tau)
+    q_tau = interpolation.Trajectory(truth, blocks_list).query(tau)
     vel_cov = np.diag([4e-4, 4e-4])
     mask = np.array([1, 0, 0, 0, 0, 1], dtype=bool)
 
@@ -749,6 +749,19 @@ def test_problem_validation():
     with pytest.raises(HyperparameterError):
         solver.Problem(nodes, blocks_list, gauge="fixed")
 
+    # a node index that is not an integer names the factor
+    landmark = np.array([1.0, 2.0, 0.5])
+    for index in (1.0, np.float64(1), True, "1"):
+        with pytest.raises(WiringError, match=r"measurement factor 1 \(RangeFactor\)"):
+            solver.Problem(nodes, blocks_list, [factors.PositionFactor(0, np.zeros(3), np.eye(3)),
+                                                factors.RangeFactor(index, landmark, 1.0, 0.1)])
+    solver.Problem(nodes, blocks_list, [factors.RangeFactor(np.int64(1), landmark, 1.0, 0.1)])
+    # an interpolated factor checks its index and its blocks when it is built
+    inner = factors.RangeFactor(0, landmark, 1.0, 0.1)
+    for index, blocks in ((0, None), (0, blocks_list[0].profile), ("1", blocks_list[1])):
+        with pytest.raises(WiringError, match="an interpolated factor needs"):
+            factors.InterpolatedFactor(index, blocks, 0.1, inner)
+
 
 def test_wiring_errors_surface_when_the_problem_is_built():
     """Each time mismatch raises from Problem alone, before any solve."""
@@ -799,8 +812,10 @@ def test_problem_and_solution_nodes_are_node_arrays():
     sol = solver.solve(problem)
     assert isinstance(sol.nodes, prior.NodeArrays) and len(sol.nodes) == 5
     # the StateNodes of a solution build the same trajectory as the solution's nodes
-    from_rows = interpolation.Trajectory(list(sol.nodes), blocks_list, sol.node_covariances)
-    direct = interpolation.Trajectory(sol.nodes, blocks_list, sol.node_covariances)
+    from_rows = interpolation.Trajectory(list(sol.nodes), blocks_list, sol.node_covariances,
+                                         sol.cross_covariances)
+    direct = interpolation.Trajectory(sol.nodes, blocks_list, sol.node_covariances,
+                                      sol.cross_covariances)
     times = [0.0, 0.1, 0.25, 0.6, 1.0]
     for a, b in zip(from_rows.query_many(times, with_covariance=True),
                     direct.query_many(times, with_covariance=True)):

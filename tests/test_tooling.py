@@ -630,3 +630,47 @@ def test_package_queries_intervals_only_in_stacked_calls():
     """
     found = interval_row_queries(p for p in sorted(SRC.glob("*.py")) if p.name != "prior.py")
     assert found == []
+
+
+POSTERIOR_BUILDERS = {"chain_covariance", "QueryResult", "QueryArrays"}
+
+
+def posterior_builds(paths):
+    """(file, function, name) of each call of chain_covariance, QueryResult or QueryArrays.
+
+    A call counts whether it names the function bare or as an attribute;
+    function is as in _scoped_nodes.
+    """
+    return sorted((path.name, scope, name)
+                  for path in paths for scope, node in _scoped_nodes(_parse(path))
+                  if isinstance(node, ast.Call)
+                  and (name := getattr(node.func, "id", None) or getattr(node.func, "attr", None))
+                  in POSTERIOR_BUILDERS)
+
+
+def test_posterior_builds_finder_sees_bare_and_attribute_calls(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("from ctgp import interpolation\n"
+                      "from ctgp.interpolation import QueryResult, chain_covariance\n"
+                      "def f(rows, ch, covs, cross):\n"
+                      "    a = chain_covariance(rows, ch, covs, cross)\n"
+                      "    b = interpolation.QueryArrays(*a)\n"
+                      "    return a, b, QueryResult, [chain_covariance]\n"
+                      "class Copy:\n"
+                      "    def row(self, q):\n"
+                      "        return QueryResult(q.time, q.pose, q.bias, q.velocity)\n")
+    assert posterior_builds([module]) == [("m.py", "Copy.row", "QueryResult"),
+                                          ("m.py", "f", "QueryArrays"),
+                                          ("m.py", "f", "chain_covariance")]
+
+
+def test_package_asks_the_posterior_only_through_trajectory():
+    """Trajectory.query_many makes every posterior covariance and every QueryArrays.
+
+    A QueryResult is a row of a QueryArrays; nothing else in the package
+    builds one.
+    """
+    assert posterior_builds(sorted(SRC.glob("*.py"))) == [
+        ("interpolation.py", "QueryArrays.__getitem__", "QueryResult"),
+        ("interpolation.py", "Trajectory.query_many", "QueryArrays"),
+        ("interpolation.py", "Trajectory.query_many", "chain_covariance")]
