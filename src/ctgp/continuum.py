@@ -17,16 +17,32 @@ import numpy as np
 
 from . import factors as _factors
 from . import solver as _solver
-from .errors import CoverageError, DomainError, HyperparameterError
+from .errors import CoverageError, DegenerateInputError, DomainError, HyperparameterError
 from .inputs import InputProfile, from_samples
 from .interpolation import Trajectory
 from .liegroup import Pose
-from .prior import NodeArrays, PriorHyper, precompute_intervals
+from .prior import TIME_TOL, NodeArrays, PriorHyper, precompute_intervals
 
 # strain of an undeformed backbone: unit tangent along the body z axis
 STRAIGHT_STRAIN = np.array([0.0, 0.0, 1.0, 0.0, 0.0, 0.0])
 
 _GRID_TOL = 1e-12
+
+
+def _floats(value, what, error, scalar=True):
+    """value as a finite float, or unless scalar as a finite float array of any shape.
+
+    Anything else, a string, None, a ragged list, NaN, inf or an integer too
+    large for a float, raises error naming what and the value.
+    """
+    try:
+        x = np.array(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        x = None
+    if x is None or (scalar and x.shape != ()) or not np.all(np.isfinite(x)):
+        raise error(f"{what} must be {'a finite number' if scalar else 'finite numbers'}, "
+                    f"got {value!r}")
+    return float(x) if scalar else x
 
 
 @dataclass(frozen=True)
@@ -44,17 +60,22 @@ class RodModel:
     disk_arclengths: tuple = ()
 
     def __post_init__(self):
-        if not np.isfinite(self.length) or self.length <= 0:
-            raise HyperparameterError("rod length must be positive")
-        k = np.asarray(self.stiffness, dtype=float)
+        length = _floats(self.length, "rod length", HyperparameterError)
+        if length <= 0:
+            raise HyperparameterError(f"rod length must be positive, got {length!r}")
+        k = _floats(self.stiffness, "rod stiffness", HyperparameterError, scalar=False)
         if k.shape == (6, 6):
             if np.any(k != np.diag(np.diag(k))):
                 raise HyperparameterError("rod stiffness must be diagonal")
             k = np.diag(k)
-        if k.shape != (6,) or not np.all(np.isfinite(k)) or np.any(k <= 0):
+        if k.shape != (6,) or np.any(k <= 0):
             raise HyperparameterError("rod stiffness needs six positive diagonal entries")
+        disks = _floats(self.disk_arclengths, "disk arclengths", DomainError, scalar=False)
+        if disks.ndim != 1:
+            raise DomainError(f"disk arclengths must be a sequence, got {self.disk_arclengths!r}")
+        object.__setattr__(self, "length", length)
         object.__setattr__(self, "stiffness", k)
-        object.__setattr__(self, "disk_arclengths", tuple(float(s) for s in self.disk_arclengths))
+        object.__setattr__(self, "disk_arclengths", tuple(disks.tolist()))
         if any(s < 0 or s > self.length for s in self.disk_arclengths):
             raise DomainError("disk arclengths must lie within [0, length]")
 
@@ -73,12 +94,16 @@ class TendonRoute:
     tension: float
 
     def __post_init__(self):
-        if not np.isfinite(self.offset_radius) or self.offset_radius <= 0:
+        for name, error in (("offset_radius", HyperparameterError),
+                            ("azimuth", HyperparameterError),
+                            ("termination_arclength", DomainError),
+                            ("tension", HyperparameterError)):
+            object.__setattr__(self, name, _floats(getattr(self, name),
+                                                   f"tendon {name.replace('_', ' ')}", error))
+        if self.offset_radius <= 0:
             raise HyperparameterError("tendon offset radius must be positive")
-        if not np.isfinite(self.tension) or self.tension < 0:
+        if self.tension < 0:
             raise HyperparameterError("tendon tension must be nonnegative")
-        if not np.isfinite(self.termination_arclength):
-            raise DomainError("tendon termination must be finite")
 
 
 def point_moment(tendon: TendonRoute):
@@ -89,8 +114,21 @@ def point_moment(tendon: TendonRoute):
     return np.concatenate([np.zeros(3), moment])
 
 
+def _check_rod(rod, tendons=()):
+    """tendons as a tuple, once rod is a RodModel and each tendon a TendonRoute."""
+    if not isinstance(rod, RodModel):
+        raise HyperparameterError(f"need a RodModel, got {rod!r}")
+    try:
+        routes = tuple(tendons)
+    except TypeError:
+        routes = None
+    if routes is None or not all(isinstance(t, TendonRoute) for t in routes):
+        raise DegenerateInputError(f"tendons must be TendonRoutes, got {tendons!r}")
+    return routes
+
+
 def _check_node_arclengths(rod: RodModel, node_arclengths):
-    s = np.asarray(node_arclengths, dtype=float)
+    s = _floats(node_arclengths, "node arclengths", CoverageError, scalar=False)
     if s.ndim != 1 or len(s) < 2 or np.any(np.diff(s) <= 0):
         raise CoverageError("node arclengths must be strictly increasing, at least two")
     if abs(s[0]) > 1e-9 or abs(s[-1] - rod.length) > 1e-9:
@@ -108,6 +146,7 @@ def tensions_to_inputs(rod: RodModel, tendons, node_arclengths):
     arclength and at every bump's ends and peak. Zero tensions give one zero
     segment over the rod.
     """
+    tendons = _check_rod(rod, tendons)
     s = _check_node_arclengths(rod, node_arclengths)
     if any(t.termination_arclength < 0 or t.termination_arclength > rod.length
            for t in tendons):
@@ -164,8 +203,16 @@ def estimate_shape(rod: RodModel, tendons, measurement_factors,
     expressed in its own base frame) and a loose prior on the base strain.
     Returns the Solution and a Trajectory for dense queries along the shape.
     """
-    if node_count < 2:
-        raise HyperparameterError("need at least two shape nodes")
+    _check_rod(rod)
+    # nodes closer than TIME_TOL are one node (precompute_intervals)
+    if not (_factors.is_node_index(node_count) and 2 <= node_count <= 1 + rod.length / TIME_TOL):
+        raise HyperparameterError("need an integer node count of at least two, at most rod "
+                                  f"length / {TIME_TOL:g} + 1, got {node_count!r}")
+    try:
+        measurement_factors = list(measurement_factors)
+    except TypeError:
+        raise DegenerateInputError("measurement factors must be a sequence, got "
+                                   f"{measurement_factors!r}") from None
     s_nodes = np.linspace(0.0, rod.length, node_count)
     blocks_list = precompute_intervals(tensions_to_inputs(rod, tendons, s_nodes), s_nodes, hyper)
     nodes = NodeArrays(np.arange(node_count), s_nodes, np.tile(np.eye(3), (node_count, 1, 1)),
@@ -174,8 +221,7 @@ def estimate_shape(rod: RodModel, tendons, measurement_factors,
 
     anchor = _factors.AnchorFactor(0, Pose.identity(), STRAIGHT_STRAIN.copy(),
                                    1e-12 * np.eye(6), BASE_STRAIN_COVARIANCE)
-    problem = _solver.Problem(nodes, blocks_list,
-                              [anchor] + list(measurement_factors), gauge="none")
+    problem = _solver.Problem(nodes, blocks_list, [anchor] + measurement_factors)
     solution = _solver.solve(problem)
     trajectory = Trajectory(solution.nodes, blocks_list,
                             covariances=solution.node_covariances,

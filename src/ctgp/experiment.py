@@ -190,8 +190,7 @@ def _coarse_problem(truth: MobileTruth, intervals, stride, dt_landmark, reckoned
         if np.any(np.linalg.norm(coarse.input_full[:, 3:6], axis=1) >= COARSE_ROTATION_MAX):
             continue
         return Problem(reckoned[::coarse_stride], coarse,
-                       _fixed_factors(truth, truth.times[::coarse_stride], spacing, np.zeros(6)),
-                       gauge="auto")
+                       _fixed_factors(truth, truth.times[::coarse_stride], spacing, np.zeros(6)))
     return None
 
 
@@ -203,7 +202,8 @@ def build_mobile_problem(truth: MobileTruth, *, method="inputs",
     built by precompute_intervals (problem.blocks), returned for building
     the Trajectory of the solution. With method="inputs" they are cut from
     the one odometry profile through every tick; with method="wnoa" from one
-    zero profile over the run.
+    zero profile over the run, where each off-node odometry tick is an
+    InterpolatedFactor read through them. Every problem has an anchor.
 
     The nodes start at dead reckoning. With method="inputs" and a node grid
     finer than the coarse spacing, the problem also carries a coarse problem
@@ -263,11 +263,11 @@ def build_mobile_problem(truth: MobileTruth, *, method="inputs",
                 meas.append(odometry)
             else:
                 # an off-node tick weighs on the state interpolated at its time
-                meas.append(InterpolatedFactor(k, blocks_list[k], float(t), odometry))
+                meas.append(InterpolatedFactor(k, float(t), odometry))
 
     coarse = (_coarse_problem(truth, blocks_list, stride, dt_landmark, reckoned)
               if method == "inputs" else None)
-    problem = Problem(reckoned[::stride], blocks_list, meas, gauge="auto", coarse=coarse)
+    problem = Problem(reckoned[::stride], blocks_list, meas, coarse=coarse)
     return problem, blocks_list, node_times
 
 
@@ -387,7 +387,7 @@ def reproduce_fig3(variant="velocity"):
     anchor = AnchorFactor(0, Pose.identity(), bias0.copy(),
                           1e-12 * np.eye(6), 1e-12 * np.eye(6))
 
-    prior_problem = Problem(nodes, blocks_list, [anchor], gauge="none")
+    prior_problem = Problem(nodes, blocks_list, [anchor])
     prior_solution = solve(prior_problem)
     prior_traj = Trajectory(prior_solution.nodes, blocks_list,
                             covariances=prior_solution.node_covariances,
@@ -396,7 +396,7 @@ def reproduce_fig3(variant="velocity"):
     measured = nodes[-1].pose.translation + _FIG3_MEAS_OFFSET
     tip = PositionFactor(len(nodes) - 1, measured,
                          _FIG3_MEAS_VARIANCE * np.eye(3))
-    post_problem = Problem(nodes, blocks_list, [anchor, tip], gauge="none")
+    post_problem = Problem(nodes, blocks_list, [anchor, tip])
     post_solution = solve(post_problem)
     post_traj = Trajectory(post_solution.nodes, blocks_list,
                            covariances=post_solution.node_covariances,

@@ -14,14 +14,14 @@ inverted once, and its measured values are checked for shape and
 finiteness and copied.
 
 An InterpolatedFactor wraps one of those one-node factors, its inner, and
-joins an InterpolatedBatch of up to CHUNK_ROWS rows. The batch stacks its
-factors' distinct intervals into one IntervalArrays and builds the
-state-independent rows of its query times from it once
-(interpolation.query_rows); at each linearization one batched interpolation
-chain gives the states at all of them, the inner kernel runs on those, and
-its Jacobian is chained onto both bracketing nodes. A measurement of
-another kind is a custom two-node factor whose evaluate calls
-interpolated_factor.
+is read through the problem's own interval that holds its time. It joins an
+InterpolatedBatch of up to CHUNK_ROWS rows, which builds the
+state-independent rows of its query times from the problem's IntervalArrays
+once (interpolation.query_rows); at each linearization one batched
+interpolation chain gives the states at all of them, the inner kernel runs
+on those, and its Jacobian is chained onto both bracketing nodes. A
+measurement of another kind is a custom two-node factor whose evaluate
+calls interpolated_factor.
 
 The motion prior is no factor object: the solver takes its intervals as
 they are, in one IntervalArrays. prior_factor_batch evaluates the prior
@@ -499,24 +499,23 @@ _BATCHED_TYPES = (RangeFactor, PlanarLockFactor, AnchorFactor, PositionFactor,
 
 @dataclass(frozen=True, eq=False)
 class InterpolatedFactor:
-    """A one-node factor, inner, at a query time between nodes index and index+1.
+    """A one-node factor, inner, at a query time tau between nodes index and index+1.
 
     inner is a RangeFactor, PositionFactor, PoseFactor, VelocityFactor,
-    PlanarLockFactor or AnchorFactor; its own index is not read. index, the
-    blocks and tau are checked at construction. The solver linearizes the
-    factor in an InterpolatedBatch, which builds its query row once.
-    evaluate is a batch of one through interpolated_factor.
+    PlanarLockFactor or AnchorFactor; its own index is not read. The state
+    at tau comes from the problem's interval index; Problem checks that tau
+    lies inside it. The solver linearizes the factor in an
+    InterpolatedBatch, which builds its query row once. evaluate, on the
+    nodes and their intervals, is a batch of one through interpolated_factor.
     """
 
     index: int
-    blocks: IntervalBlocks
     tau: float
     inner: _BatchedFactor
 
     def __post_init__(self):
-        if not (is_node_index(self.index) and isinstance(self.blocks, IntervalBlocks)):
-            raise WiringError("an interpolated factor needs an integer index and IntervalBlocks, "
-                              f"got {self.index!r} and {self.blocks!r}")
+        if not is_node_index(self.index):
+            raise WiringError(f"an interpolated factor needs an integer index, got {self.index!r}")
         _check_values(self, {"tau": ()})
         if type(self.inner) not in _BATCHED_TYPES:
             raise WiringError("an interpolated factor's inner must be one of "
@@ -526,9 +525,9 @@ class InterpolatedFactor:
     def indices(self):
         return (self.index, self.index + 1)
 
-    def evaluate(self, nodes) -> FactorEval:
+    def evaluate(self, nodes, intervals) -> FactorEval:
         return interpolated_factor(nodes[self.index], nodes[self.index + 1],
-                                   self.blocks, self.tau, self.inner.evaluate_node,
+                                   intervals[self.index], self.tau, self.inner.evaluate_node,
                                    indices=self.indices)
 
 
@@ -561,22 +560,17 @@ class FactorBatch:
 class InterpolatedBatch:
     """InterpolatedFactors whose inners are of one batched type.
 
-    Each factor interpolates with its own blocks: their distinct intervals,
-    of one Qc, are stacked once, and the query rows built from them here.
+    Their query rows are built here, once, from the problem's intervals.
     Every state is then interpolated in one chain, the inner kernel runs on
     those states, and its Jacobian is chained onto both bracketing nodes.
     index (n,) is each row's interval, node k of the pair.
     """
 
-    def __init__(self, group):
+    def __init__(self, group, intervals: IntervalArrays):
         self.index = np.array([f.index for f in group])
         self.inner = FactorBatch([f.inner for f in group])
         self.information = self.inner.information
-        distinct = {(id(f.blocks.arrays), f.blocks.row): f.blocks for f in group}
-        at = {key: i for i, key in enumerate(distinct)}
-        self.rows = query_rows(IntervalArrays.stack(distinct.values()), [f.tau for f in group],
-                               [at[id(f.blocks.arrays), f.blocks.row] for f in group]
-                               )._replace(interval=self.index)
+        self.rows = query_rows(intervals, [f.tau for f in group], self.index)
 
     def linearize(self, nodes: NodeArrays, chart: IntervalChart):
         """(error (n, m), Jacobian (n, m, 24)) over (node k, node k+1).
@@ -589,11 +583,11 @@ class InterpolatedBatch:
         return error, jac @ ch.node_jacobian
 
 
-def batch_factors(factors):
+def batch_factors(factors, intervals: IntervalArrays):
     """Group the batched types into FactorBatches and InterpolatedBatches.
 
-    InterpolatedFactors are grouped by the type of their inner and the Qc
-    of their blocks. A group longer than CHUNK_ROWS is split. Returns
+    InterpolatedFactors are grouped by the type of their inner and read the
+    problem's intervals. A group longer than CHUNK_ROWS is split. Returns
     (batches, rest). Every other factor, a custom one, is left in rest to be
     evaluated on its own.
     """
@@ -601,8 +595,7 @@ def batch_factors(factors):
     for f in factors:
         owner = f.inner if type(f) is InterpolatedFactor else f
         if type(owner) in _BATCHED_TYPES:
-            qc = f.blocks.hyper.qc.tobytes() if owner is not f else None
-            key = ((type(f), type(owner), qc)
+            key = ((type(f), type(owner))
                    + tuple(np.asarray(v).tobytes() for v in owner._shared().values()))
             groups.setdefault(key, []).append(f)
         else:
@@ -611,7 +604,7 @@ def batch_factors(factors):
     for key, g in groups.items():
         if key[0] is InterpolatedFactor:
             # a chain's intermediates take some 10 KB a row
-            batches += [InterpolatedBatch(g[lo:lo + CHUNK_ROWS])
+            batches += [InterpolatedBatch(g[lo:lo + CHUNK_ROWS], intervals)
                         for lo in range(0, len(g), CHUNK_ROWS)]
         else:
             batches.append(FactorBatch(g))

@@ -20,6 +20,18 @@ from .errors import DegenerateInputError, DomainError
 _KNOT_TOL = 1e-9
 
 
+def _floats(value, what):
+    """value as a new float array, else DegenerateInputError naming what and the value.
+
+    A string, a ragged list, a mapping or an integer too large for a float
+    is not one.
+    """
+    try:
+        return np.array(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise DegenerateInputError(f"{what} must be numeric, got {value!r}") from None
+
+
 def _lerp(t, t0, t1, v0, v1, a0, a1):
     """Velocity and acceleration at time(s) t between the end values on [t0, t1]."""
     s = (np.asarray(t, dtype=float) - t0) / (t1 - t0)
@@ -41,12 +53,16 @@ class InputSegment:
     def __post_init__(self):
         for name in ("v0", "v1", "a0", "a1"):
             # a copy: the segment must not change with the caller's array
-            arr = np.array(getattr(self, name), dtype=float)
+            arr = _floats(getattr(self, name), f"segment field {name}")
             if arr.shape != (6,) or not np.all(np.isfinite(arr)):
                 raise DegenerateInputError(f"segment field {name} must be a finite 6-vector")
             object.__setattr__(self, name, arr)
-        if not (np.isfinite(self.t0) and np.isfinite(self.t1)) or self.t1 <= self.t0:
-            raise DegenerateInputError("segment requires t1 > t0")
+        t0, t1 = _floats(self.t0, "segment field t0"), _floats(self.t1, "segment field t1")
+        if t0.shape != () or t1.shape != () or not np.isfinite([t0, t1]).all() or t1 <= t0:
+            raise DegenerateInputError(f"segment requires finite t1 > t0, got {self.t0!r} and "
+                                       f"{self.t1!r}")
+        object.__setattr__(self, "t0", float(t0))
+        object.__setattr__(self, "t1", float(t1))
 
     @property
     def duration(self) -> float:
@@ -137,13 +153,10 @@ def from_samples(times, velocities, accelerations=None) -> InputProfile:
     are zero.
     """
     # copies: the profile must not change with the caller's arrays
-    try:
-        times = np.array(times, dtype=float)
-        velocities = np.array(velocities, dtype=float)
-        accelerations = (np.zeros_like(velocities) if accelerations is None
-                         else np.array(accelerations, dtype=float))
-    except (TypeError, ValueError) as err:
-        raise DegenerateInputError(f"samples must be numeric arrays: {err}") from None
+    times = _floats(times, "sample times")
+    velocities = _floats(velocities, "sample velocities")
+    accelerations = (np.zeros_like(velocities) if accelerations is None
+                     else _floats(accelerations, "sample accelerations"))
     if times.ndim != 1 or len(times) < 2:
         raise DegenerateInputError("need at least two samples")
     if velocities.shape != (len(times), 6) or accelerations.shape != (len(times), 6):

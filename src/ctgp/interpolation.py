@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import HyperparameterError, IntervalTooLongError, WiringError
+from .errors import DomainError, HyperparameterError, IntervalTooLongError, WiringError
 from .liegroup import Pose, j_vec_dx, se3_adjoint, se3_exp_jacobian
 from .prior import (TIME_TOL, IntervalArrays, IntervalBlocks, IntervalChart, NodeArrays,
                     check_interval_times, interval_chart)
@@ -289,15 +289,22 @@ class Trajectory:
         return float(self._state.time[-1])
 
     def query(self, tau: float, *, with_covariance: bool = False) -> QueryResult:
-        return self.query_many([tau], with_covariance=with_covariance)[0]
+        queried = self.query_many([tau], with_covariance=with_covariance)
+        if len(queried) != 1:
+            raise DomainError(f"query needs one time, got {tau!r}")
+        return queried[0]
 
     def query_many(self, times, *, with_covariance: bool = False) -> QueryArrays:
         """The posterior at each time, stacked; the off-node rows in batched chains.
 
         The off-node rows run CHUNK_ROWS at a time, which bounds the
-        arrays a chain holds however many times are asked for.
+        arrays a chain holds however many times are asked for. Times that
+        are not numbers, or not within the trajectory, raise DomainError.
         """
-        taus = np.asarray(times, dtype=float).reshape(-1)
+        try:
+            taus = np.asarray(times, dtype=float).reshape(-1)
+        except (TypeError, ValueError, OverflowError):
+            raise DomainError(f"query times must be numbers, got {times!r}") from None
         state = self._state
         # interval k holds [t_k, t_k+1) and the last one also its end, so k
         # counts the interior nodes at or before tau

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IllConditionedRotationError
+from .errors import DegenerateInputError, IllConditionedRotationError
 
 # Below this angular norm the closed-form coefficients switch to Taylor series.
 SMALL_ANGLE = 1e-6
@@ -340,11 +340,23 @@ class Pose:
 
 
 def exp_map(xi) -> Pose:
-    """Twist to Pose."""
-    R, t = se3_exp(np.asarray(xi, dtype=float))
+    """Twist to Pose. Raises DegenerateInputError unless xi is a finite 6-vector."""
+    try:
+        twist = np.asarray(xi, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        twist = None
+    if twist is None or twist.shape != (6,) or not np.isfinite(twist).all():
+        raise DegenerateInputError(f"exp_map needs a finite 6-vector twist, got {xi!r}")
+    R, t = se3_exp(twist)
     return Pose(R, t)
 
 
 def log_map(pose: Pose):
-    """Pose to twist. Raises IllConditionedRotationError within 1e-6 of angle pi."""
+    """Pose to twist.
+
+    Raises IllConditionedRotationError within 1e-6 of angle pi, and
+    DegenerateInputError for anything but a Pose.
+    """
+    if not isinstance(pose, Pose):
+        raise DegenerateInputError(f"log_map needs a Pose, got {pose!r}")
     return se3_log(pose.rotation, pose.translation)

@@ -80,6 +80,18 @@ TIME_TOL = 1e-9
 _EYE12 = np.eye(12)
 
 
+def _floats(value, what, error):
+    """value as a float array, else error naming what and the value.
+
+    A string, a ragged list, a mapping or an integer too large for a float
+    is not one.
+    """
+    try:
+        return np.array(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise error(f"{what} must be numeric, got {value!r}") from None
+
+
 def expm_ss(A):
     """Matrix exponential by Higham's (2005) scaling and squaring.
 
@@ -88,12 +100,15 @@ def expm_ss(A):
     bounds its largest 1-norm, and is scaled by a power of two only above
     theta_13. _transitions batches only windows whose norms fall between the
     same two _PADE_BOUNDS, so each window comes out as its own call gave it.
+    Raises DomainError for a matrix that is not finite.
     """
     A = np.asarray(A, dtype=float)
     single = A.ndim == 2
     if single:
         A = A[None]
     norm = np.max(np.sum(np.abs(A), axis=-2))
+    if not np.isfinite(norm):
+        raise DomainError(f"matrix exponential of a matrix that is not finite (1-norm {norm})")
     eye = np.broadcast_to(np.eye(A.shape[-1]), A.shape)
     degree = next((m for m, theta in _PADE_THETA if norm <= theta), 13)
     s = 0
@@ -129,10 +144,7 @@ class PriorHyper:
     qc_inv: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        try:
-            qc = np.atleast_1d(np.asarray(self.qc, dtype=float))
-        except (TypeError, ValueError):
-            raise HyperparameterError(f"Qc must be numeric, got {self.qc!r}") from None
+        qc = np.atleast_1d(_floats(self.qc, "Qc", HyperparameterError))
         if qc.ndim == 1:
             if qc.shape != (6,):
                 raise HyperparameterError("diagonal Qc must have 6 entries")
@@ -449,6 +461,13 @@ class IntervalBlocks:
         return QueryBlocks(*(x[0] for x in self.arrays.query([self.row], [tau])))
 
 
+def _inverse_or_nan(m):
+    try:
+        return np.linalg.inv(m)
+    except np.linalg.LinAlgError:
+        return np.full_like(m, np.nan)
+
+
 @dataclass(frozen=True, eq=False)
 class IntervalArrays:
     """Node intervals, stacked, as a sequence of IntervalBlocks: the one interval container.
@@ -485,7 +504,15 @@ class IntervalArrays:
         t0, t1 = self.profile.t0[self.offsets[:-1]], self.profile.t1[last]
         q_inv = np.empty((len(t1), 12, 12))
         q_inv[closed] = wnoa_q_inv(t1[closed] - t0[closed], self.hyper.qc_inv)
-        q_inv[~closed] = np.linalg.inv(q[last][~closed])
+        try:
+            q_inv[~closed] = np.linalg.inv(q[last][~closed])
+        except np.linalg.LinAlgError:
+            q_inv[~closed] = [_inverse_or_nan(m) for m in q[last][~closed]]
+        bad = np.flatnonzero(~np.isfinite(q_inv).all(axis=(1, 2)))
+        if len(bad):
+            k = bad[0]
+            raise HyperparameterError(f"interval {k} (t = {t0[k]:.6g} to {t1[k]:.6g} s): its "
+                                      "noise covariance Q is not finite or not invertible")
         for name, value in (("t0", t0), ("t1", t1), ("phi", self.knot_phi[last]),
                             ("input_full", self.knot_input[last]), ("q_full", q[last]),
                             ("q_full_inv", q_inv)):
@@ -644,12 +671,18 @@ def _split(profile: InputProfile, times):
 def precompute_intervals(profile: InputProfile, node_times, hyper: PriorHyper) -> IntervalArrays:
     """The IntervalArrays between consecutive node times, over one input profile, in one pass.
 
-    Raises DegenerateInputError for fewer than two node times, a non-finite
+    Raises DegenerateInputError for a profile that is not an InputProfile,
+    node times that are not numbers, fewer than two of them, a non-finite
     one, or one with no more than TIME_TOL of input after the one before it
-    (so the times must increase), and DomainError for one outside the
-    profile; each names the node and its time.
+    (so the times must increase), DomainError for one outside the profile,
+    each naming the node and its time, and HyperparameterError for a hyper
+    that is not a PriorHyper.
     """
-    times = np.asarray(node_times, dtype=float)
+    if not isinstance(profile, InputProfile):
+        raise DegenerateInputError(f"need an InputProfile, got {profile!r}")
+    if not isinstance(hyper, PriorHyper):
+        raise HyperparameterError(f"need a PriorHyper, got {hyper!r}")
+    times = _floats(node_times, "node times", DegenerateInputError)
     if times.ndim != 1 or len(times) < 2:
         raise DegenerateInputError(f"need at least two node times, got {times.size}")
     split, counts = _split(profile, times)
@@ -668,16 +701,15 @@ def precompute_intervals(profile: InputProfile, node_times, hyper: PriorHyper) -
     return _build(split, counts, hyper)
 
 
-def check_interval_times(times, t0, t1, intervals=None):
+def check_interval_times(times, t0, t1):
     """Raise WiringError unless each interval's nodes sit at its ends.
 
-    times holds the K node times; interval k spans nodes k and k+1. Pair i
-    of (t0, t1) belongs to interval intervals[i], by default interval i.
+    times holds the K node times and (t0, t1) the ends of the K-1
+    intervals; interval k spans nodes k and k+1.
     """
     times = np.asarray(times, dtype=float)
-    k = np.arange(len(times) - 1) if intervals is None else np.asarray(intervals, dtype=int)
-    if (np.any(np.abs(times[k] - t0) > TIME_TOL)
-            or np.any(np.abs(times[k + 1] - t1) > TIME_TOL)):
+    if (np.any(np.abs(times[:-1] - t0) > TIME_TOL)
+            or np.any(np.abs(times[1:] - t1) > TIME_TOL)):
         raise WiringError("node times do not match the interval the blocks were built for")
 
 

@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from .continuum import STRAIGHT_STRAIN, tensions_to_inputs
-from .errors import DomainError
+from .errors import DegenerateInputError, DomainError
 from .liegroup import Pose, exp_map, so3_project, wedge
 from .scenario import Disturbance, MobileScenario
 
@@ -207,11 +207,22 @@ def simulate_rod(rod, tendons, node_arclengths, sample_arclengths, *,
     """Truth poses at the sampled arclengths for one rod configuration.
 
     Uses the same tendon-to-input conversion the estimator sees, plus the
-    optional disturbance load that stays hidden from it.
+    optional disturbance load that stays hidden from it. step, the longest
+    integration step, must be a finite positive number.
     """
+    size = _floats(step, "rod simulation step")
+    if size.shape != () or not (np.isfinite(size) and size > 0):
+        raise DomainError(f"rod simulation step must be a finite positive number, got {step!r}")
+    step = float(size)
+    if not (disturbance is None or isinstance(disturbance, Disturbance)):
+        raise DegenerateInputError(f"disturbance must be a Disturbance or None, "
+                                   f"got {disturbance!r}")
     strain_at = _strain_table(rod, tensions_to_inputs(rod, tendons, node_arclengths), disturbance)
 
-    sample_arclengths = np.asarray(sample_arclengths, dtype=float)
+    sample_arclengths = _floats(sample_arclengths, "sample arclengths")
+    if sample_arclengths.ndim != 1 or not len(sample_arclengths):
+        raise DomainError("sample arclengths must be a non-empty sequence, got "
+                          f"{sample_arclengths!r}")
     off = [s for s in sample_arclengths if not 0.0 <= s <= rod.length + 1e-12]
     if off:
         raise DomainError(f"sample arclength {off[0]:.6g} lies off the rod [0, {rod.length:.6g}]")
@@ -220,3 +231,15 @@ def simulate_rod(rod, tendons, node_arclengths, sample_arclengths, *,
 
     return list(map(Pose, *integrate_poses(strain_at, grid, step, Pose.identity(),
                                            np.searchsorted(grid, sample_arclengths))))
+
+
+def _floats(value, what):
+    """value as a float array, else DomainError naming what and the value.
+
+    A string, a ragged list, a mapping or an integer too large for a float
+    is not one.
+    """
+    try:
+        return np.array(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(f"{what} must be numeric, got {value!r}") from None

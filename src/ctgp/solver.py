@@ -44,12 +44,10 @@ from typing import NamedTuple
 import numpy as np
 
 from . import factors as _factors
-from .errors import (DegenerateInputError, EstimationError, GaugeFreedomError,
-                     HyperparameterError, WiringError)
+from .errors import DegenerateInputError, EstimationError, GaugeFreedomError, WiringError
 from .interpolation import Trajectory
 from .liegroup import se3_exp, so3_project
-from .prior import (TIME_TOL, IntervalArrays, NodeArrays, check_interval_times,
-                    interval_chart)
+from .prior import TIME_TOL, IntervalArrays, NodeArrays, check_interval_times, interval_chart
 
 # factors that tie the trajectory to the world frame, on a node or, wrapped
 # in an InterpolatedFactor, between two
@@ -95,24 +93,19 @@ class Problem:
     nodes, StateNodes or a NodeArrays, are stacked once (NodeArrays.stack).
     blocks holds the K-1 IntervalBlocks of the input-driven prior, interval
     k between nodes k and k+1, or their IntervalArrays; they are stacked
-    once too (IntervalArrays.stack). All wiring is checked here, once: the
-    node times increase, each interval's ends and each InterpolatedFactor's
-    interval sit at the node times, and every measurement factor touches
-    one node or an adjacent pair, by integer node indices (NumPy integers
-    count, bools do not). Each failure raises WiringError; a node
-    whose time, pose or bias is not finite raises DegenerateInputError,
-    and intervals of different Qc raise HyperparameterError.
-
-    gauge: "auto" adds a tight anchor on the first node when no factor
-    carries absolute information (a range, pose, position or anchor factor,
-    on a node or interpolated), "fix-first" always adds it, "none" trusts
-    the given factors (a genuinely gauge-deficient graph then fails with
-    GaugeFreedomError). coarse, when given, is a problem over the same time
+    once too (IntervalArrays.stack), and are the one prior that a solve
+    reads, InterpolatedFactors included. All wiring is checked here, once:
+    the node times increase, each interval's ends sit at the node times,
+    every measurement factor touches one node or an adjacent pair, by
+    integer node indices (NumPy integers count, bools do not), and each
+    InterpolatedFactor's time lies inside its interval. Each failure raises
+    WiringError; a node whose time, pose or bias is not finite raises
+    DegenerateInputError, and intervals of different Qc raise
+    HyperparameterError. coarse, when given, is a problem over the same time
     span with fewer nodes whose solution seeds this one's start (see solve).
     """
 
-    def __init__(self, nodes, blocks, measurement_factors=(), gauge: str = "auto",
-                 coarse: "Problem | None" = None):
+    def __init__(self, nodes, blocks, measurement_factors=(), coarse: "Problem | None" = None):
         nodes = NodeArrays.stack(nodes)
         if len(nodes) < 2:
             raise WiringError("need at least two nodes")
@@ -130,7 +123,11 @@ class Problem:
         check_interval_times(times, blocks.t0, blocks.t1)
         measurement_factors = list(measurement_factors)
         for n, f in enumerate(measurement_factors):
-            idx = tuple(f.indices)
+            try:
+                idx = tuple(f.indices)
+            except (AttributeError, TypeError):
+                raise WiringError(f"measurement factor {n} ({type(f).__name__}) has no node "
+                                  "indices") from None
             if not all(_factors.is_node_index(i) for i in idx):
                 raise WiringError(f"measurement factor {n} ({type(f).__name__}) has node "
                                   f"indices {idx!r}, not all integers")
@@ -140,13 +137,12 @@ class Problem:
                 raise WiringError("measurement factors may couple only adjacent nodes")
             if len(idx) > 2:
                 raise WiringError("factors coupling more than two nodes break the band structure")
-        interpolated = [f for f in measurement_factors
-                        if isinstance(f, _factors.InterpolatedFactor)]
-        check_interval_times(times, [f.blocks.t0 for f in interpolated],
-                             [f.blocks.t1 for f in interpolated],
-                             [f.index for f in interpolated])
-        if gauge not in ("auto", "fix-first", "none"):
-            raise HyperparameterError("gauge must be auto, fix-first, or none")
+            if isinstance(f, _factors.InterpolatedFactor):
+                t0, t1 = blocks.t0[f.index], blocks.t1[f.index]
+                if not t0 - TIME_TOL <= f.tau <= t1 + TIME_TOL:
+                    raise WiringError(f"measurement factor {n} (InterpolatedFactor) at t = "
+                                      f"{f.tau:.6g} s lies outside its interval {f.index}, "
+                                      f"[{t0:.6g}, {t1:.6g}] s")
         if coarse is not None and (
                 abs(coarse.nodes.time[0] - times[0]) > TIME_TOL
                 or abs(coarse.nodes.time[-1] - times[-1]) > TIME_TOL):
@@ -154,16 +150,14 @@ class Problem:
         self.nodes = nodes
         self.blocks = blocks
         self.measurement_factors = measurement_factors
-        self.gauge = gauge
         self.coarse = coarse
 
     def gauge_factors(self):
-        """Extra anchoring factors implied by the gauge policy."""
-        if self.gauge == "none":
-            return []
+        """The one gauge rule: a tight anchor on node 0 unless a range, pose, position or
+        anchor factor, on a node or interpolated, ties the trajectory to the world."""
         measured = [f.inner if isinstance(f, _factors.InterpolatedFactor) else f
                     for f in self.measurement_factors]
-        if self.gauge == "auto" and any(isinstance(f, _ABSOLUTE_FACTORS) for f in measured):
+        if any(isinstance(f, _ABSOLUTE_FACTORS) for f in measured):
             return []
         first = self.nodes[0]
         return [_factors.AnchorFactor(0, first.pose, first.bias.copy(),
@@ -184,7 +178,7 @@ class _Linearizer:
     def __init__(self, problem: Problem):
         self.k = len(problem.nodes)
         self.batches, self.others = _factors.batch_factors(
-            list(problem.measurement_factors) + problem.gauge_factors())
+            list(problem.measurement_factors) + problem.gauge_factors(), problem.blocks)
         self.prior = problem.blocks
 
     def _add_priors(self, state, chart, d, e, g) -> float:
@@ -450,7 +444,7 @@ def solve(problem: Problem) -> Solution:
         raise GaugeFreedomError(
             f"normal equations are singular or numerically indefinite at node "
             f"{err.block} (t = {run.state.time[err.block]:.6g} s) at the solution; "
-            "covariance undefined (set gauge='fix-first' or add measurements)") from None
+            "covariance undefined (add measurements or an AnchorFactor)") from None
     covariances, cross = _takahashi(s, run.e)
     return Solution(run.state, covariances, cross, tuple(run.history),
                     run.converged, run.iterations, start, coarse[0],

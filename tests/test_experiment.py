@@ -169,8 +169,7 @@ class TestRunExperiment:
 
 
 def without_coarse(problem):
-    return Problem(problem.nodes, problem.blocks, problem.measurement_factors,
-                   gauge=problem.gauge)
+    return Problem(problem.nodes, problem.blocks, problem.measurement_factors)
 
 
 def factor_key(f):

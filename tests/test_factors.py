@@ -131,7 +131,10 @@ def test_batched_range_error_names_the_node_and_time():
         nodes[k] = prior.StateNode(nodes[k].time, Pose(nodes[k].pose.rotation, landmark),
                                    nodes[k].bias)
     group = [factors.RangeFactor(k, landmark, 1.0, 0.01) for k in (4, 0, 2, 3)]
-    (batch,), rest = factors.batch_factors(group)
+    times = [n.time for n in nodes]
+    intervals = prior.precompute_intervals(inputs.InputProfile.zero(times[0], times[-1]), times,
+                                           prior.PriorHyper(np.ones(6)))
+    (batch,), rest = factors.batch_factors(group, intervals)
     assert rest == []
     with pytest.raises(SingularGeometryError, match=r"node 2 at t = 0\.2 s"):
         batch.linearize(factors.NodeArrays.stack(nodes))
@@ -389,19 +392,17 @@ def test_bound_factor_classes_match_functions():
 
     tau = 0.31
     inner = factors.RangeFactor(0, np.array([1.0, 2.0, 0.3]), 2.0, 0.05)
-    itf = factors.InterpolatedFactor(0, blocks, tau, inner)
+    itf = factors.InterpolatedFactor(0, tau, inner)
     want = factors.interpolated_factor(n0, n1, blocks, tau, inner.evaluate_node)
-    got = itf.evaluate(nodes)
+    got = itf.evaluate(nodes, [blocks])
     assert np.allclose(got.error, want.error)
     assert np.allclose(got.jacobians[0][1], want.jacobians[0][1])
 
 
 def test_factors_compare_by_identity_and_hash():
-    rng = np.random.default_rng(34)
-    blocks, _ = build_blocks(rng)
     # equal fields, held in distinct arrays
     inners = [factors.RangeFactor(0, np.array([1.0, 2.0, 0.3]), 2.0, 0.05) for _ in range(2)]
-    a, b = (factors.InterpolatedFactor(0, blocks, 0.31, inner) for inner in inners)
+    a, b = (factors.InterpolatedFactor(0, 0.31, inner) for inner in inners)
     for x, y in (inners, (a, b)):
         assert x == x and not x != x
         assert x != y and not x == y
@@ -419,7 +420,7 @@ def test_interpolated_factor_rejects_a_callable_inner():
                 lambda n: factors.range_factor_error(n, inner.landmark, 2.0, 0.05),
                 blocks):
         with pytest.raises(WiringError, match="inner must be one of"):
-            factors.InterpolatedFactor(0, blocks, 0.31, bad)
+            factors.InterpolatedFactor(0, 0.31, bad)
 
 
 _ALL = np.ones(6, dtype=bool)
@@ -458,9 +459,7 @@ _ALL = np.ones(6, dtype=bool)
     pytest.param(lambda: factors.PoseFactor(0, Pose(np.eye(2), np.zeros(3)), np.eye(6)),
                  "measured", id="pose-rotation-2x2"),
     pytest.param(lambda: factors.InterpolatedFactor(
-        0, prior.IntervalBlocks(inputs.InputProfile.zero(0.0, 1.0),
-                                prior.PriorHyper(np.ones(6))),
-        "a", factors.PositionFactor(0, np.zeros(3), np.eye(3))), "tau",
+        0, "a", factors.PositionFactor(0, np.zeros(3), np.eye(3))), "tau",
                  id="interpolated-tau-text"),
 ])
 def test_factor_constructors_reject_malformed_values(build, field):

@@ -8,7 +8,7 @@ import pytest
 import ctgp
 
 from ctgp import factors, inputs, interpolation, prior, solver
-from ctgp.errors import (DegenerateInputError, GaugeFreedomError, HyperparameterError,
+from ctgp.errors import (DegenerateInputError, GaugeFreedomError,
                          IllConditionedRotationError, IntervalTooLongError,
                          WiringError)
 from ctgp.liegroup import Pose, exp_map, log_map, skew, so3_log
@@ -58,45 +58,6 @@ def pose_gap(a, b):
     return np.linalg.norm(log_map(a @ b.inverse()))
 
 
-def test_interpolated_factors_interpolate_with_their_own_blocks():
-    """Blocks over an interval's times but with other triples are kept, not swapped for the prior's.
-
-    One factor's blocks have another Qc, not a multiple of the prior's (which
-    would leave the gains as they are), and one's are the general route over
-    zero inputs; each batched row equals the factor's own evaluate, and the
-    three rows differ.
-    """
-    rng = np.random.default_rng(79)
-    blocks_list = input_chain(rng, 4)
-    truth = propagate_chain(prior.StateNode(0.0, Pose.identity(), bounded_twist(rng, 0.4)),
-                            blocks_list)
-    shared = blocks_list[1]
-    other_qc = prior.IntervalBlocks(shared.profile,
-                                    prior.PriorHyper(np.arange(1.0, 7.0) * np.diag(shared.hyper.qc)))
-    general = prior.IntervalBlocks(inputs.InputProfile.zero(shared.t0, shared.t1), shared.hyper,
-                                   force_general=True)
-    tau = shared.t0 + 0.1
-    meas = [factors.InterpolatedFactor(1, b, tau, factors.VelocityFactor(
-        1, np.zeros(6), 1e-2 * np.eye(6), np.ones(6, dtype=bool)))
-        for b in (shared, other_qc, general)]
-    # the wiring check sees only the times, so it takes all three
-    problem = solver.Problem(truth, blocks_list, meas)
-    batches, rest = factors.batch_factors(problem.measurement_factors)
-    # the other Qc makes a batch of its own; the general route joins the shared one
-    assert not rest and [len(b.index) for b in batches] == [2, 1]
-    nodes = prior.NodeArrays.stack(perturbed(rng, truth, 5e-2, 5e-2))
-    chart = prior.interval_chart(nodes)
-    first, second = (b.linearize(nodes, chart) for b in batches)
-    errors = []
-    for f, (error, jac), row in zip(meas, (first, second, first), (0, 0, 1)):
-        want = f.evaluate(nodes)
-        assert np.allclose(error[row], want.error, rtol=1e-12, atol=1e-14)
-        assert np.allclose(jac[row], np.concatenate([j for _, j in want.jacobians], axis=-1),
-                           rtol=1e-10, atol=1e-12)
-        errors.append(error[row])
-    assert min(np.abs(a - b).max() for i, a in enumerate(errors) for b in errors[i + 1:]) > 1e-9
-
-
 def test_consistent_problem_converges_in_one_iteration():
     rng = np.random.default_rng(70)
     blocks_list = wnoa_chain(5)
@@ -131,7 +92,8 @@ def factor_evals(blocks_list, all_factors, nodes):
     """Each prior interval's FactorEval, then each factor's own."""
     return ([factors.prior_factor_error(nodes[k], nodes[k + 1], b, indices=(k, k + 1))
              for k, b in enumerate(blocks_list)]
-            + [f.evaluate(nodes) for f in all_factors])
+            + [f.evaluate(nodes, blocks_list) if isinstance(f, factors.InterpolatedFactor)
+               else f.evaluate(nodes) for f in all_factors])
 
 
 def assemble_dense(blocks_list, all_factors, nodes):
@@ -213,27 +175,27 @@ def test_batched_assembly_matches_per_factor_reference():
         factors.PlanarLockFactor(3, 1e4),
         # batched interpolated groups, one per inner type: ranges in interval
         # 3, odometry in intervals 1 and 3, and each other one-node type
-        factors.InterpolatedFactor(3, blocks_list[3], tau,
+        factors.InterpolatedFactor(3, tau,
                                    factors.RangeFactor(3, landmark, 2.0, 0.05)),
-        factors.InterpolatedFactor(1, blocks_list[1], blocks_list[1].t0 + 0.07,
+        factors.InterpolatedFactor(1, blocks_list[1].t0 + 0.07,
                                    odometry(1, 0.1 * np.ones(6))),
-        factors.InterpolatedFactor(3, blocks_list[3], tau + 0.1, odometry(3, np.zeros(6))),
+        factors.InterpolatedFactor(3, tau + 0.1, odometry(3, np.zeros(6))),
         factors.InterpolatedFactor(
-            3, blocks_list[3], tau - 0.05,
+            3, tau - 0.05,
             factors.RangeFactor(3, landmark, dist(truth[3]) + 0.02, 1e-2)),
         factors.InterpolatedFactor(
-            2, blocks_list[2], blocks_list[2].t0 + 0.13,
+            2, blocks_list[2].t0 + 0.13,
             factors.PositionFactor(2, truth[2].pose.translation - 0.01,
                                    np.diag([2e-3, 1e-3, 3e-3]))),
-        factors.InterpolatedFactor(0, blocks_list[0], blocks_list[0].t0 + 0.2,
+        factors.InterpolatedFactor(0, blocks_list[0].t0 + 0.2,
                                    factors.PoseFactor(0, truth[1].pose, 1e-3 * np.eye(6))),
         factors.InterpolatedFactor(
-            4, blocks_list[4], blocks_list[4].t0 + 0.09,
+            4, blocks_list[4].t0 + 0.09,
             factors.AnchorFactor(4, truth[4].pose, truth[4].bias, 2e-4 * np.eye(6),
                                  1e-3 * np.eye(6))),
-        factors.InterpolatedFactor(1, blocks_list[1], blocks_list[1].t0 + 0.21,
+        factors.InterpolatedFactor(1, blocks_list[1].t0 + 0.21,
                                    factors.PlanarLockFactor(1, 1e4)),
-        factors.InterpolatedFactor(2, blocks_list[2], blocks_list[2].t0 + 0.04,
+        factors.InterpolatedFactor(2, blocks_list[2].t0 + 0.04,
                                    factors.PlanarLockFactor(2, 1e3, bias_only=True)),
         RelativeTranslation(),
     ]
@@ -293,9 +255,10 @@ seg = inputs.InputSegment(0.0, 0.3, 0.1 * np.ones(6), 0.2 * np.ones(6),
                           np.zeros(6), np.zeros(6))
 blocks = prior.IntervalBlocks(inputs.InputProfile((seg,)), prior.PriorHyper(np.ones(6)))
 nodes = [prior.StateNode(t, ctgp.Pose.identity(), np.zeros(6)) for t in (0.0, 0.3)]
+anchor = factors.AnchorFactor(0, ctgp.Pose.identity(), np.zeros(6), 1e-12 * np.eye(6),
+                              1e-12 * np.eye(6))
 sol = solver.solve(solver.Problem(nodes, [blocks],
-                                  [factors.PositionFactor(1, np.ones(3), np.eye(3))],
-                                  gauge="fix-first"))
+                                  [anchor, factors.PositionFactor(1, np.ones(3), np.eye(3))]))
 traj = interpolation.Trajectory(list(sol.nodes), [blocks], sol.node_covariances,
                                 sol.cross_covariances)
 traj.query(0.1, with_covariance=True)
@@ -330,7 +293,7 @@ def test_covariance_blocks_match_dense_inverse():
                             1e-2),
         factors.PositionFactor(3, truth[3].pose.translation.copy(), 1e-3 * np.eye(3)),
         factors.InterpolatedFactor(
-            1, blocks_list[1], tau,
+            1, tau,
             factors.VelocityFactor(1, q_tau.velocity, vel_cov, mask,
                                    input_velocity=blocks_list[1].profile.evaluate(tau)[0])),
     ]
@@ -392,34 +355,38 @@ def test_solver_is_deterministic():
 
 
 def test_gauge_policies():
+    """One rule: a tight anchor on node 0 unless a factor carries absolute information."""
     rng = np.random.default_rng(75)
     blocks_list = wnoa_chain(4)
     start = prior.StateNode(0.0, exp_map(bounded_twist(rng, 0.5)),
                             bounded_twist(rng, 0.4))
     nodes = propagate_chain(start, blocks_list)
 
-    # the sweep meets the free gauge at the last pivot block
-    with pytest.raises(GaugeFreedomError,
-                       match=r"at node 3 \(t = 0\.9 s\).*gauge='fix-first'"):
-        solver.solve(solver.Problem(nodes, blocks_list, gauge="none"))
-
-    sol = solver.solve(solver.Problem(nodes, blocks_list,
-                                      gauge="fix-first"))
+    # a prior-only chain gets the anchor, which pins node 0
+    sol = solver.solve(solver.Problem(nodes, blocks_list))
     assert sol.converged
     assert pose_gap(sol.nodes[0].pose, nodes[0].pose) < 1e-6
 
-    # with absolute measurements present, auto must not pin the first guess;
+    # with absolute measurements present the rule must not pin the first guess;
     # a right shift leaves the relative poses, hence the prior cost, unchanged
     moved = exp_map(np.array([0.3, -0.2, 0.1, 0.05, -0.04, 0.08]))
     shifted = [prior.StateNode(n.time, n.pose @ moved, n.bias) for n in nodes]
     meas = [factors.PoseFactor(0, shifted[0].pose, 1e-6 * np.eye(6)),
             factors.PoseFactor(3, shifted[3].pose, 1e-6 * np.eye(6))]
-    sol_auto = solver.solve(solver.Problem(nodes, blocks_list, meas,
-                                           gauge="auto"))
-    assert sol_auto.converged
-    assert sol_auto.cost_history[-1] < 1e-12
-    for est, ref in zip(sol_auto.nodes, shifted):
+    sol_measured = solver.solve(solver.Problem(nodes, blocks_list, meas))
+    assert sol_measured.converged
+    assert sol_measured.cost_history[-1] < 1e-12
+    for est, ref in zip(sol_measured.nodes, shifted):
         assert pose_gap(est.pose, ref.pose) < 1e-6
+
+    # one position leaves the rotation free: no anchor is added, and the
+    # sweep meets the free gauge at the last pivot block
+    position = [factors.PositionFactor(0, nodes[0].pose.translation, 1e-2 * np.eye(3))]
+    free = solver.Problem(nodes, blocks_list, position)
+    assert free.gauge_factors() == []
+    with pytest.raises(GaugeFreedomError,
+                       match=r"at node 3 \(t = 0\.9 s\).*add measurements or an AnchorFactor"):
+        solver.solve(free)
 
 
 def test_auto_gauge_reads_an_interpolated_factor_by_its_inner():
@@ -432,7 +399,7 @@ def test_auto_gauge_reads_an_interpolated_factor_by_its_inner():
 
     # a velocity says nothing about where the robot is, wherever it is taken
     relative = solver.Problem(nodes, blocks_list,
-                              [factors.InterpolatedFactor(1, blocks_list[1], 1.5, velocity)])
+                              [factors.InterpolatedFactor(1, 1.5, velocity)])
     assert len(relative.gauge_factors()) == 1
     sol = solver.solve(relative)
     assert sol.converged
@@ -440,7 +407,7 @@ def test_auto_gauge_reads_an_interpolated_factor_by_its_inner():
     assert np.max(np.diagonal(sol.node_covariances[:, :6, :6], axis1=1, axis2=2)) < 10.0
 
     absolute = solver.Problem(nodes, blocks_list,
-                              [factors.InterpolatedFactor(1, blocks_list[1], 1.5, position)])
+                              [factors.InterpolatedFactor(1, 1.5, position)])
     assert absolute.gauge_factors() == []
 
 
@@ -639,7 +606,7 @@ NEAR_PI_X = (np.pi - 1e-8, 0.0, 0.0)
 
 def test_start_state_log_singularity_names_its_interval():
     nodes = turned_nodes([(0.0, 0.0, 0.0), NEAR_PI_Z, NEAR_PI_Z])
-    problem = solver.Problem(nodes, wnoa_chain(3, dt=1.0), gauge="fix-first")
+    problem = solver.Problem(nodes, wnoa_chain(3, dt=1.0))
     with pytest.raises(IllConditionedRotationError,
                        match=r"^interval 0 \(nodes 0 and 1, t = 0 to 1 s\): rotation angle"):
         solver.solve(problem)
@@ -746,8 +713,6 @@ def test_problem_validation():
 
     with pytest.raises(WiringError):
         solver.Problem(nodes, blocks_list, [WideFactor()])
-    with pytest.raises(HyperparameterError):
-        solver.Problem(nodes, blocks_list, gauge="fixed")
 
     # a node index that is not an integer names the factor
     landmark = np.array([1.0, 2.0, 0.5])
@@ -756,11 +721,11 @@ def test_problem_validation():
             solver.Problem(nodes, blocks_list, [factors.PositionFactor(0, np.zeros(3), np.eye(3)),
                                                 factors.RangeFactor(index, landmark, 1.0, 0.1)])
     solver.Problem(nodes, blocks_list, [factors.RangeFactor(np.int64(1), landmark, 1.0, 0.1)])
-    # an interpolated factor checks its index and its blocks when it is built
+    # an interpolated factor checks its index when it is built
     inner = factors.RangeFactor(0, landmark, 1.0, 0.1)
-    for index, blocks in ((0, None), (0, blocks_list[0].profile), ("1", blocks_list[1])):
-        with pytest.raises(WiringError, match="an interpolated factor needs"):
-            factors.InterpolatedFactor(index, blocks, 0.1, inner)
+    for index in (None, 1.0, "1"):
+        with pytest.raises(WiringError, match="an interpolated factor needs an integer index"):
+            factors.InterpolatedFactor(index, 0.1, inner)
 
 
 def test_wiring_errors_surface_when_the_problem_is_built():
@@ -779,14 +744,17 @@ def test_wiring_errors_surface_when_the_problem_is_built():
                for b in blocks_list]
     with pytest.raises(WiringError, match=off_times):
         solver.Problem(nodes, shifted)
-    # an interpolated factor on interval 0 built from interval 1's blocks
+    # an interpolated factor on interval 0 at a time inside interval 1, and
+    # one at interval 0's end, within TIME_TOL, which counts as inside
     odometry = factors.VelocityFactor(0, np.zeros(6), np.eye(6), np.ones(6, dtype=bool))
-    placed = factors.InterpolatedFactor(0, blocks_list[0], blocks_list[0].t0 + 0.05, odometry)
-    misplaced = factors.InterpolatedFactor(0, blocks_list[1], blocks_list[1].t0 + 0.05,
-                                           odometry)
-    solver.Problem(nodes, blocks_list, [placed])
-    with pytest.raises(WiringError, match=off_times):
-        solver.Problem(nodes, blocks_list, [placed, misplaced])
+    placed = factors.InterpolatedFactor(0, blocks_list[0].t0 + 0.05, odometry)
+    at_end = factors.InterpolatedFactor(0, blocks_list[0].t1 + 0.5 * prior.TIME_TOL, odometry)
+    misplaced = factors.InterpolatedFactor(0, blocks_list[1].t0 + 0.05, odometry)
+    solver.Problem(nodes, blocks_list, [placed, at_end])
+    outside = (r"^measurement factor 2 \(InterpolatedFactor\) at t = 0\.35 s lies outside "
+               r"its interval 0, \[0, 0\.3\] s$")
+    with pytest.raises(WiringError, match=outside):
+        solver.Problem(nodes, blocks_list, [placed, at_end, misplaced])
 
 
 def test_out_of_order_node_times_rejected():
@@ -806,7 +774,7 @@ def test_problem_and_solution_nodes_are_node_arrays():
     nodes = perturbed(rng, propagate_chain(prior.StateNode(0.0, Pose.identity(),
                                                            bounded_twist(rng, 0.5)),
                                            blocks_list), 0.05, 0.05)
-    problem = solver.Problem(nodes, blocks_list, gauge="fix-first")
+    problem = solver.Problem(nodes, blocks_list)
     assert isinstance(problem.nodes, prior.NodeArrays)
     assert np.array_equal(problem.nodes.index, np.arange(5))
     sol = solver.solve(problem)
@@ -837,4 +805,4 @@ def test_problem_names_the_first_non_finite_start_node(spoil, named):
                             blocks_list)
     nodes[2], nodes[3] = spoil(nodes[2]), spoil(nodes[3])
     with pytest.raises(DegenerateInputError, match=named):
-        solver.Problem(nodes, blocks_list, gauge="fix-first")
+        solver.Problem(nodes, blocks_list)

@@ -674,3 +674,72 @@ def test_package_asks_the_posterior_only_through_trajectory():
         ("interpolation.py", "QueryArrays.__getitem__", "QueryResult"),
         ("interpolation.py", "Trajectory.query_many", "QueryArrays"),
         ("interpolation.py", "Trajectory.query_many", "chain_covariance")]
+
+
+def prior_copies(paths):
+    """(file, function, what) of each IntervalArrays.stack call and each interval-typed field.
+
+    A call of .stack counts when it is made on IntervalArrays, bare or as a
+    module attribute. A field is an annotated name in a class body whose
+    annotation names IntervalBlocks or IntervalArrays, and what is then
+    "Class.field"; function is as in _scoped_nodes. Either one holds a copy
+    of a prior's intervals beside the problem's own.
+    """
+    def names_arrays(node):
+        return (getattr(node, "id", None) or getattr(node, "attr", None)) == "IntervalArrays"
+
+    def names_intervals(annotation):
+        return any((getattr(n, "id", None) or getattr(n, "attr", None))
+                   in ("IntervalBlocks", "IntervalArrays")
+                   or (isinstance(n, ast.Constant) and isinstance(n.value, str)
+                       and ("IntervalBlocks" in n.value or "IntervalArrays" in n.value))
+                   for n in ast.walk(annotation))
+
+    found = []
+    for path in paths:
+        for scope, node in _scoped_nodes(_parse(path)):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "stack" and names_arrays(node.func.value)):
+                found.append((path.name, scope, "IntervalArrays.stack"))
+            elif isinstance(node, ast.ClassDef):
+                found += [(path.name, node.name, f"{node.name}.{item.target.id}")
+                          for item in node.body
+                          if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+                          and names_intervals(item.annotation)]
+    return sorted(found)
+
+
+def test_prior_copies_finder_sees_stack_calls_and_interval_fields(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("from ctgp import prior\n"
+                      "from ctgp.prior import IntervalArrays, IntervalBlocks\n"
+                      "def f(rows, other):\n"
+                      "    a = IntervalArrays.stack(rows)\n"
+                      "    b = prior.IntervalArrays.stack(rows)\n"
+                      "    return a, b, other.stack(rows), IntervalArrays.stack\n"
+                      "class Factor:\n"
+                      "    index: int\n"
+                      "    blocks: IntervalBlocks\n"
+                      "    spare: 'prior.IntervalArrays | None' = None\n"
+                      "    others: list[prior.IntervalBlocks]\n"
+                      "    def evaluate(self, nodes, intervals: IntervalArrays):\n"
+                      "        local: IntervalBlocks = intervals[self.index]\n"
+                      "        return local\n")
+    assert prior_copies([module]) == [
+        ("m.py", "Factor", "Factor.blocks"), ("m.py", "Factor", "Factor.others"),
+        ("m.py", "Factor", "Factor.spare"),
+        ("m.py", "f", "IntervalArrays.stack"), ("m.py", "f", "IntervalArrays.stack")]
+
+
+def test_package_reads_one_prior_per_problem():
+    """Caller-given intervals are stacked only where they enter, and no factor holds its own.
+
+    Problem and Trajectory take a caller's intervals, prior_factor_batch and
+    IntervalBlocks.compose are batches over given rows; an interpolated
+    factor reads the problem's IntervalArrays.
+    """
+    assert prior_copies(sorted(SRC.glob("*.py"))) == [
+        ("factors.py", "prior_factor_batch", "IntervalArrays.stack"),
+        ("interpolation.py", "Trajectory.__init__", "IntervalArrays.stack"),
+        ("prior.py", "IntervalBlocks.compose", "IntervalArrays.stack"),
+        ("solver.py", "Problem.__init__", "IntervalArrays.stack")]
