@@ -28,7 +28,7 @@ from .factors import (AnchorFactor, InterpolatedFactor, PlanarLockFactor,
 from .inputs import InputProfile, InputSegment, from_samples
 from .interpolation import QueryResult, Trajectory
 from .liegroup import Pose, exp_map, log_map
-from .prior import IntervalBlocks, PriorHyper, StateNode
+from .prior import IntervalBlocks, PriorHyper, StateNode, precompute_intervals
 from .scenario import (ContinuumScenario, MobileScenario, bundled_scenario,
                        load_scenario, parse_scenario)
 from .simulate import MobileTruth, filter_ranges, simulate_mobile, simulate_rod
@@ -49,7 +49,7 @@ __all__ = [
     "TendonRoute", "Trajectory", "VelocityFactor", "WiringError",
     "bundled_scenario", "estimate_shape", "exp_map", "filter_ranges",
     "from_samples", "load_scenario", "log_map", "parse_scenario",
-    "reproduce_fig3", "run_continuum", "run_experiment", "simulate_mobile",
-    "simulate_rod", "solve", "sweep", "tensions_to_inputs",
+    "precompute_intervals", "reproduce_fig3", "run_continuum", "run_experiment",
+    "simulate_mobile", "simulate_rod", "solve", "sweep", "tensions_to_inputs",
     "write_metrics_csv", "write_trajectory_csv",
 ]

@@ -1,4 +1,6 @@
-"""Exception types raised by the estimation library."""
+"""Exception types raised by the estimation library, and the numeric guard that raises them."""
+
+import numpy as np
 
 
 class EstimationError(Exception):
@@ -50,3 +52,15 @@ class SingularGeometryError(EstimationError):
 
 class ScenarioError(EstimationError):
     """Scenario file is missing, malformed, or fails schema validation."""
+
+
+def as_floats(value, what, error):
+    """value as a new float array, else error naming what and the value.
+
+    A string, a ragged list, a mapping or an integer too large for a float
+    is not one.
+    """
+    try:
+        return np.array(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise error(f"{what} must be numeric, got {value!r}") from None

@@ -125,16 +125,12 @@ def prior_factor_batch(nodes, blocks, *, chart=None):
     (K-1, 12, 12), and j_k / j_k1 (K-1, 12, 12).
 
     nodes is the K node states, stacked by NodeArrays.stack, and blocks the
-    K-1 intervals, IntervalBlocks or their IntervalArrays (stacked by
-    IntervalArrays.stack), checked here against the node times. The solver
-    passes its Problem's IntervalArrays and the interval charts
-    (interval_chart) that its interpolated factors also read.
+    IntervalArrays of the K-1 intervals, read as it is once checked against
+    the node times (check_interval_times). The solver passes its Problem's,
+    with the interval charts that its interpolated factors also read.
     """
     nodes = NodeArrays.stack(nodes)
-    blocks = IntervalArrays.stack(blocks)
-    if len(blocks) != len(nodes) - 1:
-        raise WiringError("need one IntervalBlocks per adjacent node pair")
-    check_interval_times(nodes.time, blocks.t0, blocks.t1)
+    check_interval_times(nodes.time, blocks)
     if chart is None:
         chart = interval_chart(nodes)
     phi_bias = blocks.phi[:, :, 6:]
@@ -150,9 +146,9 @@ def prior_factor_error(node_k: StateNode, node_k1: StateNode,
                        blocks: IntervalBlocks, *, indices=(0, 1)) -> FactorEval:
     """Motion-prior error between adjacent nodes, weighted by Q_k^-1.
 
-    A batch of one through prior_factor_batch.
+    A batch of one through prior_factor_batch, on blocks' one-row slice.
     """
-    p = prior_factor_batch([node_k, node_k1], [blocks])
+    p = prior_factor_batch([node_k, node_k1], blocks.arrays[blocks.row:blocks.row + 1])
     return FactorEval(p["error"][0], ((indices[0], p["j_k"][0]), (indices[1], p["j_k1"][0])),
                       p["info"][0])
 
@@ -275,15 +271,15 @@ def interpolated_factor(node_k: StateNode, node_k1: StateNode,
 
     The state at tau and its 12x24 node Jacobian come from one query row
     (interpolation.query_rows) and one chain over the two nodes, whose
-    times are checked against the interval here. inner maps the
+    times are checked here against blocks' one-row slice. inner maps the
     interpolated StateNode to a FactorEval with a single 12-column
     Jacobian; that Jacobian is chained onto both bracketing nodes. A custom
     two-node factor for a measurement of a new kind calls this.
     """
     nodes = NodeArrays.stack([node_k, node_k1])
-    rows = query_rows(blocks.arrays, [tau], [blocks.row])._replace(interval=np.zeros(1, int))
-    check_interval_times(nodes.time, rows.t0, rows.t1)
-    ch = chain(rows, nodes, interval_chart(nodes), jacobians=True)
+    interval = blocks.arrays[blocks.row:blocks.row + 1]
+    check_interval_times(nodes.time, interval)
+    ch = chain(query_rows(interval, [tau], [0]), nodes, interval_chart(nodes), jacobians=True)
     g = ch.node_jacobian[0]
     inner_eval = inner(StateNode(tau, Pose(ch.rot[0], ch.trans[0]), ch.bias[0]))
     (_, j_inner), = inner_eval.jacobians

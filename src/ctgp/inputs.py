@@ -15,21 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputError, DomainError
+from .errors import DegenerateInputError, DomainError, as_floats
 
 _KNOT_TOL = 1e-9
-
-
-def _floats(value, what):
-    """value as a new float array, else DegenerateInputError naming what and the value.
-
-    A string, a ragged list, a mapping or an integer too large for a float
-    is not one.
-    """
-    try:
-        return np.array(value, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        raise DegenerateInputError(f"{what} must be numeric, got {value!r}") from None
 
 
 def _lerp(t, t0, t1, v0, v1, a0, a1):
@@ -53,11 +41,12 @@ class InputSegment:
     def __post_init__(self):
         for name in ("v0", "v1", "a0", "a1"):
             # a copy: the segment must not change with the caller's array
-            arr = _floats(getattr(self, name), f"segment field {name}")
+            arr = as_floats(getattr(self, name), f"segment field {name}", DegenerateInputError)
             if arr.shape != (6,) or not np.all(np.isfinite(arr)):
                 raise DegenerateInputError(f"segment field {name} must be a finite 6-vector")
             object.__setattr__(self, name, arr)
-        t0, t1 = _floats(self.t0, "segment field t0"), _floats(self.t1, "segment field t1")
+        t0 = as_floats(self.t0, "segment field t0", DegenerateInputError)
+        t1 = as_floats(self.t1, "segment field t1", DegenerateInputError)
         if t0.shape != () or t1.shape != () or not np.isfinite([t0, t1]).all() or t1 <= t0:
             raise DegenerateInputError(f"segment requires finite t1 > t0, got {self.t0!r} and "
                                        f"{self.t1!r}")
@@ -153,10 +142,11 @@ def from_samples(times, velocities, accelerations=None) -> InputProfile:
     are zero.
     """
     # copies: the profile must not change with the caller's arrays
-    times = _floats(times, "sample times")
-    velocities = _floats(velocities, "sample velocities")
+    times = as_floats(times, "sample times", DegenerateInputError)
+    velocities = as_floats(velocities, "sample velocities", DegenerateInputError)
     accelerations = (np.zeros_like(velocities) if accelerations is None
-                     else _floats(accelerations, "sample accelerations"))
+                     else as_floats(accelerations, "sample accelerations",
+                                     DegenerateInputError))
     if times.ndim != 1 or len(times) < 2:
         raise DegenerateInputError("need at least two samples")
     if velocities.shape != (len(times), 6) or accelerations.shape != (len(times), 6):

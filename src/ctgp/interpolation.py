@@ -14,9 +14,9 @@ runs chain over its off-node rows, a fixed-size chunk at a time, into one
 stacked QueryArrays, with the exact posterior covariances from the
 bracketing nodes' joint Gaussian (chain_covariance); the solver's
 interpolated factor batches run it over their rows at every linearization.
-Trajectory is the one posterior query API; Trajectory.query and lambda_psi
-are batches of one, and factors.interpolated_factor builds its one row from
-query_rows and chain.
+Trajectory, over the IntervalArrays of the solved Problem, is the one
+posterior query API; Trajectory.query and lambda_psi are batches of one, and
+factors.interpolated_factor builds its one row from query_rows and chain.
 """
 
 from __future__ import annotations
@@ -224,11 +224,15 @@ def chain_covariance(rows: QueryRows, ch: Chain, covariances, cross_covariances)
 
 
 def _check_stack(stack, count, what):
-    """stack as a finite (count, 12, 12) float array, else HyperparameterError naming what."""
+    """stack as a finite (count, 12, 12) float array, else HyperparameterError naming what.
+
+    A float array is taken as it is, not copied: the node covariances of a
+    long solve run to megabytes.
+    """
     try:
         stack = np.asarray(stack, dtype=float)
-    except ValueError:
-        raise HyperparameterError(f"{what} must all be 12x12") from None
+    except (TypeError, ValueError, OverflowError):
+        raise HyperparameterError(f"{what} must be numeric, got {stack!r}") from None
     if stack.shape != (count, 12, 12) or not np.all(np.isfinite(stack)):
         raise HyperparameterError(
             f"{what} must be a finite ({count}, 12, 12) stack, got shape {stack.shape}")
@@ -239,30 +243,25 @@ class Trajectory:
     """Continuous read-only view of a solved trajectory.
 
     Wraps the node estimates, stacked once (NodeArrays.stack), and the
-    intervals, stacked once (IntervalArrays.stack); queries between nodes
-    interpolate the posterior, queries at node times return the node values
-    and the input twist there; query_many stacks them in a QueryArrays.
-    Covariances are attached when the solver's node covariances and
-    adjacent-node cross-covariances are supplied, both or neither (one
-    alone raises WiringError); they are validated once, here, rather than
-    on every query. A caller with marginals only passes zero
-    cross-covariances. Each interval's chart is computed once, at the first
-    query off the nodes, and kept: the trajectory never changes.
+    IntervalArrays of their intervals as it is (check_interval_times);
+    queries between nodes interpolate the posterior, queries at node times
+    return the node values and the input twist there; query_many stacks
+    them in a QueryArrays. Covariances are attached when the solver's node
+    covariances and adjacent-node cross-covariances are supplied, both or
+    neither (one alone raises WiringError); they are validated once, here,
+    as finite stacks of (K, 12, 12) and (K-1, 12, 12), rather than on every
+    query. A caller with marginals only passes zero cross-covariances. Each
+    interval's chart is computed once, at the first query off the nodes,
+    and kept: the trajectory never changes.
     """
 
-    def __init__(self, nodes, blocks_list, covariances=None, cross_covariances=None):
+    def __init__(self, nodes, blocks, covariances=None, cross_covariances=None):
         state = NodeArrays.stack(nodes)
         k = len(state)
-        if k < 2 or len(blocks_list) != k - 1:
-            raise WiringError("need K nodes and K-1 interval blocks")
-        blocks = IntervalArrays.stack(blocks_list)
-        check_interval_times(state.time, blocks.t0, blocks.t1)
+        check_interval_times(state.time, blocks)
         if (covariances is None) != (cross_covariances is None):
             raise WiringError("need the node covariances and the cross-covariances together")
         if covariances is not None:
-            if len(covariances) != k or len(cross_covariances) != k - 1:
-                raise WiringError("need one covariance per node and one cross-covariance "
-                                  "per interval")
             covariances = _check_stack(covariances, k, "node covariances")
             cross_covariances = _check_stack(cross_covariances, k - 1, "cross-covariances")
             eigs = np.linalg.eigvalsh(covariances)

@@ -39,7 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (DegenerateInputError, DomainError, HyperparameterError,
-                     IllConditionedRotationError, IntervalTooLongError, WiringError)
+                     IllConditionedRotationError, IntervalTooLongError, WiringError, as_floats)
 from .inputs import InputProfile, InputSegment
 from .liegroup import (Pose, curlywedge, j_vec_dx, se3_adjoint, se3_exp_jacobian,
                        se3_log_jacobian_inv)
@@ -78,18 +78,6 @@ CHUNK_SEGMENTS = 16
 # two times closer than this are the same node time
 TIME_TOL = 1e-9
 _EYE12 = np.eye(12)
-
-
-def _floats(value, what, error):
-    """value as a float array, else error naming what and the value.
-
-    A string, a ragged list, a mapping or an integer too large for a float
-    is not one.
-    """
-    try:
-        return np.array(value, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        raise error(f"{what} must be numeric, got {value!r}") from None
 
 
 def expm_ss(A):
@@ -144,7 +132,7 @@ class PriorHyper:
     qc_inv: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        qc = np.atleast_1d(_floats(self.qc, "Qc", HyperparameterError))
+        qc = np.atleast_1d(as_floats(self.qc, "Qc", HyperparameterError))
         if qc.ndim == 1:
             if qc.shape != (6,):
                 raise HyperparameterError("diagonal Qc must have 6 entries")
@@ -194,9 +182,20 @@ class NodeArrays:
 
     @classmethod
     def stack(cls, nodes):
-        """StateNodes, or a NodeArrays, as rows numbered 0 to K-1."""
+        """StateNodes, or a NodeArrays, as rows numbered 0 to K-1.
+
+        Raises WiringError for anything else, naming the first row that is
+        not a StateNode.
+        """
         if isinstance(nodes, NodeArrays):
             return replace(nodes, index=np.arange(len(nodes)))
+        try:
+            nodes = list(nodes)
+        except TypeError:
+            raise WiringError(f"need StateNodes or a NodeArrays, got {nodes!r}") from None
+        for k, n in enumerate(nodes):
+            if not isinstance(n, StateNode):
+                raise WiringError(f"node {k} is not a StateNode, got {n!r}")
         return cls(np.arange(len(nodes)),
                    np.array([n.time for n in nodes], dtype=float),
                    np.array([n.pose.rotation for n in nodes], dtype=float),
@@ -419,17 +418,15 @@ def _pieces(profile: InputProfile, rows, upto, closed, hyper: PriorHyper):
 class IntervalBlocks:
     """Precomputed prior quantities for one node interval: row `row` of the IntervalArrays `arrays`.
 
-    profile is the interval's InputProfile. The (transition, input
-    integral, noise integral) triples from t0 to every later knot of it, t1
-    included, are _phi, _input and _q (n, ...); phi, input_full and q_full
-    are the last row, and the triple at t0 is the identity. Each field is a
-    view into arrays, read when asked. IntervalBlocks(profile, hyper) is an
-    IntervalArrays of one. Identically zero profiles are closed_form unless
-    force_general is set (which exercises the general route, as the
-    fallback-equivalence tests need): their segment pieces, the transition
-    from a query time to t1 and Q^-1 are the closed forms of constant
-    velocity. at and compose are the batches of one of IntervalArrays.query
-    and IntervalArrays.coarsen.
+    profile is the interval's InputProfile; phi, input_full and q_full are
+    its (transition, input integral, noise integral) triple from t0 to t1,
+    and q_full_inv its weight. Each field is a view into arrays, read when
+    asked. IntervalBlocks(profile, hyper) builds an IntervalArrays of one.
+    Identically zero profiles are closed_form unless force_general is set
+    (which exercises the general route, as the fallback-equivalence tests
+    need): their segment pieces, the transition from a query time to t1 and
+    Q^-1 are the closed forms of constant velocity. at is the batch of one
+    of IntervalArrays.query.
     """
 
     __slots__ = ("arrays", "row")
@@ -447,14 +444,6 @@ class IntervalBlocks:
     q_full_inv = property(lambda self: self.arrays.q_full_inv[self.row])
     _knots = property(lambda self: slice(*self.arrays.offsets[self.row:self.row + 2]))
     profile = property(lambda self: self.arrays.profile[self._knots])
-    _phi = property(lambda self: self.arrays.knot_phi[self._knots])
-    _input = property(lambda self: self.arrays.knot_input[self._knots])
-    _q = property(lambda self: self.arrays.knot_q[self._knots])
-
-    @staticmethod
-    def compose(fine_blocks) -> "IntervalBlocks":
-        """One interval over consecutive fine ones, IntervalBlocks or an IntervalArrays."""
-        return IntervalArrays.stack(fine_blocks).coarsen(len(fine_blocks))[0]
 
     def at(self, tau: float) -> QueryBlocks:
         """Blocks for a query time in [t0, t1]."""
@@ -478,8 +467,10 @@ class IntervalArrays:
     the end of r; closed_form (n,) marks the closed-form intervals. The
     ends t0, t1 (n,), the full triples phi, input_full and q_full and the
     weights q_full_inv (n, ...) follow, each full Q symmetrized in place.
-    intervals[i] is row i, made as an IntervalBlocks on access, and a slice
-    a tuple of rows.
+    intervals[i] is row i, made as an IntervalBlocks on access, and
+    intervals[lo:hi] an IntervalArrays of views; a stepped slice raises
+    WiringError. Built by precompute_intervals, it is the one form in which
+    intervals enter a Problem, a Trajectory or prior_factor_batch.
     """
 
     profile: InputProfile
@@ -517,31 +508,6 @@ class IntervalArrays:
                             ("input_full", self.knot_input[last]), ("q_full", q[last]),
                             ("q_full_inv", q_inv)):
             object.__setattr__(self, name, value)
-
-    @classmethod
-    def stack(cls, intervals) -> "IntervalArrays":
-        """IntervalBlocks, copied in the given order, or an IntervalArrays as it is.
-
-        The profiles are joined unchecked: a caller checks the ends it relies
-        on, against the node times (check_interval_times) or each other
-        (coarsen). Raises WiringError without rows or for one that is not an
-        IntervalBlocks, HyperparameterError unless they share one Qc.
-        """
-        if isinstance(intervals, IntervalArrays):
-            return intervals
-        rows = list(intervals)
-        if not rows:
-            raise WiringError("need at least one interval")
-        for k, b in enumerate(rows):
-            if not isinstance(b, IntervalBlocks):
-                raise WiringError(f"prior interval {k} is not an IntervalBlocks")
-        if any(not np.array_equal(b.hyper.qc, rows[0].hyper.qc) for b in rows):
-            raise HyperparameterError("stacked intervals must share one Qc")
-        profile = InputProfile._stacked(*(np.concatenate([getattr(b.profile, name) for b in rows])
-                                          for name in InputProfile.__slots__))
-        return cls(profile, rows[0].hyper, np.cumsum([0] + [len(b.profile) for b in rows]),
-                   np.array([b.closed_form for b in rows]),
-                   *(np.concatenate(x) for x in zip(*((b._phi, b._input, b._q) for b in rows))))
 
     def coarsen(self, ratio: int) -> "IntervalArrays":
         """The intervals over ratio consecutive ones each, the last over those left.
@@ -614,11 +580,18 @@ class IntervalArrays:
         return len(self.offsets) - 1
 
     def __getitem__(self, i):
-        rows = range(len(self))[i]
-        if isinstance(rows, range):
-            return tuple(self[r] for r in rows)
+        if isinstance(i, slice):
+            lo, hi, step = i.indices(len(self))
+            if step != 1:
+                raise WiringError(f"intervals slice only by consecutive rows, got step {step}")
+            hi = max(lo, hi)
+            knots = slice(self.offsets[lo], self.offsets[hi])
+            return IntervalArrays(self.profile[knots], self.hyper,
+                                  self.offsets[lo:hi + 1] - self.offsets[lo],
+                                  self.closed_form[lo:hi], self.knot_phi[knots],
+                                  self.knot_input[knots], self.knot_q[knots])
         blocks = IntervalBlocks.__new__(IntervalBlocks)
-        blocks.arrays, blocks.row = self, rows
+        blocks.arrays, blocks.row = self, range(len(self))[i]
         return blocks
 
 
@@ -682,7 +655,7 @@ def precompute_intervals(profile: InputProfile, node_times, hyper: PriorHyper) -
         raise DegenerateInputError(f"need an InputProfile, got {profile!r}")
     if not isinstance(hyper, PriorHyper):
         raise HyperparameterError(f"need a PriorHyper, got {hyper!r}")
-    times = _floats(node_times, "node times", DegenerateInputError)
+    times = as_floats(node_times, "node times", DegenerateInputError)
     if times.ndim != 1 or len(times) < 2:
         raise DegenerateInputError(f"need at least two node times, got {times.size}")
     split, counts = _split(profile, times)
@@ -701,15 +674,20 @@ def precompute_intervals(profile: InputProfile, node_times, hyper: PriorHyper) -
     return _build(split, counts, hyper)
 
 
-def check_interval_times(times, t0, t1):
-    """Raise WiringError unless each interval's nodes sit at its ends.
+def check_interval_times(times, intervals):
+    """Raise WiringError unless intervals is one IntervalArrays whose ends sit at the node times.
 
-    times holds the K node times and (t0, t1) the ends of the K-1
-    intervals; interval k spans nodes k and k+1.
+    times holds the K node times and intervals K-1 rows, interval k
+    spanning nodes k and k+1: the one check where intervals enter.
     """
-    times = np.asarray(times, dtype=float)
-    if (np.any(np.abs(times[:-1] - t0) > TIME_TOL)
-            or np.any(np.abs(times[1:] - t1) > TIME_TOL)):
+    if not isinstance(intervals, IntervalArrays):
+        raise WiringError("need the intervals as one IntervalArrays (precompute_intervals), "
+                          f"got a {type(intervals).__name__}")
+    if len(times) < 2 or len(intervals) != len(times) - 1:
+        raise WiringError("need two or more nodes and one interval per adjacent pair, got "
+                          f"{len(times)} nodes and {len(intervals)} intervals")
+    if (np.any(np.abs(times[:-1] - intervals.t0) > TIME_TOL)
+            or np.any(np.abs(times[1:] - intervals.t1) > TIME_TOL)):
         raise WiringError("node times do not match the interval the blocks were built for")
 
 

@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from .continuum import STRAIGHT_STRAIN, tensions_to_inputs
-from .errors import DegenerateInputError, DomainError
+from .errors import DegenerateInputError, DomainError, as_floats
 from .liegroup import Pose, exp_map, so3_project, wedge
 from .scenario import Disturbance, MobileScenario
 
@@ -210,7 +210,7 @@ def simulate_rod(rod, tendons, node_arclengths, sample_arclengths, *,
     optional disturbance load that stays hidden from it. step, the longest
     integration step, must be a finite positive number.
     """
-    size = _floats(step, "rod simulation step")
+    size = as_floats(step, "rod simulation step", DomainError)
     if size.shape != () or not (np.isfinite(size) and size > 0):
         raise DomainError(f"rod simulation step must be a finite positive number, got {step!r}")
     step = float(size)
@@ -219,7 +219,7 @@ def simulate_rod(rod, tendons, node_arclengths, sample_arclengths, *,
                                    f"got {disturbance!r}")
     strain_at = _strain_table(rod, tensions_to_inputs(rod, tendons, node_arclengths), disturbance)
 
-    sample_arclengths = _floats(sample_arclengths, "sample arclengths")
+    sample_arclengths = as_floats(sample_arclengths, "sample arclengths", DomainError)
     if sample_arclengths.ndim != 1 or not len(sample_arclengths):
         raise DomainError("sample arclengths must be a non-empty sequence, got "
                           f"{sample_arclengths!r}")
@@ -231,15 +231,3 @@ def simulate_rod(rod, tendons, node_arclengths, sample_arclengths, *,
 
     return list(map(Pose, *integrate_poses(strain_at, grid, step, Pose.identity(),
                                            np.searchsorted(grid, sample_arclengths))))
-
-
-def _floats(value, what):
-    """value as a float array, else DomainError naming what and the value.
-
-    A string, a ragged list, a mapping or an integer too large for a float
-    is not one.
-    """
-    try:
-        return np.array(value, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        raise DomainError(f"{what} must be numeric, got {value!r}") from None

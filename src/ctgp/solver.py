@@ -1,7 +1,7 @@
 """MAP batch estimation over the block-tridiagonal factor graph.
 
 A Problem holds the nodes, stacked once into a NodeArrays, the prior's
-intervals between consecutive nodes, stacked once into an IntervalArrays,
+intervals between consecutive nodes, the IntervalArrays as it was given,
 and the measurement factors, and checks them when it is built. The motion
 prior chains adjacent nodes and every measurement factor touches one node
 or an adjacent pair, so the Gauss-Newton normal equations stay block
@@ -47,7 +47,7 @@ from . import factors as _factors
 from .errors import DegenerateInputError, EstimationError, GaugeFreedomError, WiringError
 from .interpolation import Trajectory
 from .liegroup import se3_exp, so3_project
-from .prior import TIME_TOL, IntervalArrays, NodeArrays, check_interval_times, interval_chart
+from .prior import TIME_TOL, NodeArrays, check_interval_times, interval_chart
 
 # factors that tie the trajectory to the world frame, on a node or, wrapped
 # in an InterpolatedFactor, between two
@@ -91,24 +91,21 @@ class Problem:
     """Factor graph for one batch solve: nodes, prior intervals, measurements.
 
     nodes, StateNodes or a NodeArrays, are stacked once (NodeArrays.stack).
-    blocks holds the K-1 IntervalBlocks of the input-driven prior, interval
-    k between nodes k and k+1, or their IntervalArrays; they are stacked
-    once too (IntervalArrays.stack), and are the one prior that a solve
-    reads, InterpolatedFactors included. All wiring is checked here, once:
-    the node times increase, each interval's ends sit at the node times,
-    every measurement factor touches one node or an adjacent pair, by
-    integer node indices (NumPy integers count, bools do not), and each
-    InterpolatedFactor's time lies inside its interval. Each failure raises
-    WiringError; a node whose time, pose or bias is not finite raises
-    DegenerateInputError, and intervals of different Qc raise
-    HyperparameterError. coarse, when given, is a problem over the same time
-    span with fewer nodes whose solution seeds this one's start (see solve).
+    blocks, the IntervalArrays of the K-1 prior intervals from
+    precompute_intervals, interval k between nodes k and k+1, is kept as it
+    is: the one prior that a solve reads, InterpolatedFactors included. All
+    wiring is checked here, once: the node times increase, blocks' ends sit
+    at them (check_interval_times), every measurement factor touches one
+    node or an adjacent pair, by integer node indices (NumPy integers count,
+    bools do not), each InterpolatedFactor's time lies inside its interval,
+    and coarse is a Problem or None. Each failure raises WiringError; a node
+    whose time, pose or bias is not finite raises DegenerateInputError.
+    coarse, when given, is a problem over the same time span with fewer
+    nodes whose solution seeds this one's start (see solve).
     """
 
     def __init__(self, nodes, blocks, measurement_factors=(), coarse: "Problem | None" = None):
         nodes = NodeArrays.stack(nodes)
-        if len(nodes) < 2:
-            raise WiringError("need at least two nodes")
         times = nodes.time
         bad = np.flatnonzero(~np.isfinite(np.column_stack(
             [times, nodes.rot.reshape(-1, 9), nodes.trans, nodes.bias])).all(axis=1))
@@ -117,11 +114,12 @@ class Problem:
                                        "non-finite time, pose or bias")
         if np.any(np.diff(times) <= 0):
             raise WiringError("node times must be strictly increasing")
-        blocks = IntervalArrays.stack(blocks)
-        if len(blocks) != len(nodes) - 1:
-            raise WiringError("need exactly one IntervalBlocks per adjacent node pair")
-        check_interval_times(times, blocks.t0, blocks.t1)
-        measurement_factors = list(measurement_factors)
+        check_interval_times(times, blocks)
+        try:
+            measurement_factors = list(measurement_factors)
+        except TypeError:
+            raise WiringError("measurement factors must be iterable, got "
+                              f"{measurement_factors!r}") from None
         for n, f in enumerate(measurement_factors):
             try:
                 idx = tuple(f.indices)
@@ -143,6 +141,8 @@ class Problem:
                     raise WiringError(f"measurement factor {n} (InterpolatedFactor) at t = "
                                       f"{f.tau:.6g} s lies outside its interval {f.index}, "
                                       f"[{t0:.6g}, {t1:.6g}] s")
+        if coarse is not None and not isinstance(coarse, Problem):
+            raise WiringError(f"the coarse problem must be a Problem, got {coarse!r}")
         if coarse is not None and (
                 abs(coarse.nodes.time[0] - times[0]) > TIME_TOL
                 or abs(coarse.nodes.time[-1] - times[-1]) > TIME_TOL):
@@ -424,12 +424,14 @@ def solve(problem: Problem) -> Solution:
     when that solve raises, does not converge, or its queries leave the
     local chart, the solve starts from problem.nodes (start "given"), just
     as without a coarse problem. The covariances come from the system
-    assembled at the final state during the iterations. Raises
-    GaugeFreedomError, naming the first node whose pivot block is not
-    positive definite, when the undamped normal equations at the solution
-    are singular. A run that exhausts _MAX_ITERATIONS or cannot decrease the
+    assembled at the final state during the iterations. Raises WiringError
+    for anything but a Problem, and GaugeFreedomError, naming the first node
+    whose pivot block is not positive definite, when the undamped normal
+    equations at the solution are singular. A run that exhausts _MAX_ITERATIONS or cannot decrease the
     cost at any damping returns the best state found with converged=False.
     """
+    if not isinstance(problem, Problem):
+        raise WiringError(f"need a Problem, got {problem!r}")
     lin = _Linearizer(problem)
     state, start, coarse = problem.nodes, "given", (0, 0)
     if problem.coarse is not None:

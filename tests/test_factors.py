@@ -370,9 +370,12 @@ def test_prior_factor_batch_matches_scalar():
         blocks_list.append(blocks)
         t = blocks.t1
     nodes.append(node)
+    intervals = prior.precompute_intervals(
+        inputs.InputProfile([s for b in blocks_list for s in b.profile.segments]),
+        [b.t0 for b in blocks_list] + [t], hyper)
 
-    batch = factors.prior_factor_batch(nodes, blocks_list)
-    for k, blocks in enumerate(blocks_list):
+    batch = factors.prior_factor_batch(nodes, intervals)
+    for k, blocks in enumerate(intervals):
         ev = factors.prior_factor_error(nodes[k], nodes[k + 1], blocks)
         assert np.allclose(batch["error"][k], ev.error, atol=1e-12)
         assert np.allclose(batch["info"][k], ev.information, atol=1e-12)
@@ -380,7 +383,7 @@ def test_prior_factor_batch_matches_scalar():
         assert np.allclose(batch["j_k1"][k], ev.jacobians[1][1], atol=1e-12)
 
     with pytest.raises(WiringError):
-        factors.prior_factor_batch(nodes[:-1], blocks_list)
+        factors.prior_factor_batch(nodes[:-1], intervals)
 
 
 def test_bound_factor_classes_match_functions():

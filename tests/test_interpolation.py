@@ -117,7 +117,7 @@ def test_interpolation_on_prior_mean_matches_propagation():
     for _ in range(3):
         blocks, profile, _ = build_blocks(rng)
         node_k, node_k1 = nodes_on_prior_mean(rng, blocks)
-        traj = interpolation.Trajectory([node_k, node_k1], [blocks])
+        traj = interpolation.Trajectory([node_k, node_k1], blocks.arrays)
         for tau in np.linspace(blocks.t0, blocks.t1, 9):
             want = prior.prior_mean_propagate(node_k, blocks, tau)
             got = traj.query(tau)
@@ -157,7 +157,7 @@ def test_velocity_jumps_preserved():
     node_k, node_k1 = perturbed_pair(rng, blocks, scale=0.1)
 
     eps = 1e-8
-    before, after = interpolation.Trajectory([node_k, node_k1], [blocks]).query_many(
+    before, after = interpolation.Trajectory([node_k, node_k1], blocks.arrays).query_many(
         [0.2 - eps, 0.2 + eps])
     jump = after.velocity - before.velocity
     assert np.allclose(jump, v_b - v_a, atol=1e-6)
@@ -170,9 +170,9 @@ def test_node_hit_velocity_does_not_depend_on_the_side():
     hyper = prior.PriorHyper(np.full(6, 0.5))
     zero = np.zeros(6)
     w_a, w_b = np.array([0, 0, 0, 0, 0, 0.5]), np.array([0, 0, 0, 0, 0, -0.5])
-    blocks_list = [prior.IntervalBlocks(inputs.InputProfile((
-        inputs.InputSegment(t0, t0 + 0.5, w, w, zero, zero),)), hyper)
-        for t0, w in ((0.0, w_a), (0.5, w_b))]
+    blocks_list = prior.precompute_intervals(inputs.InputProfile(
+        [inputs.InputSegment(t0, t0 + 0.5, w, w, zero, zero)
+         for t0, w in ((0.0, w_a), (0.5, w_b))]), [0.0, 0.5, 1.0], hyper)
     nodes = [random_node(np.random.default_rng(15))]
     for blocks in blocks_list:
         nodes.append(prior.prior_mean_propagate(nodes[-1], blocks, blocks.t1))
@@ -199,7 +199,7 @@ def test_interpolated_covariance_matches_prior_propagation():
     h1 = output_map_at(gamma1[:6], gamma1[6:])
     covs = np.stack([np.zeros((12, 12)), h1 @ blocks.q_full @ h1.T])
     # a pinned node has no cross-covariance with the far one
-    traj = interpolation.Trajectory([node_k, node_k1], [blocks], covs, np.zeros((1, 12, 12)))
+    traj = interpolation.Trajectory([node_k, node_k1], blocks.arrays, covs, np.zeros((1, 12, 12)))
 
     for tau in (blocks.t0 + 0.07, 0.31, 0.52):
         cov = traj.query(tau, with_covariance=True).covariance
@@ -224,7 +224,7 @@ def test_covariance_endpoints_symmetry_and_psd():
     assert np.allclose(at1, covs[1], atol=1e-9)
 
     for cross in (zero, 0.1 * covs[:1]):
-        traj = interpolation.Trajectory([node_k, node_k1], [blocks], covs, cross)
+        traj = interpolation.Trajectory([node_k, node_k1], blocks.arrays, covs, cross)
         for tau in (0.11, 0.43, 0.77):
             cov = traj.query(tau, with_covariance=True).covariance
             assert np.allclose(cov, cov.T, atol=1e-10)
@@ -234,7 +234,7 @@ def test_covariance_endpoints_symmetry_and_psd():
     with pytest.raises(HyperparameterError):
         bad = covs.copy()
         bad[0, 0, 1] += 1.0
-        interpolation.Trajectory([node_k, node_k1], [blocks], bad, zero)
+        interpolation.Trajectory([node_k, node_k1], blocks.arrays, bad, zero)
 
 
 def test_query_jacobian_matches_finite_differences():
@@ -263,7 +263,7 @@ def test_query_jacobian_matches_finite_differences():
                     nk = perturb(node_k, col, sign * step) if col < 12 else node_k
                     nk1 = (perturb(node_k1, col - 12, sign * step)
                            if col >= 12 else node_k1)
-                    res = interpolation.Trajectory([nk, nk1], [blocks]).query(tau)
+                    res = interpolation.Trajectory([nk, nk1], blocks.arrays).query(tau)
                     readings.append(np.concatenate([
                         log_map(res.pose @ pose0.inverse()), res.bias - bias0]))
                 num[:, col] = (readings[0] - readings[1]) / (2 * step)
@@ -278,13 +278,13 @@ def test_interpolation_chart_guard():
     node_k = prior.StateNode(0.0, Pose.identity(), spin)
     node_k1 = prior.StateNode(1.0, exp_map(np.array([0, 0, 0, 0, 0, 3.0])), np.zeros(6))
     with pytest.raises(IntervalTooLongError):
-        interpolation.Trajectory([node_k, node_k1], [blocks]).query(0.5)
+        interpolation.Trajectory([node_k, node_k1], blocks.arrays).query(0.5)
 
 
 def test_chart_guard_names_the_lowest_interval():
     hyper = prior.PriorHyper(np.ones(6))
-    blocks = [prior.IntervalBlocks(inputs.InputProfile.zero(float(k), k + 1.0), hyper)
-              for k in range(3)]
+    blocks = prior.precompute_intervals(inputs.InputProfile.zero(0.0, 3.0), [0.0, 1.0, 2.0, 3.0],
+                                        hyper)
     spin = np.array([0, 0, 0, 0, 0, 20.0])
     turn = exp_map(np.array([0, 0, 0, 0, 0, 3.0]))
     nodes = [prior.StateNode(0.0, Pose.identity(), np.zeros(6)),
@@ -305,11 +305,12 @@ def test_query_many_matches_per_time_queries(monkeypatch):
     monkeypatch.setattr(interpolation, "CHUNK_ROWS", 4)
     rng = np.random.default_rng(20)
     hyper = prior.PriorHyper(rng.uniform(0.2, 2.0, size=6))
-    blocks_list, t = [], 0.0
+    segments, times = [], [0.0]
     for _ in range(3):
-        blocks, _, _ = build_blocks(rng, n_segments=3, seg_dur=0.2, t0=t)
-        blocks_list.append(prior.IntervalBlocks(blocks.profile, hyper))
-        t = blocks.t1
+        blocks, profile, _ = build_blocks(rng, n_segments=3, seg_dur=0.2, t0=times[-1])
+        segments += profile.segments
+        times.append(blocks.t1)
+    blocks_list = prior.precompute_intervals(inputs.InputProfile(segments), times, hyper)
     nodes = [random_node(rng)]
     for blocks in blocks_list:
         base = prior.prior_mean_propagate(nodes[-1], blocks, blocks.t1)
@@ -360,12 +361,13 @@ def test_trajectory_queries_and_wiring():
         segs.append(inputs.InputSegment(t, t + 0.2, v_prev, v_next, a_prev, a_next))
         t += 0.2
         v_prev, a_prev = v_next, a_next
-    blocks_b = prior.IntervalBlocks(inputs.InputProfile(tuple(segs)), hyper)
+    both = prior.precompute_intervals(inputs.InputProfile(blocks_a.profile.segments + tuple(segs)),
+                                      [0.0, t_mid, t], hyper)
 
     n0 = random_node(rng, time=0.0)
-    n1 = prior.prior_mean_propagate(n0, blocks_a, blocks_a.t1)
-    n2 = prior.prior_mean_propagate(n1, blocks_b, blocks_b.t1)
-    traj = interpolation.Trajectory([n0, n1, n2], [blocks_a, blocks_b])
+    n1 = prior.prior_mean_propagate(n0, both[0], t_mid)
+    n2 = prior.prior_mean_propagate(n1, both[1], t)
+    traj = interpolation.Trajectory([n0, n1, n2], both)
 
     hit = traj.query(n1.time)
     assert np.array_equal(hit.pose.matrix(), n1.pose.matrix())
@@ -374,8 +376,8 @@ def test_trajectory_queries_and_wiring():
     for tau in (0.05, 0.37, 0.62):
         res = traj.query(tau)
         k = 0 if tau < t_mid else 1
-        pair = [(n0, n1, blocks_a), (n1, n2, blocks_b)][k]
-        want = interpolation.Trajectory(pair[:2], pair[2:]).query(tau)
+        pair = [(n0, n1), (n1, n2)][k]
+        want = interpolation.Trajectory(pair, both[k:k + 1]).query(tau)
         assert np.linalg.norm(log_map(res.pose @ want.pose.inverse())) < 1e-12
 
     # mean continuity across the shared node
@@ -390,9 +392,9 @@ def test_trajectory_queries_and_wiring():
     with pytest.raises(DomainError):
         traj.query(traj.end + 0.5)
     with pytest.raises(WiringError):
-        interpolation.Trajectory([n0, n2], [blocks_a, blocks_b])
+        interpolation.Trajectory([n0, n2], both)
     with pytest.raises(WiringError):
-        interpolation.Trajectory([n0, n2], [blocks_a])
+        interpolation.Trajectory([n0, n2], both[:1])
 
 
 def test_trajectory_covariance_query_matches_standalone_calls():
@@ -404,7 +406,7 @@ def test_trajectory_covariance_query_matches_standalone_calls():
     taus = [0.13, 0.4, 0.55]
     rows, ch = pair_chain(node_k, node_k1, blocks, taus, jacobians=True)
     for cross in (np.zeros((1, 12, 12)), 0.1 * covs[:1]):
-        traj = interpolation.Trajectory([node_k, node_k1], [blocks],
+        traj = interpolation.Trajectory([node_k, node_k1], blocks.arrays,
                                         covariances=covs, cross_covariances=cross)
         want = interpolation.chain_covariance(rows, ch, covs, cross)
         for i, tau in enumerate(taus):
@@ -420,15 +422,15 @@ def test_trajectory_covariance_query_matches_standalone_calls():
     bad = covs.copy()
     bad[1] = -bad[1]
     with pytest.raises(HyperparameterError):
-        interpolation.Trajectory([node_k, node_k1], [blocks], covariances=bad,
+        interpolation.Trajectory([node_k, node_k1], blocks.arrays, covariances=bad,
                                  cross_covariances=np.zeros((1, 12, 12)))
     # and so are the cross-covariances
     for bad_cross in (np.zeros((1, 6, 6)), np.full((1, 12, 12), np.nan)):
         with pytest.raises(HyperparameterError, match="cross-covariances"):
-            interpolation.Trajectory([node_k, node_k1], [blocks], covariances=covs,
+            interpolation.Trajectory([node_k, node_k1], blocks.arrays, covariances=covs,
                                      cross_covariances=bad_cross)
     # and both come together or not at all
     for kw in ({"covariances": covs}, {"cross_covariances": np.zeros((1, 12, 12))}):
         with pytest.raises(WiringError, match="together"):
-            interpolation.Trajectory([node_k, node_k1], [blocks], **kw)
+            interpolation.Trajectory([node_k, node_k1], blocks.arrays, **kw)
 

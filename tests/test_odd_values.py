@@ -23,17 +23,14 @@ NODES = np.linspace(0.0, 0.2, 5)
 HYPER = prior.PriorHyper([1e-2] * 3 + [1e3] * 3)
 
 
-def _trajectory():
-    times = [0.0, 0.5, 1.0]
-    blocks = prior.precompute_intervals(inputs.InputProfile.zero(0.0, 1.0), times,
-                                        prior.PriorHyper(np.ones(6)))
-    nodes = [prior.StateNode(t, Pose.identity(), np.zeros(6)) for t in times]
-    sol = solver.solve(solver.Problem(nodes, blocks))
-    return interpolation.Trajectory(sol.nodes, blocks, sol.node_covariances,
-                                    sol.cross_covariances)
-
-
-TRAJECTORY = _trajectory()
+TIMES = [0.0, 0.5, 1.0]
+INTERVALS = prior.precompute_intervals(inputs.InputProfile.zero(0.0, 1.0), TIMES,
+                                       prior.PriorHyper(np.ones(6)))
+STATES = [prior.StateNode(t, Pose.identity(), np.zeros(6)) for t in TIMES]
+PROBLEM = solver.Problem(STATES, INTERVALS)
+SOLUTION = solver.solve(PROBLEM)
+TRAJECTORY = interpolation.Trajectory(SOLUTION.nodes, INTERVALS, SOLUTION.node_covariances,
+                                      SOLUTION.cross_covariances)
 SEGMENT_VALUES = dict(t0=0.0, t1=1.0, v0=np.ones(6), v1=np.zeros(6), a0=np.zeros(6),
                       a1=np.ones(6))
 
@@ -57,6 +54,13 @@ ENTRY_POINTS = {
                              dict(profile=inputs.InputProfile((inputs.InputSegment(
                                  **SEGMENT_VALUES),)), node_times=[0.0, 0.5, 1.0],
                                  hyper=HYPER)),
+    "Problem": (solver.Problem, dict(nodes=STATES, blocks=INTERVALS, measurement_factors=(),
+                                     coarse=None)),
+    "Trajectory": (interpolation.Trajectory,
+                   dict(nodes=SOLUTION.nodes, blocks=INTERVALS,
+                        covariances=SOLUTION.node_covariances,
+                        cross_covariances=SOLUTION.cross_covariances)),
+    "solve": (solver.solve, dict(problem=PROBLEM)),
     "Trajectory.query": (TRAJECTORY.query, dict(tau=0.25, with_covariance=True)),
     "exp_map": (exp_map, dict(xi=np.arange(6.0) / 10.0)),
     "log_map": (log_map, dict(pose=exp_map(np.arange(6.0) / 10.0))),

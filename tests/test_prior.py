@@ -495,10 +495,8 @@ def test_precompute_intervals_names_the_bad_node_time(times, error, match):
         prior.precompute_intervals(profile, times, hyper)
 
 
-INTERVAL_FIELDS = ("t0", "t1", "closed_form", "_phi", "_input", "_q", "phi", "input_full",
-                   "q_full", "q_full_inv")
-CONTAINER_FIELDS = ("offsets", "closed_form", "knot_phi", "knot_input", "knot_q",
-                    "q_full_inv", "t0", "t1", "phi", "input_full", "q_full")
+INTERVAL_FIELDS = ("t0", "t1", "closed_form", "phi", "input_full", "q_full", "q_full_inv")
+KNOT_FIELDS = ("knot_phi", "knot_input", "knot_q")
 PROFILE_FIELDS = ("t0", "t1", "v0", "v1", "a0", "a1")
 
 
@@ -524,7 +522,7 @@ def test_one_pass_rows_equal_intervals_built_alone_and_are_views():
     assert np.array_equal(intervals.offsets, [0, 1, 2, 5, 6])
     assert np.array_equal(intervals.profile.t0, whole.t0)
     assert np.array_equal(intervals.profile.t1, whole.t1)
-    for row in intervals:
+    for k, row in enumerate(intervals):
         # a copy of the row's profile, built alone
         profile = inputs.InputProfile(row.profile.segments)
         alone = prior.IntervalBlocks(profile, hyper)
@@ -532,9 +530,10 @@ def test_one_pass_rows_equal_intervals_built_alone_and_are_views():
             assert np.array_equal(getattr(row, name), getattr(alone, name)), name
         for name in PROFILE_FIELDS:
             assert np.shares_memory(getattr(row.profile, name), getattr(intervals.profile, name))
-        for name, stacked in (("_phi", "knot_phi"), ("_input", "knot_input"), ("_q", "knot_q"),
-                              ("q_full_inv", "q_full_inv")):
-            assert np.shares_memory(getattr(row, name), getattr(intervals, stacked)), name
+        assert np.shares_memory(row.q_full_inv, intervals.q_full_inv)
+        # the row's triples at its knots, through the one-row slice
+        for name in KNOT_FIELDS:
+            assert np.array_equal(getattr(intervals[k:k + 1], name), getattr(alone.arrays, name))
         tau = 0.37 * row.t0 + 0.63 * row.t1
         got, want = row.at(tau), alone.at(tau)
         for name in QUERY_FIELDS:
@@ -555,44 +554,55 @@ def test_stacked_queries_equal_the_batch_of_one_rows():
     hyper = random_hyper(rng)
     whole, times = mixed_profile(rng)
     forced = prior.IntervalBlocks(inputs.InputProfile.zero(0.0, 0.4), hyper, force_general=True)
-    intervals = prior.IntervalArrays.stack(list(prior.precompute_intervals(whole, times, hyper))
-                                           + [forced])
-    assert list(intervals.closed_form) == [True, False, False, False, False]
-    k, taus = [], []
-    for i, row in enumerate(intervals):
-        knots = np.append(row.profile.t0, row.t1)
-        asked = np.concatenate([[row.t0, row.t1], knots, knots[1:] - 1e-13, knots[:-1] + 1e-13,
-                                [row.t0 + 0.3 * (row.profile.t1[0] - row.t0)]])
-        k += [i] * len(asked)
-        taus += list(asked)
-    order = rng.permutation(len(taus))
-    k, taus = np.array(k)[order], np.array(taus)[order]
-    stacked = intervals.query(k, taus)
-    for j, (i, tau) in enumerate(zip(k, taus)):
-        one = intervals[i].at(tau)
-        for name in QUERY_FIELDS:
-            assert np.array_equal(getattr(stacked, name)[j], getattr(one, name)), (i, tau, name)
+    intervals = prior.precompute_intervals(whole, times, hyper)
+    assert list(intervals.closed_form) == [True, False, False, False] and not forced.closed_form
+    for arrays in (intervals, forced.arrays):
+        k, taus = [], []
+        for i, row in enumerate(arrays):
+            knots = np.append(row.profile.t0, row.t1)
+            asked = np.concatenate([[row.t0, row.t1], knots, knots[1:] - 1e-13,
+                                    knots[:-1] + 1e-13,
+                                    [row.t0 + 0.3 * (row.profile.t1[0] - row.t0)]])
+            k += [i] * len(asked)
+            taus += list(asked)
+        order = rng.permutation(len(taus))
+        k, taus = np.array(k)[order], np.array(taus)[order]
+        stacked = arrays.query(k, taus)
+        for j, (i, tau) in enumerate(zip(k, taus)):
+            one = arrays[i].at(tau)
+            for name in QUERY_FIELDS:
+                assert np.array_equal(getattr(stacked, name)[j], getattr(one, name)), (i, tau, name)
     late = intervals.t1[2] + 1e-6
     with pytest.raises(DomainError, match=f"query time {late}"):
         intervals.query([0, 2], [0.1, late])
 
 
-def test_interval_arrays_stack_round_trips_its_rows():
+def test_a_slice_of_intervals_is_an_interval_arrays_of_views():
     rng = np.random.default_rng(13)
     hyper = random_hyper(rng)
     intervals = prior.precompute_intervals(*mixed_profile(rng), hyper)
-    assert prior.IntervalArrays.stack(intervals) is intervals
-    again = prior.IntervalArrays.stack(list(intervals))
-    assert again is not intervals and len(again) == len(intervals)
-    for name in CONTAINER_FIELDS:
-        assert np.array_equal(getattr(again, name), getattr(intervals, name)), name
-    for name in PROFILE_FIELDS:
-        assert np.array_equal(getattr(again.profile, name), getattr(intervals.profile, name))
-    with pytest.raises(WiringError, match="prior interval 1"):
-        prior.IntervalArrays.stack([intervals[0], intervals[1].profile])
-    with pytest.raises(HyperparameterError):
-        prior.IntervalArrays.stack([intervals[0], prior.IntervalBlocks(
-            intervals[1].profile, prior.PriorHyper(2.0 * np.diag(hyper.qc)))])
+    knot_q = intervals.knot_q.copy()
+    for lo, hi in ((0, 4), (1, 3), (2, 3), (3, 4), (2, 2)):
+        part = intervals[lo:hi]
+        assert isinstance(part, prior.IntervalArrays) and len(part) == hi - lo
+        assert part.hyper is intervals.hyper
+        assert np.array_equal(part.offsets, intervals.offsets[lo:hi + 1] - intervals.offsets[lo])
+        knots = slice(intervals.offsets[lo], intervals.offsets[hi])
+        for name in KNOT_FIELDS:
+            assert np.shares_memory(getattr(part, name), getattr(intervals, name)) or lo == hi
+            assert np.array_equal(getattr(part, name), getattr(intervals, name)[knots]), name
+        for name in PROFILE_FIELDS:
+            assert np.array_equal(getattr(part.profile, name),
+                                  getattr(intervals.profile, name)[knots]), name
+        for name in INTERVAL_FIELDS:
+            assert np.array_equal(getattr(part, name), getattr(intervals, name)[lo:hi]), name
+    # slicing leaves the parent as it was; open and negative ends slice as a sequence does
+    assert np.array_equal(intervals.knot_q, knot_q)
+    assert np.array_equal(intervals[-2:].t0, intervals.t0[2:])
+    assert np.array_equal(intervals[:1].t1, intervals.t1[:1])
+    for stepped in (slice(None, None, 2), slice(None, None, -1)):
+        with pytest.raises(WiringError, match="step"):
+            intervals[stepped]
 
 
 def test_the_interval_build_peaks_below_12_mib_on_600_intervals():
@@ -626,7 +636,7 @@ def twisty_blocks():
 
 def test_compose_matches_the_directly_built_interval(twisty_blocks):
     fine, direct = twisty_blocks
-    coarse = prior.IntervalBlocks.compose(fine)
+    coarse = fine.coarsen(len(fine))[0]
 
     def rel(a, b):
         return np.max(np.abs(a - b)) / np.max(np.abs(b))
@@ -647,9 +657,9 @@ def test_at_a_knot_integrates_nothing_and_returns_the_stored_triple(kind, twisty
     # the triple at knot m is the last one of the interval over the first m pieces
     if kind == "composed":
         fine, _ = twisty_blocks
-        blocks = prior.IntervalBlocks.compose(fine)
+        blocks = fine.coarsen(len(fine))[0]
         knots = [fine[0].t0] + [b.t1 for b in fine]
-        upto = [prior.IntervalBlocks.compose(fine[:m]) for m in range(1, len(fine) + 1)]
+        upto = [fine[:m].coarsen(m)[0] for m in range(1, len(fine) + 1)]
     else:
         blocks, profile, hyper = build_blocks(np.random.default_rng(11), n_segments=3)
         segs = profile.segments
@@ -672,7 +682,7 @@ def test_compose_zero_input_blocks_gives_the_closed_form():
     hyper = prior.PriorHyper(np.array([0.3, 0.3, 0.3, 0.1, 0.1, 0.1]))
     fine = prior.precompute_intervals(inputs.InputProfile.zero(0.0, 2.0), 0.4 * np.arange(6),
                                       hyper)
-    coarse = prior.IntervalBlocks.compose(fine)
+    coarse = fine.coarsen(len(fine))[0]
     assert coarse.closed_form
     assert (coarse.t0, coarse.t1) == (0.0, 2.0)
     assert np.allclose(coarse.phi, prior.wnoa_phi(2.0), rtol=1e-14, atol=0)
@@ -698,7 +708,7 @@ def test_compose_mixes_zero_and_input_blocks():
         inputs.InputSegment(0.3, 0.6, seg.v0, seg.v1, seg.a0, seg.a1)))
     fine = prior.precompute_intervals(profile, [0.0, 0.3, 0.6], hyper)
     assert fine[0].closed_form and not fine[1].closed_form
-    coarse = prior.IntervalBlocks.compose(fine)
+    coarse = fine.coarsen(len(fine))[0]
     direct = prior.IntervalBlocks(profile, hyper)
     assert np.allclose(coarse.phi, direct.phi, rtol=1e-12, atol=1e-14)
     assert np.allclose(coarse.input_full, direct.input_full, rtol=1e-12, atol=1e-14)
@@ -737,23 +747,23 @@ def test_coarsen_is_sequential_compose_bit_for_bit():
     assert np.array_equal(coarse.q_full_inv[0], prior.wnoa_q_inv(0.8, hyper.qc_inv))
     assert np.array_equal(coarse.q_full_inv[1:], np.linalg.inv(q[end[1:]]))
     for k, lo in enumerate((0, 2, 4)):
-        one = prior.IntervalBlocks.compose(fine[lo:lo + 2])
-        assert np.array_equal(one.q_full_inv, coarse.q_full_inv[k])
-        assert np.array_equal(one._q, coarse[k]._q)
+        one = fine[lo:lo + 2].coarsen(2)
+        assert np.array_equal(one.q_full_inv, coarse.q_full_inv[k:k + 1])
+        assert np.array_equal(one.knot_q, coarse[k:k + 1].knot_q)
 
 
-def test_compose_rejects_gaps_and_mixed_hyperparameters():
-    h1 = prior.PriorHyper(np.ones(6))
-    h2 = prior.PriorHyper(2.0 * np.ones(6))
-    a = prior.IntervalBlocks(inputs.InputProfile.zero(0.0, 1.0), h1)
-    with pytest.raises(DegenerateInputError):
-        prior.IntervalBlocks.compose(
-            [a, prior.IntervalBlocks(inputs.InputProfile.zero(1.5, 2.0), h1)])
-    with pytest.raises(HyperparameterError):
-        prior.IntervalBlocks.compose(
-            [a, prior.IntervalBlocks(inputs.InputProfile.zero(1.0, 2.0), h2)])
-    with pytest.raises(WiringError):
-        prior.IntervalBlocks.compose([])
+def test_coarsen_rejects_gaps():
+    hyper = prior.PriorHyper(np.ones(6))
+    whole = prior.precompute_intervals(inputs.InputProfile.zero(0.0, 2.0), [0.0, 1.0, 1.5, 2.0],
+                                       hyper)
+    # intervals [0, 1] and [1.5, 2], each of one profile row, built directly
+    rows = [0, 2]
+    gapped = prior.IntervalArrays(whole.profile[rows], hyper, np.arange(3),
+                                  whole.closed_form[rows], whole.knot_phi[rows],
+                                  whole.knot_input[rows], whole.knot_q[rows])
+    whole.coarsen(3)
+    with pytest.raises(DegenerateInputError, match="contiguous"):
+        gapped.coarsen(2)
 
 
 def random_state_nodes(rng, count):

@@ -21,23 +21,22 @@ def bounded_twist(rng, max_norm):
 
 def wnoa_chain(n_nodes, dt=0.3, qc=None):
     hyper = prior.PriorHyper(np.ones(6) if qc is None else qc)
-    return [prior.IntervalBlocks(inputs.InputProfile.zero(k * dt, (k + 1) * dt), hyper)
-            for k in range(n_nodes - 1)]
+    times = np.arange(n_nodes) * dt
+    return prior.precompute_intervals(inputs.InputProfile.zero(0.0, times[-1]), times, hyper)
 
 
 def input_chain(rng, n_nodes, seg_dur=0.25, scale=0.8):
     """One single-segment interval per node pair, inputs continuous across knots."""
     hyper = prior.PriorHyper(rng.uniform(0.3, 1.5, size=6))
-    blocks_list = []
-    t = 0.0
+    times, segments = [0.0], []
     v_prev, a_prev = bounded_twist(rng, scale), bounded_twist(rng, scale)
     for _ in range(n_nodes - 1):
         v_next, a_next = bounded_twist(rng, scale), bounded_twist(rng, scale)
-        seg = inputs.InputSegment(t, t + seg_dur, v_prev, v_next, a_prev, a_next)
-        blocks_list.append(prior.IntervalBlocks(inputs.InputProfile((seg,)), hyper))
-        t += seg_dur
+        segments.append(inputs.InputSegment(times[-1], times[-1] + seg_dur, v_prev, v_next,
+                                            a_prev, a_next))
+        times.append(times[-1] + seg_dur)
         v_prev, a_prev = v_next, a_next
-    return blocks_list
+    return prior.precompute_intervals(inputs.InputProfile(segments), times, hyper)
 
 
 def propagate_chain(start, blocks_list):
@@ -253,13 +252,14 @@ import ctgp
 from ctgp import factors, inputs, interpolation, prior, solver
 seg = inputs.InputSegment(0.0, 0.3, 0.1 * np.ones(6), 0.2 * np.ones(6),
                           np.zeros(6), np.zeros(6))
-blocks = prior.IntervalBlocks(inputs.InputProfile((seg,)), prior.PriorHyper(np.ones(6)))
+blocks = prior.precompute_intervals(inputs.InputProfile((seg,)), [0.0, 0.3],
+                                    prior.PriorHyper(np.ones(6)))
 nodes = [prior.StateNode(t, ctgp.Pose.identity(), np.zeros(6)) for t in (0.0, 0.3)]
 anchor = factors.AnchorFactor(0, ctgp.Pose.identity(), np.zeros(6), 1e-12 * np.eye(6),
                               1e-12 * np.eye(6))
-sol = solver.solve(solver.Problem(nodes, [blocks],
+sol = solver.solve(solver.Problem(nodes, blocks,
                                   [anchor, factors.PositionFactor(1, np.ones(3), np.eye(3))]))
-traj = interpolation.Trajectory(list(sol.nodes), [blocks], sol.node_covariances,
+traj = interpolation.Trajectory(list(sol.nodes), blocks, sol.node_covariances,
                                 sol.cross_covariances)
 traj.query(0.1, with_covariance=True)
 assert sol.converged
@@ -439,7 +439,7 @@ def coarse_and_fine(rng):
                                             bounded_twist(rng, 0.3)), blocks_list)
     meas = [factors.PoseFactor(k, truth[k].pose, 1e-4 * np.eye(6)) for k in (0, 4, 8)]
     guesses = perturbed(rng, truth, 0.3, 0.3)
-    coarse_blocks = [prior.IntervalBlocks.compose(blocks_list[i:i + 4]) for i in (0, 4)]
+    coarse_blocks = blocks_list.coarsen(4)
     coarse_meas = [factors.PoseFactor(j, truth[k].pose, 1e-4 * np.eye(6))
                    for j, k in enumerate((0, 4, 8))]
     coarse = solver.Problem(guesses[::4], coarse_blocks, coarse_meas)
@@ -696,10 +696,8 @@ def test_problem_validation():
         solver.Problem(nodes[:1], [])
     with pytest.raises(WiringError):
         solver.Problem(nodes, blocks_list[:1])
-    with pytest.raises(WiringError):
-        solver.Problem(nodes, [blocks_list[1], blocks_list[0]])
-    # an entry that is not an IntervalBlocks
-    with pytest.raises(WiringError, match="prior interval 1"):
+    # intervals that are not one IntervalArrays, named by their type
+    with pytest.raises(WiringError, match="got a list"):
         solver.Problem(nodes, [blocks_list[0], blocks_list[1].profile])
     with pytest.raises(WiringError):
         solver.Problem(nodes, blocks_list,
@@ -735,13 +733,16 @@ def test_wiring_errors_surface_when_the_problem_is_built():
     nodes = propagate_chain(prior.StateNode(0.0, exp_map(bounded_twist(rng, 0.3)),
                                             bounded_twist(rng, 0.3)), blocks_list)
     off_times = "node times do not match"
-    # swapped intervals, of equal length, so only their times are wrong
-    with pytest.raises(WiringError, match=off_times):
-        solver.Problem(nodes, [blocks_list[0], blocks_list[2], blocks_list[1]])
-    # intervals built over times shifted from the nodes'
+    # as many intervals over the same span, cut at other interior times
     hyper = prior.PriorHyper(np.ones(6))
-    shifted = [prior.IntervalBlocks(inputs.InputProfile.zero(b.t0 + 0.05, b.t1 + 0.05), hyper)
-               for b in blocks_list]
+    times = np.array([n.time for n in nodes])
+    recut = prior.precompute_intervals(inputs.InputProfile.zero(times[0], times[-1]),
+                                       [times[0], 0.2, 0.7, times[-1]], hyper)
+    with pytest.raises(WiringError, match=off_times):
+        solver.Problem(nodes, recut)
+    # intervals built over times shifted from the nodes'
+    shifted = prior.precompute_intervals(
+        inputs.InputProfile.zero(times[0] + 0.05, times[-1] + 0.05), times + 0.05, hyper)
     with pytest.raises(WiringError, match=off_times):
         solver.Problem(nodes, shifted)
     # an interpolated factor on interval 0 at a time inside interval 1, and
@@ -755,6 +756,39 @@ def test_wiring_errors_surface_when_the_problem_is_built():
                r"its interval 0, \[0, 0\.3\] s$")
     with pytest.raises(WiringError, match=outside):
         solver.Problem(nodes, blocks_list, [placed, at_end, misplaced])
+
+
+def test_intervals_enter_only_as_one_interval_arrays():
+    """Where intervals enter, a list of rows is refused, even of the right intervals."""
+    intervals = wnoa_chain(3)
+    nodes = [prior.StateNode(t, Pose.identity(), np.zeros(6))
+             for t in np.append(intervals.t0, intervals.t1[-1])]
+    rows = list(intervals)
+    for enter in (solver.Problem, interpolation.Trajectory, factors.prior_factor_batch):
+        with pytest.raises(WiringError, match="need the intervals as one IntervalArrays "
+                                              r"\(precompute_intervals\), got a list"):
+            enter(nodes, rows)
+        enter(nodes, intervals)
+
+
+def test_a_problem_is_built_solved_and_queried_from_the_ctgp_namespace():
+    times = np.linspace(0.0, 1.5, 4)
+    profile = ctgp.from_samples(times, np.tile([0.2, 0.0, 0.0, 0.0, 0.0, 0.1], (4, 1)))
+    intervals = ctgp.precompute_intervals(profile, times, ctgp.PriorHyper(np.ones(6)))
+    nodes = [ctgp.StateNode(t, ctgp.Pose.identity(), np.zeros(6)) for t in times]
+    anchor = ctgp.AnchorFactor(0, ctgp.Pose.identity(), np.zeros(6), 1e-6 * np.eye(6),
+                               1e-6 * np.eye(6))
+    end = ctgp.PositionFactor(3, [0.3, 0.05, 0.0], 1e-2 * np.eye(3))
+    sol = ctgp.solve(ctgp.Problem(nodes, intervals, [anchor, end]))
+    assert sol.converged
+    trajectory = ctgp.Trajectory(sol.nodes, intervals, sol.node_covariances,
+                                 sol.cross_covariances)
+    queried = trajectory.query_many([0.25, 1.0, 1.2], with_covariance=True)
+    assert np.array_equal(queried.time, [0.25, 1.0, 1.2])
+    assert np.array_equal(queried.trans[1], sol.nodes.trans[2])
+    assert np.all(np.isfinite(queried.covariance))
+    # the forward input carries the mean forward between the nodes
+    assert 0.0 < queried.trans[0, 0] < queried.trans[1, 0] < queried.trans[2, 0]
 
 
 def test_out_of_order_node_times_rejected():

@@ -524,9 +524,8 @@ def test_row_restacks_finder_sees_interval_fields_of_the_loop_variable(tmp_path)
 
 
 def test_no_package_comprehension_restacks_interval_rows():
-    """Stacked intervals are read as arrays; only IntervalArrays.stack takes caller-given rows."""
-    found = row_restacks(sorted(SRC.glob("*.py")), INTERVAL_FIELDS)
-    assert [f for f in found if f[:2] != ("prior.py", "IntervalArrays.stack")] == []
+    """Stacked intervals are read as arrays; no package code takes caller-given rows."""
+    assert row_restacks(sorted(SRC.glob("*.py")), INTERVAL_FIELDS) == []
 
 
 def interval_builds(paths):
@@ -732,14 +731,10 @@ def test_prior_copies_finder_sees_stack_calls_and_interval_fields(tmp_path):
 
 
 def test_package_reads_one_prior_per_problem():
-    """Caller-given intervals are stacked only where they enter, and no factor holds its own.
+    """Intervals are never restacked from rows, and no factor holds its own.
 
-    Problem and Trajectory take a caller's intervals, prior_factor_batch and
-    IntervalBlocks.compose are batches over given rows; an interpolated
-    factor reads the problem's IntervalArrays.
+    Problem, Trajectory and prior_factor_batch keep the IntervalArrays they
+    are given (check_interval_times); an interpolated factor reads the
+    problem's.
     """
-    assert prior_copies(sorted(SRC.glob("*.py"))) == [
-        ("factors.py", "prior_factor_batch", "IntervalArrays.stack"),
-        ("interpolation.py", "Trajectory.__init__", "IntervalArrays.stack"),
-        ("prior.py", "IntervalBlocks.compose", "IntervalArrays.stack"),
-        ("solver.py", "Problem.__init__", "IntervalArrays.stack")]
+    assert prior_copies(sorted(SRC.glob("*.py"))) == []
